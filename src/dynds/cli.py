@@ -1123,8 +1123,12 @@ def cmd_reduce(args) -> int:
         print(f"error: {cfg.rid} expects arity {cfg.arity}, instance has "
               f"{arity}", file=sys.stderr)
         return 2
-    target = factory(inst)
-    result = cfg.run(inst, target)
+    try:
+        target = factory(inst)
+        result = cfg.run(inst, target)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     answers = result if isinstance(result, list) else [result]
     body = "".join(_fmt_bool(a) + "\n" for a in answers)
     calls = " ".join(f"{k}={v}" for k, v in sorted(target.calls.items()))

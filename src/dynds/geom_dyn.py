@@ -9,6 +9,7 @@ small buffer that queries scan against the core.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -318,6 +319,9 @@ def klee_union_volume_ie(corners: Sequence[tuple], side) -> Fraction:
 
 _SENSES = {"lt": "lt", "<": "lt", "le": "le", "<=": "le",
            "gt": "gt", ">": "gt", "ge": "ge", ">=": "ge"}
+# the test normal . p <sense> offset makes, per canonical sense
+_SENSE_OPS = {"lt": operator.lt, "le": operator.le,
+              "gt": operator.gt, "ge": operator.ge}
 
 
 class HalfspaceSystem:
@@ -345,14 +349,7 @@ class HalfspaceSystem:
 
     def _contains(self, key, p) -> bool:
         normal, off, sense = key
-        v = sum(a * c for a, c in zip(normal, p))
-        if sense == "lt":
-            return v < off
-        if sense == "le":
-            return v <= off
-        if sense == "gt":
-            return v > off
-        return v >= off
+        return _SENSE_OPS[sense](sum(a * c for a, c in zip(normal, p)), off)
 
     def _apply(self, key, delta: int) -> None:
         for i, p in enumerate(self.points):

@@ -9,13 +9,13 @@ entry via a dominance query on the box-boundary coordinates.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core_geom import Box, Interval, RangeTree, VisitCounter, _norm_coord
+from .core_geom import (Box, Interval, RangeTree, VisitCounter, _debug_on,
+                        _norm_coord)
 
 __all__ = [
     "mode_oracle",
@@ -25,10 +25,6 @@ __all__ = [
     "DynRangeModeDS",
     "SequenceAdapter",
 ]
-
-
-def _debug_on() -> bool:
-    return os.environ.get("DYNDS_DEBUG_ASSERT") == "1"
 
 
 # ---------------- oracles ----------------
@@ -73,19 +69,12 @@ def sequence_minority_oracle(values: Sequence, l: int, r: int) -> Tuple[object, 
 
 # ---------------- dynamic structure ----------------
 
-def _label_lt(a, b) -> bool:
-    try:
-        return a < b
-    except TypeError:
-        return repr(a) < repr(b)
-
-
 class _TieRank:
     """Wraps a label so that larger order means smaller label.
 
     Stored as the second component of max-tree values: the lexicographic
     max then lands on the smallest label among equal counts, matching the
-    oracle tie rule.  Unlike label types fall back to repr order.
+    oracle tie rule.
     """
 
     __slots__ = ("label",)
@@ -97,14 +86,19 @@ class _TieRank:
         return self.label == other.label
 
     def __lt__(self, other):
-        return _label_lt(other.label, self.label)
+        return other.label < self.label
 
     def __repr__(self):
         return f"_TieRank({self.label!r})"
 
 
 class DynRangeModeDS:
-    """Dynamic d-dimensional range mode over a labeled point multiset."""
+    """Dynamic d-dimensional range mode over a labeled point multiset.
+
+    Labels must be hashable and mutually ordered, as mode_oracle's tie rule
+    needs: inserting a label that cannot be compared with a live one raises
+    TypeError and leaves the structure unchanged.
+    """
 
     def __init__(self, d: int, n_cap: int, B_override: Optional[int] = None,
                  counter: Optional[VisitCounter] = None):
@@ -121,7 +115,7 @@ class DynRangeModeDS:
         self.counter = counter if counter is not None else VisitCounter()
         self.n_live = 0
         self._occ: Dict[object, Counter] = {}          # label -> coords multiset
-        self._total: Counter = Counter()               # label -> live count
+        self._total: Counter = Counter()               # live label -> count
         self._label_trees: Dict[object, RangeTree] = {}
         self._tkeys: Dict[object, Dict[tuple, int]] = {}  # label -> (coords, copy) -> key
         self.heavy: set = set()
@@ -158,13 +152,33 @@ class DynRangeModeDS:
         self._total[label] += 1
         self.n_live += 1
 
+    def _check_labels(self, labels) -> None:
+        """Raise TypeError if a label not yet live cannot be ordered.
+
+        Each new label is compared once with a live label (or, in an empty
+        structure, with the first new one).
+        """
+        ref = next(iter(self._total), None)
+        for label in labels:
+            if label in self._total:
+                continue
+            if ref is None:
+                ref = label
+                continue
+            try:
+                ref < label
+            except TypeError:
+                raise TypeError(f"label {label!r} cannot be ordered with "
+                                f"label {ref!r}") from None
+
     def update(self, coords, label, insert: bool) -> None:
         nc = self._norm(coords)
         if insert:
+            self._check_labels((label,))
             self._insert_raw(nc, label)
         else:
-            occ = self._occ.setdefault(label, Counter())
-            if occ[nc] <= 0:
+            occ = self._occ.get(label)
+            if not occ or nc not in occ:
                 raise ValueError(f"delete of absent point {coords} label {label!r}")
             copy = occ[nc]
             self._label_trees[label].toggle(self._tkeys[label][(nc, copy)], False)
@@ -172,16 +186,26 @@ class DynRangeModeDS:
             if occ[nc] == 0:
                 del occ[nc]
             self._total[label] -= 1
+            if not self._total[label]:
+                del self._total[label]
             self.n_live -= 1
         self._refresh_label(label)
         if _debug_on():
             self._debug_check()
 
     def bulk_insert(self, points) -> None:
-        """Batch insert regenerating each touched label's boxes only once."""
+        """Batch insert regenerating each touched label's boxes only once.
+
+        A batch past the capacity, or with a label that cannot be ordered,
+        is refused whole before anything is inserted.
+        """
+        points = [(self._norm(coords), label) for coords, label in points]
+        if self.n_live + len(points) > self.n_cap:
+            raise ValueError(f"capacity {self.n_cap} exceeded")
+        self._check_labels(label for _, label in points)
         touched: Dict[object, None] = {}
-        for coords, label in points:
-            self._insert_raw(self._norm(coords), label)
+        for nc, label in points:
+            self._insert_raw(nc, label)
             touched.setdefault(label)
         for label in touched:
             self._refresh_label(label)
@@ -189,46 +213,58 @@ class DynRangeModeDS:
             self._debug_check()
 
     def _refresh_label(self, label) -> None:
-        """Regenerate the label's light boxes, or clear them when heavy."""
-        old = self._label_box_keys.get(label, [])
-        for k in old:
-            self._tp.toggle(k, False)
-        total = self._total[label]
-        if total > self.B:
-            self.heavy.add(label)
-            self._label_box_keys[label] = []
-            return
-        self.heavy.discard(label)
-        occ = self._occ.get(label)
+        """Regenerate the label's light boxes, or clear them when heavy.
+
+        Only the difference is toggled: boxes whose (label, coords, count)
+        key survives the update stay active untouched.
+        """
         new_keys: List[int] = []
-        if occ:
-            axis_vals = [sorted({c[i] for c in occ}) for i in range(self.d)]
-            ranges = [[(lo, hi) for li, lo in enumerate(vals) for hi in vals[li:]]
-                      for vals in axis_vals]
-            missing = []
-            for combo in product(*ranges):
-                cnt = 0
-                for c, m in occ.items():
-                    if all(lo <= c[i] <= hi for i, (lo, hi) in enumerate(combo)):
-                        cnt += m
-                if cnt == 0:
-                    continue
-                boxcoords = tuple(lo for lo, _ in combo) + tuple(hi for _, hi in combo)
-                ek = self._tp_keys.get((label, boxcoords, cnt))
-                if ek is None:
-                    missing.append((boxcoords, cnt))
-                else:
-                    new_keys.append(ek)
-            if missing:
-                keys = self._tp.extend(
-                    [(bc, (cnt, _TieRank(label))) for bc, cnt in missing])
-                for (bc, cnt), ek in zip(missing, keys):
-                    self._tp_keys[(label, bc, cnt)] = ek
-                    self._tp_label[ek] = label
-                new_keys.extend(keys)
+        if self._total[label] > self.B:
+            self.heavy.add(label)
+        else:
+            self.heavy.discard(label)
+            occ = self._occ.get(label)
+            if occ:
+                new_keys = self._light_box_keys(label, occ)
+        old = self._label_box_keys.get(label, [])
+        old_set, new_set = set(old), set(new_keys)
+        for k in old:
+            if k not in new_set:
+                self._tp.toggle(k, False)
         for k in new_keys:
-            self._tp.toggle(k, True)
+            if k not in old_set:
+                self._tp.toggle(k, True)
         self._label_box_keys[label] = new_keys
+
+    def _light_box_keys(self, label, occ: Counter) -> List[int]:
+        """Max-tree keys of every box spanned by a light label's points,
+        declaring the (label, boxcoords, count) entries not seen before."""
+        new_keys: List[int] = []
+        axis_vals = [sorted({c[i] for c in occ}) for i in range(self.d)]
+        ranges = [[(lo, hi) for li, lo in enumerate(vals) for hi in vals[li:]]
+                  for vals in axis_vals]
+        missing = []
+        for combo in product(*ranges):
+            cnt = 0
+            for c, m in occ.items():
+                if all(lo <= c[i] <= hi for i, (lo, hi) in enumerate(combo)):
+                    cnt += m
+            if cnt == 0:
+                continue
+            boxcoords = tuple(lo for lo, _ in combo) + tuple(hi for _, hi in combo)
+            ek = self._tp_keys.get((label, boxcoords, cnt))
+            if ek is None:
+                missing.append((boxcoords, cnt))
+            else:
+                new_keys.append(ek)
+        if missing:
+            keys = self._tp.extend(
+                [(bc, (cnt, _TieRank(label))) for bc, cnt in missing])
+            for (bc, cnt), ek in zip(missing, keys):
+                self._tp_keys[(label, bc, cnt)] = ek
+                self._tp_label[ek] = label
+            new_keys.extend(keys)
+        return new_keys
 
     # ---------------- queries ----------------
 
@@ -236,11 +272,7 @@ class DynRangeModeDS:
         if box.dim != self.d:
             raise ValueError("query box dimension mismatch")
         best: Optional[Tuple[object, int]] = None
-        try:
-            heavy = sorted(self.heavy)
-        except TypeError:
-            heavy = sorted(self.heavy, key=repr)
-        for label in heavy:
+        for label in sorted(self.heavy):
             cnt = self._label_trees[label].count(box)
             if cnt > 0 and (best is None or cnt > best[1]):
                 best = (label, cnt)
@@ -254,7 +286,7 @@ class DynRangeModeDS:
             (cnt, _), key = hit
             label = self._tp_label[key]
             if cnt > 0 and (best is None or cnt > best[1]
-                            or (cnt == best[1] and _label_lt(label, best[0]))):
+                            or (cnt == best[1] and label < best[0])):
                 best = (label, cnt)
         return best
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -18,17 +17,13 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .colors import CommonColorsDS, DynColorCountDS, dcc_oracle, docs_oracle
-from .core_geom import Box, Interval
-from .geom_dyn import (HalfspaceSystem, SemiOnlineEngine, Skyline3DBlock,
-                       klee_union_volume, skyline_oracle)
+from .core_geom import Box, Interval, _debug_on
+from .geom_dyn import (_SENSE_OPS, _SENSES, HalfspaceSystem, SemiOnlineEngine,
+                       Skyline3DBlock, klee_union_volume, skyline_oracle)
 from .range_mode import (DynRangeModeDS, SequenceAdapter, mode_oracle,
                          sequence_minority_oracle, sequence_mode_oracle)
 from .tensor_ds import (EricksonEager, EricksonLazy, HypercliqueCounting,
                         HypercliqueLazy, Tensor, oumv_bruteforce)
-
-
-def _debug_on() -> bool:
-    return os.environ.get("DYNDS_DEBUG_ASSERT") == "1"
 
 
 # ---------------- k-partite graphs ----------------
@@ -1340,11 +1335,11 @@ class HalfspaceTargetScan:
 
     def insert(self, normal, offset, sense) -> None:
         self.calls["insert"] += 1
-        self.live.append((tuple(normal), Fraction(offset), sense))
+        self.live.append((tuple(normal), Fraction(offset), _SENSES[sense]))
 
     def delete(self, normal, offset, sense) -> None:
         self.calls["delete"] += 1
-        self.live.remove((tuple(normal), Fraction(offset), sense))
+        self.live.remove((tuple(normal), Fraction(offset), _SENSES[sense]))
 
     def min_count(self) -> int:
         self.calls["min_count"] += 1
@@ -1353,7 +1348,7 @@ class HalfspaceTargetScan:
             c = 0
             for normal, off, sense in self.live:
                 v = sum(a * x for a, x in zip(normal, p))
-                if (v < off) if sense == "lt" else (v > off):
+                if _SENSE_OPS[sense](v, off):
                     c += 1
             best = c if best is None else min(best, c)
         return best

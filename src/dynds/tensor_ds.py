@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from sortedcontainers import SortedList
 
-from .core_geom import VisitCounter
+from .core_geom import VisitCounter, _debug_on
 
 __all__ = [
     "Tensor",
@@ -33,10 +32,6 @@ __all__ = [
     "BatchedOuMv",
     "oumv_bruteforce",
 ]
-
-
-def _debug_on() -> bool:
-    return os.environ.get("DYNDS_DEBUG_ASSERT") == "1"
 
 
 # ---------------- dense tensor ----------------

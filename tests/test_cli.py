@@ -208,6 +208,18 @@ def test_reduce_unknown_ids_exit2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("adapter", ["oracle", "real"])
+def test_reduce_driver_value_error_exit2(tmp_path, capsys, adapter):
+    # langerman needs n to be a perfect k-th power; n = 3, k = 3 is not
+    f = _write(tmp_path, "mv3.txt", "3 3 1 1\n1 2 3\n1\n2\n3\n")
+    assert main(["reduce", f, "--reduction", "red_oumvk_langerman_k3",
+                 "--adapter", adapter]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "perfect power" in captured.err
+
+
 def test_reduce_bad_instance_exit2(tmp_path, capsys):
     f = _write(tmp_path, "g.txt", "4 2 2 2\n")
     assert main(["reduce", f, "--reduction", "red_4clique_range_mode"]) == 2

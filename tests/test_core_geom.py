@@ -236,6 +236,34 @@ def test_rt_count_mode_property(entries, toggles, q):
     assert tree.count(box) == scan.count(box)
 
 
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(0, 2)), min_size=1, max_size=20),
+       st.lists(st.integers(0, 19), max_size=25),
+       st.tuples(st.integers(-4, 4), st.integers(0, 8),
+                 st.integers(-4, 4), st.integers(0, 8)))
+@settings(max_examples=60, deadline=None)
+def test_rt_max_mode_witness_removal_property(entries, on, q):
+    # few distinct values, so cell tops tie and removing one must rescan
+    ents = [((x, y), v) for x, y, v in entries]
+    tree = RangeTree(2, ents, mode="max")
+    scan = ScanTree(ents)
+    for key in on:
+        tree.toggle(key % len(ents), True)
+        scan.toggle(key % len(ents), True)
+    x, w, y, h = q
+    boxes = [Box.closed((x, y), (x + w, y + h)),
+             Box([Interval.all(), Interval.all()])]
+    for box in boxes:
+        while True:
+            for b in boxes:
+                assert tree.max_entry(b) == scan.max_entry(b)
+            hit = tree.max_entry(box)
+            if hit is None:
+                break
+            tree.toggle(hit[1], False)
+            scan.toggle(hit[1], False)
+
+
 def test_rt_visit_counter_budget():
     rng = random.Random(7)
     for dim in (1, 2, 3, 4):

@@ -78,6 +78,11 @@ def test_capacity_and_absent_delete_errors():
     ds.update((1,), 7, False)
     with pytest.raises(ValueError):
         ds.update((1,), 8, False)  # wrong label
+    # a batch past capacity is refused whole
+    with pytest.raises(ValueError):
+        ds.bulk_insert([((3,), 7), ((4,), 7)])
+    assert ds.n_live == 1
+    assert ds.query(Box.closed((0,), (9,))) == (7, 1)
 
 
 def test_small_hand_example():
@@ -117,7 +122,7 @@ def random_trace_check(d, seed, ops, n_cap, coord_hi, labels, B_override=None):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_random_traces_match_oracle(d, monkeypatch):
-    monkeypatch.setenv("DYNDS_DEBUG_ASSERT", "1")
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
     for seed in range(12):
         random_trace_check(d, 400 + seed, ops=120 if d == 1 else 70,
                            n_cap=60, coord_hi=12 if d == 1 else 8,
@@ -149,6 +154,61 @@ def test_duplicate_points_same_label():
     assert ds.query(Box.closed((5,), (5,))) == ("z", 3)
     ds.update((5,), "z", False)
     assert ds.query(Box.closed((5,), (5,))) == ("z", 2)
+
+
+def _active_boxes(ds):
+    """Active max-tree entries as (label, boxcoords, count) keys."""
+    name = {k: tpk for tpk, k in ds._tp_keys.items()}
+    return {name[k] for k in ds._tp.active_keys()}
+
+
+def test_light_refresh_toggles_only_changed_boxes(monkeypatch):
+    ds = DynRangeModeDS(2, 10, B_override=3)
+    ds.update((1, 1), "a", True)
+    ds.update((3, 3), "a", True)
+    calls = []
+    toggle = ds._tp.toggle
+
+    def counted(key, active):
+        calls.append((key, active))
+        toggle(key, active)
+
+    monkeypatch.setattr(ds._tp, "toggle", counted)
+    # move (3, 3) to (2, 4): the box around (1, 1) alone survives both steps
+    for coords, insert in [((3, 3), False), ((2, 4), True)]:
+        before = set(ds._tp.active_keys())
+        calls.clear()
+        ds.update(coords, "a", insert)
+        after = set(ds._tp.active_keys())
+        assert len(calls) == 6
+        assert {k for k, _ in calls} == before ^ after
+        assert all(active == (k in after) for k, active in calls)
+    fresh = DynRangeModeDS(2, 10, B_override=3)
+    fresh.bulk_insert([((1, 1), "a"), ((2, 4), "a")])
+    assert _active_boxes(ds) == _active_boxes(fresh)
+
+
+def test_mixed_labels_rejected_like_oracle():
+    ds = DynRangeModeDS(2, 10)
+    live = [((1, 1), 1)]
+    ds.update((1, 1), 1, True)
+    box = Box.closed((0, 0), (3, 3))
+    with pytest.raises(TypeError):
+        mode_oracle(live + [((2, 2), "a")], box)
+    with pytest.raises(TypeError):
+        ds.update((2, 2), "a", True)
+    with pytest.raises(TypeError):
+        ds.bulk_insert([((2, 2), 2), ((3, 3), "a")])
+    assert ds.n_live == 1
+    assert ds.query(box) == mode_oracle(live, box) == (1, 1)
+    empty = DynRangeModeDS(1, 5)
+    with pytest.raises(TypeError):
+        empty.bulk_insert([((1,), 1), ((2,), "a")])
+    assert empty.n_live == 0 and empty.query(Box.closed((0,), (3,))) is None
+    # once no int label is live, str labels are accepted
+    ds.update((1, 1), 1, False)
+    ds.update((2, 2), "a", True)
+    assert ds.query(box) == mode_oracle([((2, 2), "a")], box) == ("a", 1)
 
 
 def test_counter_budget():

@@ -372,6 +372,21 @@ def test_halfspace_empty_tuples_short_circuit():
     assert red_oumvk_halfspace(inst, Boom()) == [False, False]
 
 
+@pytest.mark.parametrize("sense,depth", [("lt", 0), ("le", 1), ("gt", 0),
+                                         ("ge", 1), ("<", 0), ("<=", 1),
+                                         (">", 0), (">=", 1)])
+def test_halfspace_scan_matches_system_on_boundary(sense, depth):
+    # the halfspace passes through the only point, so strictness decides
+    from dynds.geom_dyn import HalfspaceSystem
+    from dynds.reductions import HalfspaceTargetScan
+    scan = HalfspaceTargetScan()
+    scan.build([(0, 0)])
+    scan.insert((1, 1), 0, sense)
+    hs = HalfspaceSystem([(0, 0)])
+    hs.insert((1, 1), 0, sense)
+    assert scan.min_count() == hs.min_count() == depth
+
+
 def test_langerman_rejects_non_power():
     inst = OuMvInstance(3, 3, frozenset(), ())
     from dynds.reductions import LangermanTargetOracle
@@ -380,7 +395,7 @@ def test_langerman_rejects_non_power():
 
 
 def test_langerman_debug_identity(monkeypatch):
-    monkeypatch.setenv("DYNDS_DEBUG_ASSERT", "1")
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
     rng = random.Random(3)
     for _ in range(5):
         inst = random_oumv(rng, 3, 4)

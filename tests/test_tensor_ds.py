@@ -99,7 +99,7 @@ def test_langerman_initial_tensor():
     ((4, 5), None), ((4, 5), 3), ((3, 3, 3), 2), ((9, 2), 4),
 ])
 def test_langerman_random_traces(extents, B, monkeypatch):
-    monkeypatch.setenv("DYNDS_DEBUG_ASSERT", "1")
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
     rng = random.Random(hash((extents, B)) & 0xFFFF)
     for _ in range(4):
         ds = LangermanDS(extents, B=B)
