@@ -739,5 +739,6 @@ def orthant_union_decompose(corners: Sequence) -> List[Box]:
             births[i0:jr] = [z]
     for idx in range(len(xs)):
         emit(xs[idx - 1] if idx > 0 else None, xs[idx], ys[idx], births[idx], None)
-    assert len(boxes) <= 4 * len(pts) + 1
+    if len(boxes) > 4 * len(pts) + 1:
+        raise RuntimeError(f"{len(boxes)} boxes exceed the bound 4*{len(pts)}+1")
     return boxes

@@ -170,7 +170,9 @@ class SemiOnlineEngine:
             self._buffer = buf
             self._state = self.problem.preprocess([r.elem for r in core])
             self.rebuilds += 1
-        assert len(self._buffer) <= 2 * self.b
+        if len(self._buffer) > 2 * self.b:
+            raise RuntimeError(f"buffer of {len(self._buffer)} records exceeds "
+                               f"twice the block size {self.b}")
 
     def insert(self, elem, death=math.inf) -> None:
         self._begin_op()

@@ -10,7 +10,6 @@ entry via a dominance query on the box-boundary coordinates.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -272,9 +271,10 @@ class DynRangeModeDS:
         if box.dim != self.d:
             raise ValueError("query box dimension mismatch")
         best: Optional[Tuple[object, int]] = None
-        for label in sorted(self.heavy):
+        for label in self.heavy:
             cnt = self._label_trees[label].count(box)
-            if cnt > 0 and (best is None or cnt > best[1]):
+            if cnt > 0 and (best is None or cnt > best[1]
+                            or (cnt == best[1] and label < best[0])):
                 best = (label, cnt)
         ivs = []
         for iv in box.intervals:
@@ -333,39 +333,49 @@ class DynRangeModeDS:
 class SequenceAdapter:
     """Dynamic sequence with 1-based positional inserts and range mode queries.
 
-    Positions map to dyadic rational keys: each insert takes the midpoint of
+    Positions map to int keys, the int K standing for the dyadic rational
+    K / 2**KEY_SHIFT.  Each insert takes the midpoint (left + right) >> 1 of
     its neighbors, using fixed virtual boundary keys past either end (so
-    repeated inserts at an end keep halving toward the boundary).  When a key
-    denominator exponent exceeds 64 the keys are re-spaced to integers and
-    the backing structure is relabeled in place.
+    repeated inserts at an end keep halving toward the boundary).  Between
+    ops every live key and both bounds are multiples of 4, so the midpoint
+    is exact and even; a midpoint that is not a multiple of 4 (denominator
+    exponent REBUILD_EXP + 1) re-spaces the keys, and the backing structure
+    is relabeled in place.  Live keys go to i << KEY_SHIFT.  A run of t dead
+    keys, which still sit on the structure's axes, between the live keys
+    base and base + 1 goes to base + s/(t+1) for s = 1..t: scaled by
+    2**KEY_SHIFT, the exact image when that is an integer, otherwise the odd
+    integer between the two even integers around it.  Later keys are always
+    even, so a dead key equals a later key exactly when its rational image
+    does, and orders against it the same way; the spare bit of KEY_SHIFT
+    over REBUILD_EXP + 1 is what keeps the odd integers free.
     """
 
     REBUILD_EXP = 64
+    KEY_SHIFT = REBUILD_EXP + 2
 
     def __init__(self, n_cap: int, B_override: Optional[int] = None,
                  counter: Optional[VisitCounter] = None):
         self.ds = DynRangeModeDS(1, n_cap, B_override=B_override, counter=counter)
-        self.keys: List[Fraction] = []
+        self.keys: List[int] = []
         self.values: List[object] = []
         self._all_keys: set = set()
-        self._lo_bound = Fraction(0)
-        self._hi_bound = Fraction(2)
+        self._lo_bound = 0
+        self._hi_bound = 2 << self.KEY_SHIFT
         self.rebuilds = 0
 
     @classmethod
     def from_values(cls, values: Sequence, n_cap: Optional[int] = None,
                     B_override: Optional[int] = None,
                     counter: Optional[VisitCounter] = None) -> "SequenceAdapter":
-        """Bulk build with integer keys 1..len (no denominator growth)."""
+        """Bulk build with keys standing for 1..len (denominator exponent 0)."""
         seq = cls(n_cap if n_cap is not None else max(1, len(values)),
                   B_override=B_override, counter=counter)
-        for i, v in enumerate(values, start=1):
-            key = Fraction(i)
-            seq.keys.append(key)
-            seq.values.append(v)
-            seq._all_keys.add(key)
+        shift = cls.KEY_SHIFT
+        seq.keys = [i << shift for i in range(1, len(values) + 1)]
+        seq.values = list(values)
+        seq._all_keys = set(seq.keys)
         seq.ds.bulk_insert(((k,), v) for k, v in zip(seq.keys, seq.values))
-        seq._hi_bound = Fraction(len(values) + 1)
+        seq._hi_bound = (len(values) + 1) << shift
         return seq
 
     def __len__(self):
@@ -377,12 +387,12 @@ class SequenceAdapter:
             raise ValueError(f"insert position {pos} out of range 1..{n + 1}")
         left = self.keys[pos - 2] if pos >= 2 else self._lo_bound
         right = self.keys[pos - 1] if pos <= n else self._hi_bound
-        key = (left + right) / 2
+        key = (left + right) >> 1
         self.keys.insert(pos - 1, key)
         self.values.insert(pos - 1, value)
         self._all_keys.add(key)
         self.ds.update((key,), value, insert=True)
-        if key.denominator.bit_length() - 1 > self.REBUILD_EXP:
+        if key & 3:
             self._rebuild()
 
     def delete(self, pos: int) -> None:
@@ -397,36 +407,41 @@ class SequenceAdapter:
         if not 1 <= l <= r <= len(self.values):
             raise ValueError(f"bad range [{l}, {r}] for length {len(self.values)}")
         got = self.ds.query(Box.closed((self.keys[l - 1],), (self.keys[r - 1],)))
-        assert got is not None
+        if got is None:
+            raise RuntimeError(f"no mode found in the non-empty range [{l}, {r}]")
         return got
 
     def _rebuild(self) -> None:
-        """Re-space live keys to integers via an order-preserving relabel."""
+        """Re-space live keys to whole units via an order-preserving relabel."""
         self.rebuilds += 1
+        shift = self.KEY_SHIFT
         live = set(self.keys)
-        mapping: Dict[Fraction, Fraction] = {}
-        run: List[Fraction] = []
+        mapping: Dict[int, int] = {}
+        run: List[int] = []
         nxt = 1
 
         def flush(base):
             t = len(run)
             for s, k in enumerate(run, start=1):
-                mapping[k] = base + Fraction(s, t + 1)
+                q, rem = divmod((base * (t + 1) + s) << shift, t + 1)
+                mapping[k] = q if rem == 0 else q | 1
             run.clear()
 
         for k in sorted(self._all_keys):
             if k in live:
-                flush(Fraction(nxt - 1))
-                mapping[k] = Fraction(nxt)
+                flush(nxt - 1)
+                mapping[k] = nxt << shift
                 nxt += 1
             else:
                 run.append(k)
-        flush(Fraction(nxt - 1))
+        flush(nxt - 1)
         self.ds.remap_axis_values([mapping])
         self.keys = [mapping[k] for k in self.keys]
         self._all_keys = set(mapping.values())
-        self._lo_bound = Fraction(0)
-        self._hi_bound = Fraction(nxt)
+        self._lo_bound = 0
+        self._hi_bound = nxt << shift
 
     def max_denominator_exp(self) -> int:
-        return max((k.denominator.bit_length() - 1 for k in self.keys), default=0)
+        """Largest denominator exponent of a live key's dyadic rational."""
+        return max((max(0, self.KEY_SHIFT - (k & -k).bit_length() + 1)
+                    for k in self.keys), default=0)

@@ -1878,7 +1878,7 @@ def crosscheck_suite(seed: int, sizes: Sequence[int], reduction_id: str,
         err = None
         try:
             got = cfg.run(inst, target)
-        except (AssertionError, KeyError, ValueError) as exc:
+        except (AssertionError, KeyError, RuntimeError, ValueError) as exc:
             got = None
             err = f"{type(exc).__name__}: {exc}"
         if err is not None or got != expected:

@@ -305,6 +305,26 @@ def test_bench_deterministic_but_for_ns(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_bench_sequence_mode_visits_pinned(tmp_path):
+    # visits are the cost model: an engineering speedup leaves every column
+    # but ns as it was
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--structure", "sequence-mode",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ("# bench structure=sequence-mode seed=0 "
+                        "sizes=243,729,2187,6561,19683")
+    rows = [l.split(",") for l in lines if re.match(r"\d+,", l)]
+    assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
+        ("243", "120", "5644", "47.033"),
+        ("729", "120", "13074", "108.950"),
+        ("2187", "120", "26847", "223.725"),
+        ("6561", "120", "58452", "487.100"),
+        ("19683", "120", "135325", "1127.708"),
+    ]
+    assert lines[-1] == "fit_exponent=0.7147 target=0.6667 tol=0.20 pass=true"
+
+
 def test_bench_too_few_sizes_exit2(capsys):
     assert main(["bench", "--structure", "oracle-scan",
                  "--sizes", "100,200,400"]) == 2

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -386,6 +387,20 @@ def test_orthant_decompose_single_corner():
     assert b.contains((2, 3, 4))
     assert b.contains((-100, -100, -100))
     assert not b.contains((2, 3, Fraction(9, 2)))
+
+
+def test_orthant_decompose_box_bound_is_a_contract_error(monkeypatch):
+    # every strip is emitted once per staircase insertion or removal, so no
+    # input breaks the bound; a Box stand-in adds five more copies of each
+    # strip to the list the sweep is building
+    def box_six_times(intervals):
+        boxes = sys._getframe(1).f_locals["boxes"]
+        boxes.extend(Box(intervals) for _ in range(5))
+        return Box(intervals)
+
+    monkeypatch.setattr("dynds.core_geom.Box", box_six_times)
+    with pytest.raises(RuntimeError, match="exceed the bound"):
+        orthant_union_decompose([(2, 3, 4)])
 
 
 def test_orthant_decompose_empty():

@@ -105,6 +105,14 @@ def test_engine_windows_and_rebuilds():
     assert eng.rebuilds == 3
 
 
+def test_engine_buffer_bound_is_a_contract_error():
+    eng = SemiOnlineEngine(CountBlock(), 9, block_size=2)
+    eng.insert("x")                                   # op 1 opens [1, 2]
+    eng._buffer.extend(eng._buffer * 4)               # 5 > 2 * b records
+    with pytest.raises(RuntimeError, match="block size 2"):
+        eng.query()                                   # op 2, same window
+
+
 def test_engine_core_excludes_doomed():
     eng = SemiOnlineEngine(CountBlock(), 9, block_size=3)
     eng.insert("x", death=6)   # op 1, dies inside window 2

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -331,3 +332,179 @@ def test_interleaved_rebuild_keeps_answers():
             assert seq.query(l, r)[1] == ref.query(l, r)[1]
     assert seq.rebuilds > 0
     assert seq.values == ref.vals
+
+
+def test_sequence_query_none_is_a_contract_error(monkeypatch):
+    seq = SequenceAdapter.from_values([1, 2, 2])
+    monkeypatch.setattr(seq.ds, "query", lambda box: None)
+    with pytest.raises(RuntimeError, match="no mode"):
+        seq.query(1, 3)
+
+
+def test_heavy_scan_ties_go_to_the_smallest_label():
+    ds = DynRangeModeDS(1, 64, B_override=1)
+    for label in (9, 3, 7, 5):
+        for x in (1, 2):
+            ds.update((x,), label, insert=True)
+    assert ds.heavy == {3, 5, 7, 9}
+    assert ds.query(Box.closed((1,), (2,))) == (3, 2)
+    ds.update((1,), 3, insert=False)
+    assert ds.query(Box.closed((1,), (2,))) == (5, 2)
+
+
+# ---------------- int keys against the Fraction-keyed reference ----------------
+
+class FractionSequenceAdapter(SequenceAdapter):
+    """The adapter with dyadic Fraction keys that the int keys replaced.
+
+    Keys are re-spaced when a denominator exponent passes REBUILD_EXP; a run
+    of t dead keys between the live keys base and base + 1 goes to exactly
+    base + s/(t+1).  Only the key arithmetic differs from SequenceAdapter.
+    """
+
+    def __init__(self, n_cap, B_override=None, counter=None):
+        super().__init__(n_cap, B_override=B_override, counter=counter)
+        self._lo_bound = Fraction(0)
+        self._hi_bound = Fraction(2)
+
+    @classmethod
+    def from_values(cls, values, n_cap=None, B_override=None, counter=None):
+        seq = cls(n_cap if n_cap is not None else max(1, len(values)),
+                  B_override=B_override, counter=counter)
+        seq.keys = [Fraction(i) for i in range(1, len(values) + 1)]
+        seq.values = list(values)
+        seq._all_keys = set(seq.keys)
+        seq.ds.bulk_insert(((k,), v) for k, v in zip(seq.keys, seq.values))
+        seq._hi_bound = Fraction(len(values) + 1)
+        return seq
+
+    def insert(self, pos, value):
+        n = len(self.values)
+        if not 1 <= pos <= n + 1:
+            raise ValueError(f"insert position {pos} out of range 1..{n + 1}")
+        left = self.keys[pos - 2] if pos >= 2 else self._lo_bound
+        right = self.keys[pos - 1] if pos <= n else self._hi_bound
+        key = (left + right) / 2
+        self.keys.insert(pos - 1, key)
+        self.values.insert(pos - 1, value)
+        self._all_keys.add(key)
+        self.ds.update((key,), value, insert=True)
+        if key.denominator.bit_length() - 1 > self.REBUILD_EXP:
+            self._rebuild()
+
+    def _rebuild(self):
+        self.rebuilds += 1
+        live = set(self.keys)
+        mapping = {}
+        run = []
+        nxt = 1
+
+        def flush(base):
+            t = len(run)
+            for s, k in enumerate(run, start=1):
+                mapping[k] = base + Fraction(s, t + 1)
+            run.clear()
+
+        for k in sorted(self._all_keys):
+            if k in live:
+                flush(Fraction(nxt - 1))
+                mapping[k] = Fraction(nxt)
+                nxt += 1
+            else:
+                run.append(k)
+        flush(Fraction(nxt - 1))
+        self.ds.remap_axis_values([mapping])
+        self.keys = [mapping[k] for k in self.keys]
+        self._all_keys = set(mapping.values())
+        self._lo_bound = Fraction(0)
+        self._hi_bound = Fraction(nxt)
+
+    def max_denominator_exp(self):
+        return max((k.denominator.bit_length() - 1 for k in self.keys),
+                   default=0)
+
+
+def axis_slots(seq):
+    """Leaf slots of every label tree's axis and of the max tree's axes."""
+    ds = seq.ds
+    return ({label: tree._axes[0].slots
+             for label, tree in ds._label_trees.items()},
+            [axis.slots for axis in ds._tp._axes])
+
+
+def assert_same_state(seq, ref):
+    assert seq.ds.counter.count == ref.ds.counter.count
+    assert seq.rebuilds == ref.rebuilds
+    assert seq.max_denominator_exp() == ref.max_denominator_exp()
+    assert seq.max_denominator_exp() <= SequenceAdapter.REBUILD_EXP
+    assert seq.values == ref.values
+
+
+@pytest.mark.parametrize("B", [None, 1, 2, 3])
+def test_int_keys_match_fraction_reference(B):
+    for seed in range(4):
+        rng = random.Random(f"intkeys.{B}.{seed}")
+        init = [rng.randint(0, 4) for _ in range(rng.randint(0, 12))]
+        seq = SequenceAdapter.from_values(init, n_cap=700, B_override=B)
+        ref = FractionSequenceAdapter.from_values(init, n_cap=700,
+                                                  B_override=B)
+        for _ in range(600):
+            n = len(seq)
+            r = rng.random()
+            if r < 0.6:
+                pos = 1 if rng.random() < 0.9 else rng.randint(1, n + 1)
+                v = rng.randint(0, 4)
+                seq.insert(pos, v)
+                ref.insert(pos, v)
+            elif r < 0.8 and n:
+                pos = rng.randint(1, n)
+                seq.delete(pos)
+                ref.delete(pos)
+            elif n:
+                l = rng.randint(1, n)
+                rr = rng.randint(l, n)
+                assert seq.query(l, rr) == ref.query(l, rr)
+            assert_same_state(seq, ref)
+        assert seq.rebuilds >= 3
+        assert axis_slots(seq) == axis_slots(ref)
+
+
+def test_int_keys_dead_runs_match_fraction_reference():
+    """Dead runs of 1, 2 and 3 keys, then midpoints onto and beside them.
+
+    Values 1 sit at keys 1..4; dead label-2 keys between them re-space to
+    66 + 1/2, 67 + 1/3, 67 + 2/3 and 68 + 1/4, 68 + 1/2, 68 + 3/4 once 65
+    front inserts have moved the four to 66..69.
+    """
+    seqs = [cls.from_values([1, 1, 1, 1], n_cap=200)
+            for cls in (SequenceAdapter, FractionSequenceAdapter)]
+    for seq in seqs:
+        for pos, count in ((2, 1), (3, 2), (4, 3)):
+            for i in range(count):
+                seq.insert(pos + i, 2)
+            for _ in range(count):
+                seq.delete(pos)
+        for _ in range(65):
+            seq.insert(1, 0)
+        assert seq.rebuilds == 1
+    seq, ref = seqs
+    assert ref._all_keys - set(ref.keys) == {
+        66 + Fraction(1, 2), 67 + Fraction(1, 3), 67 + Fraction(2, 3),
+        68 + Fraction(1, 4), 68 + Fraction(1, 2), 68 + Fraction(3, 4)}
+    assert_same_state(seq, ref)
+    axis = seq.ds._label_trees[2]._axes[0]
+    # (position, whether the new key lands on a dead key): 66.5; 68.5 and
+    # 68.25; 67.5 between the thirds, 67.25 below 67 + 1/3, 67.375 above it
+    for pos, on_dead in ((67, True), (70, True), (70, True), (69, False),
+                         (69, False), (70, False)):
+        before = len(axis.values)
+        for s in seqs:
+            s.insert(pos, 2)
+        assert len(axis.values) == before + (not on_dead)
+        assert_same_state(seq, ref)
+        assert axis_slots(seq) == axis_slots(ref)
+        for l, r in ((1, len(seq)), (66, len(seq)), (pos - 1, pos + 1)):
+            assert seq.query(l, r) == ref.query(l, r)
+            assert_same_state(seq, ref)
+    assert ref.keys[65:75] == [66 + Fraction(k, 8) for k in
+                               (0, 4, 8, 10, 11, 12, 16, 18, 20, 24)]

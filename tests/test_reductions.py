@@ -442,6 +442,17 @@ def test_faulty_adapter_reports_mismatch():
     assert "mismatch index=" in body and "2 " in body   # instance echoed
 
 
+def test_crosscheck_reports_contract_error_as_mismatch(monkeypatch):
+    # a range mode structure that finds no mode breaks SequenceAdapter's
+    # contract: the suite records the RuntimeError instead of dying on it
+    from dynds.range_mode import DynRangeModeDS
+    monkeypatch.setattr(DynRangeModeDS, "query", lambda self, box: None)
+    rep = crosscheck_suite(1, (3,), "red_4clique_range_mode", "real", count=2)
+    assert len(rep.mismatches) == 2
+    assert all(mm.error.startswith("RuntimeError: no mode found")
+               for mm in rep.mismatches)
+
+
 def test_faulty_wrapper_flips_bool_then_passes_through():
     class T:
         def query(self):
