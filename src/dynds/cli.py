@@ -632,7 +632,7 @@ def run_trace(trace: OpTrace, structure_id: str) -> List[str]:
     for idx, op in enumerate(trace.ops, start=1):
         try:
             line = solver.step(op)
-        except (ValueError, KeyError, IndexError) as exc:
+        except (ValueError, KeyError, IndexError, RuntimeError) as exc:
             raise OpError(idx, f"{exc}") from exc
         if line is not None:
             out.append(line)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_left, bisect_right
+from collections import _count_elements
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -418,6 +419,12 @@ class RangeTree:
     segment tree over the compressed coordinates, a cell per tuple of
     per-axis nodes.  The visit counter increments once per cell touched.
 
+    An entry's cells, cached per key, are its leaf's ancestors on every
+    axis combined: cell ids start as [0] and each axis in turn replaces the
+    list with every id plus every (node * stride) of that axis, so the ids
+    come in itertools.product order.  A count-mode activation adds one to
+    each of them in C, through collections._count_elements.
+
     A max-mode cell is a pair [top, members]: the cached max item and a
     {key: item} dict of the active entries under it, items being
     (value, -key) so that ties go to the smallest key.  An add compares once
@@ -536,12 +543,12 @@ class RangeTree:
         if cached is not None:
             return cached
         nc, _ = self._entries[key]
-        per_axis = []
+        cells = [0]
         for ax in range(self.dim):
             axis = self._axes[ax]
             stride = self._strides[ax]
-            per_axis.append([n * stride for n in axis.ancestors(axis.slot_of[nc[ax]])])
-        cells = [sum(parts) for parts in itertools.product(*per_axis)]
+            nodes = [n * stride for n in axis.ancestors(axis.slot_of[nc[ax]])]
+            cells = [a + b for a in cells for b in nodes]
         self._cells_of[key] = cells
         return cells
 
@@ -551,8 +558,9 @@ class RangeTree:
         if self.mode == "count":
             cc = self._count_cells
             if sign > 0:
-                for cid in cells:
-                    cc[cid] = cc.get(cid, 0) + 1
+                # the C loop behind Counter.update, on a plain dict: a
+                # Counter would slow count()'s get and the removals below
+                _count_elements(cc, cells)
             else:
                 for cid in cells:
                     left = cc[cid] - 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynds.cli import (TRACE_SUITES, TraceError, gen_trace, main, parse_trace,
                        run_trace, trace_suite)
+from dynds.range_mode import DynRangeModeDS
 from dynds.reductions import (KPartiteGraph, OuMvInstance, format_graph,
                               format_oumv)
 
@@ -114,6 +115,18 @@ def test_solve_capacity_error_names_op(tmp_path, capsys):
                "problem sequence-mode\nheader cap=1\nSINS 1 3\nSINS 2 4\n")
     assert main(["solve", f]) == 3
     assert "op 2" in capsys.readouterr().err
+
+
+def test_solve_contract_error_exit3(tmp_path, capsys, monkeypatch):
+    # a structure's contract check (here: a non-empty range with no mode)
+    # raises RuntimeError; solve reports it with the op index, no traceback
+    monkeypatch.setattr(DynRangeModeDS, "query", lambda self, box: None)
+    f = _write(tmp_path, "contract.trace",
+               "problem sequence-mode\nheader cap=4\nSINS 1 9\nSQRY 1 1\n")
+    assert main(["solve", f]) == 3
+    err = capsys.readouterr().err
+    assert "op 2" in err and "no mode" in err
+    assert "Traceback" not in err
 
 
 def test_solve_missing_file_exit2(capsys):
@@ -305,24 +318,49 @@ def test_bench_deterministic_but_for_ns(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_bench_sequence_mode_visits_pinned(tmp_path):
+def _bench_pinned_columns(tmp_path, structure):
     # visits are the cost model: an engineering speedup leaves every column
     # but ns as it was
     out = tmp_path / "b.csv"
-    assert main(["bench", "--structure", "sequence-mode",
-                 "--out", str(out)]) == 0
+    assert main(["bench", "--structure", structure, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == ("# bench structure=sequence-mode seed=0 "
-                        "sizes=243,729,2187,6561,19683")
     rows = [l.split(",") for l in lines if re.match(r"\d+,", l)]
-    assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
-        ("243", "120", "5644", "47.033"),
-        ("729", "120", "13074", "108.950"),
-        ("2187", "120", "26847", "223.725"),
-        ("6561", "120", "58452", "487.100"),
-        ("19683", "120", "135325", "1127.708"),
-    ]
-    assert lines[-1] == "fit_exponent=0.7147 target=0.6667 tol=0.20 pass=true"
+    return lines[0], [(r[0], r[1], r[2], r[4]) for r in rows], lines[-1]
+
+
+def test_bench_sequence_mode_visits_pinned(tmp_path):
+    assert _bench_pinned_columns(tmp_path, "sequence-mode") == (
+        "# bench structure=sequence-mode seed=0 "
+        "sizes=243,729,2187,6561,19683",
+        [("243", "120", "5644", "47.033"),
+         ("729", "120", "13074", "108.950"),
+         ("2187", "120", "26847", "223.725"),
+         ("6561", "120", "58452", "487.100"),
+         ("19683", "120", "135325", "1127.708")],
+        "fit_exponent=0.7147 target=0.6667 tol=0.20 pass=true")
+
+
+def test_bench_range_mode_dyn_2d_visits_pinned(tmp_path):
+    assert _bench_pinned_columns(tmp_path, "range-mode-dyn-2d") == (
+        "# bench structure=range-mode-dyn-2d seed=0 "
+        "sizes=243,729,2187,6561,19683",
+        [("243", "60", "1936", "32.267"),
+         ("729", "60", "4194", "69.900"),
+         ("2187", "60", "9245", "154.083"),
+         ("6561", "60", "19486", "324.767"),
+         ("19683", "60", "41686", "694.767")],
+        "fit_exponent=0.6986 target=0.8000 tol=0.20 pass=true")
+
+
+def test_bench_skyline3d_visits_pinned(tmp_path):
+    assert _bench_pinned_columns(tmp_path, "skyline3d") == (
+        "# bench structure=skyline3d seed=0 sizes=256,512,1024,2048,4096",
+        [("256", "144", "1071836", "7443.306"),
+         ("512", "198", "2131578", "10765.545"),
+         ("1024", "288", "4756148", "16514.403"),
+         ("2048", "405", "9483696", "23416.533"),
+         ("4096", "576", "18938648", "32879.597")],
+        "fit_exponent=0.5407 target=0.5000 tol=0.20 pass=true")
 
 
 def test_bench_too_few_sizes_exit2(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -263,6 +264,73 @@ def test_rt_max_mode_witness_removal_property(entries, on, q):
                 break
             tree.toggle(hit[1], False)
             scan.toggle(hit[1], False)
+
+
+def product_cells(tree, key):
+    """An entry's cell ids as itertools.product with one sum() per cell
+    enumerates them: the reference for RangeTree._cells."""
+    nc, _ = tree.entry(key)
+    per_axis = []
+    for ax in range(tree.dim):
+        axis = tree._axes[ax]
+        per_axis.append([n * tree._strides[ax]
+                         for n in axis.ancestors(axis.slot_of[nc[ax]])])
+    return [sum(parts) for parts in itertools.product(*per_axis)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["count", "max"])
+def test_rt_toggle_cells_match_product_enumeration(dim, mode):
+    rng = random.Random(3000 + dim * 10 + (mode == "max"))
+    entries = [(tuple(rng.randint(-6, 6) for _ in range(dim)),
+                rng.randint(0, 5)) for _ in range(10)]
+    tree = RangeTree(dim, entries, mode=mode)
+    scan = ScanTree(entries)
+    respreads = 0
+    for step in range(8):
+        # crowd new values into (0, 1) on every axis: the slot gap there
+        # runs out, so extend re-spreads the axes
+        axes_before = list(tree._axes)
+        den = 2 ** (step + 3)
+        new = [(tuple(Fraction(rng.randint(1, den - 1), den)
+                      for _ in range(dim)), rng.randint(0, 5))
+               for _ in range(3)]
+        tree.extend(new)
+        scan.entries.extend(new)
+        scan.active.extend([False] * len(new))
+        respreads += tree._axes[0] is not axes_before[0]
+        for key in range(len(tree)):
+            assert tree._cells(key) == product_cells(tree, key)
+        for _ in range(25):
+            key = rng.randrange(len(tree))
+            flag = rng.random() < 0.6
+            changed = tree.is_active(key) != flag
+            before = tree.counter.count
+            tree.toggle(key, flag)
+            scan.toggle(key, flag)
+            nc, _ = tree.entry(key)
+            expect = 1
+            for ax in range(dim):
+                axis = tree._axes[ax]
+                expect *= len(axis.ancestors(axis.slot_of[nc[ax]]))
+            assert tree.counter.count - before == (expect if changed else 0)
+            assert tree._cells(key) == product_cells(tree, key)
+        for _ in range(10):
+            ivs = []
+            for _ in range(dim):
+                if rng.random() < 0.2:
+                    ivs.append(Interval.all())
+                else:
+                    lo = Fraction(rng.randint(-14, 14), 2)
+                    ivs.append(Interval.closed(lo, lo + rng.randint(0, 6)))
+            box = Box(ivs)
+            if mode == "count":
+                assert tree.count(box) == scan.count(box)
+            else:
+                assert tree.max_entry(box) == scan.max_entry(box)
+        if mode == "count":
+            assert all(c > 0 for c in tree._count_cells.values())
+    assert respreads >= 2
 
 
 def test_rt_visit_counter_budget():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynds.core_geom import ScaledInt, VisitCounter
 from dynds.geom_dyn import (
@@ -19,6 +20,22 @@ from dynds.geom_dyn import (
 
 # ---------------- skyline oracles ----------------
 
+def maximal_flags_scan(points):
+    """Quadratic reference: occurrence i is maximal iff no other occurrence
+    dominates it coordinatewise (equal duplicates kill each other)."""
+    n = len(points)
+    out = []
+    for i in range(n):
+        p = points[i]
+        ok = True
+        for j in range(n):
+            if j != i and all(a <= b for a, b in zip(p, points[j])):
+                ok = False
+                break
+        out.append(ok)
+    return out
+
+
 def test_maximal_flags_basic():
     pts = [(1, 1, 1), (2, 2, 2), (3, 1, 1), (1, 3, 1)]
     assert maximal_flags(pts) == [False, True, True, True]
@@ -31,6 +48,59 @@ def test_maximal_flags_duplicates_kill_each_other():
     assert skyline_oracle([(5, 5, 5)] * 3) == 0
 
 
+def test_maximal_flags_edge_sizes():
+    assert maximal_flags([]) == []
+    assert maximal_flags([(3, 1)]) == [True]
+    assert maximal_flags([()]) == [True]
+    assert maximal_flags([(), ()]) == [False, False]
+
+
+def test_maximal_flags_scaled_int_coords():
+    s = 3
+    pts = [(ScaledInt(1, s), ScaledInt(4, s)), (ScaledInt(2, s), ScaledInt(2, s)),
+           (ScaledInt(1, s), ScaledInt(2, s)), (ScaledInt(2, s), ScaledInt(2, s))]
+    assert maximal_flags(pts) == maximal_flags_scan(pts) == [
+        True, False, False, False]
+
+
+@pytest.mark.parametrize("pts", [
+    [(1, 2, 3), (1, 2)],
+    [(1,), (2, 2), (0,)],
+    [(), (1,)],
+])
+def test_maximal_flags_mixed_dimension_is_error(pts):
+    with pytest.raises(ValueError, match="mixed dimension"):
+        maximal_flags(pts)
+    with pytest.raises(ValueError, match="mixed dimension"):
+        skyline_oracle(pts)
+
+
+# small ranges so equal coordinates and whole duplicate points are common;
+# half-integers as Fractions interleave with (and equal) the ints
+_coord = st.one_of(st.integers(0, 3),
+                   st.integers(0, 6).map(lambda k: Fraction(k, 2)))
+
+
+@st.composite
+def _point_sets(draw):
+    d = draw(st.integers(1, 6))
+    pts = draw(st.lists(st.tuples(*[_coord] * d), max_size=30))
+    if pts:
+        # repeat some occurrences verbatim, up to 40 points in all
+        pts += draw(st.lists(st.sampled_from(pts), max_size=10))
+    return pts
+
+
+@given(_point_sets())
+@settings(max_examples=300, deadline=None)
+def test_maximal_flags_matches_scan_property(pts):
+    want = maximal_flags_scan(pts)
+    assert maximal_flags(pts) == want
+    assert skyline_oracle(pts) == sum(want)
+    if pts and len(pts[0]) == 3:
+        assert maximal3d_flags(pts) == want
+
+
 def test_maximal3d_matches_scan():
     rng = random.Random(11)
     for trial in range(120):
@@ -38,14 +108,16 @@ def test_maximal3d_matches_scan():
         hi = rng.choice([3, 6, 20])
         pts = [(rng.randint(1, hi), rng.randint(1, hi), rng.randint(1, hi))
                for _ in range(n)]
-        assert maximal3d_flags(pts) == maximal_flags(pts), (trial, pts)
+        assert maximal3d_flags(pts) == maximal_flags_scan(pts), (trial, pts)
 
 
 def test_maximal3d_large_agrees():
     rng = random.Random(12)
     pts = [(rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12))
            for _ in range(400)]
-    assert sum(maximal3d_flags(pts)) == skyline_oracle(pts)
+    want = maximal_flags_scan(pts)
+    assert maximal3d_flags(pts) == maximal_flags(pts) == want
+    assert skyline_oracle(pts) == sum(want)
 
 
 # ---------------- semi-online engine ----------------
