@@ -10,14 +10,13 @@ import argparse
 import itertools
 import math
 import random
+import statistics
 import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .colors import CommonColorsDS, DynColorCountDS, cc_oracle, dcc_oracle
 from .core_geom import Box, Interval, VisitCounter
@@ -1030,9 +1029,9 @@ class BenchReport:
 
     @property
     def fit_exponent(self) -> float:
-        xs = np.log([r[0] for r in self.rows])
-        ys = np.log([r[4] for r in self.rows])
-        return float(np.polyfit(xs, ys, 1)[0])
+        xs = [math.log(r[0]) for r in self.rows]
+        ys = [math.log(r[4]) for r in self.rows]
+        return statistics.linear_regression(xs, ys).slope
 
     @property
     def ok(self) -> bool:
@@ -1056,6 +1055,8 @@ def run_bench(structure_id: str, sizes: Sequence[int], seed: int,
     sizes = tuple(sizes) if sizes else plan.default_sizes
     if len(sizes) < 4:
         raise ValueError("bench needs at least 4 sizes")
+    if min(sizes) < 1 or len(set(sizes)) < 2:
+        raise ValueError("bench sizes must be positive and not all equal")
     rows = []
     for n in sizes:
         rng = random.Random(f"dynds.bench.{seed}.{structure_id}.{n}")
@@ -1129,6 +1130,9 @@ def cmd_reduce(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     answers = result if isinstance(result, list) else [result]
     body = "".join(_fmt_bool(a) + "\n" for a in answers)
     calls = " ".join(f"{k}={v}" for k, v in sorted(target.calls.items()))

@@ -15,9 +15,6 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-from sortedcontainers import SortedList
-
 from .core_geom import (
     Box,
     Interval,
@@ -264,11 +261,39 @@ def _frac(v) -> Fraction:
     return Fraction(v)
 
 
+def _union_volume(boxes: List[tuple], axis: int) -> int:
+    """Union volume of int boxes ((lo, hi) per axis) on the axes >= axis."""
+    if axis == len(boxes[0]) - 1:
+        ivs = sorted(box[axis] for box in boxes)
+        total, end = 0, ivs[0][0]
+        for lo, hi in ivs:
+            if hi > end:
+                total += hi - max(lo, end)
+                end = hi
+        return total
+    cuts = sorted({v for box in boxes for v in box[axis]})
+    total = 0
+    for a, b in zip(cuts, cuts[1:]):
+        spanning = [box for box in boxes
+                    if box[axis][0] <= a and b <= box[axis][1]]
+        if spanning:
+            total += (b - a) * _union_volume(spanning, axis + 1)
+    return total
+
+
 def klee_union_volume(corners: Sequence[tuple], side) -> Fraction:
     """Exact union volume of equal-side cubes given by their largest corners.
 
-    Compressed-grid sweep: per-axis boundaries, boolean coverage grid,
-    integer cell volumes.  Guards the grid size at 1e8 cells.
+    Slab sweep (Bentley 1977): every coordinate is scaled by the common
+    denominator to an int.  The union volume is the sum, over the slabs
+    between consecutive cut values on the first axis, of the slab width
+    times the union volume of the boxes spanning that slab on the
+    remaining axes, recursively; on the last axis it is the length of a
+    sorted interval merge.  For m cubes in d dimensions that is at most
+    (2m)^(d-1) merges of O(m log m) each, plus an O(m) filter per slab,
+    and no grid in memory.  Inputs whose compressed grid (distinct cut
+    values minus one, multiplied over the axes) exceeds 1e8 cells are
+    refused.
     """
     if not corners:
         return Fraction(0)
@@ -276,42 +301,17 @@ def klee_union_volume(corners: Sequence[tuple], side) -> Fraction:
     s = _frac(side)
     if s <= 0:
         raise ValueError("side must be positive")
-    los = [[_frac(c[i]) - s for c in corners] for i in range(d)]
-    his = [[_frac(c[i]) for c in corners] for i in range(d)]
-    denom = 1
-    for i in range(d):
-        for v in los[i] + his[i]:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    bounds = []
-    for i in range(d):
-        vs = sorted({int(v * denom) for v in los[i] + his[i]})
-        bounds.append(vs)
+    his = [tuple(_frac(c[i]) for i in range(d)) for c in corners]
+    denom = math.lcm(s.denominator, *(v.denominator for c in his for v in c))
+    side_i = s.numerator * (denom // s.denominator)
+    ints = [[v.numerator * (denom // v.denominator) for v in c] for c in his]
+    boxes = [tuple((h - side_i, h) for h in c) for c in ints]
     cells = 1
-    for vs in bounds:
-        cells *= max(1, len(vs) - 1)
+    for i in range(d):
+        cells *= max(1, len({v for box in boxes for v in box[i]}) - 1)
     if cells > 10 ** 8:
         raise ValueError("compressed grid too large")
-    grid = np.zeros([max(1, len(vs) - 1) for vs in bounds], dtype=bool)
-    from bisect import bisect_left
-    for c in corners:
-        sl = []
-        for i in range(d):
-            lo = int((_frac(c[i]) - s) * denom)
-            hi = int(_frac(c[i]) * denom)
-            sl.append(slice(bisect_left(bounds[i], lo),
-                            bisect_left(bounds[i], hi)))
-        grid[tuple(sl)] = True
-    lens = [np.diff(np.array(vs, dtype=object)) for vs in bounds]
-    big = max(int(l.max()) for l in lens if len(l))
-    if big ** d * cells < 10 ** 17:
-        lens = [l.astype(np.int64) for l in lens]
-    vol = grid
-    for i, l in enumerate(lens):
-        shape = [1] * d
-        shape[i] = len(l)
-        vol = vol * l.reshape(shape)
-    raw = int(vol.sum()) if vol.dtype != object else sum(vol.flatten().tolist())
-    return Fraction(raw, denom ** d)
+    return Fraction(_union_volume(boxes, 0), denom ** d)
 
 
 def klee_union_volume_ie(corners: Sequence[tuple], side) -> Fraction:
@@ -349,8 +349,11 @@ _SENSE_OPS = {"lt": operator.lt, "le": operator.le,
 class HalfspaceSystem:
     """Dynamic halfspace multiset over a fixed finite point set.
 
-    Tracks, for every point, how many current halfspaces contain it; the
-    minimum of those counts is maintained in a sorted multiset.
+    Tracks, for every point, how many current halfspaces contain it.  The
+    minimum of those counts is kept as a histogram (`_hist[c]` points have
+    count c) plus a pointer to its lowest non-empty slot.  A count moves by
+    +-1 per point, so each change updates two slots and moves the pointer
+    by at most one: O(1).
     """
 
     def __init__(self, points: Sequence[tuple],
@@ -358,7 +361,8 @@ class HalfspaceSystem:
         self.points = [tuple(p) for p in points]
         self.counter = counter if counter is not None else VisitCounter()
         self._counts = [0] * len(self.points)
-        self._multiset = SortedList(self._counts)
+        self._hist = [len(self.points)]
+        self._min = 0
         self._halfspaces: Counter = Counter()
 
     @staticmethod
@@ -374,12 +378,18 @@ class HalfspaceSystem:
         return _SENSE_OPS[sense](sum(a * c for a, c in zip(normal, p)), off)
 
     def _apply(self, key, delta: int) -> None:
+        counts, hist = self._counts, self._hist
         for i, p in enumerate(self.points):
             self.counter.add(1)
             if self._contains(key, p):
-                self._multiset.remove(self._counts[i])
-                self._counts[i] += delta
-                self._multiset.add(self._counts[i])
+                c = counts[i]
+                new = counts[i] = c + delta
+                hist[c] -= 1
+                if new == len(hist):
+                    hist.append(0)
+                hist[new] += 1
+                if new < self._min or (c == self._min and not hist[c]):
+                    self._min = new
 
     def insert(self, normal, offset, sense) -> None:
         key = self._key(normal, offset, sense)
@@ -401,7 +411,7 @@ class HalfspaceSystem:
     def min_count(self) -> int:
         if not self.points:
             raise ValueError("no points")
-        return self._multiset[0]
+        return self._min
 
     def depth_oracle(self) -> List[int]:
         out = []

@@ -379,8 +379,8 @@ def _fp(target):
 def _fp_check(target, before, where: str) -> None:
     if before is None:
         return
-    after = target.fingerprint()
-    assert after == before, f"target state not restored after {where}"
+    if target.fingerprint() != before:
+        raise RuntimeError(f"target state not restored after {where}")
 
 
 # ---------------- sequence mode / minority targets ----------------
@@ -1215,7 +1215,7 @@ def _skyline_capacity(inst: OuMvInstance) -> int:
 # ---------------- union volume of congruent cubes ----------------
 
 class KleeTargetOracle:
-    """Corner multiset; volumes by the compressed-grid union oracle."""
+    """Corner multiset; volumes by the slab-sweep union oracle."""
 
     def __init__(self):
         self.calls = Counter()

@@ -17,8 +17,6 @@ import math
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from sortedcontainers import SortedList
-
 from .core_geom import VisitCounter, _debug_on
 
 __all__ = [
@@ -255,12 +253,24 @@ class EricksonLazy:
 
 
 class EricksonEager:
-    """Tensor under slab increments, values materialized, max via multiset."""
+    """Tensor under slab increments, values materialized, max via histogram.
+
+    `_hist` counts the cells holding each value and `_max` points at the
+    largest value held.  An increment moves every slab cell by the same
+    delta, so a positive delta can only raise the pointer to a moved cell,
+    and when a negative one empties the max slot the cells that left it sit
+    |delta| lower: the pointer walks down at most |delta| int slots, or
+    takes the largest key when the histogram has fewer distinct values than
+    that.  The walk needs int values and deltas; others raise TypeError.
+    """
 
     def __init__(self, initial: Tensor, counter: Optional[VisitCounter] = None):
+        if not all(isinstance(v, int) for v in initial.data):
+            raise TypeError("EricksonEager needs int values")
         self.vals = initial.copy()
         self.counter = counter if counter is not None else VisitCounter()
-        self._multiset = SortedList(self.vals.data)
+        self._hist = Counter(self.vals.data)
+        self._max = max(self._hist)
 
     def increment(self, axis: int, index: int, delta: int = 1) -> None:
         ext = self.vals.extents
@@ -268,21 +278,36 @@ class EricksonEager:
             raise ValueError("bad axis")
         if not 1 <= index <= ext[axis]:
             raise ValueError("bad index")
+        if not isinstance(delta, int):
+            raise TypeError("EricksonEager needs an int delta")
         ranges = [range(1, e + 1) if i != axis else (index,)
                   for i, e in enumerate(ext)]
+        hist, top = self._hist, self._max
         for x in itertools.product(*ranges):
             self.counter.add(1)
             old = self.vals[x]
-            self._multiset.remove(old)
-            self.vals[x] = old + delta
-            self._multiset.add(old + delta)
+            new = old + delta
+            self.vals[x] = new
+            hist[new] += 1
+            hist[old] -= 1
+            if not hist[old]:
+                del hist[old]
+            if new > top:
+                top = new
+        if top not in hist:
+            if -delta <= len(hist):
+                while top not in hist:
+                    top -= 1
+            else:
+                top = max(hist)
+        self._max = top
 
     def value(self, x) -> int:
         return self.vals[x]
 
     def max_value(self) -> int:
         self.counter.add(1)
-        return self._multiset[-1]
+        return self._max
 
 
 # ---------------- hypergraph clique maintenance ----------------

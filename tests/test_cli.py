@@ -1,11 +1,15 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynds.cli import (TRACE_SUITES, TraceError, gen_trace, main, parse_trace,
-                       run_trace, trace_suite)
+from dynds.cli import (TRACE_SUITES, BenchReport, TraceError, gen_trace, main,
+                       parse_trace, run_trace, trace_suite)
 from dynds.range_mode import DynRangeModeDS
 from dynds.reductions import (KPartiteGraph, OuMvInstance, format_graph,
                               format_oumv)
@@ -233,6 +237,23 @@ def test_reduce_driver_value_error_exit2(tmp_path, capsys, adapter):
     assert "perfect power" in captured.err
 
 
+def test_reduce_state_not_restored_exit3(tmp_path, capsys, monkeypatch):
+    # a target whose fingerprint drifts fails the reduction's state-restore
+    # check, a RuntimeError that reduce reports without a traceback
+    from dynds.reductions import KleeTargetOracle
+    ticks = iter(range(10 ** 6))
+    monkeypatch.setattr(KleeTargetOracle, "fingerprint",
+                        lambda self: next(ticks))
+    inst = OuMvInstance(2, 2, frozenset({(1, 2)}),
+                        ((frozenset({1}), frozenset({2})),))
+    f = _write(tmp_path, "mv.txt", format_oumv(inst))
+    assert main(["reduce", f, "--reduction", "red_oumvk_klee_k2",
+                 "--adapter", "oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: target state not restored after klee phase\n"
+
+
 def test_reduce_bad_instance_exit2(tmp_path, capsys):
     f = _write(tmp_path, "g.txt", "4 2 2 2\n")
     assert main(["reduce", f, "--reduction", "red_4clique_range_mode"]) == 2
@@ -372,3 +393,31 @@ def test_bench_too_few_sizes_exit2(capsys):
 def test_bench_unknown_structure_exit2(capsys):
     assert main(["bench", "--structure", "wat"]) == 2
     assert "unknown bench structure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["8,8,8,8", "0,10,20,40"])
+def test_bench_degenerate_sizes_exit2(capsys, sizes):
+    # a fit needs two distinct positive sizes; no traceback either way
+    assert main(["bench", "--structure", "oracle-scan", "--sizes", sizes]) == 2
+    err = capsys.readouterr().err
+    assert "positive and not all equal" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exponent", [0.5, 2 / 3])
+def test_fit_exponent_exact_power_law(exponent):
+    rows = [(n, 1, 1, 1, n ** exponent) for n in (16, 32, 64, 128, 256, 1024)]
+    rep = BenchReport("x", 0, rows, exponent, 0.2)
+    assert abs(rep.fit_exponent - exponent) <= 1e-12
+
+
+# ---------------- runtime dependencies ----------------
+
+def test_import_pulls_in_no_third_party_runtime():
+    # `import dynds.cli` must stay standard-library only
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, dynds.cli; "
+            "print(sorted({'numpy', 'sortedcontainers'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

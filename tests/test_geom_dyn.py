@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynds.core_geom import ScaledInt, VisitCounter
 from dynds.geom_dyn import (
@@ -317,6 +317,41 @@ def test_klee_big_coordinates():
         klee_union_volume_ie(corners, 10 ** 6)
 
 
+@st.composite
+def _klee_inputs(draw):
+    """d in 1..4, up to 7 cubes on a half-integer lattice (so faces often
+    touch), int and half-integer Fraction corners and sides, verbatim
+    duplicates."""
+    d = draw(st.integers(1, 4))
+    coord = st.one_of(st.integers(-3, 3),
+                      st.integers(-6, 6).map(lambda k: Fraction(k, 2)))
+    corners = draw(st.lists(st.tuples(*[coord] * d), max_size=7))
+    if corners:
+        corners += draw(st.lists(st.sampled_from(corners),
+                                 max_size=7 - len(corners)))
+        corners = draw(st.permutations(corners))
+    side = draw(st.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 2)]))
+    return corners, side
+
+
+@given(_klee_inputs())
+@example(([(0, 0), (1, 0), (1, 0)], 1))                 # shared face, dup
+@example(([(0,), (Fraction(1, 2),), (2,)], Fraction(1, 2)))  # touching ends
+@settings(max_examples=300, deadline=None)
+def test_klee_sweep_matches_inclusion_exclusion_property(inp):
+    corners, side = inp
+    assert klee_union_volume(corners, side) == \
+        klee_union_volume_ie(corners, side)
+
+
+def test_klee_compressed_grid_guard():
+    # cube i is [2i-1, 2i]^d: 12 distinct cuts, so 11 slabs per axis
+    corners = [(2 * i,) * 8 for i in range(6)]
+    with pytest.raises(ValueError, match="compressed grid too large"):
+        klee_union_volume(corners, 1)             # 11^8 > 1e8 cells
+    assert klee_union_volume([c[:7] for c in corners], 1) == 6   # 11^7
+
+
 # ---------------- halfspace system ----------------
 
 def test_halfspace_basic():
@@ -383,3 +418,35 @@ def test_halfspace_random_vs_oracle(seed):
         depths = hs.depth_oracle()
         assert hs.min_count() == min(depths)
         assert [hs._counts[i] for i in range(len(pts))] == depths
+
+
+_ALL_SENSES = ["lt", "<", "le", "<=", "gt", ">", "ge", ">="]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_halfspace_histogram_min_traces(seed):
+    # inserts and deletes over all eight sense spellings, draining back to
+    # zero halfspaces twice; one visit per point per op
+    rng = random.Random(500 + seed)
+    pts = [tuple(rng.randint(-3, 3) for _ in range(2))
+           for _ in range(rng.randint(1, 8))]
+    hs = HalfspaceSystem(pts)
+    live, ops = [], 0
+    for _ in range(2):
+        for step in ["ins"] * 25 + ["mix"] * 25 + ["drain"] * 100:
+            if step == "drain" and not live:
+                break
+            if live and (step == "drain" or
+                         (step == "mix" and rng.random() < 0.5)):
+                hs.delete(*live.pop(rng.randrange(len(live))))
+            else:
+                trip = (tuple(rng.randint(-2, 2) for _ in range(2)),
+                        Fraction(rng.randint(-6, 6), rng.choice([1, 2])),
+                        rng.choice(_ALL_SENSES))
+                hs.insert(*trip)
+                live.append(trip)
+            ops += 1
+            assert hs.min_count() == min(hs.depth_oracle())
+            assert hs.counter.count == ops * len(pts)
+        assert hs.size() == 0
+        assert hs.min_count() == 0

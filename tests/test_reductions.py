@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -472,3 +476,20 @@ def test_faulty_wrapper_bumps_int():
     f = FaultyTarget(T())
     assert f.count() == 8
     assert f.count() == 7
+
+
+def test_state_restore_check_holds_under_optimize():
+    # the restore check is a contract check: it raises under python -O too
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from dynds.reductions import _fp_check\n"
+            "class T:\n"
+            "    def fingerprint(self):\n"
+            "        return 1\n"
+            "try:\n"
+            "    _fp_check(T(), 0, 'probe')\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "target state not restored after probe\n"

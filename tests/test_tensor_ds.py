@@ -184,6 +184,52 @@ def test_erickson_validation():
             ds.increment(0, 4)
 
 
+@pytest.mark.parametrize("extents", [(5,), (3, 4), (2, 3, 2)])
+def test_erickson_eager_histogram_max(extents):
+    # deltas of both signs and zero; every 10th step drops a slab through a
+    # max cell, which empties the max slot when the slab holds all of them,
+    # and a drop of 50 outruns the number of distinct values; one visit per
+    # slab cell and one per max query
+    rng = random.Random(sum(extents))
+    t = Tensor(extents)
+    for x in t.indices():
+        t[x] = rng.randint(-3, 3)
+    eager = EricksonEager(t)
+    cells = len(t.data)
+    assert eager.max_value() == max(eager.vals.data)
+    visits, emptied, far = 1, 0, 0
+    for step in range(150):
+        ax = rng.randrange(len(extents))
+        top = max(eager.vals.data)
+        if step % 10 == 0:
+            x = next(x for x in eager.vals.indices() if eager.vals[x] == top)
+            idx = x[ax]
+            delta = rng.choice([-1, -2, -50])
+        else:
+            idx = rng.randint(1, extents[ax])
+            delta = rng.choice([-3, -1, 0, 1, 2, 5])
+        distinct = len(set(eager.vals.data))
+        eager.increment(ax, idx, delta)
+        if top not in eager.vals.data:
+            emptied += 1
+            far += -delta > distinct
+        visits += cells // extents[ax]
+        assert eager.counter.count == visits
+        assert eager.max_value() == max(eager.vals.data)
+        visits += 1
+        assert eager.counter.count == visits
+    assert emptied >= 3 and far >= 1
+
+
+def test_erickson_eager_needs_ints():
+    t = Tensor((2, 2))
+    with pytest.raises(TypeError):
+        EricksonEager(t).increment(0, 1, 0.5)
+    t[1, 1] = 0.5
+    with pytest.raises(TypeError):
+        EricksonEager(t)
+
+
 def test_erickson_update_cost_split():
     t = Tensor((8, 8))
     lazy, eager = EricksonLazy(t), EricksonEager(t)
