@@ -7,7 +7,7 @@ from .geom_dyn import (HalfspaceSystem, SemiOnlineEngine, Skyline3DBlock,
                        klee_union_volume, klee_union_volume_ie, skyline_oracle)
 from .range_mode import (DynRangeModeDS, SequenceAdapter, mode_oracle,
                          sequence_minority_oracle, sequence_mode_oracle)
-from .reductions import (REDUCTIONS, KPartiteGraph, OuMvInstance,
+from .reductions import (REDUCTIONS, Counted, KPartiteGraph, OuMvInstance,
                          clique_bruteforce, crosscheck_suite, oumv_answers,
                          parse_graph, parse_oumv, random_kpartite, random_oumv)
 from .tensor_ds import (BatchedOuMv, EricksonEager, EricksonLazy,
@@ -27,7 +27,7 @@ __all__ = [
     "BatchedOuMv", "EricksonEager", "EricksonLazy", "HypercliqueCounting",
     "HypercliqueLazy", "LangermanDS", "OuMvBrute", "Tensor",
     "oumv_bruteforce",
-    "REDUCTIONS", "KPartiteGraph", "OuMvInstance", "clique_bruteforce",
+    "REDUCTIONS", "Counted", "KPartiteGraph", "OuMvInstance", "clique_bruteforce",
     "crosscheck_suite", "oumv_answers", "parse_graph", "parse_oumv",
     "random_kpartite", "random_oumv",
 ]

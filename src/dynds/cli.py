@@ -20,12 +20,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .colors import CommonColorsDS, DynColorCountDS, cc_oracle, dcc_oracle
 from .core_geom import Box, Interval, VisitCounter
-from .geom_dyn import (HalfspaceSystem, SemiOnlineEngine, Skyline3DBlock,
-                       skyline_oracle)
+from .geom_dyn import (_SENSE_OPS, HalfspaceSystem, SemiOnlineEngine,
+                       Skyline3DBlock, halfspace_depths, skyline_oracle)
 from .range_mode import (DynRangeModeDS, SequenceAdapter, mode_oracle,
                          sequence_mode_oracle)
-from .reductions import (REDUCTIONS, clique_bruteforce, crosscheck_suite,
-                         oumv_answers, parse_graph, parse_oumv)
+from .reductions import (REDUCTIONS, Counted, crosscheck_suite, parse_graph,
+                         parse_oumv)
 from .tensor_ds import (EricksonEager, EricksonLazy, HypercliqueCounting,
                         HypercliqueLazy, LangermanDS, Tensor)
 
@@ -84,7 +84,7 @@ def _is_frac(tok: str) -> bool:
         return False
 
 
-_SENSES = ("lt", "le", "gt", "ge")
+_SENSES = tuple(_SENSE_OPS)
 
 
 def _op_specs(problem: str, trace: OpTrace) -> Dict[str, List[str]]:
@@ -560,16 +560,6 @@ class _HalfspaceBase:
             self._del(h)
 
 
-def _sense_ok(v, off, sense) -> bool:
-    if sense == "lt":
-        return v < off
-    if sense == "le":
-        return v <= off
-    if sense == "gt":
-        return v > off
-    return v >= off
-
-
 class _HalfspaceOracle(_HalfspaceBase):
     def _built(self, pts):
         self.hs: List = []
@@ -583,10 +573,7 @@ class _HalfspaceOracle(_HalfspaceBase):
     def _min(self):
         if not self.pts:
             raise ValueError("no points")
-        return min(sum(1 for nrm, off, sense in self.hs
-                       if _sense_ok(sum(a * x for a, x in zip(nrm, p)),
-                                    off, sense))
-                   for p in self.pts)
+        return min(halfspace_depths(self.pts, self.hs))
 
 
 class _HalfspaceReal(_HalfspaceBase):
@@ -1125,7 +1112,7 @@ def cmd_reduce(args) -> int:
               f"{arity}", file=sys.stderr)
         return 2
     try:
-        target = factory(inst)
+        target = Counted(factory(inst))
         result = cfg.run(inst, target)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -346,6 +346,20 @@ _SENSE_OPS = {"lt": operator.lt, "le": operator.le,
               "gt": operator.gt, "ge": operator.ge}
 
 
+def _contains(h, p) -> bool:
+    normal, off, sense = h
+    return _SENSE_OPS[sense](sum(a * c for a, c in zip(normal, p)), off)
+
+
+def halfspace_depths(points, halfspaces) -> List[int]:
+    """Per point, how many of `halfspaces` contain it, by a full scan.
+
+    halfspaces: (normal, offset, canonical sense) triples; a repeated triple
+    counts once per repeat.
+    """
+    return [sum(_contains(h, p) for h in halfspaces) for p in points]
+
+
 class HalfspaceSystem:
     """Dynamic halfspace multiset over a fixed finite point set.
 
@@ -373,15 +387,11 @@ class HalfspaceSystem:
         off = offset.value if isinstance(offset, ScaledInt) else Fraction(offset)
         return (tuple(int(a) for a in normal), off, s)
 
-    def _contains(self, key, p) -> bool:
-        normal, off, sense = key
-        return _SENSE_OPS[sense](sum(a * c for a, c in zip(normal, p)), off)
-
     def _apply(self, key, delta: int) -> None:
         counts, hist = self._counts, self._hist
         for i, p in enumerate(self.points):
             self.counter.add(1)
-            if self._contains(key, p):
+            if _contains(key, p):
                 c = counts[i]
                 new = counts[i] = c + delta
                 hist[c] -= 1
@@ -414,11 +424,4 @@ class HalfspaceSystem:
         return self._min
 
     def depth_oracle(self) -> List[int]:
-        out = []
-        for p in self.points:
-            c = 0
-            for key, mult in self._halfspaces.items():
-                if self._contains(key, p):
-                    c += mult
-            out.append(c)
-        return out
+        return halfspace_depths(self.points, list(self._halfspaces.elements()))

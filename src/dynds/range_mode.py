@@ -18,7 +18,6 @@ from .core_geom import (Box, Interval, RangeTree, VisitCounter, _debug_on,
 
 __all__ = [
     "mode_oracle",
-    "batch_dmode_oracle",
     "sequence_mode_oracle",
     "sequence_minority_oracle",
     "DynRangeModeDS",
@@ -42,10 +41,6 @@ def mode_oracle(points, box: Box) -> Optional[Tuple[object, int]]:
         return None
     best = min(freq, key=lambda c: (-freq[c], c))
     return best, freq[best]
-
-
-def batch_dmode_oracle(points, boxes) -> List[Optional[Tuple[object, int]]]:
-    return [mode_oracle(points, b) for b in boxes]
 
 
 def sequence_mode_oracle(values: Sequence, l: int, r: int) -> Tuple[object, int]:

@@ -4,11 +4,15 @@ Each reduction drives a pluggable target adapter.  Adapters backed by
 brute-force oracles and by the real structures accept identical call
 sequences and must produce identical outputs; direct detection (k-partite
 clique enumeration, OuMv brute force) anchors the crosscheck suite.
+
+The lower bounds charge a reduction for the updates and queries it makes on
+its target.  A driver runs on a target wrapped in `Counted`, which tallies
+every method call except `fingerprint`, and checks its call budget against
+that tally with `_budget`, a contract check that holds under `python -O`.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -18,8 +22,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .colors import CommonColorsDS, DynColorCountDS, dcc_oracle, docs_oracle
 from .core_geom import Box, Interval, _debug_on
-from .geom_dyn import (_SENSE_OPS, _SENSES, HalfspaceSystem, SemiOnlineEngine,
-                       Skyline3DBlock, klee_union_volume, skyline_oracle)
+from .geom_dyn import (_SENSES, HalfspaceSystem, SemiOnlineEngine,
+                       Skyline3DBlock, halfspace_depths, klee_union_volume,
+                       skyline_oracle)
 from .range_mode import (DynRangeModeDS, SequenceAdapter, mode_oracle,
                          sequence_minority_oracle, sequence_mode_oracle)
 from .tensor_ds import (EricksonEager, EricksonLazy, HypercliqueCounting,
@@ -93,14 +98,6 @@ def clique_bruteforce(g: KPartiteGraph) -> bool:
         return False
 
     return extend([])
-
-
-def clique_bruteforce_unpruned(g: KPartiteGraph) -> bool:
-    for tup in itertools.product(*[range(1, n + 1) for n in g.sizes]):
-        if all(g.has(i + 1, tup[i], j + 1, tup[j])
-               for i in range(g.k) for j in range(i + 1, g.k)):
-            return True
-    return False
 
 
 def _triangle(g: KPartiteGraph, a: int, b: int, c: int) -> bool:
@@ -250,13 +247,11 @@ class SubConnTargetOracle:
     """Undirected graph with a dynamic active set; queries search it."""
 
     def __init__(self):
-        self.calls = Counter()
         self.adj: Dict[object, Set] = {}
         self.active: Set = set()
         self.s = self.t = None
 
     def build(self, vertices, edges, s, t) -> None:
-        self.calls["build"] += 1
         self.adj = {v: set() for v in vertices}
         for u, v in edges:
             if u not in self.adj or v not in self.adj:
@@ -269,7 +264,6 @@ class SubConnTargetOracle:
         self.active = set(vertices)
 
     def set_active(self, v, flag: bool) -> None:
-        self.calls["set_active"] += 1
         if v not in self.adj:
             raise KeyError(f"unknown vertex {v!r}")
         if flag:
@@ -278,7 +272,6 @@ class SubConnTargetOracle:
             self.active.discard(v)
 
     def query(self) -> bool:
-        self.calls["query"] += 1
         if self.s not in self.active or self.t not in self.active:
             return False
         seen = {self.s}
@@ -297,46 +290,22 @@ class SubConnTargetOracle:
         return frozenset(self.active)
 
 
-def subconn_unionfind(vertices, edges, active: Set, s, t) -> bool:
-    """Recompute s-t connectivity on the active-induced subgraph."""
-    if s not in active or t not in active:
-        return False
-    parent = {v: v for v in vertices if v in active}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        if u in parent and v in parent:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    return find(s) == find(t)
-
-
 class StReachTargetOracle:
     """Directed graph under edge flips; queries search for an s-t path."""
 
     def __init__(self):
-        self.calls = Counter()
         self.adj: Dict[object, Set] = {}
         self.s = self.t = None
 
     def build(self, vertices, edges, s, t) -> None:
-        self.calls["build"] += 1
         self.adj = {v: set() for v in vertices}
         self.s, self.t = s, t
         if s not in self.adj or t not in self.adj:
             raise KeyError("s or t not a vertex")
         for u, v in edges:
             self.insert_edge(u, v)
-        self.calls["insert_edge"] = 0   # build edges are not update traffic
 
     def insert_edge(self, u, v) -> None:
-        self.calls["insert_edge"] += 1
         if u not in self.adj or v not in self.adj:
             raise KeyError(f"unknown vertex on edge {(u, v)!r}")
         if v in self.adj[u]:
@@ -344,7 +313,6 @@ class StReachTargetOracle:
         self.adj[u].add(v)
 
     def delete_edge(self, u, v) -> None:
-        self.calls["delete_edge"] += 1
         if u not in self.adj or v not in self.adj:
             raise KeyError(f"unknown vertex on edge {(u, v)!r}")
         if v not in self.adj[u]:
@@ -352,7 +320,6 @@ class StReachTargetOracle:
         self.adj[u].discard(v)
 
     def query(self) -> bool:
-        self.calls["query"] += 1
         seen = {self.s}
         frontier = deque([self.s])
         while frontier:
@@ -383,6 +350,12 @@ def _fp_check(target, before, where: str) -> None:
         raise RuntimeError(f"target state not restored after {where}")
 
 
+def _budget(ok: bool, what: str) -> None:
+    """A driver's call-budget check; raises under `python -O` too."""
+    if not ok:
+        raise RuntimeError(f"call budget broken: {what}")
+
+
 # ---------------- sequence mode / minority targets ----------------
 
 class SequenceTargetOracle:
@@ -391,20 +364,17 @@ class SequenceTargetOracle:
     minority = False
 
     def __init__(self):
-        self.calls = Counter()
         self.vals: List = []
         self._mid = 0
         self._pending = 0
         self.inserted_elems = 0
 
     def build(self, values, mid: int) -> None:
-        self.calls["build"] += 1
         self.vals = list(values)
         self._mid = mid
         self._pending = 0
 
     def insert_middle(self, values) -> None:
-        self.calls["insert_middle"] += 1
         assert self._pending == 0, "middle batch already present"
         vs = list(values)
         self.vals[self._mid:self._mid] = vs
@@ -412,12 +382,10 @@ class SequenceTargetOracle:
         self.inserted_elems += len(vs)
 
     def delete_middle(self) -> None:
-        self.calls["delete_middle"] += 1
         del self.vals[self._mid:self._mid + self._pending]
         self._pending = 0
 
     def query(self, l: int, r: int):
-        self.calls["query"] += 1
         fn = sequence_minority_oracle if self.minority else sequence_mode_oracle
         return fn(self.vals, l, r)[0]
 
@@ -433,7 +401,6 @@ class SequenceTargetReal:
     """Same contract over the dynamic sequence structure."""
 
     def __init__(self, n_cap: int):
-        self.calls = Counter()
         self.n_cap = max(1, n_cap)
         self.seq: Optional[SequenceAdapter] = None
         self._mid = 0
@@ -441,13 +408,11 @@ class SequenceTargetReal:
         self.inserted_elems = 0
 
     def build(self, values, mid: int) -> None:
-        self.calls["build"] += 1
         self.seq = SequenceAdapter.from_values(list(values), n_cap=self.n_cap)
         self._mid = mid
         self._pending = 0
 
     def insert_middle(self, values) -> None:
-        self.calls["insert_middle"] += 1
         vs = list(values)
         for off, v in enumerate(vs):
             self.seq.insert(self._mid + 1 + off, v)
@@ -455,13 +420,11 @@ class SequenceTargetReal:
         self.inserted_elems += len(vs)
 
     def delete_middle(self) -> None:
-        self.calls["delete_middle"] += 1
         for _ in range(self._pending):
             self.seq.delete(self._mid + 1)
         self._pending = 0
 
     def query(self, l: int, r: int):
-        self.calls["query"] += 1
         return self.seq.query(l, r)[0]
 
 
@@ -506,9 +469,10 @@ def red_4clique_range_mode(g: KPartiteGraph, target) -> bool:
         target.delete_middle()
         _fp_check(target, fp0, "mode phase")
 
-    assert target.calls["query"] == len(good_a) * len(good_b) * nC
-    assert target.calls["build"] == 1
-    assert target.inserted_elems <= nC * nD
+    _budget(target.calls["query"] == len(good_a) * len(good_b) * nC,
+            "mode queries")
+    _budget(target.calls["build"] == 1, "mode builds")
+    _budget(target.inserted_elems <= nC * nD, "mode inserted elements")
     return found
 
 
@@ -552,66 +516,27 @@ def red_4clique_range_minority(g: KPartiteGraph, target) -> bool:
         target.delete_middle()
         _fp_check(target, fp0, "minority phase")
 
-    assert target.calls["query"] == nA * nB * nC
-    assert target.inserted_elems <= nC * nD
+    _budget(target.calls["query"] == nA * nB * nC, "minority queries")
+    _budget(target.inserted_elems <= nC * nD, "minority inserted elements")
     return found
 
 
 # ---------------- d-dimensional mode targets ----------------
 
-class BatchModeTargetOracle:
-    def __init__(self):
-        self.calls = Counter()
-        self.points: List = []
-
-    def build(self, points) -> None:
-        self.calls["build"] += 1
-        self.points = list(points)
-
-    def query(self, box: Box):
-        self.calls["query"] += 1
-        res = mode_oracle(self.points, box)
-        return None if res is None else res[0]
-
-
-class BatchModeTargetReal:
-    def __init__(self, d: int, n_cap: int):
-        self.calls = Counter()
-        self.d = d
-        self.n_cap = max(1, n_cap)
-        self.ds: Optional[DynRangeModeDS] = None
-
-    def build(self, points) -> None:
-        self.calls["build"] += 1
-        self.ds = DynRangeModeDS(self.d, self.n_cap)
-        for coords, lab in points:
-            self.ds.update(coords, lab, insert=True)
-
-    def query(self, box: Box):
-        self.calls["query"] += 1
-        res = self.ds.query(box)
-        return None if res is None else res[0]
-
-
 class DynModeTargetOracle:
     def __init__(self):
-        self.calls = Counter()
         self.points: List = []
 
     def build(self, points) -> None:
-        self.calls["build"] += 1
         self.points = list(points)
 
     def insert(self, coords, lab) -> None:
-        self.calls["insert"] += 1
         self.points.append((tuple(coords), lab))
 
     def delete(self, coords, lab) -> None:
-        self.calls["delete"] += 1
         self.points.remove((tuple(coords), lab))
 
     def query(self, box: Box):
-        self.calls["query"] += 1
         res = mode_oracle(self.points, box)
         return None if res is None else res[0]
 
@@ -621,27 +546,22 @@ class DynModeTargetOracle:
 
 class DynModeTargetReal:
     def __init__(self, d: int, n_cap: int):
-        self.calls = Counter()
         self.d = d
         self.n_cap = max(1, n_cap)
         self.ds: Optional[DynRangeModeDS] = None
 
     def build(self, points) -> None:
-        self.calls["build"] += 1
         self.ds = DynRangeModeDS(self.d, self.n_cap)
         for coords, lab in points:
             self.ds.update(coords, lab, insert=True)
 
     def insert(self, coords, lab) -> None:
-        self.calls["insert"] += 1
         self.ds.update(coords, lab, insert=True)
 
     def delete(self, coords, lab) -> None:
-        self.calls["delete"] += 1
         self.ds.update(coords, lab, insert=False)
 
     def query(self, box: Box):
-        self.calls["query"] += 1
         res = self.ds.query(box)
         return None if res is None else res[0]
 
@@ -697,8 +617,8 @@ def red_clique_batch_dmode(g: KPartiteGraph, target, d: int) -> bool:
                 and all(lab in nbr[(i, tup[i - 1])] for i in range(1, 2 * d + 1)) \
                 and _is_clique(g, tup):
             found = True
-    assert target.calls["query"] == queried
-    assert target.calls["build"] == 1
+    _budget(target.calls["query"] == queried, "batch-mode queries")
+    _budget(target.calls["build"] == 1, "batch-mode builds")
     return found
 
 
@@ -735,7 +655,7 @@ def red_clique_dyn_dmode(g: KPartiteGraph, target, d: int) -> bool:
             target.delete(origin, u)
         _fp_check(target, fp0, "dyn-mode phase")
 
-    assert inserted <= g.sizes[phase_part - 1] * nL
+    _budget(inserted <= g.sizes[phase_part - 1] * nL, "dyn-mode inserts")
     return found
 
 
@@ -775,8 +695,9 @@ def red_4clique_subconn(g: KPartiteGraph, target) -> bool:
                                   g.has(3, c, 4, dd) and g.has(2, b, 3, c))
             if target.query():
                 return True
-    assert target.calls["set_active"] <= nD * nA \
-        + sum(len(g.neighbors(4, dd, 2)) for dd in range(1, nD + 1)) * (nB + nC)
+    _budget(target.calls["set_active"] <= nD * nA + sum(
+        len(g.neighbors(4, dd, 2)) for dd in range(1, nD + 1)) * (nB + nC),
+        "subconn activations")
     return False
 
 
@@ -786,17 +707,14 @@ class DocsTargetOracle:
     """Documents as symbol sets, on/off flags, scan-counted pair queries."""
 
     def __init__(self):
-        self.calls = Counter()
         self.docs: List[Set] = []
         self.on: Set[int] = set()
 
     def build(self, docs) -> None:
-        self.calls["build"] += 1
         self.docs = [set(s) for s in docs]
         self.on = set()
 
     def set_on(self, doc_id: int, flag: bool) -> None:
-        self.calls["set_on"] += 1
         if not 1 <= doc_id <= len(self.docs):
             raise KeyError(f"unknown document {doc_id}")
         if flag:
@@ -805,7 +723,6 @@ class DocsTargetOracle:
             self.on.discard(doc_id)
 
     def query(self, s1, s2) -> int:
-        self.calls["query"] += 1
         return docs_oracle(self.docs, {i - 1 for i in self.on}, s1, s2)
 
     def fingerprint(self):
@@ -821,14 +738,12 @@ class DocsTargetCommonColors:
     """
 
     def __init__(self):
-        self.calls = Counter()
         self.cc: Optional[CommonColorsDS] = None
         self.span: Dict[object, Tuple[int, int]] = {}
         self.n_docs = 0
         self.on: Set[int] = set()
 
     def build(self, docs) -> None:
-        self.calls["build"] += 1
         self.n_docs = len(docs)
         members: Dict[object, List[int]] = {}
         for i, syms in enumerate(docs, start=1):
@@ -844,7 +759,6 @@ class DocsTargetCommonColors:
         self.on = set()
 
     def set_on(self, doc_id: int, flag: bool) -> None:
-        self.calls["set_on"] += 1
         if not 1 <= doc_id <= self.n_docs:
             raise KeyError(f"unknown document {doc_id}")
         if flag:
@@ -855,7 +769,6 @@ class DocsTargetCommonColors:
             self.cc.set_on(doc_id, flag)
 
     def query(self, s1, s2) -> int:
-        self.calls["query"] += 1
         sp1, sp2 = self.span.get(s1), self.span.get(s2)
         if sp1 is None or sp2 is None:
             return 0
@@ -892,8 +805,8 @@ def red_4clique_2pattern(g: KPartiteGraph, target) -> bool:
         toggles += 2 * len(on)
         _fp_check(target, fp0, "2pattern phase")
 
-    assert target.calls["query"] == nA * nB * nC
-    assert toggles <= 2 * nC * nD
+    _budget(target.calls["query"] == nA * nB * nC, "2pattern queries")
+    _budget(toggles <= 2 * nC * nD, "2pattern toggles")
     return found
 
 
@@ -901,23 +814,18 @@ def red_4clique_2pattern(g: KPartiteGraph, target) -> bool:
 
 class ColorTargetScan:
     def __init__(self):
-        self.calls = Counter()
         self.pts: List = []
 
     def build(self, points) -> None:
-        self.calls["build"] += 1
         self.pts = [(tuple(c), col) for c, col in points]
 
     def insert(self, coords, color) -> None:
-        self.calls["insert"] += 1
         self.pts.append((tuple(coords), color))
 
     def delete(self, coords, color) -> None:
-        self.calls["delete"] += 1
         self.pts.remove((tuple(coords), color))
 
     def count(self, box: Box) -> int:
-        self.calls["count"] += 1
         return dcc_oracle(self.pts, box)
 
     def fingerprint(self):
@@ -926,24 +834,19 @@ class ColorTargetScan:
 
 class ColorTargetTree:
     def __init__(self, n_cap: int):
-        self.calls = Counter()
         self.ds = DynColorCountDS(max(1, n_cap))
 
     def build(self, points) -> None:
-        self.calls["build"] += 1
         for coords, col in points:
             self.ds.update(coords, col, insert=True)
 
     def insert(self, coords, color) -> None:
-        self.calls["insert"] += 1
         self.ds.update(coords, color, insert=True)
 
     def delete(self, coords, color) -> None:
-        self.calls["delete"] += 1
         self.ds.update(coords, color, insert=False)
 
     def count(self, box: Box) -> int:
-        self.calls["count"] += 1
         return self.ds.query(box)
 
 
@@ -1002,7 +905,7 @@ def red_4clique_color(g: KPartiteGraph, target, strict: bool = False) -> bool:
         _fp_check(target, fp0, "color phase")
 
     expected = (3 * nC + (nC if strict else 1)) * nA * nB
-    assert target.calls["count"] == expected
+    _budget(target.calls["count"] == expected, "color counts")
     return found
 
 
@@ -1068,19 +971,16 @@ class SkylineTargetOracle:
     """Scan-counted maximal points with an announced death schedule."""
 
     def __init__(self):
-        self.calls = Counter()
         self.op = 0
         self.live: List = []
         self._deaths: Dict[int, tuple] = {}
 
     def preprocess(self, points) -> None:
-        self.calls["preprocess"] += 1
         self.live = [tuple(p) for p in points]
         self._deaths = {}
         self.op = 0
 
     def insert(self, p, death: int) -> None:
-        self.calls["insert"] += 1
         self.op += 1
         if not isinstance(death, int) or death <= self.op:
             raise ValueError(f"death {death!r} must be an int past op {self.op}")
@@ -1091,7 +991,6 @@ class SkylineTargetOracle:
         self._deaths[death] = pt
 
     def delete(self, p) -> None:
-        self.calls["delete"] += 1
         self.op += 1
         pt = self._deaths.pop(self.op, None)
         if pt is None or pt != tuple(p):
@@ -1099,7 +998,6 @@ class SkylineTargetOracle:
         self.live.remove(pt)
 
     def count(self) -> int:
-        self.calls["count"] += 1
         self.op += 1
         return skyline_oracle(self.live)
 
@@ -1111,25 +1009,20 @@ class SkylineTargetEngine:
     """Semi-online engine with the 3-d skyline block (two-factor queries)."""
 
     def __init__(self, capacity: int):
-        self.calls = Counter()
         self.capacity = max(1, capacity)
         self.engine: Optional[SemiOnlineEngine] = None
 
     def preprocess(self, points) -> None:
-        self.calls["preprocess"] += 1
         self.engine = SemiOnlineEngine(Skyline3DBlock(), self.capacity,
                                        initial=[tuple(p) for p in points])
 
     def insert(self, p, death: int) -> None:
-        self.calls["insert"] += 1
         self.engine.insert(tuple(p), death)
 
     def delete(self, p) -> None:
-        self.calls["delete"] += 1
         self.engine.delete()
 
     def count(self) -> int:
-        self.calls["count"] += 1
         return self.engine.query()
 
 
@@ -1218,25 +1111,20 @@ class KleeTargetOracle:
     """Corner multiset; volumes by the slab-sweep union oracle."""
 
     def __init__(self):
-        self.calls = Counter()
         self.corners: List = []
         self.side = 0
 
     def build(self, corners, side) -> None:
-        self.calls["build"] += 1
         self.corners = [tuple(c) for c in corners]
         self.side = side
 
     def insert(self, corner) -> None:
-        self.calls["insert"] += 1
         self.corners.append(tuple(corner))
 
     def delete(self, corner) -> None:
-        self.calls["delete"] += 1
         self.corners.remove(tuple(corner))
 
     def volume(self) -> Fraction:
-        self.calls["volume"] += 1
         return klee_union_volume(self.corners, self.side)
 
     def fingerprint(self):
@@ -1302,56 +1190,38 @@ def red_oumvk_klee(inst: OuMvInstance, target) -> List[bool]:
 
 class HalfspaceTargetReal:
     def __init__(self):
-        self.calls = Counter()
         self.hs: Optional[HalfspaceSystem] = None
 
     def build(self, points) -> None:
-        self.calls["build"] += 1
         self.hs = HalfspaceSystem(points)
 
     def insert(self, normal, offset, sense) -> None:
-        self.calls["insert"] += 1
         self.hs.insert(normal, offset, sense)
 
     def delete(self, normal, offset, sense) -> None:
-        self.calls["delete"] += 1
         self.hs.delete(normal, offset, sense)
 
     def min_count(self) -> int:
-        self.calls["min_count"] += 1
         return self.hs.min_count()
 
 
 class HalfspaceTargetScan:
     def __init__(self):
-        self.calls = Counter()
         self.points: List = []
         self.live: List = []
 
     def build(self, points) -> None:
-        self.calls["build"] += 1
         self.points = [tuple(p) for p in points]
         self.live = []
 
     def insert(self, normal, offset, sense) -> None:
-        self.calls["insert"] += 1
         self.live.append((tuple(normal), Fraction(offset), _SENSES[sense]))
 
     def delete(self, normal, offset, sense) -> None:
-        self.calls["delete"] += 1
         self.live.remove((tuple(normal), Fraction(offset), _SENSES[sense]))
 
-    def min_count(self) -> int:
-        self.calls["min_count"] += 1
-        best = None
-        for p in self.points:
-            c = 0
-            for normal, off, sense in self.live:
-                v = sum(a * x for a, x in zip(normal, p))
-                if _SENSE_OPS[sense](v, off):
-                    c += 1
-            best = c if best is None else min(best, c)
-        return best
+    def min_count(self) -> Optional[int]:
+        return min(halfspace_depths(self.points, self.live), default=None)
 
     def fingerprint(self):
         return tuple(sorted(self.live))
@@ -1380,7 +1250,8 @@ def red_oumvk_halfspace(inst: OuMvInstance, target) -> List[bool]:
             target.delete(*h)
         answers.append(mc == sum(len(u) for u in us) - k)
         _fp_check(target, fp0, "halfspace phase")
-    assert target.calls["min_count"] == len(inst.queries)
+    _budget(target.calls["min_count"] == len(inst.queries),
+            "halfspace depth queries")
     return answers
 
 
@@ -1388,26 +1259,21 @@ def red_oumvk_halfspace(inst: OuMvInstance, target) -> List[bool]:
 
 class HypercliqueTarget:
     def __init__(self, variant_cls):
-        self.calls = Counter()
         self._cls = variant_cls
         self.ds = None
 
     def build(self, vertices, k: int, edges) -> None:
-        self.calls["build"] += 1
         self.ds = self._cls(vertices, k)
         for e in edges:
             self.ds.insert(e)
 
     def insert(self, edge) -> None:
-        self.calls["insert"] += 1
         self.ds.insert(edge)
 
     def delete(self, edge) -> None:
-        self.calls["delete"] += 1
         self.ds.delete(edge)
 
     def query(self, v) -> bool:
-        self.calls["query"] += 1
         return self.ds.query(v)
 
     def fingerprint(self):
@@ -1439,7 +1305,7 @@ def red_oumvk_hyperclique(inst: OuMvInstance, target) -> List[bool]:
         for e in phase:
             target.delete(e)
         _fp_check(target, fp0, "hyperclique phase")
-        assert len(phase) <= k * N ** (k - 1)
+        _budget(len(phase) <= k * N ** (k - 1), "hyperclique phase edges")
     return answers
 
 
@@ -1447,22 +1313,18 @@ def red_oumvk_hyperclique(inst: OuMvInstance, target) -> List[bool]:
 
 class EricksonTarget:
     def __init__(self, variant_cls):
-        self.calls = Counter()
         self._cls = variant_cls
         self.ds = None
         self._idx: List[tuple] = []
 
     def build(self, initial: Tensor) -> None:
-        self.calls["build"] += 1
         self.ds = self._cls(initial)
         self._idx = list(initial.indices())
 
     def increment(self, axis: int, index: int) -> None:
-        self.calls["increment"] += 1
         self.ds.increment(axis, index)
 
     def max_value(self) -> int:
-        self.calls["max_value"] += 1
         return self.ds.max_value()
 
     def fingerprint(self):
@@ -1505,19 +1367,15 @@ def red_oumvk_erickson(inst: OuMvInstance, target,
 
 class LangermanTargetOracle:
     def __init__(self):
-        self.calls = Counter()
         self.t: Optional[Tensor] = None
 
     def build(self, extents, initial: Tensor) -> None:
-        self.calls["build"] += 1
         self.t = initial.copy()
 
     def update(self, z, delta: int) -> None:
-        self.calls["update"] += 1
         self.t.add(z, delta)
 
     def exists_zero(self) -> bool:
-        self.calls["exists_zero"] += 1
         return any(v == 0 for v in self.t.prefix_sums().data)
 
     def fingerprint(self):
@@ -1526,20 +1384,16 @@ class LangermanTargetOracle:
 
 class LangermanTargetReal:
     def __init__(self):
-        self.calls = Counter()
         self.ds = None
 
     def build(self, extents, initial: Tensor) -> None:
-        self.calls["build"] += 1
         from .tensor_ds import LangermanDS
         self.ds = LangermanDS(extents, initial=initial)
 
     def update(self, z, delta: int) -> None:
-        self.calls["update"] += 1
         self.ds.update(z, delta)
 
     def exists_zero(self) -> bool:
-        self.calls["exists_zero"] += 1
         return self.ds.exists_zero()
 
 
@@ -1655,6 +1509,32 @@ class FaultyTarget:
         return attr
 
 
+class Counted:
+    """Proxy that tallies, in `calls`, each method call on its target.
+
+    `fingerprint` is not counted: state-restore checks are not traffic.
+    Non-callable attributes pass straight through.  Each counting wrapper
+    is cached on the proxy at first lookup; an adapter's methods are fixed
+    for its lifetime.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if not callable(attr) or name == "fingerprint":
+            return attr
+        calls = self.calls
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return attr(*args, **kwargs)
+        setattr(self, name, counted)
+        return counted
+
+
 # ---------------- registry and crosscheck ----------------
 
 @dataclass(frozen=True)
@@ -1708,14 +1588,14 @@ _R.append(ReductionConfig(
 _R.append(ReductionConfig(
     "red_clique_batch_dmode_d1", "clique", _gen_clique(3),
     partial(red_clique_batch_dmode, d=1), clique_bruteforce,
-    {"oracle": lambda g: BatchModeTargetOracle(),
-     "real": lambda g: BatchModeTargetReal(1, _points_cap(g, 1))},
+    {"oracle": lambda g: DynModeTargetOracle(),
+     "real": lambda g: DynModeTargetReal(1, _points_cap(g, 1))},
     (2, 3, 4, 5), arity=3))
 _R.append(ReductionConfig(
     "red_clique_batch_dmode_d2", "clique", _gen_clique(5),
     partial(red_clique_batch_dmode, d=2), clique_bruteforce,
-    {"oracle": lambda g: BatchModeTargetOracle(),
-     "real": lambda g: BatchModeTargetReal(2, _points_cap(g, 2))},
+    {"oracle": lambda g: DynModeTargetOracle(),
+     "real": lambda g: DynModeTargetReal(2, _points_cap(g, 2))},
     (2, 3), arity=5))
 _R.append(ReductionConfig(
     "red_clique_dyn_dmode_d1", "clique", _gen_clique(4),
@@ -1875,6 +1755,7 @@ def crosscheck_suite(seed: int, sizes: Sequence[int], reduction_id: str,
         target = factory(inst)
         if faulty:
             target = FaultyTarget(target)
+        target = Counted(target)
         err = None
         try:
             got = cfg.run(inst, target)

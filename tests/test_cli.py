@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import re
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from dynds.cli import (TRACE_SUITES, BenchReport, TraceError, gen_trace, main,
                        parse_trace, run_trace, trace_suite)
 from dynds.range_mode import DynRangeModeDS
-from dynds.reductions import (KPartiteGraph, OuMvInstance, format_graph,
-                              format_oumv)
+from dynds.reductions import (REDUCTIONS, KPartiteGraph, OuMvInstance,
+                              format_graph, format_oumv)
 
 PROBLEMS = sorted({p for p, _ in TRACE_SUITES})
 
@@ -252,6 +253,117 @@ def test_reduce_state_not_restored_exit3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: target state not restored after klee phase\n"
+
+
+def test_reduce_call_budget_exit3(tmp_path, capsys, monkeypatch):
+    # a target that sees one query more than the driver's budget allows
+    # fails the budget check, a RuntimeError that reduce reports without a
+    # traceback
+    cfg = REDUCTIONS["red_4clique_range_mode"]
+
+    class ExtraQuery:
+        def __init__(self, target):
+            self._target = target
+            self._extra = True
+
+        def __getattr__(self, name):
+            return getattr(self._target, name)
+
+        def query(self, *args):
+            if self._extra:
+                self._extra = False
+                self._target.query(*args)
+            return self._target.query(*args)
+
+    monkeypatch.setitem(REDUCTIONS, cfg.rid, dataclasses.replace(
+        cfg, run=lambda g, target: cfg.run(g, ExtraQuery(target))))
+    f = _write(tmp_path, "g.txt", format_graph(_planted_graph()))
+    assert main(["reduce", f, "--reduction", cfg.rid,
+                 "--adapter", "oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: call budget broken: mode queries\n"
+
+
+# `# calls` line of `dynds reduce` on one seeded instance per reduction and
+# adapter, at the reduction's largest crosscheck size
+_CALLS_PINS = {
+    ("red_4clique_range_mode", "oracle"):
+        "build=1 delete_middle=5 insert_middle=5 query=45",
+    ("red_4clique_range_mode", "real"):
+        "build=1 delete_middle=5 insert_middle=5 query=45",
+    ("red_4clique_range_minority", "oracle"):
+        "build=1 delete_middle=5 insert_middle=5 query=125",
+    ("red_clique_batch_dmode_d1", "oracle"): "build=1 query=25",
+    ("red_clique_batch_dmode_d1", "real"): "build=1 query=25",
+    ("red_clique_batch_dmode_d2", "oracle"): "build=1 query=9",
+    ("red_clique_batch_dmode_d2", "real"): "build=1 query=9",
+    ("red_clique_dyn_dmode_d1", "oracle"):
+        "build=1 delete=16 insert=16 query=125",
+    ("red_clique_dyn_dmode_d1", "real"):
+        "build=1 delete=16 insert=16 query=125",
+    ("red_4clique_subconn", "oracle"): "build=1 query=1 set_active=15",
+    ("red_4clique_2pattern", "docs"): "build=1 query=125 set_on=26",
+    ("red_4clique_2pattern", "cc"): "build=1 query=125 set_on=26",
+    ("red_4clique_color", "oracle"): "build=1 count=400 delete=16 insert=16",
+    ("red_4clique_color", "dcc"): "build=1 count=400 delete=16 insert=16",
+    ("red_4clique_streach", "oracle"):
+        "build=1 delete_edge=18 insert_edge=21 query=5",
+    ("red_oumvk_skyline_k2", "oracle"):
+        "count=18 delete=27 insert=27 preprocess=1",
+    ("red_oumvk_skyline_k2", "engine"):
+        "count=18 delete=27 insert=27 preprocess=1",
+    ("red_oumvk_skyline_k3", "oracle"):
+        "count=18 delete=31 insert=31 preprocess=1",
+    ("red_oumvk_klee_k2", "oracle"): "build=1 delete=17 insert=17 volume=15",
+    ("red_oumvk_halfspace_k2", "real"):
+        "build=1 delete=24 insert=24 min_count=3",
+    ("red_oumvk_halfspace_k2", "oracle"):
+        "build=1 delete=24 insert=24 min_count=3",
+    ("red_oumvk_halfspace_k3", "real"):
+        "build=1 delete=54 insert=54 min_count=3",
+    ("red_oumvk_halfspace_k3", "oracle"):
+        "build=1 delete=54 insert=54 min_count=3",
+    ("red_oumvk_hyperclique_k2", "lazy"): "build=1 delete=15 insert=15 query=3",
+    ("red_oumvk_hyperclique_k2", "counting"):
+        "build=1 delete=15 insert=15 query=3",
+    ("red_oumvk_hyperclique_k3", "lazy"): "build=1 delete=23 insert=23 query=3",
+    ("red_oumvk_hyperclique_k3", "counting"):
+        "build=1 delete=23 insert=23 query=3",
+    ("red_oumvk_erickson_k2", "lazy"): "build=1 increment=30 max_value=3",
+    ("red_oumvk_erickson_k2", "eager"): "build=1 increment=30 max_value=3",
+    ("red_oumvk_erickson_k3", "lazy"): "build=1 increment=36 max_value=3",
+    ("red_oumvk_erickson_k3", "eager"): "build=1 increment=36 max_value=3",
+    ("red_oumvk_langerman_k2", "real"): "build=1 exists_zero=5 update=38",
+    ("red_oumvk_langerman_k2", "oracle"): "build=1 exists_zero=5 update=38",
+    ("red_oumvk_langerman_k3", "real"): "build=1 exists_zero=8 update=60",
+    ("red_oumvk_langerman_k3", "oracle"): "build=1 exists_zero=8 update=60",
+}
+
+
+def test_reduce_calls_lines_pinned(tmp_path, capsys):
+    got = {}
+    for rid, cfg in REDUCTIONS.items():
+        inst = cfg.gen(random.Random(f"pin.{rid}"), cfg.sizes[-1])
+        text = format_graph(inst) if cfg.kind == "clique" \
+            else format_oumv(inst)
+        f = _write(tmp_path, "inst.txt", text)
+        for aid in cfg.adapters:
+            assert main(["reduce", f, "--reduction", rid,
+                         "--adapter", aid]) == 0
+            last = capsys.readouterr().out.splitlines()[-1]
+            got[(rid, aid)] = last[len("# calls "):]
+    assert got == _CALLS_PINS
+
+
+def test_reduce_calls_omit_uncalled_methods(tmp_path, capsys):
+    # no part-4 edges: the st-reachability driver flips no edge and probes
+    # nothing, and the edge its target inserts while building is not a
+    # driver call
+    g = KPartiteGraph((2, 2, 2, 2), [((1, 1), (2, 1))])
+    f = _write(tmp_path, "g.txt", format_graph(g))
+    assert main(["reduce", f, "--reduction", "red_4clique_streach"]) == 0
+    assert capsys.readouterr().out == "false\n# calls build=1\n"
 
 
 def test_reduce_bad_instance_exit2(tmp_path, capsys):

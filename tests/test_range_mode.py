@@ -8,7 +8,6 @@ from dynds.core_geom import Box, VisitCounter
 from dynds.range_mode import (
     DynRangeModeDS,
     SequenceAdapter,
-    batch_dmode_oracle,
     mode_oracle,
     sequence_minority_oracle,
     sequence_mode_oracle,
@@ -30,6 +29,10 @@ def check_mode_answer(points, box, got):
 
 
 # ---------------- oracles ----------------
+
+def batch_dmode_oracle(points, boxes):
+    return [mode_oracle(points, b) for b in boxes]
+
 
 def test_sequence_oracles():
     vals = [1, 1, 2, 3, 2, 1]

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,6 @@ from dynds.reductions import (
     KPartiteGraph,
     OuMvInstance,
     clique_bruteforce,
-    clique_bruteforce_unpruned,
     crosscheck_suite,
     format_graph,
     format_oumv,
@@ -32,7 +32,7 @@ from dynds.reductions import (
     red_oumvk_erickson,
     red_oumvk_langerman,
     red_oumvk_skyline,
-    subconn_unionfind,
+    Counted,
     DocsTargetOracle,
     EricksonTarget,
     SequenceTargetOracle,
@@ -84,6 +84,14 @@ def test_clique_missing_edge_singletons():
 
 def test_clique_empty_part():
     assert not clique_bruteforce(KPartiteGraph([2, 0, 2]))
+
+
+def clique_bruteforce_unpruned(g: KPartiteGraph) -> bool:
+    for tup in itertools.product(*[range(1, n + 1) for n in g.sizes]):
+        if all(g.has(i + 1, tup[i], j + 1, tup[j])
+               for i in range(g.k) for j in range(i + 1, g.k)):
+            return True
+    return False
 
 
 def test_clique_pruned_vs_unpruned():
@@ -151,6 +159,26 @@ def test_oumv_roundtrip_property(seed):
 
 # ---------------- connectivity baselines ----------------
 
+def subconn_unionfind(vertices, edges, active, s, t) -> bool:
+    """Recompute s-t connectivity on the active-induced subgraph."""
+    if s not in active or t not in active:
+        return False
+    parent = {v: v for v in vertices if v in active}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        if u in parent and v in parent:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+    return find(s) == find(t)
+
+
 def test_subconn_oracle_vs_unionfind():
     rng = random.Random(11)
     for _ in range(40):
@@ -204,17 +232,17 @@ def dense_triangle_free_4p():
 def test_mode_reduction_negative_instance():
     g = dense_triangle_free_4p()
     assert not clique_bruteforce(g)
-    assert not red_4clique_range_mode(g, SequenceTargetOracle())
+    assert not red_4clique_range_mode(g, Counted(SequenceTargetOracle()))
 
 
 def test_mode_reduction_positive_instance():
     g = complete_kpartite([2, 2, 2, 2])
-    assert red_4clique_range_mode(g, SequenceTargetReal(40))
+    assert red_4clique_range_mode(g, Counted(SequenceTargetReal(40)))
 
 
 def test_mode_query_budget_exact():
     g = complete_kpartite([3, 2, 2, 2])
-    t = SequenceTargetOracle()
+    t = Counted(SequenceTargetOracle())
     red_4clique_range_mode(g, t)
     assert t.calls["query"] == 3 * 2 * 2
     assert t.calls["build"] == 1
@@ -226,7 +254,7 @@ def test_mode_reduction_skips_empty_neighborhoods():
     g = complete_kpartite([2, 2, 2, 2])
     edges = {e for e in g.edges if e[0] != (1, 2) or e[1][0] != 4}
     g2 = KPartiteGraph([2, 2, 2, 2], edges)
-    t = SequenceTargetOracle()
+    t = Counted(SequenceTargetOracle())
     red_4clique_range_mode(g2, t)
     assert t.calls["query"] == 1 * 2 * 2
 
@@ -263,7 +291,7 @@ def test_clique_reductions_random(rid, aid):
 
 def test_2pattern_toggle_budget():
     g = complete_kpartite([2, 3, 2, 3])
-    t = DocsTargetOracle()
+    t = Counted(DocsTargetOracle())
     red_4clique_2pattern(g, t)
     assert t.calls["query"] == 2 * 3 * 2
     assert t.calls["set_on"] == 2 * 2 * 3   # on and off per phase edge
@@ -274,25 +302,25 @@ def test_color_strict_mode_agrees():
     for _ in range(20):
         g = random_kpartite(rng, [2, 2, 2, 2], 0.5)
         from dynds.reductions import ColorTargetScan
-        lazy = red_4clique_color(g, ColorTargetScan())
-        strict = red_4clique_color(g, ColorTargetScan(), strict=True)
+        lazy = red_4clique_color(g, Counted(ColorTargetScan()))
+        strict = red_4clique_color(g, Counted(ColorTargetScan()), strict=True)
         assert lazy == strict == clique_bruteforce(g)
 
 
 def test_color_count_budget():
     from dynds.reductions import ColorTargetScan
     g = complete_kpartite([2, 2, 3, 2])
-    t = ColorTargetScan()
+    t = Counted(ColorTargetScan())
     red_4clique_color(g, t)
     assert t.calls["count"] == (3 * 3 + 1) * 2 * 2
-    t2 = ColorTargetScan()
+    t2 = Counted(ColorTargetScan())
     red_4clique_color(g, t2, strict=True)
     assert t2.calls["count"] == (3 * 3 + 3) * 2 * 2
 
 
 def test_subconn_early_return():
     g = complete_kpartite([2, 2, 2, 2])
-    t = SubConnTargetOracle()
+    t = Counted(SubConnTargetOracle())
     assert red_4clique_subconn(g, t)
     # first d, first b already yields a path
     assert t.calls["query"] == 1
@@ -467,6 +495,94 @@ def test_faulty_wrapper_flips_bool_then_passes_through():
     assert f.query() is False    # corrupted once
     assert f.query() is True
     assert f.other() == 5        # non-query methods untouched
+
+
+def test_counted_tallies_every_method_but_fingerprint():
+    class T:
+        def __init__(self):
+            self.size = 0
+
+        def build(self, n):
+            self.size = n
+
+        def query(self):
+            return self.size
+
+        def fingerprint(self):
+            return self.size
+
+    t = Counted(T())
+    t.build(3)
+    assert t.query() == 3 and t.query() == 3
+    assert t.fingerprint() == 3
+    assert t.calls == Counter(build=1, query=2)
+    t.build(5)
+    assert t.size == 5                  # non-callables pass through, live
+    assert t.query is t.query           # one wrapper, cached at first lookup
+    assert set(vars(t)) >= {"build", "query"}
+    assert "fingerprint" not in vars(t)
+    assert getattr(t, "missing", None) is None
+    assert t.calls == Counter(build=2, query=2)
+
+
+def test_counted_outside_faulty_counts_corrupted_calls():
+    class T:
+        def query(self):
+            return True
+
+        def fingerprint(self):
+            return 0
+
+    t = Counted(FaultyTarget(T()))
+    assert t.query() is False           # corrupted once, still counted
+    assert t.query() is True
+    assert t.fingerprint() == 0
+    assert t.calls == Counter(query=2)
+
+
+_EMPTY_OUMV = OuMvInstance(2, 2, frozenset({(1, 1)}),
+                           ((frozenset({1}), frozenset({1})),))
+
+
+@pytest.mark.parametrize("rid,method", [
+    ("red_4clique_range_mode", "query"),
+    ("red_4clique_range_mode", "build"),
+    ("red_4clique_range_minority", "query"),
+    ("red_clique_batch_dmode_d1", "query"),
+    ("red_clique_batch_dmode_d1", "build"),
+    ("red_4clique_subconn", "set_active"),
+    ("red_4clique_2pattern", "query"),
+    ("red_4clique_color", "count"),
+    ("red_oumvk_halfspace_k2", "min_count"),
+])
+def test_call_budget_raises(rid, method):
+    # a target that already took extra calls of the budgeted kind breaks the
+    # driver's call budget; on an edgeless graph every driver reaches it
+    cfg = REDUCTIONS[rid]
+    inst = KPartiteGraph([2] * cfg.arity) if cfg.kind == "clique" \
+        else _EMPTY_OUMV
+    for factory in cfg.adapters.values():
+        t = Counted(factory(inst))
+        t.calls[method] += 10 ** 6
+        with pytest.raises(RuntimeError, match="call budget broken"):
+            cfg.run(inst, t)
+
+
+def test_call_budget_holds_under_optimize():
+    # the budget check is a contract check: it raises under python -O too
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from dynds.reductions import (Counted, KPartiteGraph,\n"
+            "    SequenceTargetOracle, red_4clique_range_mode)\n"
+            "t = Counted(SequenceTargetOracle())\n"
+            "t.calls['query'] += 1\n"
+            "try:\n"
+            "    red_4clique_range_mode(KPartiteGraph([2] * 4), t)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "call budget broken: mode queries\n"
 
 
 def test_faulty_wrapper_bumps_int():
