@@ -24,8 +24,8 @@ from .geom_dyn import (_SENSE_OPS, HalfspaceSystem, SemiOnlineEngine,
                        Skyline3DBlock, halfspace_depths, skyline_oracle)
 from .range_mode import (DynRangeModeDS, SequenceAdapter, mode_oracle,
                          sequence_mode_oracle)
-from .reductions import (REDUCTIONS, Counted, crosscheck_suite, parse_graph,
-                         parse_oumv)
+from .reductions import (REDUCTIONS, Counted, _content_lines,
+                         crosscheck_suite, parse_graph, parse_oumv)
 from .tensor_ds import (EricksonEager, EricksonLazy, HypercliqueCounting,
                         HypercliqueLazy, LangermanDS, Tensor)
 
@@ -68,85 +68,55 @@ class OpTrace:
         return tuple(int(x) for x in self.header[key].split(","))
 
 
-def _is_int(tok: str) -> bool:
-    try:
-        int(tok)
-        return True
-    except ValueError:
-        return False
+_SENSES = tuple(_SENSE_OPS)
 
 
-def _is_frac(tok: str) -> bool:
+def _sense(tok: str) -> str:
+    if tok not in _SENSES:
+        raise ValueError(f"bad sense {tok!r}")
+    return tok
+
+
+# argument kinds of the op grammars: i=integer, f=fraction, s=sense
+_ARG = {"i": int, "f": Fraction, "s": _sense}
+
+
+def _parses(kind: str, tok: str) -> bool:
     try:
-        Fraction(tok)
+        _ARG[kind](tok)
         return True
     except (ValueError, ZeroDivisionError):
         return False
 
 
-_SENSES = tuple(_SENSE_OPS)
+@dataclass(frozen=True)
+class Problem:
+    """Everything `solve` and `crosscheck` know about one trace problem.
 
-
-def _op_specs(problem: str, trace: OpTrace) -> Dict[str, List[str]]:
-    """Per-kind argument token kinds: i=integer, f=fraction, s=sense."""
-    if problem == "sequence-mode":
-        return {"SINS": ["i", "i"], "SDEL": ["i"], "SQRY": ["i", "i"]}
-    if problem == "range-mode-dyn":
-        d = trace.hdr_int("d")
-        return {"INS": ["i"] * (d + 1), "DEL": ["i"] * (d + 1),
-                "QRY": ["i"] * (2 * d)}
-    if problem == "color-count":
-        return {"INS": ["i"] * 3, "DEL": ["i"] * 3, "QRY": ["i"] * 4}
-    if problem == "common-colors":
-        m = trace.hdr_int("m")
-        return {"BASE": ["i"] * m, "ON": ["i"], "OFF": ["i"],
-                "QRY": ["i"] * 4}
-    if problem == "langerman":
-        d = len(trace.hdr_ints("ext"))
-        return {"UPD": ["i"] * (d + 1), "ZQRY": [], "PQRY": ["i"] * d}
-    if problem == "erickson":
-        ext = trace.hdr_ints("ext")
-        total = math.prod(ext)
-        return {"BASE": ["i"] * total, "INC": ["i", "i"],
-                "VQRY": ["i"] * len(ext), "MQRY": []}
-    if problem == "hyperclique":
-        k = trace.hdr_int("k")
-        return {"EINS": ["i"] * k, "EDEL": ["i"] * k, "QRY": ["i"]}
-    if problem == "skyline3d":
-        return {"INS": ["i"] * 4, "DEL": [], "QRY": []}
-    if problem == "halfspace":
-        d = trace.hdr_int("d")
-        return {"P": ["i"] * d, "HINS": ["i"] * d + ["f", "s"],
-                "HDEL": ["i"] * d + ["f", "s"], "QRY": []}
-    raise AssertionError(problem)
-
-
-_HEADER_KEYS = {
-    "sequence-mode": ("cap",),
-    "range-mode-dyn": ("d", "cap"),
-    "color-count": ("cap",),
-    "common-colors": ("m",),
-    "langerman": ("ext",),
-    "erickson": ("ext",),
-    "hyperclique": ("n", "k"),
-    "skyline3d": ("cap",),
-    "halfspace": ("d",),
-}
+    `ops` maps a trace to its op grammar (op kind -> one argument kind per
+    argument; arities may depend on the header).  `calls[kind](solver,
+    *args)` runs one op on any solver with typed arguments and returns its
+    output line, or None.  `solvers` builds a solver per structure id from
+    the trace; `gen(rng, size)` makes a random valid trace; `suites` are
+    the structure ids that crosscheck compares with `oracle`.
+    """
+    header: Tuple[str, ...]
+    ops: Callable[[OpTrace], Dict[str, str]]
+    calls: Dict[str, Callable[..., Optional[str]]]
+    solvers: Dict[str, Callable[[OpTrace], object]]
+    gen: Callable[[random.Random, int], OpTrace]
+    suites: Tuple[str, ...]
 
 
 def parse_trace(text: str) -> OpTrace:
-    rows = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((no, line.split()))
+    rows = _content_lines(text)
     if not rows:
         raise TraceError(1, "empty trace: expected a 'problem' line")
     no, toks = rows[0]
     if len(toks) != 2 or toks[0] != "problem":
         raise TraceError(no, "expected 'problem <id>'")
     problem = toks[1]
-    if problem not in _HEADER_KEYS:
+    if problem not in PROBLEMS:
         raise TraceError(no, f"unknown problem {problem!r}")
     if len(rows) < 2 or rows[1][1][0] != "header":
         raise TraceError(rows[1][0] if len(rows) > 1 else no + 1,
@@ -158,16 +128,15 @@ def parse_trace(text: str) -> OpTrace:
             raise TraceError(no, f"bad header token {t!r}")
         k, v = t.split("=", 1)
         header[k] = v
-    if tuple(header) != _HEADER_KEYS[problem]:
-        raise TraceError(no, f"header keys must be "
-                             f"{' '.join(_HEADER_KEYS[problem])}")
+    keys = PROBLEMS[problem].header
+    if tuple(header) != keys:
+        raise TraceError(no, f"header keys must be {' '.join(keys)}")
     trace = OpTrace(problem, header)
     for k in header:
         for piece in header[k].split(","):
-            if not _is_int(piece):
+            if not _parses("i", piece):
                 raise TraceError(no, f"header {k} must be integer(s)")
-    specs = _op_specs(problem, trace)
-    checks = {"i": _is_int, "f": _is_frac, "s": lambda t: t in _SENSES}
+    specs = PROBLEMS[problem].ops(trace)
     for no, toks in rows[2:]:
         kind, args = toks[0], toks[1:]
         spec = specs.get(kind)
@@ -176,15 +145,45 @@ def parse_trace(text: str) -> OpTrace:
         if len(args) != len(spec):
             raise TraceError(no, f"{kind} takes {len(spec)} arguments")
         for tok, want in zip(args, spec):
-            if not checks[want](tok):
+            if not _parses(want, tok):
                 raise TraceError(no, f"bad {kind} argument {tok!r}")
         trace.ops.append(tuple(toks))
     return trace
 
 
-# ---------------- solvers ----------------
-# One class per (problem, implementation); step() returns an output line
-# for query ops and None otherwise.
+def run_trace(trace: OpTrace, structure_id: str) -> List[str]:
+    problem = PROBLEMS[trace.problem]
+    make = problem.solvers.get(structure_id)
+    if make is None:
+        raise TraceError(1, f"problem {trace.problem!r} has no structure "
+                            f"{structure_id!r}")
+    solver = make(trace)
+    convs = {kind: [_ARG[a] for a in spec]
+             for kind, spec in problem.ops(trace).items()}
+    out = []
+    for idx, op in enumerate(trace.ops, start=1):
+        kind = op[0]
+        try:
+            args = [conv(t) for conv, t in zip(convs[kind], op[1:])]
+            line = problem.calls[kind](solver, *args)
+        except (ValueError, KeyError, IndexError, RuntimeError) as exc:
+            raise OpError(idx, f"{exc}") from exc
+        if line is not None:
+            out.append(line)
+    return out
+
+
+def gen_trace(problem: str, rng: random.Random, size: int = 40) -> OpTrace:
+    """A valid random trace with roughly `size` ops; small value ranges
+    so collisions and repeats actually occur."""
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}")
+    return PROBLEMS[problem].gen(rng, size)
+
+
+# ---------------- scan oracles and staged solvers ----------------
+# An oracle answers by scanning and has the method names of the structure
+# it checks, so one `calls` table drives both.
 
 def _fmt_pair(res) -> str:
     return "none" if res is None else f"({res[0]},{res[1]})"
@@ -194,620 +193,546 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-class _SeqOracle:
-    def __init__(self, trace: OpTrace):
-        self.cap = trace.hdr_int("cap")
+def _box_from(vals: Sequence[int]) -> Box:
+    return Box([Interval.closed(lo, hi)
+                for lo, hi in zip(vals[::2], vals[1::2])])
+
+
+class _SequenceScan:
+    def __init__(self, cap: int):
+        self.cap = cap
         self.vals: List[int] = []
 
-    def step(self, op):
-        kind = op[0]
-        if kind == "SINS":
-            pos, val = int(op[1]), int(op[2])
-            if not 1 <= pos <= len(self.vals) + 1:
-                raise ValueError(f"insert position {pos} out of range")
-            if len(self.vals) >= self.cap:
-                raise ValueError("sequence at capacity")
-            self.vals.insert(pos - 1, val)
-        elif kind == "SDEL":
-            pos = int(op[1])
-            if not 1 <= pos <= len(self.vals):
-                raise ValueError(f"delete position {pos} out of range")
-            del self.vals[pos - 1]
-        else:
-            return _fmt_pair(sequence_mode_oracle(self.vals, int(op[1]),
-                                                  int(op[2])))
+    def insert(self, pos, val):
+        if not 1 <= pos <= len(self.vals) + 1:
+            raise ValueError(f"insert position {pos} out of range")
+        if len(self.vals) >= self.cap:
+            raise ValueError("sequence at capacity")
+        self.vals.insert(pos - 1, val)
+
+    def delete(self, pos):
+        if not 1 <= pos <= len(self.vals):
+            raise ValueError(f"delete position {pos} out of range")
+        del self.vals[pos - 1]
+
+    def query(self, l, r):
+        return sequence_mode_oracle(self.vals, l, r)
 
 
-class _SeqReal:
-    def __init__(self, trace: OpTrace):
-        self.seq = SequenceAdapter(trace.hdr_int("cap"))
+class _PointScan:
+    """Labelled point list; `query` is `scan(points, box)`."""
 
-    def step(self, op):
-        if op[0] == "SINS":
-            self.seq.insert(int(op[1]), int(op[2]))
-        elif op[0] == "SDEL":
-            self.seq.delete(int(op[1]))
-        else:
-            return _fmt_pair(self.seq.query(int(op[1]), int(op[2])))
-
-
-def _box_from(tokens: Sequence[str]) -> Box:
-    vals = [int(t) for t in tokens]
-    return Box([Interval.closed(vals[2 * i], vals[2 * i + 1])
-                for i in range(len(vals) // 2)])
-
-
-class _RangeModeOracle:
-    def __init__(self, trace: OpTrace):
-        self.d = trace.hdr_int("d")
+    def __init__(self, scan):
+        self.scan = scan
         self.pts: List = []
 
-    def step(self, op):
-        if op[0] == "INS":
-            self.pts.append((tuple(int(t) for t in op[1:-1]), int(op[-1])))
-        elif op[0] == "DEL":
-            self.pts.remove((tuple(int(t) for t in op[1:-1]), int(op[-1])))
-        else:
-            return _fmt_pair(mode_oracle(self.pts, _box_from(op[1:])))
+    def update(self, coords, label, insert):
+        (self.pts.append if insert else self.pts.remove)((tuple(coords), label))
+
+    def query(self, box):
+        return self.scan(self.pts, box)
 
 
-class _RangeModeReal:
-    def __init__(self, trace: OpTrace):
-        self.ds = DynRangeModeDS(trace.hdr_int("d"), trace.hdr_int("cap"))
-
-    def step(self, op):
-        if op[0] == "INS":
-            self.ds.update([int(t) for t in op[1:-1]], int(op[-1]), True)
-        elif op[0] == "DEL":
-            self.ds.update([int(t) for t in op[1:-1]], int(op[-1]), False)
-        else:
-            return _fmt_pair(self.ds.query(_box_from(op[1:])))
-
-
-class _ColorOracle:
-    def __init__(self, trace: OpTrace):
-        self.pts: List = []
-
-    def step(self, op):
-        if op[0] == "INS":
-            self.pts.append(((int(op[1]), int(op[2])), int(op[3])))
-        elif op[0] == "DEL":
-            self.pts.remove(((int(op[1]), int(op[2])), int(op[3])))
-        else:
-            return str(dcc_oracle(self.pts, _box_from(op[1:])))
-
-
-class _ColorReal:
-    def __init__(self, trace: OpTrace):
-        self.ds = DynColorCountDS(trace.hdr_int("cap"))
-
-    def step(self, op):
-        if op[0] == "INS":
-            self.ds.update((int(op[1]), int(op[2])), int(op[3]), True)
-        elif op[0] == "DEL":
-            self.ds.update((int(op[1]), int(op[2])), int(op[3]), False)
-        else:
-            return str(self.ds.query(_box_from(op[1:])))
-
-
-class _CommonColorsBase:
-    def __init__(self, trace: OpTrace):
-        self.m = trace.hdr_int("m")
-        self.arr: Optional[List[int]] = None
-
-    def _need(self):
-        if self.arr is None:
-            raise ValueError("BASE must precede other ops")
-
-    def step(self, op):
-        if op[0] == "BASE":
-            if self.arr is not None:
-                raise ValueError("BASE given twice")
-            self.arr = [int(t) for t in op[1:]]
-            self._built(self.arr)
-            return None
-        self._need()
-        if op[0] == "ON":
-            return self._toggle(int(op[1]), True)
-        if op[0] == "OFF":
-            return self._toggle(int(op[1]), False)
-        return self._query(*(int(t) for t in op[1:]))
-
-
-class _CommonColorsOracle(_CommonColorsBase):
-    def _built(self, arr):
+class _CommonColorsScan:
+    def __init__(self, arr):
+        self.arr = arr
         self.on = set()
         self.known = set(arr)
 
-    def _toggle(self, c, flag):
+    def set_on(self, c, flag):
         if c not in self.known:
             raise KeyError(f"unknown color {c}")
         (self.on.add if flag else self.on.discard)(c)
 
-    def _query(self, l1, r1, l2, r2):
-        return str(cc_oracle(self.arr, self.on, l1, r1, l2, r2))
+    def query(self, l1, r1, l2, r2):
+        return cc_oracle(self.arr, self.on, l1, r1, l2, r2)
 
 
-class _CommonColorsReal(_CommonColorsBase):
-    def _built(self, arr):
-        self.ds = CommonColorsDS(arr)
+class _LangermanScan:
+    def __init__(self, ext):
+        self.t = Tensor(ext)
 
-    def _toggle(self, c, flag):
-        self.ds.set_on(c, flag)
+    def update(self, z, delta):
+        self.t.add(z, delta)
 
-    def _query(self, l1, r1, l2, r2):
-        return str(self.ds.query(l1, r1, l2, r2))
+    def exists_zero(self):
+        return any(v == 0 for v in self.t.prefix_sums().data)
 
-
-class _LangermanOracle:
-    def __init__(self, trace: OpTrace):
-        self.t = Tensor(trace.hdr_ints("ext"))
-
-    def step(self, op):
-        if op[0] == "UPD":
-            self.t.add(tuple(int(x) for x in op[1:-1]), int(op[-1]))
-        elif op[0] == "ZQRY":
-            return _fmt_bool(any(v == 0 for v in self.t.prefix_sums().data))
-        else:
-            x = tuple(int(t) for t in op[1:])
-            return str(self.t.prefix_sums()[x])
+    def prefix(self, x):
+        return self.t.prefix_sums()[x]
 
 
-class _LangermanReal:
-    def __init__(self, trace: OpTrace):
-        self.ds = LangermanDS(trace.hdr_ints("ext"))
-
-    def step(self, op):
-        if op[0] == "UPD":
-            self.ds.update(tuple(int(x) for x in op[1:-1]), int(op[-1]))
-        elif op[0] == "ZQRY":
-            return _fmt_bool(self.ds.exists_zero())
-        else:
-            return str(self.ds.prefix(tuple(int(t) for t in op[1:])))
-
-
-class _EricksonBase:
-    def __init__(self, trace: OpTrace):
-        self.ext = trace.hdr_ints("ext")
-        self._built = False
-
-    def _build(self, t0: Tensor):
-        raise NotImplementedError
-
-    def _ensure(self):
-        if not self._built:
-            self._build(Tensor(self.ext))
-            self._built = True
-
-    def step(self, op):
-        if op[0] == "BASE":
-            if self._built:
-                raise ValueError("BASE must be the first op")
-            t0 = Tensor(self.ext)
-            for x, v in zip(t0.indices(), op[1:]):
-                t0[x] = int(v)
-            self._build(t0)
-            self._built = True
-            return None
-        self._ensure()
-        if op[0] == "INC":
-            return self._inc(int(op[1]) - 1, int(op[2]))
-        if op[0] == "VQRY":
-            return str(self._val(tuple(int(t) for t in op[1:])))
-        return str(self._max())
-
-
-class _EricksonOracle(_EricksonBase):
-    def _build(self, t0):
+class _EricksonScan:
+    def __init__(self, t0: Tensor):
         self.t = t0
 
-    def _inc(self, axis, idx):
-        if not 0 <= axis < len(self.ext):
+    def increment(self, axis, idx):
+        ext = self.t.extents
+        if not 0 <= axis < len(ext):
             raise ValueError(f"axis {axis + 1} out of range")
-        if not 1 <= idx <= self.ext[axis]:
+        if not 1 <= idx <= ext[axis]:
             raise ValueError(f"index {idx} out of range")
         for x in self.t.indices():
             if x[axis] == idx:
                 self.t.add(x, 1)
 
-    def _val(self, x):
+    def value(self, x):
         return self.t[x]
 
-    def _max(self):
+    def max_value(self):
         return max(self.t.data)
 
 
-class _EricksonReal(_EricksonBase):
-    cls = EricksonLazy
-
-    def _build(self, t0):
-        self.ds = self.cls(t0)
-
-    def _inc(self, axis, idx):
-        self.ds.increment(axis, idx)
-
-    def _val(self, x):
-        return self.ds.value(x)
-
-    def _max(self):
-        return self.ds.max_value()
-
-
-class _EricksonEagerReal(_EricksonReal):
-    cls = EricksonEager
-
-
-class _HypercliqueOracle:
-    def __init__(self, trace: OpTrace):
-        self.n = trace.hdr_int("n")
-        self.k = trace.hdr_int("k")
+class _HypercliqueScan:
+    def __init__(self, vertices, k: int):
+        self.n = len(vertices)
+        self.k = k
         self.edges = set()
 
-    def _edge(self, toks):
-        vs = [int(t) for t in toks]
-        if len(set(vs)) != self.k:
+    def _edge(self, e):
+        if len(e) != self.k:
             raise ValueError("edge must have k distinct vertices")
-        if any(not 1 <= v <= self.n for v in vs):
+        if any(not 1 <= v <= self.n for v in e):
             raise ValueError("edge vertex out of range")
-        return frozenset(vs)
+        return e
 
-    def step(self, op):
-        if op[0] == "EINS":
-            e = self._edge(op[1:])
-            if e in self.edges:
-                raise ValueError("edge already present")
-            self.edges.add(e)
-        elif op[0] == "EDEL":
-            e = self._edge(op[1:])
-            if e not in self.edges:
-                raise ValueError("edge not present")
-            self.edges.discard(e)
-        else:
-            v = int(op[1])
-            if not 1 <= v <= self.n:
-                raise ValueError("query vertex out of range")
-            others = [u for u in range(1, self.n + 1) if u != v]
-            for cand in itertools.combinations(others, self.k):
-                t = set(cand) | {v}
-                if all(frozenset(s) in self.edges
-                       for s in itertools.combinations(sorted(t), self.k)):
-                    return _fmt_bool(True)
-            return _fmt_bool(False)
+    def insert(self, e):
+        if self._edge(e) in self.edges:
+            raise ValueError("edge already present")
+        self.edges.add(e)
+
+    def delete(self, e):
+        if self._edge(e) not in self.edges:
+            raise ValueError("edge not present")
+        self.edges.discard(e)
+
+    def query(self, v):
+        if not 1 <= v <= self.n:
+            raise ValueError("query vertex out of range")
+        others = [u for u in range(1, self.n + 1) if u != v]
+        for cand in itertools.combinations(others, self.k):
+            t = set(cand) | {v}
+            if all(frozenset(s) in self.edges
+                   for s in itertools.combinations(sorted(t), self.k)):
+                return True
+        return False
 
 
-class _HypercliqueReal:
-    cls = HypercliqueLazy
-
-    def __init__(self, trace: OpTrace):
-        self.ds = self.cls(list(range(1, trace.hdr_int("n") + 1)),
-                           trace.hdr_int("k"))
-
-    def step(self, op):
-        if op[0] == "EINS":
-            self.ds.insert(frozenset(int(t) for t in op[1:]))
-        elif op[0] == "EDEL":
-            self.ds.delete(frozenset(int(t) for t in op[1:]))
-        else:
-            return _fmt_bool(self.ds.query(int(op[1])))
-
-
-class _HypercliqueCountingReal(_HypercliqueReal):
-    cls = HypercliqueCounting
-
-
-class _Skyline3DOracle:
-    def __init__(self, trace: OpTrace):
+class _SkylineScan:
+    def __init__(self):
         self.op = 0
         self.live: List[tuple] = []
         self.deaths: Dict[int, tuple] = {}
 
-    def step(self, op):
+    def insert(self, p, death):
         self.op += 1
-        if op[0] == "INS":
-            p = (int(op[1]), int(op[2]), int(op[3]))
-            death = int(op[4])
-            if death <= self.op:
-                raise ValueError(f"death {death} not in the future")
-            if death in self.deaths:
-                raise ValueError(f"death slot {death} taken")
-            self.live.append(p)
-            self.deaths[death] = p
-        elif op[0] == "DEL":
-            p = self.deaths.pop(self.op, None)
-            if p is None:
-                raise ValueError(f"no element dies at op {self.op}")
-            self.live.remove(p)
-        else:
-            return str(skyline_oracle(self.live))
+        if death <= self.op:
+            raise ValueError(f"death {death} not in the future")
+        if death in self.deaths:
+            raise ValueError(f"death slot {death} taken")
+        self.live.append(p)
+        self.deaths[death] = p
+
+    def delete(self):
+        self.op += 1
+        p = self.deaths.pop(self.op, None)
+        if p is None:
+            raise ValueError(f"no element dies at op {self.op}")
+        self.live.remove(p)
+
+    def query(self):
+        self.op += 1
+        return skyline_oracle(self.live)
 
 
-class _Skyline3DEngine:
-    def __init__(self, trace: OpTrace):
-        self.engine = SemiOnlineEngine(Skyline3DBlock(),
-                                       max(1, trace.hdr_int("cap")))
-
-    def step(self, op):
-        if op[0] == "INS":
-            self.engine.insert((int(op[1]), int(op[2]), int(op[3])),
-                               int(op[4]))
-        elif op[0] == "DEL":
-            self.engine.delete()
-        else:
-            return str(self.engine.query())
-
-
-class _HalfspaceBase:
-    def __init__(self, trace: OpTrace):
-        self.d = trace.hdr_int("d")
-        self.pts: List[tuple] = []
-        self.frozen = False
-
-    def step(self, op):
-        if op[0] == "P":
-            if self.frozen:
-                raise ValueError("point set is fixed before halfspace ops")
-            self.pts.append(tuple(int(t) for t in op[1:]))
-            return None
-        if not self.frozen:
-            self.frozen = True
-            self._built(self.pts)
-        if op[0] == "QRY":
-            return str(self._min())
-        h = (tuple(int(t) for t in op[1:-2]), Fraction(op[-2]), op[-1])
-        if op[0] == "HINS":
-            self._ins(h)
-        else:
-            self._del(h)
-
-
-class _HalfspaceOracle(_HalfspaceBase):
-    def _built(self, pts):
+class _HalfspaceScan:
+    def __init__(self, pts):
+        self.pts = pts
         self.hs: List = []
 
-    def _ins(self, h):
-        self.hs.append(h)
+    def insert(self, normal, offset, sense):
+        self.hs.append((normal, offset, sense))
 
-    def _del(self, h):
-        self.hs.remove(h)
+    def delete(self, normal, offset, sense):
+        self.hs.remove((normal, offset, sense))
 
-    def _min(self):
+    def min_count(self):
         if not self.pts:
             raise ValueError("no points")
         return min(halfspace_depths(self.pts, self.hs))
 
 
-class _HalfspaceReal(_HalfspaceBase):
-    def _built(self, pts):
-        self.ds = HalfspaceSystem(pts)
+class _BaseFirst:
+    """common-colors: the first op, BASE, builds the structure."""
 
-    def _ins(self, h):
-        self.ds.insert(*h)
+    def __init__(self, build):
+        self.build = build
+        self.ds = None
 
-    def _del(self, h):
-        self.ds.delete(*h)
+    def base(self, arr):
+        if self.ds is not None:
+            raise ValueError("BASE given twice")
+        self.ds = self.build(list(arr))
 
-    def _min(self):
-        return self.ds.min_count()
+    def built(self):
+        if self.ds is None:
+            raise ValueError("BASE must precede other ops")
+        return self.ds
 
 
-SOLVERS: Dict[str, Dict[str, Callable[[OpTrace], object]]] = {
-    "sequence-mode": {"oracle": _SeqOracle, "real": _SeqReal},
-    "range-mode-dyn": {"oracle": _RangeModeOracle, "real": _RangeModeReal},
-    "color-count": {"oracle": _ColorOracle, "real": _ColorReal},
-    "common-colors": {"oracle": _CommonColorsOracle,
-                      "real": _CommonColorsReal},
-    "langerman": {"oracle": _LangermanOracle, "real": _LangermanReal},
-    "erickson": {"oracle": _EricksonOracle, "real": _EricksonReal,
-                 "lazy": _EricksonReal, "eager": _EricksonEagerReal},
-    "hyperclique": {"oracle": _HypercliqueOracle, "real": _HypercliqueReal,
-                    "lazy": _HypercliqueReal,
-                    "counting": _HypercliqueCountingReal},
-    "skyline3d": {"oracle": _Skyline3DOracle, "real": _Skyline3DEngine,
-                  "engine": _Skyline3DEngine},
-    "halfspace": {"oracle": _HalfspaceOracle, "real": _HalfspaceReal},
+class _BaseOptional:
+    """erickson: an optional first op, BASE, fills the initial tensor, which
+    is all zeros otherwise."""
+
+    def __init__(self, build, ext):
+        self.build = build
+        self.ext = ext
+        self.ds = None
+
+    def base(self, cells):
+        if self.ds is not None:
+            raise ValueError("BASE must be the first op")
+        t0 = Tensor(self.ext)
+        for x, v in zip(t0.indices(), cells):
+            t0[x] = v
+        self.ds = self.build(t0)
+
+    def built(self):
+        if self.ds is None:
+            self.ds = self.build(Tensor(self.ext))
+        return self.ds
+
+
+class _PointsFirst:
+    """halfspace: P ops fix the point set; the first other op builds."""
+
+    def __init__(self, build):
+        self.build = build
+        self.pts: List[tuple] = []
+        self.ds = None
+
+    def point(self, p):
+        if self.ds is not None:
+            raise ValueError("point set is fixed before halfspace ops")
+        self.pts.append(p)
+
+    def built(self):
+        if self.ds is None:
+            self.ds = self.build(self.pts)
+        return self.ds
+
+
+def _on_vertices(cls):
+    return lambda t: cls(list(range(1, t.hdr_int("n") + 1)), t.hdr_int("k"))
+
+
+def _erickson(cls):
+    return lambda t: _BaseOptional(cls, t.hdr_ints("ext"))
+
+
+def _skyline_engine(t: OpTrace) -> SemiOnlineEngine:
+    return SemiOnlineEngine(Skyline3DBlock(), max(1, t.hdr_int("cap")))
+
+
+# ---------------- random trace generators ----------------
+
+def _gen_sequence_mode(rng: random.Random, size: int) -> OpTrace:
+    cap = max(8, size)
+    t = OpTrace("sequence-mode", {"cap": str(cap)})
+    n = 0
+    for _ in range(size):
+        r = rng.random()
+        if n == 0 or (r < 0.45 and n < cap):
+            pos = rng.randint(1, n + 1)
+            t.ops.append(("SINS", str(pos), str(rng.randint(1, 5))))
+            n += 1
+        elif r < 0.65 and n > 0:
+            t.ops.append(("SDEL", str(rng.randint(1, n))))
+            n -= 1
+        else:
+            l = rng.randint(1, n)
+            t.ops.append(("SQRY", str(l), str(rng.randint(l, n))))
+    return t
+
+
+def _gen_range_mode_dyn(rng: random.Random, size: int) -> OpTrace:
+    d = rng.choice((1, 2))
+    t = OpTrace("range-mode-dyn", {"d": str(d), "cap": str(size + 4)})
+    live = []
+    for _ in range(size):
+        r = rng.random()
+        if not live or r < 0.45:
+            c = tuple(rng.randint(-4, 4) for _ in range(d))
+            lab = rng.randint(1, 4)
+            t.ops.append(("INS",) + tuple(map(str, c)) + (str(lab),))
+            live.append((c, lab))
+        elif r < 0.6:
+            c, lab = live.pop(rng.randrange(len(live)))
+            t.ops.append(("DEL",) + tuple(map(str, c)) + (str(lab),))
+        else:
+            qs = []
+            for _ in range(d):
+                a, b = sorted((rng.randint(-4, 4), rng.randint(-4, 4)))
+                qs += [a, b]
+            t.ops.append(("QRY",) + tuple(map(str, qs)))
+    return t
+
+
+def _gen_color_count(rng: random.Random, size: int) -> OpTrace:
+    t = OpTrace("color-count", {"cap": str(size + 4)})
+    live = []
+    for _ in range(size):
+        r = rng.random()
+        if not live or r < 0.45:
+            c = (rng.randint(-3, 3), rng.randint(-3, 3))
+            col = rng.randint(1, 4)
+            t.ops.append(("INS", str(c[0]), str(c[1]), str(col)))
+            live.append((c, col))
+        elif r < 0.6:
+            c, col = live.pop(rng.randrange(len(live)))
+            t.ops.append(("DEL", str(c[0]), str(c[1]), str(col)))
+        else:
+            xa, xb = sorted((rng.randint(-3, 3), rng.randint(-3, 3)))
+            ya, yb = sorted((rng.randint(-3, 3), rng.randint(-3, 3)))
+            t.ops.append(("QRY", str(xa), str(xb), str(ya), str(yb)))
+    return t
+
+
+def _gen_common_colors(rng: random.Random, size: int) -> OpTrace:
+    m = rng.randint(2, 12)
+    arr = [rng.randint(1, 5) for _ in range(m)]
+    t = OpTrace("common-colors", {"m": str(m)})
+    t.ops.append(("BASE",) + tuple(map(str, arr)))
+    colors = sorted(set(arr))
+    for _ in range(size):
+        r = rng.random()
+        if r < 0.5:
+            t.ops.append((rng.choice(("ON", "OFF")),
+                          str(rng.choice(colors))))
+        else:
+            l1 = rng.randint(1, m)
+            l2 = rng.randint(1, m)
+            t.ops.append(("QRY", str(l1), str(rng.randint(l1, m)),
+                          str(l2), str(rng.randint(l2, m))))
+    return t
+
+
+def _gen_langerman(rng: random.Random, size: int) -> OpTrace:
+    d = rng.choice((1, 2))
+    ext = tuple(rng.choice((4, 6, 9)) for _ in range(d))
+    t = OpTrace("langerman", {"ext": ",".join(map(str, ext))})
+    for _ in range(size):
+        r = rng.random()
+        if r < 0.55:
+            x = tuple(rng.randint(1, e) for e in ext)
+            t.ops.append(("UPD",) + tuple(map(str, x))
+                         + (str(rng.choice((-2, -1, 1, 2))),))
+        elif r < 0.8:
+            t.ops.append(("ZQRY",))
+        else:
+            x = tuple(rng.randint(1, e) for e in ext)
+            t.ops.append(("PQRY",) + tuple(map(str, x)))
+    return t
+
+
+def _gen_erickson(rng: random.Random, size: int) -> OpTrace:
+    d = rng.choice((1, 2))
+    ext = tuple(rng.randint(2, 4) for _ in range(d))
+    t = OpTrace("erickson", {"ext": ",".join(map(str, ext))})
+    if rng.random() < 0.7:
+        total = math.prod(ext)
+        t.ops.append(("BASE",) + tuple(str(rng.randint(0, 2))
+                                       for _ in range(total)))
+    for _ in range(size):
+        r = rng.random()
+        if r < 0.55:
+            ax = rng.randint(1, d)
+            t.ops.append(("INC", str(ax),
+                          str(rng.randint(1, ext[ax - 1]))))
+        elif r < 0.8:
+            t.ops.append(("MQRY",))
+        else:
+            x = tuple(rng.randint(1, e) for e in ext)
+            t.ops.append(("VQRY",) + tuple(map(str, x)))
+    return t
+
+
+def _gen_hyperclique(rng: random.Random, size: int) -> OpTrace:
+    n = rng.randint(3, 6)
+    k = rng.choice((2, 3))
+    t = OpTrace("hyperclique", {"n": str(n), "k": str(k)})
+    edges = set()
+    all_edges = [frozenset(c)
+                 for c in itertools.combinations(range(1, n + 1), k)]
+    for _ in range(size):
+        r = rng.random()
+        if r < 0.45 and len(edges) < len(all_edges):
+            e = rng.choice([e for e in all_edges if e not in edges])
+            edges.add(e)
+            t.ops.append(("EINS",) + tuple(map(str, sorted(e))))
+        elif r < 0.6 and edges:
+            e = rng.choice(sorted(edges, key=sorted))
+            edges.discard(e)
+            t.ops.append(("EDEL",) + tuple(map(str, sorted(e))))
+        else:
+            t.ops.append(("QRY", str(rng.randint(1, n))))
+    return t
+
+
+def _gen_skyline3d(rng: random.Random, size: int) -> OpTrace:
+    t = OpTrace("skyline3d", {"cap": str(size + 4)})
+    deaths = set()
+    op = 0
+    for _ in range(size):
+        op += 1
+        if op in deaths:
+            t.ops.append(("DEL",))
+            continue
+        r = rng.random()
+        if r < 0.5:
+            death = op + rng.randint(1, 8)
+            while death in deaths:
+                death += 1
+            deaths.add(death)
+            p = tuple(rng.randint(1, 8) for _ in range(3))
+            t.ops.append(("INS",) + tuple(map(str, p)) + (str(death),))
+        else:
+            t.ops.append(("QRY",))
+    # close out scheduled deaths so the engine never starves
+    while any(d > op for d in deaths):
+        op += 1
+        t.ops.append(("DEL",) if op in deaths else ("QRY",))
+    t.header["cap"] = str(len(t.ops) + 4)
+    return t
+
+
+def _gen_halfspace(rng: random.Random, size: int) -> OpTrace:
+    d = 2
+    t = OpTrace("halfspace", {"d": str(d)})
+    for _ in range(rng.randint(1, 6)):
+        t.ops.append(("P", str(rng.randint(-3, 3)),
+                      str(rng.randint(-3, 3))))
+    live = []
+    for _ in range(size):
+        r = rng.random()
+        if not live or r < 0.45:
+            nrm = tuple(rng.randint(-2, 2) for _ in range(d))
+            off = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+            h = (nrm, off, rng.choice(_SENSES))
+            live.append(h)
+            t.ops.append(("HINS",) + tuple(map(str, nrm))
+                         + (str(off), h[2]))
+        elif r < 0.6:
+            h = live.pop(rng.randrange(len(live)))
+            t.ops.append(("HDEL",) + tuple(map(str, h[0]))
+                         + (str(h[1]), h[2]))
+        else:
+            t.ops.append(("QRY",))
+    return t
+
+
+# ---------------- the problem table ----------------
+
+PROBLEMS: Dict[str, Problem] = {
+    "sequence-mode": Problem(
+        ("cap",),
+        lambda t: {"SINS": "ii", "SDEL": "i", "SQRY": "ii"},
+        {"SINS": lambda s, pos, val: s.insert(pos, val),
+         "SDEL": lambda s, pos: s.delete(pos),
+         "SQRY": lambda s, l, r: _fmt_pair(s.query(l, r))},
+        {"oracle": lambda t: _SequenceScan(t.hdr_int("cap")),
+         "real": lambda t: SequenceAdapter(t.hdr_int("cap"))},
+        _gen_sequence_mode, ("real",)),
+    "range-mode-dyn": Problem(
+        ("d", "cap"),
+        lambda t: {"INS": "i" * (t.hdr_int("d") + 1),
+                   "DEL": "i" * (t.hdr_int("d") + 1),
+                   "QRY": "i" * (2 * t.hdr_int("d"))},
+        # coords go in as a list: the structure's errors print them
+        {"INS": lambda s, *a: s.update(list(a[:-1]), a[-1], True),
+         "DEL": lambda s, *a: s.update(list(a[:-1]), a[-1], False),
+         "QRY": lambda s, *a: _fmt_pair(s.query(_box_from(a)))},
+        {"oracle": lambda t: _PointScan(mode_oracle),
+         "real": lambda t: DynRangeModeDS(t.hdr_int("d"), t.hdr_int("cap"))},
+        _gen_range_mode_dyn, ("real",)),
+    "color-count": Problem(
+        ("cap",),
+        lambda t: {"INS": "iii", "DEL": "iii", "QRY": "iiii"},
+        {"INS": lambda s, x, y, c: s.update((x, y), c, True),
+         "DEL": lambda s, x, y, c: s.update((x, y), c, False),
+         "QRY": lambda s, *a: str(s.query(_box_from(a)))},
+        {"oracle": lambda t: _PointScan(dcc_oracle),
+         "real": lambda t: DynColorCountDS(t.hdr_int("cap"))},
+        _gen_color_count, ("real",)),
+    "common-colors": Problem(
+        ("m",),
+        lambda t: {"BASE": "i" * t.hdr_int("m"), "ON": "i", "OFF": "i",
+                   "QRY": "iiii"},
+        {"BASE": lambda s, *arr: s.base(arr),
+         "ON": lambda s, c: s.built().set_on(c, True),
+         "OFF": lambda s, c: s.built().set_on(c, False),
+         "QRY": lambda s, *q: str(s.built().query(*q))},
+        {"oracle": lambda t: _BaseFirst(_CommonColorsScan),
+         "real": lambda t: _BaseFirst(CommonColorsDS)},
+        _gen_common_colors, ("real",)),
+    "langerman": Problem(
+        ("ext",),
+        lambda t: {"UPD": "i" * (len(t.hdr_ints("ext")) + 1), "ZQRY": "",
+                   "PQRY": "i" * len(t.hdr_ints("ext"))},
+        {"UPD": lambda s, *a: s.update(a[:-1], a[-1]),
+         "ZQRY": lambda s: _fmt_bool(s.exists_zero()),
+         "PQRY": lambda s, *x: str(s.prefix(x))},
+        {"oracle": lambda t: _LangermanScan(t.hdr_ints("ext")),
+         "real": lambda t: LangermanDS(t.hdr_ints("ext"))},
+        _gen_langerman, ("real",)),
+    "erickson": Problem(
+        ("ext",),
+        lambda t: {"BASE": "i" * math.prod(t.hdr_ints("ext")), "INC": "ii",
+                   "VQRY": "i" * len(t.hdr_ints("ext")), "MQRY": ""},
+        {"BASE": lambda s, *cells: s.base(cells),
+         "INC": lambda s, ax, idx: s.built().increment(ax - 1, idx),
+         "VQRY": lambda s, *x: str(s.built().value(x)),
+         "MQRY": lambda s: str(s.built().max_value())},
+        {"oracle": _erickson(_EricksonScan), "real": _erickson(EricksonLazy),
+         "lazy": _erickson(EricksonLazy), "eager": _erickson(EricksonEager)},
+        _gen_erickson, ("lazy", "eager")),
+    "hyperclique": Problem(
+        ("n", "k"),
+        lambda t: {"EINS": "i" * t.hdr_int("k"), "EDEL": "i" * t.hdr_int("k"),
+                   "QRY": "i"},
+        {"EINS": lambda s, *e: s.insert(frozenset(e)),
+         "EDEL": lambda s, *e: s.delete(frozenset(e)),
+         "QRY": lambda s, v: _fmt_bool(s.query(v))},
+        {"oracle": _on_vertices(_HypercliqueScan),
+         "real": _on_vertices(HypercliqueLazy),
+         "lazy": _on_vertices(HypercliqueLazy),
+         "counting": _on_vertices(HypercliqueCounting)},
+        _gen_hyperclique, ("lazy", "counting")),
+    "skyline3d": Problem(
+        ("cap",),
+        lambda t: {"INS": "iiii", "DEL": "", "QRY": ""},
+        {"INS": lambda s, x, y, z, death: s.insert((x, y, z), death),
+         "DEL": lambda s: s.delete(),
+         "QRY": lambda s: str(s.query())},
+        {"oracle": lambda t: _SkylineScan(),
+         "real": _skyline_engine, "engine": _skyline_engine},
+        _gen_skyline3d, ("engine",)),
+    "halfspace": Problem(
+        ("d",),
+        lambda t: {"P": "i" * t.hdr_int("d"),
+                   "HINS": "i" * t.hdr_int("d") + "fs",
+                   "HDEL": "i" * t.hdr_int("d") + "fs", "QRY": ""},
+        {"P": lambda s, *p: s.point(p),
+         "HINS": lambda s, *h: s.built().insert(h[:-2], h[-2], h[-1]),
+         "HDEL": lambda s, *h: s.built().delete(h[:-2], h[-2], h[-1]),
+         "QRY": lambda s: str(s.built().min_count())},
+        {"oracle": lambda t: _PointsFirst(_HalfspaceScan),
+         "real": lambda t: _PointsFirst(HalfspaceSystem)},
+        _gen_halfspace, ("real",)),
 }
 
-
-def run_trace(trace: OpTrace, structure_id: str) -> List[str]:
-    table = SOLVERS[trace.problem]
-    if structure_id not in table:
-        raise TraceError(1, f"problem {trace.problem!r} has no structure "
-                            f"{structure_id!r}")
-    solver = table[structure_id](trace)
-    out = []
-    for idx, op in enumerate(trace.ops, start=1):
-        try:
-            line = solver.step(op)
-        except (ValueError, KeyError, IndexError, RuntimeError) as exc:
-            raise OpError(idx, f"{exc}") from exc
-        if line is not None:
-            out.append(line)
-    return out
-
-
-# ---------------- random trace generation ----------------
-
-def gen_trace(problem: str, rng: random.Random, size: int = 40) -> OpTrace:
-    """A valid random trace with roughly `size` ops; small value ranges
-    so collisions and repeats actually occur."""
-    if problem == "sequence-mode":
-        cap = max(8, size)
-        t = OpTrace(problem, {"cap": str(cap)})
-        n = 0
-        for _ in range(size):
-            r = rng.random()
-            if n == 0 or (r < 0.45 and n < cap):
-                pos = rng.randint(1, n + 1)
-                t.ops.append(("SINS", str(pos), str(rng.randint(1, 5))))
-                n += 1
-            elif r < 0.65 and n > 0:
-                t.ops.append(("SDEL", str(rng.randint(1, n))))
-                n -= 1
-            else:
-                l = rng.randint(1, n)
-                t.ops.append(("SQRY", str(l), str(rng.randint(l, n))))
-        return t
-    if problem == "range-mode-dyn":
-        d = rng.choice((1, 2))
-        t = OpTrace(problem, {"d": str(d), "cap": str(size + 4)})
-        live = []
-        for _ in range(size):
-            r = rng.random()
-            if not live or r < 0.45:
-                c = tuple(rng.randint(-4, 4) for _ in range(d))
-                lab = rng.randint(1, 4)
-                t.ops.append(("INS",) + tuple(map(str, c)) + (str(lab),))
-                live.append((c, lab))
-            elif r < 0.6:
-                c, lab = live.pop(rng.randrange(len(live)))
-                t.ops.append(("DEL",) + tuple(map(str, c)) + (str(lab),))
-            else:
-                qs = []
-                for _ in range(d):
-                    a, b = sorted((rng.randint(-4, 4), rng.randint(-4, 4)))
-                    qs += [a, b]
-                t.ops.append(("QRY",) + tuple(map(str, qs)))
-        return t
-    if problem == "color-count":
-        t = OpTrace(problem, {"cap": str(size + 4)})
-        live = []
-        for _ in range(size):
-            r = rng.random()
-            if not live or r < 0.45:
-                c = (rng.randint(-3, 3), rng.randint(-3, 3))
-                col = rng.randint(1, 4)
-                t.ops.append(("INS", str(c[0]), str(c[1]), str(col)))
-                live.append((c, col))
-            elif r < 0.6:
-                c, col = live.pop(rng.randrange(len(live)))
-                t.ops.append(("DEL", str(c[0]), str(c[1]), str(col)))
-            else:
-                xa, xb = sorted((rng.randint(-3, 3), rng.randint(-3, 3)))
-                ya, yb = sorted((rng.randint(-3, 3), rng.randint(-3, 3)))
-                t.ops.append(("QRY", str(xa), str(xb), str(ya), str(yb)))
-        return t
-    if problem == "common-colors":
-        m = rng.randint(2, 12)
-        arr = [rng.randint(1, 5) for _ in range(m)]
-        t = OpTrace(problem, {"m": str(m)})
-        t.ops.append(("BASE",) + tuple(map(str, arr)))
-        colors = sorted(set(arr))
-        for _ in range(size):
-            r = rng.random()
-            if r < 0.5:
-                t.ops.append((rng.choice(("ON", "OFF")),
-                              str(rng.choice(colors))))
-            else:
-                l1 = rng.randint(1, m)
-                l2 = rng.randint(1, m)
-                t.ops.append(("QRY", str(l1), str(rng.randint(l1, m)),
-                              str(l2), str(rng.randint(l2, m))))
-        return t
-    if problem == "langerman":
-        d = rng.choice((1, 2))
-        ext = tuple(rng.choice((4, 6, 9)) for _ in range(d))
-        t = OpTrace(problem, {"ext": ",".join(map(str, ext))})
-        for _ in range(size):
-            r = rng.random()
-            if r < 0.55:
-                x = tuple(rng.randint(1, e) for e in ext)
-                t.ops.append(("UPD",) + tuple(map(str, x))
-                             + (str(rng.choice((-2, -1, 1, 2))),))
-            elif r < 0.8:
-                t.ops.append(("ZQRY",))
-            else:
-                x = tuple(rng.randint(1, e) for e in ext)
-                t.ops.append(("PQRY",) + tuple(map(str, x)))
-        return t
-    if problem == "erickson":
-        d = rng.choice((1, 2))
-        ext = tuple(rng.randint(2, 4) for _ in range(d))
-        t = OpTrace(problem, {"ext": ",".join(map(str, ext))})
-        if rng.random() < 0.7:
-            total = math.prod(ext)
-            t.ops.append(("BASE",) + tuple(str(rng.randint(0, 2))
-                                           for _ in range(total)))
-        for _ in range(size):
-            r = rng.random()
-            if r < 0.55:
-                ax = rng.randint(1, d)
-                t.ops.append(("INC", str(ax),
-                              str(rng.randint(1, ext[ax - 1]))))
-            elif r < 0.8:
-                t.ops.append(("MQRY",))
-            else:
-                x = tuple(rng.randint(1, e) for e in ext)
-                t.ops.append(("VQRY",) + tuple(map(str, x)))
-        return t
-    if problem == "hyperclique":
-        n = rng.randint(3, 6)
-        k = rng.choice((2, 3))
-        t = OpTrace(problem, {"n": str(n), "k": str(k)})
-        edges = set()
-        all_edges = [frozenset(c)
-                     for c in itertools.combinations(range(1, n + 1), k)]
-        for _ in range(size):
-            r = rng.random()
-            if r < 0.45 and len(edges) < len(all_edges):
-                e = rng.choice([e for e in all_edges if e not in edges])
-                edges.add(e)
-                t.ops.append(("EINS",) + tuple(map(str, sorted(e))))
-            elif r < 0.6 and edges:
-                e = rng.choice(sorted(edges, key=sorted))
-                edges.discard(e)
-                t.ops.append(("EDEL",) + tuple(map(str, sorted(e))))
-            else:
-                t.ops.append(("QRY", str(rng.randint(1, n))))
-        return t
-    if problem == "skyline3d":
-        t = OpTrace(problem, {"cap": str(size + 4)})
-        deaths = set()
-        op = 0
-        for _ in range(size):
-            op += 1
-            if op in deaths:
-                t.ops.append(("DEL",))
-                continue
-            r = rng.random()
-            if r < 0.5:
-                death = op + rng.randint(1, 8)
-                while death in deaths:
-                    death += 1
-                deaths.add(death)
-                p = tuple(rng.randint(1, 8) for _ in range(3))
-                t.ops.append(("INS",) + tuple(map(str, p)) + (str(death),))
-            else:
-                t.ops.append(("QRY",))
-        # close out scheduled deaths so the engine never starves
-        while any(d > op for d in deaths):
-            op += 1
-            t.ops.append(("DEL",) if op in deaths else ("QRY",))
-        t.header["cap"] = str(len(t.ops) + 4)
-        return t
-    if problem == "halfspace":
-        d = 2
-        t = OpTrace(problem, {"d": str(d)})
-        for _ in range(rng.randint(1, 6)):
-            t.ops.append(("P", str(rng.randint(-3, 3)),
-                          str(rng.randint(-3, 3))))
-        live = []
-        for _ in range(size):
-            r = rng.random()
-            if not live or r < 0.45:
-                nrm = tuple(rng.randint(-2, 2) for _ in range(d))
-                off = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
-                h = (nrm, off, rng.choice(_SENSES))
-                live.append(h)
-                t.ops.append(("HINS",) + tuple(map(str, nrm))
-                             + (str(off), h[2]))
-            elif r < 0.6:
-                h = live.pop(rng.randrange(len(live)))
-                t.ops.append(("HDEL",) + tuple(map(str, h[0]))
-                             + (str(h[1]), h[2]))
-            else:
-                t.ops.append(("QRY",))
-        return t
-    raise ValueError(f"unknown problem {problem!r}")
+TRACE_SUITES: Tuple[Tuple[str, str], ...] = tuple(
+    (name, sid) for name, p in PROBLEMS.items() for sid in p.suites)
 
 
 @dataclass
@@ -847,19 +772,6 @@ def trace_suite(problem: str, structure_id: str, seed: int,
     return TraceSuiteReport(problem, structure_id, cases, mismatches)
 
 
-TRACE_SUITES: Tuple[Tuple[str, str], ...] = (
-    ("sequence-mode", "real"),
-    ("range-mode-dyn", "real"),
-    ("color-count", "real"),
-    ("common-colors", "real"),
-    ("langerman", "real"),
-    ("erickson", "lazy"),
-    ("erickson", "eager"),
-    ("hyperclique", "lazy"),
-    ("hyperclique", "counting"),
-    ("skyline3d", "engine"),
-    ("halfspace", "real"),
-)
 
 
 # ---------------- benches ----------------
@@ -1064,22 +976,24 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _fail(msg, code: int = 2) -> int:
+    print(f"error: {msg}", file=sys.stderr)
+    return code
+
+
 def cmd_solve(args) -> int:
     try:
         with open(args.trace) as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     try:
         trace = parse_trace(text)
         lines = run_trace(trace, args.structure)
     except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     except OpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
     _emit("".join(ln + "\n" for ln in lines), args.out)
     return 0
 
@@ -1087,39 +1001,30 @@ def cmd_solve(args) -> int:
 def cmd_reduce(args) -> int:
     cfg = REDUCTIONS.get(args.reduction)
     if cfg is None:
-        print(f"error: unknown reduction {args.reduction!r}", file=sys.stderr)
-        return 2
+        return _fail(f"unknown reduction {args.reduction!r}")
     base = args.adapter
     factory = cfg.adapters.get(base)
     if factory is None:
-        print(f"error: reduction {cfg.rid} has no adapter {base!r}",
-              file=sys.stderr)
-        return 2
+        return _fail(f"reduction {cfg.rid} has no adapter {base!r}")
     try:
         with open(args.instance) as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     try:
         inst = parse_graph(text) if cfg.kind == "clique" else parse_oumv(text)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    arity = inst.k
-    if arity != cfg.arity:
-        print(f"error: {cfg.rid} expects arity {cfg.arity}, instance has "
-              f"{arity}", file=sys.stderr)
-        return 2
+        return _fail(exc)
+    if inst.k != cfg.arity:
+        return _fail(f"{cfg.rid} expects arity {cfg.arity}, instance has "
+                     f"{inst.k}")
     try:
         target = Counted(factory(inst))
         result = cfg.run(inst, target)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
     answers = result if isinstance(result, list) else [result]
     body = "".join(_fmt_bool(a) + "\n" for a in answers)
     calls = " ".join(f"{k}={v}" for k, v in sorted(target.calls.items()))
@@ -1128,23 +1033,15 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    scope = args.scope
-    chunks: List[str] = []
-    bad = 0
+    scope, count = args.scope, args.count
+    suites: List[Tuple[str, str]] = []
     if scope == "fault":
-        for rid, cfg in sorted(REDUCTIONS.items()):
-            aid = sorted(cfg.adapters)[0]
-            rep = crosscheck_suite(args.seed, (), rid, f"faulty:{aid}",
-                                   count=3)
-            bad += len(rep.mismatches)
-            chunks.append(rep.render())
-        chunks.append(f"total mismatches={bad}\n")
-        _emit("".join(chunks), args.out)
-        return 0 if bad == 0 else 1
-    if scope in REDUCTIONS:
+        pairs = [(rid, f"faulty:{sorted(cfg.adapters)[0]}")
+                 for rid, cfg in sorted(REDUCTIONS.items())]
+        count = 3
+    elif scope in REDUCTIONS:
         pairs = [(scope, aid) for aid in sorted(REDUCTIONS[scope].adapters)]
-        suites: List[Tuple[str, str]] = []
-    elif scope in SOLVERS:
+    elif scope in PROBLEMS:
         pairs = []
         suites = [(p, s) for p, s in TRACE_SUITES if p == scope]
     elif scope == "default":
@@ -1152,38 +1049,30 @@ def cmd_crosscheck(args) -> int:
                  for aid in sorted(cfg.adapters)]
         suites = list(TRACE_SUITES)
     else:
-        print(f"error: unknown scope {scope!r}", file=sys.stderr)
-        return 2
-    for rid, aid in pairs:
-        rep = crosscheck_suite(args.seed, (), rid, aid, count=args.count)
-        bad += len(rep.mismatches)
-        chunks.append(rep.render())
-    for problem, sid in suites:
-        rep = trace_suite(problem, sid, args.seed, cases=20)
-        bad += len(rep.mismatches)
-        chunks.append(rep.render())
-    chunks.append(f"total mismatches={bad}\n")
-    _emit("".join(chunks), args.out)
+        return _fail(f"unknown scope {scope!r}")
+    reports = [crosscheck_suite(args.seed, (), rid, aid, count=count)
+               for rid, aid in pairs]
+    reports += [trace_suite(problem, sid, args.seed, cases=20)
+                for problem, sid in suites]
+    bad = sum(len(rep.mismatches) for rep in reports)
+    _emit("".join(rep.render() for rep in reports)
+          + f"total mismatches={bad}\n", args.out)
     return 0 if bad == 0 else 1
 
 
 def cmd_bench(args) -> int:
     if args.structure not in BENCHES:
-        print(f"error: unknown bench structure {args.structure!r}",
-              file=sys.stderr)
-        return 2
+        return _fail(f"unknown bench structure {args.structure!r}")
     sizes: Tuple[int, ...] = ()
     if args.sizes:
         try:
             sizes = tuple(int(x) for x in args.sizes.split(","))
         except ValueError:
-            print(f"error: bad size list {args.sizes!r}", file=sys.stderr)
-            return 2
+            return _fail(f"bad size list {args.sizes!r}")
     try:
         rep = run_bench(args.structure, sizes, args.seed, tol=args.tol)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     _emit(rep.render(), args.out)
     return 0
 

@@ -40,6 +40,12 @@ def _debug_on() -> bool:
     return _DEBUG_ASSERT
 
 
+def _invariant(ok: bool, what: str) -> None:
+    """A debug invariant check; raises under `python -O` too."""
+    if not ok:
+        raise RuntimeError(f"invariant broken: {what}")
+
+
 class ScaledInt:
     """Exact number raw/scale with integer raw and a fixed positive scale.
 

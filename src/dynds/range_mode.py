@@ -14,7 +14,7 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core_geom import (Box, Interval, RangeTree, VisitCounter, _debug_on,
-                        _norm_coord)
+                        _invariant, _norm_coord)
 
 __all__ = [
     "mode_oracle",
@@ -313,14 +313,16 @@ class DynRangeModeDS:
     def _debug_check(self) -> None:
         for label, total in self._total.items():
             occ = self._occ.get(label, Counter())
-            assert total == sum(occ.values())
-            assert (label in self.heavy) == (total > self.B)
+            _invariant(total == sum(occ.values()), "label total")
+            _invariant((label in self.heavy) == (total > self.B), "heavy set")
             active = self._label_box_keys.get(label, [])
             if label in self.heavy:
-                assert active == []
+                _invariant(active == [], "heavy label has light boxes")
             else:
-                assert len(active) <= (self.B * (self.B + 1) // 2) ** self.d
-        assert self.n_live == sum(self._total.values()) <= self.n_cap
+                cap = (self.B * (self.B + 1) // 2) ** self.d
+                _invariant(len(active) <= cap, "light box count")
+        _invariant(self.n_live == sum(self._total.values()) <= self.n_cap,
+                   "live count")
 
 
 # ---------------- sequence view ----------------

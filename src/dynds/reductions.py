@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .colors import CommonColorsDS, DynColorCountDS, dcc_oracle, docs_oracle
-from .core_geom import Box, Interval, _debug_on
+from .core_geom import Box, Interval, _debug_on, _invariant
 from .geom_dyn import (_SENSES, HalfspaceSystem, SemiOnlineEngine,
                        Skyline3DBlock, halfspace_depths, klee_union_volume,
                        skyline_oracle)
@@ -375,7 +375,8 @@ class SequenceTargetOracle:
         self._pending = 0
 
     def insert_middle(self, values) -> None:
-        assert self._pending == 0, "middle batch already present"
+        if self._pending:
+            raise RuntimeError("middle batch already present")
         vs = list(values)
         self.vals[self._mid:self._mid] = vs
         self._pending = len(vs)
@@ -413,6 +414,8 @@ class SequenceTargetReal:
         self._pending = 0
 
     def insert_middle(self, values) -> None:
+        if self._pending:
+            raise RuntimeError("middle batch already present")
         vs = list(values)
         for off, v in enumerate(vs):
             self.seq.insert(self._mid + 1 + off, v)
@@ -897,7 +900,7 @@ def red_4clique_color(g: KPartiteGraph, target, strict: bool = False) -> bool:
             common = q_abc - q_ab[(a, b)] - q_bc - q_ac \
                 + q_a[a] + q_b[b] + q_c[c]
             if _debug_on():
-                assert common >= 0
+                _invariant(common >= 0, "negative common-color count")
             if common != 0 and _triangle(g, a, b, c):
                 found = True
         for dd in ins:
@@ -1432,7 +1435,8 @@ def red_oumvk_langerman(inst: OuMvInstance, target) -> List[bool]:
         for a in itertools.product(range(1, N + 1), repeat=d):
             for y in itertools.product(range(1, B + 1), repeat=d):
                 pos = tuple((B + 1) * (a[i] - 1) + y[i] for i in range(d))
-                assert pref[pos] == table.get((a, y), 0)
+                _invariant(pref[pos] == table.get((a, y), 0),
+                           "prefix table identity")
     target.build((ext,) * d, t0)
     fp0 = _fp(target)
 

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .core_geom import VisitCounter, _debug_on
+from .core_geom import VisitCounter, _debug_on, _invariant
 
 __all__ = [
     "Tensor",
@@ -214,11 +214,11 @@ class LangermanDS:
         for x in self.T.indices():
             t = tuple(xi // self.B for xi in x)
             av = self._anchor_val(t)
-            assert self.r[x] == P[x] - av, (x, self.r[x], P[x], av)
+            _invariant(self.r[x] == P[x] - av, "residual table")
             blocks.setdefault(t, Counter())[P[x] - av] += 1
-        assert blocks == self.blocks
+        _invariant(blocks == self.blocks, "block residual histograms")
         for g, v in self.grid.items():
-            assert P[g] == v, (g, v, P[g])
+            _invariant(P[g] == v, "grid anchor is a prefix sum")
 
 
 # ---------------- slab-increment max structures ----------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import random
 import re
@@ -9,18 +10,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynds.cli import (TRACE_SUITES, BenchReport, TraceError, gen_trace, main,
-                       parse_trace, run_trace, trace_suite)
+from dynds.cli import (PROBLEMS, TRACE_SUITES, BenchReport, OpError, OpTrace,
+                       TraceError, gen_trace, main, parse_trace, run_trace,
+                       trace_suite)
 from dynds.range_mode import DynRangeModeDS
 from dynds.reductions import (REDUCTIONS, KPartiteGraph, OuMvInstance,
                               format_graph, format_oumv)
 
-PROBLEMS = sorted({p for p, _ in TRACE_SUITES})
+PROBLEM_IDS = sorted(PROBLEMS)
 
 
 # ---------------- trace files ----------------
 
-@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("problem", PROBLEM_IDS)
 def test_serialize_parse_identity(problem):
     rng = random.Random(18)
     trace = gen_trace(problem, rng, size=25)
@@ -31,11 +33,11 @@ def test_serialize_parse_identity(problem):
     assert again.ops == trace.ops
 
 
-@given(seed=st.integers(0, 10 ** 6), pi=st.integers(0, len(PROBLEMS) - 1))
+@given(seed=st.integers(0, 10 ** 6), pi=st.integers(0, len(PROBLEM_IDS) - 1))
 @settings(max_examples=30, deadline=None)
 def test_generated_traces_replay_clean(seed, pi):
     # every generated trace must parse and run through the scan oracle
-    problem = PROBLEMS[pi]
+    problem = PROBLEM_IDS[pi]
     trace = gen_trace(problem, random.Random(seed), size=12)
     again = parse_trace(trace.serialize())
     run_trace(again, "oracle")
@@ -132,6 +134,28 @@ def test_solve_contract_error_exit3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "op 2" in err and "no mode" in err
     assert "Traceback" not in err
+
+
+STAGED_ERRORS = [
+    ("common-colors", "m=3", "ON 1\nBASE 1 2 1\n", 1,
+     "BASE must precede other ops"),
+    ("common-colors", "m=3", "BASE 1 2 1\nBASE 1 2 1\n", 2,
+     "BASE given twice"),
+    ("erickson", "ext=2", "MQRY\nBASE 1 2\n", 2, "BASE must be the first op"),
+    ("halfspace", "d=2", "P 0 0\nHINS 1 0 0 ge\nP 1 1\n", 3,
+     "point set is fixed before halfspace ops"),
+    ("halfspace", "d=2", "QRY\n", 1, "no points"),
+]
+
+
+@pytest.mark.parametrize("problem,header,ops,index,msg", STAGED_ERRORS)
+def test_solve_staged_op_errors_exit3(problem, header, ops, index, msg,
+                                      tmp_path, capsys):
+    f = _write(tmp_path, "staged.trace",
+               f"problem {problem}\nheader {header}\n{ops}")
+    for sid in PROBLEMS[problem].solvers:
+        assert main(["solve", f, "--structure", sid]) == 3, sid
+        assert capsys.readouterr().err == f"error: op {index}: {msg}\n"
 
 
 def test_solve_missing_file_exit2(capsys):
@@ -412,6 +436,36 @@ def test_trace_suite_reports_mismatch_count():
     assert rep.cases == 4
     assert rep.mismatches == []
     assert "mismatches=0" in rep.render()
+
+
+def _trace_behaviour_digest(seeds=range(6), size=24):
+    # sha256 over the generated trace text, each structure's output lines
+    # and the OpError text of the same trace with one op dropped
+    h = hashlib.sha256()
+    for problem in dict.fromkeys(p for p, _ in TRACE_SUITES):
+        sids = ["oracle"] + [s for p, s in TRACE_SUITES if p == problem]
+        for seed in seeds:
+            trace = gen_trace(problem, random.Random(f"pin.{problem}.{seed}"),
+                              size)
+            h.update(trace.serialize().encode())
+            n = len(trace.ops)
+            variants = [trace] + [
+                OpTrace(problem, trace.header, trace.ops[:j] + trace.ops[j + 1:])
+                for j in sorted({0, n // 2, n - 1, seed % n})]
+            for variant in variants:
+                for sid in sids:
+                    try:
+                        got = "\n".join(run_trace(variant, sid))
+                    except OpError as exc:
+                        got = f"error: {exc}"
+                    h.update(f"{sid}\n{got}\n".encode())
+    return h.hexdigest()
+
+
+def test_trace_behaviour_pinned():
+    # generated traces, answers and error text are part of the CLI contract
+    assert _trace_behaviour_digest() == (
+        "2218744e02b070ea0623aa9dfb13b8e54005a03fe61b1658324fb8a4661e388c")
 
 
 # ---------------- bench ----------------

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -511,3 +515,28 @@ def test_int_keys_dead_runs_match_fraction_reference():
             assert_same_state(seq, ref)
     assert ref.keys[65:75] == [66 + Fraction(k, 8) for k in
                                (0, 4, 8, 10, 11, 12, 16, 18, 20, 24)]
+
+
+def test_debug_check_raises_on_broken_invariant(monkeypatch):
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    ds = DynRangeModeDS(1, 8)
+    ds.update((1,), "a", True)
+    ds.n_live += 1
+    with pytest.raises(RuntimeError, match="invariant broken: live count"):
+        ds.update((2,), "a", True)
+
+
+def test_debug_check_holds_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from dynds.range_mode import DynRangeModeDS\n"
+            "ds = DynRangeModeDS(1, 8)\n"
+            "ds.n_live = 5\n"
+            "try:\n"
+            "    ds.update((1,), 'a', True)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src),
+                              "DYNDS_DEBUG_ASSERT": "1"})
+    assert out.stdout == "invariant broken: live count\n"

@@ -35,6 +35,7 @@ from dynds.reductions import (
     Counted,
     DocsTargetOracle,
     EricksonTarget,
+    MinorityTargetOracle,
     SequenceTargetOracle,
     SequenceTargetReal,
     SkylineTargetOracle,
@@ -583,6 +584,39 @@ def test_call_budget_holds_under_optimize():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout == "call budget broken: mode queries\n"
+
+
+@pytest.mark.parametrize("make", [SequenceTargetOracle, MinorityTargetOracle,
+                                  lambda: SequenceTargetReal(16)],
+                         ids=["oracle", "minority", "real"])
+def test_one_middle_batch_at_a_time(make):
+    t = make()
+
+    def values():
+        return list(t.vals if hasattr(t, "vals") else t.seq.values)
+    t.build([1, 2, 3, 4], 2)
+    t.insert_middle([7, 8])
+    with pytest.raises(RuntimeError, match="middle batch already present"):
+        t.insert_middle([9])
+    assert values() == [1, 2, 7, 8, 3, 4]
+    t.delete_middle()
+    assert values() == [1, 2, 3, 4]
+
+
+def test_one_middle_batch_holds_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from dynds.reductions import SequenceTargetOracle\n"
+            "t = SequenceTargetOracle()\n"
+            "t.build([1, 2, 3, 4], 2)\n"
+            "t.insert_middle([7, 8])\n"
+            "try:\n"
+            "    t.insert_middle([9])\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc, t.vals)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "middle batch already present [1, 2, 7, 8, 3, 4]\n"
 
 
 def test_faulty_wrapper_bumps_int():
