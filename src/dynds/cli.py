@@ -53,6 +53,7 @@ class OpTrace:
     problem: str
     header: Dict[str, str]
     ops: List[Tuple[str, ...]] = field(default_factory=list)
+    header_line: int = field(default=2, compare=False)
 
     def serialize(self) -> str:
         lines = [f"problem {self.problem}"]
@@ -131,7 +132,7 @@ def parse_trace(text: str) -> OpTrace:
     keys = PROBLEMS[problem].header
     if tuple(header) != keys:
         raise TraceError(no, f"header keys must be {' '.join(keys)}")
-    trace = OpTrace(problem, header)
+    trace = OpTrace(problem, header, header_line=no)
     for k in header:
         for piece in header[k].split(","):
             if not _parses("i", piece):
@@ -157,7 +158,10 @@ def run_trace(trace: OpTrace, structure_id: str) -> List[str]:
     if make is None:
         raise TraceError(1, f"problem {trace.problem!r} has no structure "
                             f"{structure_id!r}")
-    solver = make(trace)
+    try:
+        solver = make(trace)
+    except (ValueError, TypeError) as exc:
+        raise TraceError(trace.header_line, f"{exc}") from exc
     convs = {kind: [_ARG[a] for a in spec]
              for kind, spec in problem.ops(trace).items()}
     out = []
@@ -200,6 +204,8 @@ def _box_from(vals: Sequence[int]) -> Box:
 
 class _SequenceScan:
     def __init__(self, cap: int):
+        if cap < 1:
+            raise ValueError("capacity must be >= 1")
         self.cap = cap
         self.vals: List[int] = []
 
@@ -220,9 +226,14 @@ class _SequenceScan:
 
 
 class _PointScan:
-    """Labelled point list; `query` is `scan(points, box)`."""
+    """Labelled point list; `query` is `scan(points, box)`.  Rejects the
+    dimension and capacity that the structures' constructors reject."""
 
-    def __init__(self, scan):
+    def __init__(self, scan, d: int, cap: int):
+        if d < 1:
+            raise ValueError("dimension must be >= 1")
+        if cap < 1:
+            raise ValueError("capacity must be >= 1")
         self.scan = scan
         self.pts: List = []
 
@@ -285,6 +296,8 @@ class _EricksonScan:
 
 class _HypercliqueScan:
     def __init__(self, vertices, k: int):
+        if k < 2:
+            raise ValueError("k must be >= 2")
         self.n = len(vertices)
         self.k = k
         self.edges = set()
@@ -652,7 +665,8 @@ PROBLEMS: Dict[str, Problem] = {
         {"INS": lambda s, *a: s.update(list(a[:-1]), a[-1], True),
          "DEL": lambda s, *a: s.update(list(a[:-1]), a[-1], False),
          "QRY": lambda s, *a: _fmt_pair(s.query(_box_from(a)))},
-        {"oracle": lambda t: _PointScan(mode_oracle),
+        {"oracle": lambda t: _PointScan(mode_oracle, t.hdr_int("d"),
+                                        t.hdr_int("cap")),
          "real": lambda t: DynRangeModeDS(t.hdr_int("d"), t.hdr_int("cap"))},
         _gen_range_mode_dyn, ("real",)),
     "color-count": Problem(
@@ -661,7 +675,7 @@ PROBLEMS: Dict[str, Problem] = {
         {"INS": lambda s, x, y, c: s.update((x, y), c, True),
          "DEL": lambda s, x, y, c: s.update((x, y), c, False),
          "QRY": lambda s, *a: str(s.query(_box_from(a)))},
-        {"oracle": lambda t: _PointScan(dcc_oracle),
+        {"oracle": lambda t: _PointScan(dcc_oracle, 2, t.hdr_int("cap")),
          "real": lambda t: DynColorCountDS(t.hdr_int("cap"))},
         _gen_color_count, ("real",)),
     "common-colors": Problem(

@@ -8,7 +8,6 @@ silently; the checked-arithmetic requirement holds by construction.
 
 from __future__ import annotations
 
-import itertools
 import os
 from bisect import bisect_left, bisect_right
 from collections import _count_elements
@@ -325,12 +324,6 @@ def _norm_coord(c):
     return c.raw if isinstance(c, ScaledInt) else c
 
 
-def _norm_bound(c):
-    if c is None:
-        return None
-    return c.raw if isinstance(c, ScaledInt) else c
-
-
 def _next_pow2(n: int) -> int:
     p = 1
     while p < n:
@@ -396,22 +389,6 @@ class _Axis:
             node >>= 1
         return out
 
-    def canonical(self, lo_slot: int, hi_slot: int) -> List[int]:
-        # standard bottom-up decomposition of the inclusive slot range
-        out = []
-        l = lo_slot + self.leaves
-        r = hi_slot + self.leaves + 1
-        while l < r:
-            if l & 1:
-                out.append(l)
-                l += 1
-            if r & 1:
-                r -= 1
-                out.append(r)
-            l >>= 1
-            r >>= 1
-        return out
-
 
 class RangeTree:
     """Static-universe d-dim range tree with activation toggles.
@@ -427,9 +404,17 @@ class RangeTree:
 
     An entry's cells, cached per key, are its leaf's ancestors on every
     axis combined: cell ids start as [0] and each axis in turn replaces the
-    list with every id plus every (node * stride) of that axis, so the ids
-    come in itertools.product order.  A count-mode activation adds one to
-    each of them in C, through collections._count_elements.
+    list with every id plus every (node * stride) of that axis.  A
+    count-mode activation adds one to each of them in C, through
+    collections._count_elements.
+
+    A query builds its box's cell ids the same way, in one loop over the
+    axes (_query_ids): per axis it bisects the bounds to a slot range, walks
+    the range's bottom-up canonical nodes, scales each by the axis stride
+    and combines them with the ids so far.  An empty axis range ends the
+    query with no visit; a 0-dim tree has the one cell 0.  count sums the
+    ids' cells and max_entry takes the max top of those that exist, both
+    through map over dict.get, so the per-cell reads run in C.
 
     A max-mode cell is a pair [top, members]: the cached max item and a
     {key: item} dict of the active entries under it, items being
@@ -620,50 +605,57 @@ class RangeTree:
 
     # ---------------- queries ----------------
 
-    def _axis_index_range(self, ax: int, iv: Interval):
-        axis = self._axes[ax]
-        vals = axis.values
-        if not vals:
-            return None
-        lo = _norm_bound(iv.lo)
-        hi = _norm_bound(iv.hi)
-        lo_idx = 0
-        if lo is not None:
-            lo_idx = bisect_left(vals, lo) if iv.lo_closed else bisect_right(vals, lo)
-        hi_idx = len(vals) - 1
-        if hi is not None:
-            hi_idx = (bisect_right(vals, hi) if iv.hi_closed else bisect_left(vals, hi)) - 1
-        if lo_idx > hi_idx:
-            return None
-        return axis.slots[lo_idx], axis.slots[hi_idx]
-
-    def _query_cells(self, box: Box):
+    def _query_ids(self, box: Box) -> Optional[List[int]]:
+        """The box's canonical cell ids, or None when the box is empty."""
         if box.dim != self.dim:
             raise ValueError("box dimension mismatch")
-        per_axis = []
-        for ax, iv in enumerate(box.intervals):
-            rng = self._axis_index_range(ax, iv)
-            if rng is None:
+        ids = None
+        for axis, stride, iv in zip(self._axes, self._strides, box.intervals):
+            vals = axis.values
+            lo = iv.lo
+            if lo is None:
+                i = 0
+            else:
+                if isinstance(lo, ScaledInt):
+                    lo = lo.raw
+                i = bisect_left(vals, lo) if iv.lo_closed \
+                    else bisect_right(vals, lo)
+            hi = iv.hi
+            if hi is None:
+                j = len(vals)
+            else:
+                if isinstance(hi, ScaledInt):
+                    hi = hi.raw
+                j = bisect_right(vals, hi) if iv.hi_closed \
+                    else bisect_left(vals, hi)
+            if i >= j:
                 return None
-            axis = self._axes[ax]
-            stride = self._strides[ax]
-            per_axis.append([n * stride for n in axis.canonical(*rng)])
-        return per_axis
+            # bottom-up canonical walk of the inclusive slot range
+            leaves = axis.leaves
+            l = axis.slots[i] + leaves
+            r = axis.slots[j - 1] + leaves + 1
+            nodes = []
+            while l < r:
+                if l & 1:
+                    nodes.append(l * stride)
+                    l += 1
+                if r & 1:
+                    r -= 1
+                    nodes.append(r * stride)
+                l >>= 1
+                r >>= 1
+            ids = nodes if ids is None else [a + b for a in ids for b in nodes]
+        return [0] if ids is None else ids
 
     def count(self, box: Box) -> int:
         if self.mode != "count":
             raise ValueError("count() requires count mode")
-        per_axis = self._query_cells(box)
-        if per_axis is None:
+        ids = self._query_ids(box)
+        if ids is None:
             return 0
-        cc = self._count_cells
-        total = 0
-        visited = 0
-        for parts in itertools.product(*per_axis):
-            visited += 1
-            total += cc.get(sum(parts), 0)
-        self.counter.add(visited)
-        return total
+        self.counter.add(len(ids))
+        # count cells hold positive counts, so dropping misses drops no hit
+        return sum(filter(None, map(self._count_cells.get, ids)))
 
     def is_empty(self, box: Box) -> bool:
         if self.mode == "count":
@@ -677,22 +669,14 @@ class RangeTree:
         """
         if self.mode != "max":
             raise ValueError("max_entry() requires max mode")
-        per_axis = self._query_cells(box)
-        if per_axis is None:
+        ids = self._query_ids(box)
+        if ids is None:
             return None
-        mc = self._max_cells
-        best = None
-        visited = 0
-        for parts in itertools.product(*per_axis):
-            visited += 1
-            cell = mc.get(sum(parts))
-            if cell is not None:
-                top = cell[0]
-                if best is None or top > best:
-                    best = top
-        self.counter.add(visited)
-        if best is None:
+        self.counter.add(len(ids))
+        tops = [cell[0] for cell in filter(None, map(self._max_cells.get, ids))]
+        if not tops:
             return None
+        best = max(tops)
         return best[0], -best[1]
 
 

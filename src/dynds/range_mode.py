@@ -266,8 +266,9 @@ class DynRangeModeDS:
         if box.dim != self.d:
             raise ValueError("query box dimension mismatch")
         best: Optional[Tuple[object, int]] = None
+        trees = self._label_trees
         for label in self.heavy:
-            cnt = self._label_trees[label].count(box)
+            cnt = trees[label].count(box)
             if cnt > 0 and (best is None or cnt > best[1]
                             or (cnt == best[1] and label < best[0])):
                 best = (label, cnt)

@@ -356,6 +356,13 @@ def _budget(ok: bool, what: str) -> None:
         raise RuntimeError(f"call budget broken: {what}")
 
 
+def _require(ok: bool, what: str) -> None:
+    """A driver's closed-form check on target answers; raises under
+    `python -O` too."""
+    if not ok:
+        raise RuntimeError(what)
+
+
 # ---------------- sequence mode / minority targets ----------------
 
 class SequenceTargetOracle:
@@ -1090,8 +1097,8 @@ def red_oumvk_skyline(inst: OuMvInstance, target,
                        if t[k - 1] > j
                        and all(t[i] in us[i] for i in range(k - 1)))
             expect = -pre_sum + (k - 1) * N + 1 + tail
-            assert cs[j] == expect, \
-                f"count c_{j} = {cs[j]} deviates from closed form {expect}"
+            _require(cs[j] == expect, f"count c_{j} = {cs[j]} deviates "
+                                      f"from closed form {expect}")
         if record is not None:
             record.append(list(cs))
         answers.append(sum(cs[j - 1] - cs[j] for j in sorted(us[k - 1])) > 0)
@@ -1352,15 +1359,15 @@ def red_oumvk_erickson(inst: OuMvInstance, target,
                 target.increment(i, x)
         threshold = k + 1 + (f - 1) * k
         mv = target.max_value()
-        assert mv <= threshold, "max above the phase ceiling"
+        _require(mv <= threshold, "max above the phase ceiling")
         answers.append(mv == threshold)
         for i in range(k):
             for x in range(1, N + 1):
                 if x not in us[i]:
                     target.increment(i, x)
         after = target.fingerprint()
-        assert after == tuple(v + k for v in before), \
-            "phase must raise every entry by exactly k"
+        _require(after == tuple(v + k for v in before),
+                 "phase must raise every entry by exactly k")
         if record is not None:
             record.append((f, threshold, mv))
     return answers

@@ -158,6 +158,27 @@ def test_solve_staged_op_errors_exit3(problem, header, ops, index, msg,
         assert capsys.readouterr().err == f"error: op {index}: {msg}\n"
 
 
+HEADER_ERRORS = [
+    ("hyperclique", "n=3 k=1", "QRY 1\n", "k must be >= 2"),
+    ("range-mode-dyn", "d=0 cap=5", "QRY\n", "dimension must be >= 1"),
+    ("sequence-mode", "cap=-1", "SINS 1 5\n", "capacity must be >= 1"),
+    ("color-count", "cap=0", "INS 1 1 1\n", "capacity must be >= 1"),
+    ("langerman", "ext=0", "ZQRY\n", "extents must be positive"),
+]
+
+
+@pytest.mark.parametrize("problem,header,ops,msg", HEADER_ERRORS)
+def test_solve_rejected_header_exit2(problem, header, ops, msg, tmp_path,
+                                     capsys):
+    # a header value a solver's constructor rejects is a trace error on
+    # the header line, under every structure id alike
+    f = _write(tmp_path, "header.trace",
+               f"# header check\nproblem {problem}\n\nheader {header}\n{ops}")
+    for sid in PROBLEMS[problem].solvers:
+        assert main(["solve", f, "--structure", sid]) == 2, sid
+        assert capsys.readouterr().err == f"error: line 4: {msg}\n", sid
+
+
 def test_solve_missing_file_exit2(capsys):
     assert main(["solve", "/nonexistent/x.trace"]) == 2
     assert "error" in capsys.readouterr().err
@@ -277,6 +298,27 @@ def test_reduce_state_not_restored_exit3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: target state not restored after klee phase\n"
+
+
+def test_reduce_closed_form_check_exit3_under_optimize(tmp_path):
+    # the drivers' closed-form checks are contract checks: under python -O
+    # too, a target answer above the Erickson phase ceiling stops reduce
+    # with exit 3 and no traceback
+    inst = OuMvInstance(2, 2, frozenset({(1, 2)}),
+                        ((frozenset({1}), frozenset({2})),))
+    f = _write(tmp_path, "mv.txt", format_oumv(inst))
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from dynds.cli import main\n"
+            "from dynds.reductions import EricksonTarget\n"
+            "EricksonTarget.max_value = lambda self: 10 ** 6\n"
+            f"sys.exit(main(['reduce', {f!r}, '--reduction',\n"
+            "                'red_oumvk_erickson_k2', '--adapter', 'lazy']))\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == "error: max above the phase ceiling\n"
 
 
 def test_reduce_call_budget_exit3(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -331,6 +332,122 @@ def test_rt_toggle_cells_match_product_enumeration(dim, mode):
         if mode == "count":
             assert all(c > 0 for c in tree._count_cells.values())
     assert respreads >= 2
+
+
+def product_query_ids(tree, box):
+    """A box's cell ids as the per-axis bottom-up canonical decompositions,
+    combined by itertools.product with one sum() per cell: the reference
+    for RangeTree._query_ids.  Returns (ids, per-axis node lists), or None
+    when some axis range is empty."""
+    per_axis = []
+    for ax, iv in enumerate(box.intervals):
+        axis = tree._axes[ax]
+        vals = axis.values
+        lo, hi = (b.raw if isinstance(b, ScaledInt) else b
+                  for b in (iv.lo, iv.hi))
+        lo_idx = 0
+        if lo is not None:
+            lo_idx = (bisect_left if iv.lo_closed else bisect_right)(vals, lo)
+        hi_idx = len(vals) - 1
+        if hi is not None:
+            hi_idx = (bisect_right if iv.hi_closed
+                      else bisect_left)(vals, hi) - 1
+        if lo_idx > hi_idx:
+            return None
+        nodes = []
+        l = axis.slots[lo_idx] + axis.leaves
+        r = axis.slots[hi_idx] + axis.leaves + 1
+        while l < r:
+            if l & 1:
+                nodes.append(l)
+                l += 1
+            if r & 1:
+                r -= 1
+                nodes.append(r)
+            l >>= 1
+            r >>= 1
+        per_axis.append([n * tree._strides[ax] for n in nodes])
+    return [sum(parts) for parts in itertools.product(*per_axis)], per_axis
+
+
+SCALE = 256  # ScaledInt scale; every coordinate below is a multiple of 1/256
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_rt_query_ids_match_product_reference(data):
+    draw = data.draw
+    dim = draw(st.integers(0, 4), label="dim")
+    mode = draw(st.sampled_from(["count", "max"]), label="mode")
+    scaled = draw(st.booleans(), label="scaled")
+
+    def conv(x):
+        return ScaledInt(int(x * SCALE), SCALE) if scaled else x
+
+    def point(crowd):
+        # extend crowds values into (0, 1), where the slot gap runs out
+        if crowd:
+            draw_x = st.integers(1, SCALE - 1).map(lambda n: Fraction(n, SCALE))
+        else:
+            draw_x = st.integers(-4, 4)
+        return tuple(conv(draw(draw_x)) for _ in range(dim))
+
+    def bound():
+        return draw(st.none() | st.integers(-6, 6)
+                    | st.integers(0, 4).map(lambda n: Fraction(n, 4)))
+
+    def interval():
+        lo, hi = bound(), bound()
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        lo_closed, hi_closed = draw(st.booleans()), draw(st.booleans())
+        if lo is not None and lo == hi:
+            lo_closed = hi_closed = True
+        return Interval(None if lo is None else conv(lo),
+                        None if hi is None else conv(hi), lo_closed, hi_closed)
+
+    entries = [(point(False), draw(st.integers(0, 3)))
+               for _ in range(draw(st.integers(0, 8)))]
+    tree = RangeTree(dim, entries, mode=mode)
+    scan = ScanTree(entries)
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["extend", "toggle", "query", "query"]))
+        if kind == "extend":
+            new = [(point(True), draw(st.integers(0, 3)))
+                   for _ in range(draw(st.integers(1, 3)))]
+            tree.extend(new)
+            scan.entries.extend(new)
+            scan.active.extend([False] * len(new))
+        elif kind == "toggle" and len(tree):
+            key = draw(st.integers(0, len(tree) - 1))
+            flag = draw(st.booleans())
+            tree.toggle(key, flag)
+            scan.toggle(key, flag)
+        elif kind == "query":
+            box = Box([interval() for _ in range(dim)])
+            ref = product_query_ids(tree, box)
+            got = tree._query_ids(box)
+            if ref is None:
+                assert not got
+            else:
+                assert sorted(got) == sorted(ref[0])
+            before = tree.counter.count
+            if mode == "count":
+                assert tree.count(box) == scan.count(box)
+            else:
+                assert tree.max_entry(box) == scan.max_entry(box)
+            visits = 0 if ref is None else math.prod(map(len, ref[1]))
+            assert tree.counter.count - before == visits
+
+
+def test_rt_query_dim_mismatch_and_dim0():
+    tree = RangeTree(0, [((), 3), ((), 5)])
+    tree.toggle(1, True)
+    before = tree.counter.count
+    assert tree.count(Box([])) == 1
+    assert tree.counter.count - before == 1
+    with pytest.raises(ValueError, match="box dimension mismatch"):
+        tree.count(Box.closed((0,), (1,)))
 
 
 def test_rt_visit_counter_budget():
