@@ -19,15 +19,15 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .colors import CommonColorsDS, DynColorCountDS, cc_oracle, dcc_oracle
-from .core_geom import Box, Interval, VisitCounter
-from .geom_dyn import (_SENSE_OPS, HalfspaceSystem, SemiOnlineEngine,
-                       Skyline3DBlock, halfspace_depths, skyline_oracle)
-from .range_mode import (DynRangeModeDS, SequenceAdapter, mode_oracle,
-                         sequence_mode_oracle)
+from .core_geom import Box, Interval, PointScan, VisitCounter
+from .geom_dyn import (_SENSE_OPS, HalfspaceScan, HalfspaceSystem,
+                       SemiOnlineEngine, Skyline3DBlock, SkylineScan)
+from .range_mode import (DynRangeModeDS, SequenceAdapter, SequenceScan,
+                         mode_oracle)
 from .reductions import (REDUCTIONS, Counted, _content_lines,
                          crosscheck_suite, parse_graph, parse_oumv)
 from .tensor_ds import (EricksonEager, EricksonLazy, HypercliqueCounting,
-                        HypercliqueLazy, LangermanDS, Tensor)
+                        HypercliqueLazy, LangermanDS, LangermanScan, Tensor)
 
 
 class TraceError(ValueError):
@@ -187,7 +187,8 @@ def gen_trace(problem: str, rng: random.Random, size: int = 40) -> OpTrace:
 
 # ---------------- scan oracles and staged solvers ----------------
 # An oracle answers by scanning and has the method names of the structure
-# it checks, so one `calls` table drives both.
+# it checks, so one `calls` table drives both.  The oracles that reduction
+# targets share live next to their structures; these serve traces only.
 
 def _fmt_pair(res) -> str:
     return "none" if res is None else f"({res[0]},{res[1]})"
@@ -200,48 +201,6 @@ def _fmt_bool(b: bool) -> str:
 def _box_from(vals: Sequence[int]) -> Box:
     return Box([Interval.closed(lo, hi)
                 for lo, hi in zip(vals[::2], vals[1::2])])
-
-
-class _SequenceScan:
-    def __init__(self, cap: int):
-        if cap < 1:
-            raise ValueError("capacity must be >= 1")
-        self.cap = cap
-        self.vals: List[int] = []
-
-    def insert(self, pos, val):
-        if not 1 <= pos <= len(self.vals) + 1:
-            raise ValueError(f"insert position {pos} out of range")
-        if len(self.vals) >= self.cap:
-            raise ValueError("sequence at capacity")
-        self.vals.insert(pos - 1, val)
-
-    def delete(self, pos):
-        if not 1 <= pos <= len(self.vals):
-            raise ValueError(f"delete position {pos} out of range")
-        del self.vals[pos - 1]
-
-    def query(self, l, r):
-        return sequence_mode_oracle(self.vals, l, r)
-
-
-class _PointScan:
-    """Labelled point list; `query` is `scan(points, box)`.  Rejects the
-    dimension and capacity that the structures' constructors reject."""
-
-    def __init__(self, scan, d: int, cap: int):
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
-        if cap < 1:
-            raise ValueError("capacity must be >= 1")
-        self.scan = scan
-        self.pts: List = []
-
-    def update(self, coords, label, insert):
-        (self.pts.append if insert else self.pts.remove)((tuple(coords), label))
-
-    def query(self, box):
-        return self.scan(self.pts, box)
 
 
 class _CommonColorsScan:
@@ -257,20 +216,6 @@ class _CommonColorsScan:
 
     def query(self, l1, r1, l2, r2):
         return cc_oracle(self.arr, self.on, l1, r1, l2, r2)
-
-
-class _LangermanScan:
-    def __init__(self, ext):
-        self.t = Tensor(ext)
-
-    def update(self, z, delta):
-        self.t.add(z, delta)
-
-    def exists_zero(self):
-        return any(v == 0 for v in self.t.prefix_sums().data)
-
-    def prefix(self, x):
-        return self.t.prefix_sums()[x]
 
 
 class _EricksonScan:
@@ -331,50 +276,6 @@ class _HypercliqueScan:
         return False
 
 
-class _SkylineScan:
-    def __init__(self):
-        self.op = 0
-        self.live: List[tuple] = []
-        self.deaths: Dict[int, tuple] = {}
-
-    def insert(self, p, death):
-        self.op += 1
-        if death <= self.op:
-            raise ValueError(f"death {death} not in the future")
-        if death in self.deaths:
-            raise ValueError(f"death slot {death} taken")
-        self.live.append(p)
-        self.deaths[death] = p
-
-    def delete(self):
-        self.op += 1
-        p = self.deaths.pop(self.op, None)
-        if p is None:
-            raise ValueError(f"no element dies at op {self.op}")
-        self.live.remove(p)
-
-    def query(self):
-        self.op += 1
-        return skyline_oracle(self.live)
-
-
-class _HalfspaceScan:
-    def __init__(self, pts):
-        self.pts = pts
-        self.hs: List = []
-
-    def insert(self, normal, offset, sense):
-        self.hs.append((normal, offset, sense))
-
-    def delete(self, normal, offset, sense):
-        self.hs.remove((normal, offset, sense))
-
-    def min_count(self):
-        if not self.pts:
-            raise ValueError("no points")
-        return min(halfspace_depths(self.pts, self.hs))
-
-
 class _BaseFirst:
     """common-colors: the first op, BASE, builds the structure."""
 
@@ -398,6 +299,8 @@ class _BaseOptional:
     is all zeros otherwise."""
 
     def __init__(self, build, ext):
+        if any(e < 1 for e in ext):
+            raise ValueError("extents must be positive")
         self.build = build
         self.ext = ext
         self.ds = None
@@ -653,7 +556,7 @@ PROBLEMS: Dict[str, Problem] = {
         {"SINS": lambda s, pos, val: s.insert(pos, val),
          "SDEL": lambda s, pos: s.delete(pos),
          "SQRY": lambda s, l, r: _fmt_pair(s.query(l, r))},
-        {"oracle": lambda t: _SequenceScan(t.hdr_int("cap")),
+        {"oracle": lambda t: SequenceScan(t.hdr_int("cap")),
          "real": lambda t: SequenceAdapter(t.hdr_int("cap"))},
         _gen_sequence_mode, ("real",)),
     "range-mode-dyn": Problem(
@@ -665,8 +568,8 @@ PROBLEMS: Dict[str, Problem] = {
         {"INS": lambda s, *a: s.update(list(a[:-1]), a[-1], True),
          "DEL": lambda s, *a: s.update(list(a[:-1]), a[-1], False),
          "QRY": lambda s, *a: _fmt_pair(s.query(_box_from(a)))},
-        {"oracle": lambda t: _PointScan(mode_oracle, t.hdr_int("d"),
-                                        t.hdr_int("cap")),
+        {"oracle": lambda t: PointScan(mode_oracle, t.hdr_int("d"),
+                                       t.hdr_int("cap")),
          "real": lambda t: DynRangeModeDS(t.hdr_int("d"), t.hdr_int("cap"))},
         _gen_range_mode_dyn, ("real",)),
     "color-count": Problem(
@@ -675,7 +578,7 @@ PROBLEMS: Dict[str, Problem] = {
         {"INS": lambda s, x, y, c: s.update((x, y), c, True),
          "DEL": lambda s, x, y, c: s.update((x, y), c, False),
          "QRY": lambda s, *a: str(s.query(_box_from(a)))},
-        {"oracle": lambda t: _PointScan(dcc_oracle, 2, t.hdr_int("cap")),
+        {"oracle": lambda t: PointScan(dcc_oracle, 2, t.hdr_int("cap")),
          "real": lambda t: DynColorCountDS(t.hdr_int("cap"))},
         _gen_color_count, ("real",)),
     "common-colors": Problem(
@@ -696,7 +599,7 @@ PROBLEMS: Dict[str, Problem] = {
         {"UPD": lambda s, *a: s.update(a[:-1], a[-1]),
          "ZQRY": lambda s: _fmt_bool(s.exists_zero()),
          "PQRY": lambda s, *x: str(s.prefix(x))},
-        {"oracle": lambda t: _LangermanScan(t.hdr_ints("ext")),
+        {"oracle": lambda t: LangermanScan(t.hdr_ints("ext")),
          "real": lambda t: LangermanDS(t.hdr_ints("ext"))},
         _gen_langerman, ("real",)),
     "erickson": Problem(
@@ -728,7 +631,7 @@ PROBLEMS: Dict[str, Problem] = {
         {"INS": lambda s, x, y, z, death: s.insert((x, y, z), death),
          "DEL": lambda s: s.delete(),
          "QRY": lambda s: str(s.query())},
-        {"oracle": lambda t: _SkylineScan(),
+        {"oracle": lambda t: SkylineScan(),
          "real": _skyline_engine, "engine": _skyline_engine},
         _gen_skyline3d, ("engine",)),
     "halfspace": Problem(
@@ -740,7 +643,7 @@ PROBLEMS: Dict[str, Problem] = {
          "HINS": lambda s, *h: s.built().insert(h[:-2], h[-2], h[-1]),
          "HDEL": lambda s, *h: s.built().delete(h[:-2], h[-2], h[-1]),
          "QRY": lambda s: str(s.built().min_count())},
-        {"oracle": lambda t: _PointsFirst(_HalfspaceScan),
+        {"oracle": lambda t: _PointsFirst(HalfspaceScan),
          "real": lambda t: _PointsFirst(HalfspaceSystem)},
         _gen_halfspace, ("real",)),
 }

@@ -172,6 +172,7 @@ class DynColorCountDS:
         self._live: Dict[object, _ColorTree] = {}
         self._snap: Dict[object, RangeTree] = {}
         self.dirty: Set = set()
+        self.n_live = 0
         self.updates_since = 0
         self.rebuilds = 0
 
@@ -179,10 +180,13 @@ class DynColorCountDS:
         nc = tuple(_norm_coord(c) for c in coords)
         if len(nc) != 2:
             raise ValueError("points must be 2-dimensional")
+        if insert and self.n_live >= self.n_cap:
+            raise ValueError(f"capacity {self.n_cap} exceeded")
         ct = self._live.get(color)
         if ct is None:
             ct = self._live[color] = _ColorTree(self.counter)
         ct.toggle_point(nc, insert)
+        self.n_live += 1 if insert else -1
         self.dirty.add(color)
         self.updates_since += 1
         if self.updates_since >= self.R:

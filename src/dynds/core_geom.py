@@ -19,6 +19,7 @@ __all__ = [
     "Point",
     "Interval",
     "Box",
+    "PointScan",
     "VisitCounter",
     "RangeTree",
     "RT_VISIT_C",
@@ -296,6 +297,33 @@ class Box:
 
     def __repr__(self):
         return "Box(" + " x ".join(repr(iv) for iv in self.intervals) + ")"
+
+
+class PointScan:
+    """Scan oracle for the labelled-point structures (`DynRangeModeDS`,
+    `DynColorCountDS`): a point list, and `query(box)` is `scan(points,
+    box)`.  Rejects the dimension and capacity that their constructors
+    reject, and an insert that would pass the capacity."""
+
+    def __init__(self, scan, d: int, n_cap: int):
+        if d < 1:
+            raise ValueError("dimension must be >= 1")
+        if n_cap < 1:
+            raise ValueError("capacity must be >= 1")
+        self.scan = scan
+        self.n_cap = n_cap
+        self.pts: List[Tuple[tuple, object]] = []
+
+    def update(self, coords, label, insert: bool) -> None:
+        if not insert:
+            self.pts.remove((tuple(coords), label))
+        elif len(self.pts) >= self.n_cap:
+            raise ValueError(f"capacity {self.n_cap} exceeded")
+        else:
+            self.pts.append((tuple(coords), label))
+
+    def query(self, box: Box):
+        return self.scan(self.pts, box)
 
 
 class VisitCounter:

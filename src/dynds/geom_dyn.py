@@ -30,9 +30,11 @@ __all__ = [
     "maximal3d_flags",
     "SemiOnlineEngine",
     "Skyline3DBlock",
+    "SkylineScan",
     "klee_union_volume",
     "klee_union_volume_ie",
     "HalfspaceSystem",
+    "HalfspaceScan",
 ]
 
 
@@ -253,6 +255,39 @@ class Skyline3DBlock:
         return live + n0 - killed
 
 
+class SkylineScan:
+    """Scan oracle for `SemiOnlineEngine` over `Skyline3DBlock`: the same
+    death schedule, and `query` counts maximal points by `skyline_oracle`."""
+
+    def __init__(self, initial: Sequence = ()):
+        self.op = 0
+        self.live: List[tuple] = list(initial)
+        self.deaths: Dict[int, tuple] = {}
+
+    def insert(self, p, death) -> None:
+        self.op += 1
+        if death <= self.op:
+            raise ValueError(f"death {death} not in the future")
+        if death in self.deaths:
+            raise ValueError(f"death slot {death} taken")
+        self.live.append(p)
+        self.deaths[death] = p
+
+    def delete(self, p=None) -> None:
+        """Remove the point whose death is due; `p`, if given, must be it."""
+        self.op += 1
+        due = self.deaths.pop(self.op, None)
+        if due is None:
+            raise ValueError(f"no element dies at op {self.op}")
+        if p is not None and p != due:
+            raise ValueError(f"{p} does not die at op {self.op}")
+        self.live.remove(due)
+
+    def query(self) -> int:
+        self.op += 1
+        return skyline_oracle(self.live)
+
+
 # ---------------- Klee volume oracles ----------------
 
 def _frac(v) -> Fraction:
@@ -425,3 +460,23 @@ class HalfspaceSystem:
 
     def depth_oracle(self) -> List[int]:
         return halfspace_depths(self.points, list(self._halfspaces.elements()))
+
+
+class HalfspaceScan:
+    """Scan oracle for `HalfspaceSystem`: the halfspace list, every depth
+    recounted by `halfspace_depths` at each query."""
+
+    def __init__(self, points: Sequence[tuple]):
+        self.points = [tuple(p) for p in points]
+        self.hs: List[tuple] = []
+
+    def insert(self, normal, offset, sense) -> None:
+        self.hs.append((tuple(normal), Fraction(offset), _SENSES[sense]))
+
+    def delete(self, normal, offset, sense) -> None:
+        self.hs.remove((tuple(normal), Fraction(offset), _SENSES[sense]))
+
+    def min_count(self) -> int:
+        if not self.points:
+            raise ValueError("no points")
+        return min(halfspace_depths(self.points, self.hs))

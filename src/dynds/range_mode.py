@@ -22,6 +22,7 @@ __all__ = [
     "sequence_minority_oracle",
     "DynRangeModeDS",
     "SequenceAdapter",
+    "SequenceScan",
 ]
 
 
@@ -443,3 +444,39 @@ class SequenceAdapter:
         """Largest denominator exponent of a live key's dyadic rational."""
         return max((max(0, self.KEY_SHIFT - (k & -k).bit_length() + 1)
                     for k in self.keys), default=0)
+
+
+class SequenceScan:
+    """Scan oracle for `SequenceAdapter`: a plain list under the same
+    positional ops, each query a `scan(values, l, r)`."""
+
+    def __init__(self, n_cap: int, scan=sequence_mode_oracle):
+        if n_cap < 1:
+            raise ValueError("capacity must be >= 1")
+        self.n_cap = n_cap
+        self.scan = scan
+        self.values: List[object] = []
+
+    @classmethod
+    def from_values(cls, values: Sequence, n_cap: int,
+                    scan=sequence_mode_oracle) -> "SequenceScan":
+        seq = cls(n_cap, scan)
+        if len(values) > n_cap:
+            raise ValueError(f"capacity {n_cap} exceeded")
+        seq.values = list(values)
+        return seq
+
+    def insert(self, pos: int, value) -> None:
+        if not 1 <= pos <= len(self.values) + 1:
+            raise ValueError(f"insert position {pos} out of range")
+        if len(self.values) >= self.n_cap:
+            raise ValueError("sequence at capacity")
+        self.values.insert(pos - 1, value)
+
+    def delete(self, pos: int) -> None:
+        if not 1 <= pos <= len(self.values):
+            raise ValueError(f"delete position {pos} out of range")
+        del self.values[pos - 1]
+
+    def query(self, l: int, r: int) -> Tuple[object, int]:
+        return self.scan(self.values, l, r)

@@ -5,6 +5,12 @@ brute-force oracles and by the real structures accept identical call
 sequences and must produce identical outputs; direct detection (k-partite
 clique enumeration, OuMv brute force) anchors the crosscheck suite.
 
+Most adapters build a `Target`: a build function that makes a structure or
+its scan oracle, plus a `{driver call: f(ds, *args)}` table.  The scan
+oracles live next to their structures and share their method names, so
+one table serves both.  The graph, document and cube-volume oracles below
+have no structure to share and are written here.
+
 The lower bounds charge a reduction for the updates and queries it makes on
 its target.  A driver runs on a target wrapped in `Counted`, which tallies
 every method call except `fingerprint`, and checks its call budget against
@@ -21,14 +27,14 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .colors import CommonColorsDS, DynColorCountDS, dcc_oracle, docs_oracle
-from .core_geom import Box, Interval, _debug_on, _invariant
-from .geom_dyn import (_SENSES, HalfspaceSystem, SemiOnlineEngine,
-                       Skyline3DBlock, halfspace_depths, klee_union_volume,
-                       skyline_oracle)
-from .range_mode import (DynRangeModeDS, SequenceAdapter, mode_oracle,
-                         sequence_minority_oracle, sequence_mode_oracle)
+from .core_geom import Box, Interval, PointScan, _debug_on, _invariant
+from .geom_dyn import (HalfspaceScan, HalfspaceSystem, SemiOnlineEngine,
+                       Skyline3DBlock, SkylineScan, klee_union_volume)
+from .range_mode import (DynRangeModeDS, SequenceAdapter, SequenceScan,
+                         mode_oracle, sequence_minority_oracle)
 from .tensor_ds import (EricksonEager, EricksonLazy, HypercliqueCounting,
-                        HypercliqueLazy, Tensor, oumv_bruteforce)
+                        HypercliqueLazy, LangermanDS, LangermanScan, Tensor,
+                        oumv_bruteforce)
 
 
 # ---------------- k-partite graphs ----------------
@@ -363,80 +369,7 @@ def _require(ok: bool, what: str) -> None:
         raise RuntimeError(what)
 
 
-# ---------------- sequence mode / minority targets ----------------
-
-class SequenceTargetOracle:
-    """List-backed array: one middle batch at a time, scan-based queries."""
-
-    minority = False
-
-    def __init__(self):
-        self.vals: List = []
-        self._mid = 0
-        self._pending = 0
-        self.inserted_elems = 0
-
-    def build(self, values, mid: int) -> None:
-        self.vals = list(values)
-        self._mid = mid
-        self._pending = 0
-
-    def insert_middle(self, values) -> None:
-        if self._pending:
-            raise RuntimeError("middle batch already present")
-        vs = list(values)
-        self.vals[self._mid:self._mid] = vs
-        self._pending = len(vs)
-        self.inserted_elems += len(vs)
-
-    def delete_middle(self) -> None:
-        del self.vals[self._mid:self._mid + self._pending]
-        self._pending = 0
-
-    def query(self, l: int, r: int):
-        fn = sequence_minority_oracle if self.minority else sequence_mode_oracle
-        return fn(self.vals, l, r)[0]
-
-    def fingerprint(self):
-        return tuple(self.vals)
-
-
-class MinorityTargetOracle(SequenceTargetOracle):
-    minority = True
-
-
-class SequenceTargetReal:
-    """Same contract over the dynamic sequence structure."""
-
-    def __init__(self, n_cap: int):
-        self.n_cap = max(1, n_cap)
-        self.seq: Optional[SequenceAdapter] = None
-        self._mid = 0
-        self._pending = 0
-        self.inserted_elems = 0
-
-    def build(self, values, mid: int) -> None:
-        self.seq = SequenceAdapter.from_values(list(values), n_cap=self.n_cap)
-        self._mid = mid
-        self._pending = 0
-
-    def insert_middle(self, values) -> None:
-        if self._pending:
-            raise RuntimeError("middle batch already present")
-        vs = list(values)
-        for off, v in enumerate(vs):
-            self.seq.insert(self._mid + 1 + off, v)
-        self._pending = len(vs)
-        self.inserted_elems += len(vs)
-
-    def delete_middle(self) -> None:
-        for _ in range(self._pending):
-            self.seq.delete(self._mid + 1)
-        self._pending = 0
-
-    def query(self, l: int, r: int):
-        return self.seq.query(l, r)[0]
-
+# ---------------- sequence mode / minority ----------------
 
 def red_4clique_range_mode(g: KPartiteGraph, target) -> bool:
     """Parts A,B,C,D = 1..4; phase per c inserts N_D(c) into the middle."""
@@ -531,50 +464,7 @@ def red_4clique_range_minority(g: KPartiteGraph, target) -> bool:
     return found
 
 
-# ---------------- d-dimensional mode targets ----------------
-
-class DynModeTargetOracle:
-    def __init__(self):
-        self.points: List = []
-
-    def build(self, points) -> None:
-        self.points = list(points)
-
-    def insert(self, coords, lab) -> None:
-        self.points.append((tuple(coords), lab))
-
-    def delete(self, coords, lab) -> None:
-        self.points.remove((tuple(coords), lab))
-
-    def query(self, box: Box):
-        res = mode_oracle(self.points, box)
-        return None if res is None else res[0]
-
-    def fingerprint(self):
-        return tuple(sorted((c, l) for c, l in self.points))
-
-
-class DynModeTargetReal:
-    def __init__(self, d: int, n_cap: int):
-        self.d = d
-        self.n_cap = max(1, n_cap)
-        self.ds: Optional[DynRangeModeDS] = None
-
-    def build(self, points) -> None:
-        self.ds = DynRangeModeDS(self.d, self.n_cap)
-        for coords, lab in points:
-            self.ds.update(coords, lab, insert=True)
-
-    def insert(self, coords, lab) -> None:
-        self.ds.update(coords, lab, insert=True)
-
-    def delete(self, coords, lab) -> None:
-        self.ds.update(coords, lab, insert=False)
-
-    def query(self, box: Box):
-        res = self.ds.query(box)
-        return None if res is None else res[0]
-
+# ---------------- d-dimensional mode ----------------
 
 def _half_axis_points(g: KPartiteGraph, d: int, label_part: int):
     """Static points: axis q = ceil(i/2) holds array A_i at +/- positions."""
@@ -822,44 +712,6 @@ def red_4clique_2pattern(g: KPartiteGraph, target) -> bool:
 
 # ---------------- 2-d color counting ----------------
 
-class ColorTargetScan:
-    def __init__(self):
-        self.pts: List = []
-
-    def build(self, points) -> None:
-        self.pts = [(tuple(c), col) for c, col in points]
-
-    def insert(self, coords, color) -> None:
-        self.pts.append((tuple(coords), color))
-
-    def delete(self, coords, color) -> None:
-        self.pts.remove((tuple(coords), color))
-
-    def count(self, box: Box) -> int:
-        return dcc_oracle(self.pts, box)
-
-    def fingerprint(self):
-        return tuple(sorted(self.pts))
-
-
-class ColorTargetTree:
-    def __init__(self, n_cap: int):
-        self.ds = DynColorCountDS(max(1, n_cap))
-
-    def build(self, points) -> None:
-        for coords, col in points:
-            self.ds.update(coords, col, insert=True)
-
-    def insert(self, coords, color) -> None:
-        self.ds.update(coords, color, insert=True)
-
-    def delete(self, coords, color) -> None:
-        self.ds.update(coords, color, insert=False)
-
-    def count(self, box: Box) -> int:
-        return self.ds.query(box)
-
-
 def red_4clique_color(g: KPartiteGraph, target, strict: bool = False) -> bool:
     """Anti-chain point sets per part; inclusion-exclusion over six counts.
 
@@ -976,65 +828,6 @@ def red_4clique_streach(g: KPartiteGraph, target) -> bool:
 
 
 # ---------------- skyline counting ----------------
-
-class SkylineTargetOracle:
-    """Scan-counted maximal points with an announced death schedule."""
-
-    def __init__(self):
-        self.op = 0
-        self.live: List = []
-        self._deaths: Dict[int, tuple] = {}
-
-    def preprocess(self, points) -> None:
-        self.live = [tuple(p) for p in points]
-        self._deaths = {}
-        self.op = 0
-
-    def insert(self, p, death: int) -> None:
-        self.op += 1
-        if not isinstance(death, int) or death <= self.op:
-            raise ValueError(f"death {death!r} must be an int past op {self.op}")
-        if death in self._deaths:
-            raise ValueError(f"death index {death} already taken")
-        pt = tuple(p)
-        self.live.append(pt)
-        self._deaths[death] = pt
-
-    def delete(self, p) -> None:
-        self.op += 1
-        pt = self._deaths.pop(self.op, None)
-        if pt is None or pt != tuple(p):
-            raise ValueError(f"no such element dies at op {self.op}")
-        self.live.remove(pt)
-
-    def count(self) -> int:
-        self.op += 1
-        return skyline_oracle(self.live)
-
-    def fingerprint(self):
-        return tuple(sorted(self.live))
-
-
-class SkylineTargetEngine:
-    """Semi-online engine with the 3-d skyline block (two-factor queries)."""
-
-    def __init__(self, capacity: int):
-        self.capacity = max(1, capacity)
-        self.engine: Optional[SemiOnlineEngine] = None
-
-    def preprocess(self, points) -> None:
-        self.engine = SemiOnlineEngine(Skyline3DBlock(), self.capacity,
-                                       initial=[tuple(p) for p in points])
-
-    def insert(self, p, death: int) -> None:
-        self.engine.insert(tuple(p), death)
-
-    def delete(self, p) -> None:
-        self.engine.delete()
-
-    def count(self) -> int:
-        return self.engine.query()
-
 
 def _skyline_initial(M, N: int, k: int, scale: int) -> List[tuple]:
     pts = []
@@ -1198,45 +991,6 @@ def red_oumvk_klee(inst: OuMvInstance, target) -> List[bool]:
 
 # ---------------- halfspace depth ----------------
 
-class HalfspaceTargetReal:
-    def __init__(self):
-        self.hs: Optional[HalfspaceSystem] = None
-
-    def build(self, points) -> None:
-        self.hs = HalfspaceSystem(points)
-
-    def insert(self, normal, offset, sense) -> None:
-        self.hs.insert(normal, offset, sense)
-
-    def delete(self, normal, offset, sense) -> None:
-        self.hs.delete(normal, offset, sense)
-
-    def min_count(self) -> int:
-        return self.hs.min_count()
-
-
-class HalfspaceTargetScan:
-    def __init__(self):
-        self.points: List = []
-        self.live: List = []
-
-    def build(self, points) -> None:
-        self.points = [tuple(p) for p in points]
-        self.live = []
-
-    def insert(self, normal, offset, sense) -> None:
-        self.live.append((tuple(normal), Fraction(offset), _SENSES[sense]))
-
-    def delete(self, normal, offset, sense) -> None:
-        self.live.remove((tuple(normal), Fraction(offset), _SENSES[sense]))
-
-    def min_count(self) -> Optional[int]:
-        return min(halfspace_depths(self.points, self.live), default=None)
-
-    def fingerprint(self):
-        return tuple(sorted(self.live))
-
-
 def red_oumvk_halfspace(inst: OuMvInstance, target) -> List[bool]:
     """Open slabs around non-queried indices; depth hits sum(|U_i|) - k."""
     N, k = inst.n, inst.k
@@ -1266,29 +1020,6 @@ def red_oumvk_halfspace(inst: OuMvInstance, target) -> List[bool]:
 
 
 # ---------------- hyperclique maintenance ----------------
-
-class HypercliqueTarget:
-    def __init__(self, variant_cls):
-        self._cls = variant_cls
-        self.ds = None
-
-    def build(self, vertices, k: int, edges) -> None:
-        self.ds = self._cls(vertices, k)
-        for e in edges:
-            self.ds.insert(e)
-
-    def insert(self, edge) -> None:
-        self.ds.insert(edge)
-
-    def delete(self, edge) -> None:
-        self.ds.delete(edge)
-
-    def query(self, v) -> bool:
-        return self.ds.query(v)
-
-    def fingerprint(self):
-        return frozenset(self.ds.edges)
-
 
 def red_oumvk_hyperclique(inst: OuMvInstance, target) -> List[bool]:
     """Star vertex s joins one layer-complete hyperedge per dropped layer."""
@@ -1320,26 +1051,6 @@ def red_oumvk_hyperclique(inst: OuMvInstance, target) -> List[bool]:
 
 
 # ---------------- tensor max under slab increments ----------------
-
-class EricksonTarget:
-    def __init__(self, variant_cls):
-        self._cls = variant_cls
-        self.ds = None
-        self._idx: List[tuple] = []
-
-    def build(self, initial: Tensor) -> None:
-        self.ds = self._cls(initial)
-        self._idx = list(initial.indices())
-
-    def increment(self, axis: int, index: int) -> None:
-        self.ds.increment(axis, index)
-
-    def max_value(self) -> int:
-        return self.ds.max_value()
-
-    def fingerprint(self):
-        return tuple(self.ds.value(x) for x in self._idx)
-
 
 def red_oumvk_erickson(inst: OuMvInstance, target,
                        record: Optional[list] = None) -> List[bool]:
@@ -1374,38 +1085,6 @@ def red_oumvk_erickson(inst: OuMvInstance, target,
 
 
 # ---------------- blocked zero-prefix detection ----------------
-
-class LangermanTargetOracle:
-    def __init__(self):
-        self.t: Optional[Tensor] = None
-
-    def build(self, extents, initial: Tensor) -> None:
-        self.t = initial.copy()
-
-    def update(self, z, delta: int) -> None:
-        self.t.add(z, delta)
-
-    def exists_zero(self) -> bool:
-        return any(v == 0 for v in self.t.prefix_sums().data)
-
-    def fingerprint(self):
-        return tuple(self.t.data)
-
-
-class LangermanTargetReal:
-    def __init__(self):
-        self.ds = None
-
-    def build(self, extents, initial: Tensor) -> None:
-        from .tensor_ds import LangermanDS
-        self.ds = LangermanDS(extents, initial=initial)
-
-    def update(self, z, delta: int) -> None:
-        self.ds.update(z, delta)
-
-    def exists_zero(self) -> bool:
-        return self.ds.exists_zero()
-
 
 def _rowmajor_inv(v: int, B: int, d: int) -> tuple:
     # bijection [B]^d -> [B^d], row major, all 1-based
@@ -1546,6 +1225,61 @@ class Counted:
         return counted
 
 
+# ---------------- structure targets ----------------
+
+class Target:
+    """A reduction target over one structure or scan oracle.
+
+    `build(*args)` makes the structure, `ds = make(*args)`.  Each other
+    driver call `name` then runs `calls[name]`: the method of `ds` that it
+    names, or a function run as `f(ds, *args)`, the shape of
+    `Problem.calls` in the CLI.  Entries are bound to `ds` at build, so a
+    call goes straight to its entry.  A `fingerprint` entry is the state
+    that the drivers check is restored after each phase.
+    """
+
+    def __init__(self, make: Callable, calls: Dict[str, object]):
+        self._make = make
+        self._calls = calls
+        self.ds = None
+
+    def build(self, *args) -> None:
+        self.ds = ds = self._make(*args)
+        for name, call in self._calls.items():
+            setattr(self, name, getattr(ds, call) if isinstance(call, str)
+                    else partial(call, ds))
+
+    preprocess = build      # the skyline driver's name for it
+
+
+class MiddleBatch(Target):
+    """Target of the sequence drivers: the sequence `make(values)`, a
+    `SequenceScan` or a `SequenceAdapter`, with one batch at a time
+    inserted after position `mid`."""
+
+    def __init__(self, make: Callable, calls: Dict[str, object] = {}):
+        super().__init__(make, {"query": lambda seq, l, r: seq.query(l, r)[0],
+                                **calls})
+        self._mid = self._pending = self.inserted_elems = 0
+
+    def build(self, values, mid: int) -> None:
+        super().build(values)
+        self._mid, self._pending = mid, 0
+
+    def insert_middle(self, values) -> None:
+        if self._pending:
+            raise RuntimeError("middle batch already present")
+        for pos, v in enumerate(values, start=self._mid + 1):
+            self.ds.insert(pos, v)
+        self._pending = len(values)
+        self.inserted_elems += len(values)
+
+    def delete_middle(self) -> None:
+        for _ in range(self._pending):
+            self.ds.delete(self._mid + 1)
+        self._pending = 0
+
+
 # ---------------- registry and crosscheck ----------------
 
 @dataclass(frozen=True)
@@ -1583,37 +1317,124 @@ def _points_cap(g: KPartiteGraph, d: int) -> int:
     return sum(g.sizes[i] for i in range(2 * d)) * label + label + 1
 
 
+# Each adapter builds one target per instance.  A scan oracle has the method
+# names of its structure, so one call table serves both; an oracle's table
+# adds the `fingerprint` that its drivers check after each phase.
+
+_SEQ_SCAN_CALLS = {"fingerprint": lambda seq: tuple(seq.values)}
+
+
+def _filled(make, cap, calls):
+    """Target over a labelled-point structure `make(cap(g))`, filled at build."""
+    def target(g):
+        def build(points):
+            ds = make(cap(g))
+            for coords, label in points:
+                ds.update(coords, label, True)
+            return ds
+        return Target(build, calls)
+    return target
+
+
+def _first(res):
+    return None if res is None else res[0]
+
+
+_POINT_CALLS = {"insert": lambda ds, coords, lab: ds.update(coords, lab, True),
+                "delete": lambda ds, coords, lab: ds.update(coords, lab, False)}
+_SORTED_POINTS = {"fingerprint": lambda ds: tuple(sorted(ds.pts))}
+_MODE_CALLS = {**_POINT_CALLS, "query": lambda ds, box: _first(ds.query(box))}
+_COLOR_CALLS = {**_POINT_CALLS, "count": "query"}
+
+
+def _dmode(d: int) -> Dict[str, Callable]:
+    cap = partial(_points_cap, d=d)
+    return {"oracle": _filled(partial(PointScan, mode_oracle, d), cap,
+                              {**_MODE_CALLS, **_SORTED_POINTS}),
+            "real": _filled(partial(DynRangeModeDS, d), cap, _MODE_CALLS)}
+
+
+_SKYLINE_CALLS = {"insert": "insert", "delete": lambda ds, p: ds.delete(),
+                  "count": "query"}
+# the scan checks that the point the driver deletes is the one due
+_SKYLINE_SCAN_CALLS = {**_SKYLINE_CALLS, "delete": "delete",
+                       "fingerprint": lambda ds: tuple(sorted(ds.live))}
+_SKYLINE = {
+    "oracle": lambda i: Target(lambda pts: SkylineScan(initial=pts),
+                               _SKYLINE_SCAN_CALLS),
+    "engine": lambda i: Target(lambda pts: SemiOnlineEngine(
+        Skyline3DBlock(), _skyline_capacity(i), initial=pts), _SKYLINE_CALLS)}
+
+_HALFSPACE_CALLS = {"insert": "insert", "delete": "delete",
+                    "min_count": "min_count"}
+_HALFSPACE_SCAN_CALLS = {**_HALFSPACE_CALLS,
+                         "fingerprint": lambda ds: tuple(sorted(ds.hs))}
+_HALFSPACE = {"real": lambda i: Target(HalfspaceSystem, _HALFSPACE_CALLS),
+              "oracle": lambda i: Target(HalfspaceScan, _HALFSPACE_SCAN_CALLS)}
+
+_HYPERCLIQUE_CALLS = {"insert": "insert", "delete": "delete", "query": "query",
+                      "fingerprint": lambda ds: frozenset(ds.edges)}
+
+
+def _hyperclique(cls):
+    def build(vertices, k: int, edges):
+        ds = cls(vertices, k)
+        for e in edges:
+            ds.insert(e)
+        return ds
+    return lambda i: Target(build, _HYPERCLIQUE_CALLS)
+
+
+_HYPERCLIQUE = {"lazy": _hyperclique(HypercliqueLazy),
+                "counting": _hyperclique(HypercliqueCounting)}
+
+_ERICKSON_CALLS = {
+    "increment": "increment", "max_value": "max_value",
+    "fingerprint": lambda ds: tuple(map(ds.value, itertools.product(
+        *(range(1, e + 1) for e in ds.extents))))}
+_ERICKSON = {"lazy": lambda i: Target(EricksonLazy, _ERICKSON_CALLS),
+             "eager": lambda i: Target(EricksonEager, _ERICKSON_CALLS)}
+
+_LANGERMAN_CALLS = {"update": "update", "exists_zero": "exists_zero"}
+_LANGERMAN_SCAN_CALLS = {**_LANGERMAN_CALLS,
+                         "fingerprint": lambda ds: tuple(ds.t.data)}
+_LANGERMAN = {
+    "real": lambda i: Target(lambda ext, t0: LangermanDS(ext, initial=t0),
+                             _LANGERMAN_CALLS),
+    "oracle": lambda i: Target(lambda ext, t0: LangermanScan(ext, initial=t0),
+                               _LANGERMAN_SCAN_CALLS)}
+
+
 _R = []
 
 _R.append(ReductionConfig(
     "red_4clique_range_mode", "clique", _gen_clique(4),
     red_4clique_range_mode, clique_bruteforce,
-    {"oracle": lambda g: SequenceTargetOracle(),
-     "real": lambda g: SequenceTargetReal(_seq_cap(g))},
+    {"oracle": lambda g: MiddleBatch(partial(
+        SequenceScan.from_values, n_cap=_seq_cap(g)), _SEQ_SCAN_CALLS),
+     "real": lambda g: MiddleBatch(partial(
+         SequenceAdapter.from_values, n_cap=_seq_cap(g)))},
     (2, 3, 4, 5), arity=4))
 _R.append(ReductionConfig(
     "red_4clique_range_minority", "clique", _gen_clique(4),
     red_4clique_range_minority, clique_bruteforce,
-    {"oracle": lambda g: MinorityTargetOracle()},
+    # the separator copy of D takes |D| more slots than the mode array
+    {"oracle": lambda g: MiddleBatch(partial(
+        SequenceScan.from_values, n_cap=_seq_cap(g) + g.sizes[3],
+        scan=sequence_minority_oracle), _SEQ_SCAN_CALLS)},
     (2, 3, 4, 5), arity=4))
 _R.append(ReductionConfig(
     "red_clique_batch_dmode_d1", "clique", _gen_clique(3),
     partial(red_clique_batch_dmode, d=1), clique_bruteforce,
-    {"oracle": lambda g: DynModeTargetOracle(),
-     "real": lambda g: DynModeTargetReal(1, _points_cap(g, 1))},
-    (2, 3, 4, 5), arity=3))
+    _dmode(1), (2, 3, 4, 5), arity=3))
 _R.append(ReductionConfig(
     "red_clique_batch_dmode_d2", "clique", _gen_clique(5),
     partial(red_clique_batch_dmode, d=2), clique_bruteforce,
-    {"oracle": lambda g: DynModeTargetOracle(),
-     "real": lambda g: DynModeTargetReal(2, _points_cap(g, 2))},
-    (2, 3), arity=5))
+    _dmode(2), (2, 3), arity=5))
 _R.append(ReductionConfig(
     "red_clique_dyn_dmode_d1", "clique", _gen_clique(4),
     partial(red_clique_dyn_dmode, d=1), clique_bruteforce,
-    {"oracle": lambda g: DynModeTargetOracle(),
-     "real": lambda g: DynModeTargetReal(1, _points_cap(g, 1))},
-    (2, 3, 4, 5), arity=4))
+    _dmode(1), (2, 3, 4, 5), arity=4))
 _R.append(ReductionConfig(
     "red_4clique_subconn", "clique", _gen_clique(4),
     red_4clique_subconn, clique_bruteforce,
@@ -1628,8 +1449,9 @@ _R.append(ReductionConfig(
 _R.append(ReductionConfig(
     "red_4clique_color", "clique", _gen_clique(4),
     red_4clique_color, clique_bruteforce,
-    {"oracle": lambda g: ColorTargetScan(),
-     "dcc": lambda g: ColorTargetTree(_seq_cap(g))},
+    {"oracle": _filled(partial(PointScan, dcc_oracle, 2), _seq_cap,
+                       {**_COLOR_CALLS, **_SORTED_POINTS}),
+     "dcc": _filled(DynColorCountDS, _seq_cap, _COLOR_CALLS)},
     (2, 3, 4, 5), arity=4))
 _R.append(ReductionConfig(
     "red_4clique_streach", "clique", _gen_clique(4),
@@ -1638,14 +1460,10 @@ _R.append(ReductionConfig(
     (2, 3, 4, 5), arity=4))
 _R.append(ReductionConfig(
     "red_oumvk_skyline_k2", "oumv", _gen_oumv(2),
-    red_oumvk_skyline, oumv_answers,
-    {"oracle": lambda i: SkylineTargetOracle(),
-     "engine": lambda i: SkylineTargetEngine(_skyline_capacity(i))},
-    (2, 3, 4, 5), arity=2))
+    red_oumvk_skyline, oumv_answers, _SKYLINE, (2, 3, 4, 5), arity=2))
 _R.append(ReductionConfig(
     "red_oumvk_skyline_k3", "oumv", _gen_oumv(3),
-    red_oumvk_skyline, oumv_answers,
-    {"oracle": lambda i: SkylineTargetOracle()},
+    red_oumvk_skyline, oumv_answers, {"oracle": _SKYLINE["oracle"]},
     (2, 3, 4, 5), arity=3))
 _R.append(ReductionConfig(
     "red_oumvk_klee_k2", "oumv", _gen_oumv(2),
@@ -1654,52 +1472,29 @@ _R.append(ReductionConfig(
     (2, 3, 4), arity=2))
 _R.append(ReductionConfig(
     "red_oumvk_halfspace_k2", "oumv", _gen_oumv(2),
-    red_oumvk_halfspace, oumv_answers,
-    {"real": lambda i: HalfspaceTargetReal(),
-     "oracle": lambda i: HalfspaceTargetScan()},
-    (2, 3, 4, 5, 6), arity=2))
+    red_oumvk_halfspace, oumv_answers, _HALFSPACE, (2, 3, 4, 5, 6), arity=2))
 _R.append(ReductionConfig(
     "red_oumvk_halfspace_k3", "oumv", _gen_oumv(3),
-    red_oumvk_halfspace, oumv_answers,
-    {"real": lambda i: HalfspaceTargetReal(),
-     "oracle": lambda i: HalfspaceTargetScan()},
-    (2, 3, 4, 5, 6), arity=3))
+    red_oumvk_halfspace, oumv_answers, _HALFSPACE, (2, 3, 4, 5, 6), arity=3))
 _R.append(ReductionConfig(
     "red_oumvk_hyperclique_k2", "oumv", _gen_oumv(2),
-    red_oumvk_hyperclique, oumv_answers,
-    {"lazy": lambda i: HypercliqueTarget(HypercliqueLazy),
-     "counting": lambda i: HypercliqueTarget(HypercliqueCounting)},
-    (2, 3, 4, 5), arity=2))
+    red_oumvk_hyperclique, oumv_answers, _HYPERCLIQUE, (2, 3, 4, 5),
+    arity=2))
 _R.append(ReductionConfig(
     "red_oumvk_hyperclique_k3", "oumv", _gen_oumv(3),
-    red_oumvk_hyperclique, oumv_answers,
-    {"lazy": lambda i: HypercliqueTarget(HypercliqueLazy),
-     "counting": lambda i: HypercliqueTarget(HypercliqueCounting)},
-    (2, 3, 4), arity=3))
+    red_oumvk_hyperclique, oumv_answers, _HYPERCLIQUE, (2, 3, 4), arity=3))
 _R.append(ReductionConfig(
     "red_oumvk_erickson_k2", "oumv", _gen_oumv(2),
-    red_oumvk_erickson, oumv_answers,
-    {"lazy": lambda i: EricksonTarget(EricksonLazy),
-     "eager": lambda i: EricksonTarget(EricksonEager)},
-    (2, 3, 4, 5), arity=2))
+    red_oumvk_erickson, oumv_answers, _ERICKSON, (2, 3, 4, 5), arity=2))
 _R.append(ReductionConfig(
     "red_oumvk_erickson_k3", "oumv", _gen_oumv(3),
-    red_oumvk_erickson, oumv_answers,
-    {"lazy": lambda i: EricksonTarget(EricksonLazy),
-     "eager": lambda i: EricksonTarget(EricksonEager)},
-    (2, 3, 4), arity=3))
+    red_oumvk_erickson, oumv_answers, _ERICKSON, (2, 3, 4), arity=3))
 _R.append(ReductionConfig(
     "red_oumvk_langerman_k2", "oumv", _gen_oumv(2),
-    red_oumvk_langerman, oumv_answers,
-    {"real": lambda i: LangermanTargetReal(),
-     "oracle": lambda i: LangermanTargetOracle()},
-    (2, 3, 4), arity=2))
+    red_oumvk_langerman, oumv_answers, _LANGERMAN, (2, 3, 4), arity=2))
 _R.append(ReductionConfig(
     "red_oumvk_langerman_k3", "oumv", _gen_oumv(3, square=True),
-    red_oumvk_langerman, oumv_answers,
-    {"real": lambda i: LangermanTargetReal(),
-     "oracle": lambda i: LangermanTargetOracle()},
-    (2,), arity=3))
+    red_oumvk_langerman, oumv_answers, _LANGERMAN, (2,), arity=3))
 
 REDUCTIONS: Dict[str, ReductionConfig] = {c.rid: c for c in _R}
 

@@ -22,6 +22,7 @@ from .core_geom import VisitCounter, _debug_on, _invariant
 __all__ = [
     "Tensor",
     "LangermanDS",
+    "LangermanScan",
     "EricksonLazy",
     "EricksonEager",
     "HypercliqueLazy",
@@ -221,6 +222,24 @@ class LangermanDS:
             _invariant(P[g] == v, "grid anchor is a prefix sum")
 
 
+class LangermanScan:
+    """Scan oracle for `LangermanDS`: the plain tensor, its prefix sums
+    recomputed at every query."""
+
+    def __init__(self, extents: Sequence[int],
+                 initial: Optional[Tensor] = None):
+        self.t = initial.copy() if initial is not None else Tensor(extents)
+
+    def update(self, z, delta: int) -> None:
+        self.t.add(z, delta)
+
+    def exists_zero(self) -> bool:
+        return any(v == 0 for v in self.t.prefix_sums().data)
+
+    def prefix(self, x) -> int:
+        return self.t.prefix_sums()[x]
+
+
 # ---------------- slab-increment max structures ----------------
 
 class EricksonLazy:
@@ -228,13 +247,14 @@ class EricksonLazy:
 
     def __init__(self, initial: Tensor, counter: Optional[VisitCounter] = None):
         self.base = initial.copy()
-        self.inc = [[0] * (e + 1) for e in self.base.extents]
+        self.extents = initial.extents
+        self.inc = [[0] * (e + 1) for e in self.extents]
         self.counter = counter if counter is not None else VisitCounter()
 
     def increment(self, axis: int, index: int, delta: int = 1) -> None:
-        if not 0 <= axis < len(self.base.extents):
+        if not 0 <= axis < len(self.extents):
             raise ValueError("bad axis")
-        if not 1 <= index <= self.base.extents[axis]:
+        if not 1 <= index <= self.extents[axis]:
             raise ValueError("bad index")
         self.counter.add(1)
         self.inc[axis][index] += delta
@@ -268,12 +288,13 @@ class EricksonEager:
         if not all(isinstance(v, int) for v in initial.data):
             raise TypeError("EricksonEager needs int values")
         self.vals = initial.copy()
+        self.extents = initial.extents
         self.counter = counter if counter is not None else VisitCounter()
         self._hist = Counter(self.vals.data)
         self._max = max(self._hist)
 
     def increment(self, axis: int, index: int, delta: int = 1) -> None:
-        ext = self.vals.extents
+        ext = self.extents
         if not 0 <= axis < len(ext):
             raise ValueError("bad axis")
         if not 1 <= index <= ext[axis]:

@@ -164,6 +164,7 @@ HEADER_ERRORS = [
     ("sequence-mode", "cap=-1", "SINS 1 5\n", "capacity must be >= 1"),
     ("color-count", "cap=0", "INS 1 1 1\n", "capacity must be >= 1"),
     ("langerman", "ext=0", "ZQRY\n", "extents must be positive"),
+    ("erickson", "ext=0", "INC 1 1\n", "extents must be positive"),
 ]
 
 
@@ -177,6 +178,59 @@ def test_solve_rejected_header_exit2(problem, header, ops, msg, tmp_path,
     for sid in PROBLEMS[problem].solvers:
         assert main(["solve", f, "--structure", sid]) == 2, sid
         assert capsys.readouterr().err == f"error: line 4: {msg}\n", sid
+
+
+# hand-written edge traces: (problem, header, ops, the oracle's exit code)
+EDGE_TRACES = [
+    ("sequence-mode", "cap=4", "SINS 2 5\n", 3),
+    ("sequence-mode", "cap=4", "SINS 1 5\nSDEL 2\n", 3),
+    ("sequence-mode", "cap=4", "SINS 1 5\nSQRY 1 2\n", 3),
+    ("sequence-mode", "cap=1", "SINS 1 3\nSQRY 1 1\nSINS 2 4\n", 3),
+    ("sequence-mode", "cap=2", "SINS 1 3\nSINS 1 4\nSDEL 1\nSINS 2 3\n"
+     "SQRY 1 2\n", 0),
+    ("range-mode-dyn", "d=1 cap=1", "INS 1 1\nINS 2 2\nQRY 1 2\n", 3),
+    ("range-mode-dyn", "d=1 cap=1", "INS 1 1\nDEL 1 1\nINS 2 2\nQRY 1 2\n",
+     0),
+    ("range-mode-dyn", "d=1 cap=4", "INS 1 1\nDEL 1 2\n", 3),
+    ("range-mode-dyn", "d=2 cap=4", "INS 0 0 2\nINS 0 0 2\nINS 1 1 1\n"
+     "QRY 0 1 0 1\nQRY 2 3 2 3\n", 0),
+    ("color-count", "cap=1", "INS 0 0 1\nINS 1 1 2\nQRY 0 1 0 1\n", 3),
+    ("color-count", "cap=4", "INS 0 0 1\nINS 0 0 1\nDEL 0 0 1\n"
+     "QRY 0 0 0 0\nDEL 1 1 1\n", 3),
+    ("common-colors", "m=3", "BASE 1 2 1\nBASE 1 2 1\n", 3),
+    ("common-colors", "m=3", "BASE 1 2 1\nON 3\n", 3),
+    ("common-colors", "m=3", "BASE 1 2 1\nON 1\nQRY 1 1 3 3\n"
+     "QRY 2 1 1 1\n", 3),
+    ("langerman", "ext=4", "UPD 1 -1\nZQRY\nUPD 5 1\n", 3),
+    ("langerman", "ext=2,2", "UPD 2 2 3\nPQRY 2 2\nPQRY 3 1\n", 3),
+    ("erickson", "ext=2", "INC 2 1\n", 3),
+    ("erickson", "ext=2,2", "BASE 1 0 0 2\nINC 1 2\nVQRY 2 2\nMQRY\n"
+     "VQRY 3 1\n", 3),
+    ("hyperclique", "n=3 k=2", "EINS 1 2\nEINS 2 1\n", 3),
+    ("hyperclique", "n=3 k=2", "EINS 1 1\n", 3),
+    ("hyperclique", "n=3 k=2", "EINS 1 2\nEINS 1 3\nEINS 2 3\nQRY 1\n"
+     "EDEL 1 3\nEDEL 1 3\n", 3),
+    ("skyline3d", "cap=8", "INS 1 1 1 3\nINS 2 2 2 3\n", 3),
+    ("skyline3d", "cap=8", "INS 1 1 1 1\n", 3),
+    ("skyline3d", "cap=8", "QRY\nDEL\n", 3),
+    ("skyline3d", "cap=8", "INS 1 1 1 3\nQRY\nDEL\nQRY\n", 0),
+    ("halfspace", "d=2", "P 0 0\nHDEL 1 0 0 ge\n", 3),
+    ("halfspace", "d=2", "P 0 0\nP 1 1\nHINS 1 1 1 ge\nHINS 1 1 1 ge\n"
+     "QRY\nHDEL 1 1 1 ge\nQRY\n", 0),
+]
+
+
+@pytest.mark.parametrize("problem,header,ops,code", EDGE_TRACES)
+def test_solve_edge_traces_agree(problem, header, ops, code, tmp_path,
+                                 capsys):
+    # every structure id gives the oracle's exit code and output lines
+    f = _write(tmp_path, "edge.trace",
+               f"problem {problem}\nheader {header}\n{ops}")
+    assert main(["solve", f, "--structure", "oracle"]) == code
+    want = capsys.readouterr().out
+    for sid in PROBLEMS[problem].solvers:
+        assert (main(["solve", f, "--structure", sid]),
+                capsys.readouterr().out) == (code, want), sid
 
 
 def test_solve_missing_file_exit2(capsys):
@@ -310,8 +364,8 @@ def test_reduce_closed_form_check_exit3_under_optimize(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys\n"
             "from dynds.cli import main\n"
-            "from dynds.reductions import EricksonTarget\n"
-            "EricksonTarget.max_value = lambda self: 10 ** 6\n"
+            "from dynds.tensor_ds import EricksonLazy\n"
+            "EricksonLazy.max_value = lambda self: 10 ** 6\n"
             f"sys.exit(main(['reduce', {f!r}, '--reduction',\n"
             "                'red_oumvk_erickson_k2', '--adapter', 'lazy']))\n")
     out = subprocess.run([sys.executable, "-O", "-c", code],
@@ -466,6 +520,20 @@ def test_crosscheck_deterministic_bytes(tmp_path):
         assert main(["crosscheck", "--scope", "red_4clique_color",
                      "--seed", "12", "--count", "4", "--out", str(p)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("scope,code,digest", [
+    ("default", 0,
+     "908e87fc236da9ed23982e6165a4e3fff35bf3ca8fe224a06a20aaf8d2eb4de6"),
+    ("fault", 1,
+     "76342d8a5903e1153a755cefd5cc044b1b0920bdbbbf767d18d01a5dbcc662ee"),
+])
+def test_crosscheck_report_bytes_pinned(scope, code, digest, tmp_path):
+    # the seed-3 reports are part of the CLI contract
+    out = tmp_path / "report.txt"
+    assert main(["crosscheck", "--scope", scope, "--seed", "3",
+                 "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_crosscheck_unknown_scope_exit2(capsys):

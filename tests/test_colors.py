@@ -163,6 +163,12 @@ def test_dcc_validation():
         ds.update((1, 2), "r", False)
     with pytest.raises(ValueError):
         DynColorCountDS(0)
+    full = DynColorCountDS(1)
+    full.update((1, 1), "r", True)
+    with pytest.raises(ValueError, match="capacity 1 exceeded"):
+        full.update((2, 2), "g", True)
+    full.update((1, 1), "r", False)
+    full.update((2, 2), "g", True)
     with pytest.raises(ValueError):
         DynColorCountDS(10, rebuild_period=0)
 

@@ -1,5 +1,6 @@
-"""README.md stays true: its ```python blocks run, and its `solve` problem
-table and structure ids match `dynds.cli.PROBLEMS`."""
+"""README.md stays true: its ```python blocks run, its `solve` problem
+table and structure ids match `dynds.cli.PROBLEMS`, and its `reduce`
+reduction table matches `dynds.REDUCTIONS`."""
 import random
 import re
 from pathlib import Path
@@ -50,3 +51,28 @@ def test_readme_structure_sentence_matches_solvers():
     assert set(extra) <= set(PROBLEMS)
     for pid, p in PROBLEMS.items():
         assert set(p.solvers) == common | extra.get(pid, set()), pid
+
+
+def test_readme_reduction_table_matches_reductions():
+    # a row may name `red_x_k2` / `_k3`, with one adapter list per id or
+    # one list for both
+    from dynds.reductions import REDUCTIONS
+    text = README.read_text()
+    section = text[text.index("### reduce"):text.index("### crosscheck")]
+    table = {}
+    for row in section.splitlines():
+        if not row.startswith("| `red_"):
+            continue
+        ids, instance, adapters = [c.strip() for c in row.strip("|").split("|")]
+        names = re.findall(r"`(\w+)`", ids)
+        rids = names[:1] + [names[0].rsplit("_", 1)[0] + n for n in names[1:]]
+        groups = adapters.split(" / ")
+        groups *= len(rids) // len(groups)
+        assert len(groups) == len(rids), row
+        for rid, group in zip(rids, groups):
+            table[rid] = (instance, set(re.findall(r"`(\w+)`", group)))
+    assert list(table) == list(REDUCTIONS)
+    for rid, cfg in REDUCTIONS.items():
+        instance = (f"graph, k={cfg.arity}" if cfg.kind == "clique"
+                    else "OuMv")
+        assert table[rid] == (instance, set(cfg.adapters)), rid

@@ -34,15 +34,14 @@ from dynds.reductions import (
     red_oumvk_skyline,
     Counted,
     DocsTargetOracle,
-    EricksonTarget,
-    MinorityTargetOracle,
-    SequenceTargetOracle,
-    SequenceTargetReal,
-    SkylineTargetOracle,
     StReachTargetOracle,
     SubConnTargetOracle,
 )
-from dynds.tensor_ds import EricksonLazy
+
+
+def adapter(rid, aid, inst):
+    """The target that `dynds reduce --reduction rid --adapter aid` builds."""
+    return REDUCTIONS[rid].adapters[aid](inst)
 
 
 def complete_kpartite(sizes):
@@ -233,17 +232,19 @@ def dense_triangle_free_4p():
 def test_mode_reduction_negative_instance():
     g = dense_triangle_free_4p()
     assert not clique_bruteforce(g)
-    assert not red_4clique_range_mode(g, Counted(SequenceTargetOracle()))
+    assert not red_4clique_range_mode(
+        g, Counted(adapter("red_4clique_range_mode", "oracle", g)))
 
 
 def test_mode_reduction_positive_instance():
     g = complete_kpartite([2, 2, 2, 2])
-    assert red_4clique_range_mode(g, Counted(SequenceTargetReal(40)))
+    assert red_4clique_range_mode(
+        g, Counted(adapter("red_4clique_range_mode", "real", g)))
 
 
 def test_mode_query_budget_exact():
     g = complete_kpartite([3, 2, 2, 2])
-    t = Counted(SequenceTargetOracle())
+    t = Counted(adapter("red_4clique_range_mode", "oracle", g))
     red_4clique_range_mode(g, t)
     assert t.calls["query"] == 3 * 2 * 2
     assert t.calls["build"] == 1
@@ -255,15 +256,17 @@ def test_mode_reduction_skips_empty_neighborhoods():
     g = complete_kpartite([2, 2, 2, 2])
     edges = {e for e in g.edges if e[0] != (1, 2) or e[1][0] != 4}
     g2 = KPartiteGraph([2, 2, 2, 2], edges)
-    t = Counted(SequenceTargetOracle())
+    t = Counted(adapter("red_4clique_range_mode", "oracle", g2))
     red_4clique_range_mode(g2, t)
     assert t.calls["query"] == 1 * 2 * 2
 
 
 def test_wrong_part_count_rejected():
     g = complete_kpartite([2, 2, 2])
+    g4 = complete_kpartite([2, 2, 2, 2])
     with pytest.raises(ValueError):
-        red_4clique_range_mode(g, SequenceTargetOracle())
+        red_4clique_range_mode(
+            g, adapter("red_4clique_range_mode", "oracle", g4))
     with pytest.raises(ValueError):
         red_4clique_subconn(g, SubConnTargetOracle())
 
@@ -302,19 +305,20 @@ def test_color_strict_mode_agrees():
     rng = random.Random(77)
     for _ in range(20):
         g = random_kpartite(rng, [2, 2, 2, 2], 0.5)
-        from dynds.reductions import ColorTargetScan
-        lazy = red_4clique_color(g, Counted(ColorTargetScan()))
-        strict = red_4clique_color(g, Counted(ColorTargetScan()), strict=True)
+        lazy = red_4clique_color(
+            g, Counted(adapter("red_4clique_color", "oracle", g)))
+        strict = red_4clique_color(
+            g, Counted(adapter("red_4clique_color", "oracle", g)),
+            strict=True)
         assert lazy == strict == clique_bruteforce(g)
 
 
 def test_color_count_budget():
-    from dynds.reductions import ColorTargetScan
     g = complete_kpartite([2, 2, 3, 2])
-    t = Counted(ColorTargetScan())
+    t = Counted(adapter("red_4clique_color", "oracle", g))
     red_4clique_color(g, t)
     assert t.calls["count"] == (3 * 3 + 1) * 2 * 2
-    t2 = Counted(ColorTargetScan())
+    t2 = Counted(adapter("red_4clique_color", "oracle", g))
     red_4clique_color(g, t2, strict=True)
     assert t2.calls["count"] == (3 * 3 + 3) * 2 * 2
 
@@ -356,7 +360,8 @@ def test_skyline_hand_instance():
     inst = OuMvInstance(2, 2, frozenset({(1, 2)}),
                         ((frozenset({1}), frozenset({2})),))
     rec = []
-    out = red_oumvk_skyline(inst, SkylineTargetOracle(), record=rec)
+    out = red_oumvk_skyline(
+        inst, adapter("red_oumvk_skyline_k2", "oracle", inst), record=rec)
     assert out == [True]
     assert rec == [[3, 3, 2]]
 
@@ -366,7 +371,8 @@ def test_skyline_counts_follow_closed_form():
     for _ in range(15):
         inst = random_oumv(rng, 2, 4)
         rec = []
-        out = red_oumvk_skyline(inst, SkylineTargetOracle(), record=rec)
+        out = red_oumvk_skyline(
+            inst, adapter("red_oumvk_skyline_k2", "oracle", inst), record=rec)
         assert out == oumv_answers(inst)
         for us, cs in zip(inst.queries, rec):
             for j, c in enumerate(cs):
@@ -375,11 +381,22 @@ def test_skyline_counts_follow_closed_form():
                 assert c == -len(us[0]) + inst.n + 1 + tail
 
 
+def test_skyline_oracle_checks_the_deleted_point():
+    # the driver names the point it deletes; the oracle target checks that
+    # it is the one whose death is due
+    t = adapter("red_oumvk_skyline_k2", "oracle", _EMPTY_OUMV)
+    t.preprocess([])
+    t.insert((1, 2, 3), 2)
+    with pytest.raises(ValueError, match="does not die at op 2"):
+        t.delete((3, 2, 1))
+
+
 def test_erickson_phase_thresholds():
     rng = random.Random(13)
     inst = random_oumv(rng, 2, 3, num_queries=4)
     rec = []
-    out = red_oumvk_erickson(inst, EricksonTarget(EricksonLazy), record=rec)
+    out = red_oumvk_erickson(
+        inst, adapter("red_oumvk_erickson_k2", "lazy", inst), record=rec)
     assert [f for f, _, _ in rec] == [1, 2, 3, 4]
     for (f, thr, mv), ans in zip(rec, out):
         assert thr == 2 + 1 + (f - 1) * 2
@@ -390,7 +407,8 @@ def test_erickson_empty_tensor_max():
     inst = OuMvInstance(2, 2, frozenset(),
                         ((frozenset({1, 2}), frozenset({1, 2})),))
     rec = []
-    out = red_oumvk_erickson(inst, EricksonTarget(EricksonLazy), record=rec)
+    out = red_oumvk_erickson(
+        inst, adapter("red_oumvk_erickson_k2", "lazy", inst), record=rec)
     assert out == [False]
     assert rec[0][2] == 2   # k + (f-1)k: ceiling minus one without a hit
 
@@ -410,10 +428,8 @@ def test_halfspace_empty_tuples_short_circuit():
                                          (">", 0), (">=", 1)])
 def test_halfspace_scan_matches_system_on_boundary(sense, depth):
     # the halfspace passes through the only point, so strictness decides
-    from dynds.geom_dyn import HalfspaceSystem
-    from dynds.reductions import HalfspaceTargetScan
-    scan = HalfspaceTargetScan()
-    scan.build([(0, 0)])
+    from dynds.geom_dyn import HalfspaceScan, HalfspaceSystem
+    scan = HalfspaceScan([(0, 0)])
     scan.insert((1, 1), 0, sense)
     hs = HalfspaceSystem([(0, 0)])
     hs.insert((1, 1), 0, sense)
@@ -422,9 +438,9 @@ def test_halfspace_scan_matches_system_on_boundary(sense, depth):
 
 def test_langerman_rejects_non_power():
     inst = OuMvInstance(3, 3, frozenset(), ())
-    from dynds.reductions import LangermanTargetOracle
     with pytest.raises(ValueError):
-        red_oumvk_langerman(inst, LangermanTargetOracle())
+        red_oumvk_langerman(
+            inst, adapter("red_oumvk_langerman_k3", "oracle", inst))
 
 
 def test_langerman_debug_identity(monkeypatch):
@@ -432,8 +448,8 @@ def test_langerman_debug_identity(monkeypatch):
     rng = random.Random(3)
     for _ in range(5):
         inst = random_oumv(rng, 3, 4)
-        from dynds.reductions import LangermanTargetOracle
-        out = red_oumvk_langerman(inst, LangermanTargetOracle())
+        out = red_oumvk_langerman(
+            inst, adapter("red_oumvk_langerman_k3", "oracle", inst))
         assert out == oumv_answers(inst)
 
 
@@ -569,15 +585,45 @@ def test_call_budget_raises(rid, method):
             cfg.run(inst, t)
 
 
+# adapters whose drivers run no state-restore check: their targets have no
+# `fingerprint`; every other adapter's target has one
+_UNCHECKED = {
+    ("red_4clique_range_mode", "real"),
+    ("red_clique_batch_dmode_d1", "real"),
+    ("red_clique_batch_dmode_d2", "real"),
+    ("red_clique_dyn_dmode_d1", "real"),
+    ("red_4clique_color", "dcc"),
+    ("red_oumvk_skyline_k2", "engine"),
+    ("red_oumvk_halfspace_k2", "real"),
+    ("red_oumvk_halfspace_k3", "real"),
+    ("red_oumvk_langerman_k2", "real"),
+    ("red_oumvk_langerman_k3", "real"),
+}
+
+
+def test_restore_checks_pinned():
+    unchecked = set()
+    for rid, cfg in REDUCTIONS.items():
+        inst = cfg.gen(random.Random(f"fp.{rid}"), cfg.sizes[0])
+        for aid, factory in cfg.adapters.items():
+            target = factory(inst)
+            cfg.run(inst, Counted(target))
+            if not hasattr(target, "fingerprint"):
+                unchecked.add((rid, aid))
+    assert unchecked == _UNCHECKED
+
+
 def test_call_budget_holds_under_optimize():
     # the budget check is a contract check: it raises under python -O too
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("from dynds.reductions import (Counted, KPartiteGraph,\n"
-            "    SequenceTargetOracle, red_4clique_range_mode)\n"
-            "t = Counted(SequenceTargetOracle())\n"
+    code = ("from dynds.reductions import (REDUCTIONS, Counted,\n"
+            "    KPartiteGraph, red_4clique_range_mode)\n"
+            "g = KPartiteGraph([2] * 4)\n"
+            "cfg = REDUCTIONS['red_4clique_range_mode']\n"
+            "t = Counted(cfg.adapters['oracle'](g))\n"
             "t.calls['query'] += 1\n"
             "try:\n"
-            "    red_4clique_range_mode(KPartiteGraph([2] * 4), t)\n"
+            "    red_4clique_range_mode(g, t)\n"
             "except RuntimeError as exc:\n"
             "    print(exc)\n")
     out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
@@ -586,14 +632,15 @@ def test_call_budget_holds_under_optimize():
     assert out.stdout == "call budget broken: mode queries\n"
 
 
-@pytest.mark.parametrize("make", [SequenceTargetOracle, MinorityTargetOracle,
-                                  lambda: SequenceTargetReal(16)],
-                         ids=["oracle", "minority", "real"])
-def test_one_middle_batch_at_a_time(make):
-    t = make()
+@pytest.mark.parametrize("rid,aid", [
+    ("red_4clique_range_mode", "oracle"),
+    ("red_4clique_range_minority", "oracle"),
+    ("red_4clique_range_mode", "real")], ids=["oracle", "minority", "real"])
+def test_one_middle_batch_at_a_time(rid, aid):
+    t = adapter(rid, aid, KPartiteGraph([2] * 4))
 
     def values():
-        return list(t.vals if hasattr(t, "vals") else t.seq.values)
+        return list(t.ds.values)
     t.build([1, 2, 3, 4], 2)
     t.insert_middle([7, 8])
     with pytest.raises(RuntimeError, match="middle batch already present"):
@@ -605,14 +652,15 @@ def test_one_middle_batch_at_a_time(make):
 
 def test_one_middle_batch_holds_under_optimize():
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("from dynds.reductions import SequenceTargetOracle\n"
-            "t = SequenceTargetOracle()\n"
+    code = ("from dynds.reductions import REDUCTIONS, KPartiteGraph\n"
+            "cfg = REDUCTIONS['red_4clique_range_mode']\n"
+            "t = cfg.adapters['oracle'](KPartiteGraph([2] * 4))\n"
             "t.build([1, 2, 3, 4], 2)\n"
             "t.insert_middle([7, 8])\n"
             "try:\n"
             "    t.insert_middle([9])\n"
             "except RuntimeError as exc:\n"
-            "    print(exc, t.vals)\n")
+            "    print(exc, t.ds.values)\n")
     out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
