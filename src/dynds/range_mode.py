@@ -5,6 +5,11 @@ every light label (at most B live occurrences), one entry per axis-aligned box
 spanned by that label's coordinate values, valued by the label's count in the
 box.  A query takes the best heavy label by direct counting and the best light
 entry via a dominance query on the box-boundary coordinates.
+
+A max-tree value is (count, tie rank), where a larger rank means a smaller
+label, so the max lands on the smallest label among equal counts.  The rank of
+an int label is the int -label, so that comparing two values stays inside C;
+any other label is wrapped in _TieRank, which also orders against those ints.
 """
 
 from __future__ import annotations
@@ -65,11 +70,12 @@ def sequence_minority_oracle(values: Sequence, l: int, r: int) -> Tuple[object, 
 # ---------------- dynamic structure ----------------
 
 class _TieRank:
-    """Wraps a label so that larger order means smaller label.
+    """Tie rank of a label that is not an int: larger order, smaller label.
 
-    Stored as the second component of max-tree values: the lexicographic
-    max then lands on the smallest label among equal counts, matching the
-    oracle tie rule.
+    Int labels rank as the plain int -label instead (see _light_box_keys),
+    so a rank compared here is either another _TieRank or an int o that
+    stands for the label -o.  Mixed live labels, such as int with Fraction,
+    float or bool, thus order exactly as mode_oracle orders them.
     """
 
     __slots__ = ("label",)
@@ -77,11 +83,18 @@ class _TieRank:
     def __init__(self, label):
         self.label = label
 
+    @staticmethod
+    def _label_of(rank):
+        return rank.label if type(rank) is _TieRank else -rank
+
     def __eq__(self, other):
-        return self.label == other.label
+        return self.label == self._label_of(other)
 
     def __lt__(self, other):
-        return other.label < self.label
+        return self._label_of(other) < self.label
+
+    def __gt__(self, other):
+        return self.label < self._label_of(other)
 
     def __repr__(self):
         return f"_TieRank({self.label!r})"
@@ -253,8 +266,9 @@ class DynRangeModeDS:
             else:
                 new_keys.append(ek)
         if missing:
+            rank = -label if type(label) is int else _TieRank(label)
             keys = self._tp.extend(
-                [(bc, (cnt, _TieRank(label))) for bc, cnt in missing])
+                [(bc, (cnt, rank)) for bc, cnt in missing])
             for (bc, cnt), ek in zip(missing, keys):
                 self._tp_keys[(label, bc, cnt)] = ek
                 self._tp_label[ek] = label
@@ -387,10 +401,12 @@ class SequenceAdapter:
         left = self.keys[pos - 2] if pos >= 2 else self._lo_bound
         right = self.keys[pos - 1] if pos <= n else self._hi_bound
         key = (left + right) >> 1
+        # the structure refuses (past cap, or an unordered label) before it
+        # changes anything, so the adapter must not change before it either
+        self.ds.update((key,), value, insert=True)
         self.keys.insert(pos - 1, key)
         self.values.insert(pos - 1, value)
         self._all_keys.add(key)
-        self.ds.update((key,), value, insert=True)
         if key & 3:
             self._rebuild()
 
@@ -470,7 +486,7 @@ class SequenceScan:
         if not 1 <= pos <= len(self.values) + 1:
             raise ValueError(f"insert position {pos} out of range")
         if len(self.values) >= self.n_cap:
-            raise ValueError("sequence at capacity")
+            raise ValueError(f"capacity {self.n_cap} exceeded")
         self.values.insert(pos - 1, value)
 
     def delete(self, pos: int) -> None:

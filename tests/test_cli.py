@@ -120,8 +120,10 @@ def test_solve_op_error_exit3(tmp_path, capsys):
 def test_solve_capacity_error_names_op(tmp_path, capsys):
     f = _write(tmp_path, "cap.trace",
                "problem sequence-mode\nheader cap=1\nSINS 1 3\nSINS 2 4\n")
-    assert main(["solve", f]) == 3
-    assert "op 2" in capsys.readouterr().err
+    for sid in ["oracle", *PROBLEMS["sequence-mode"].solvers]:
+        assert main(["solve", f, "--structure", sid]) == 3
+        assert capsys.readouterr().err == \
+            "error: op 2: capacity 1 exceeded\n", sid
 
 
 def test_solve_contract_error_exit3(tmp_path, capsys, monkeypatch):

@@ -89,7 +89,7 @@ def test_cc_toggle_validation():
 
 @pytest.mark.parametrize("b_thresh", [1, 2, None, 100])
 def test_cc_random_traces(b_thresh):
-    rng = random.Random(hash(("cc", b_thresh)) & 0xFFFF)
+    rng = random.Random(f"cc.{b_thresh}")
     for _ in range(8):
         m = rng.randint(1, 24)
         ncol = rng.randint(1, 6)
@@ -196,7 +196,7 @@ def test_dcc_rebuild_boundary(extra):
 
 @pytest.mark.parametrize("period", [1, 3, None])
 def test_dcc_random_traces(period):
-    rng = random.Random(hash(("dcc", period)) & 0xFFFF)
+    rng = random.Random(f"dcc.{period}")
     for _ in range(6):
         ds = DynColorCountDS(60, rebuild_period=period)
         live = []

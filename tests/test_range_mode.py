@@ -12,6 +12,8 @@ from dynds.core_geom import Box, VisitCounter
 from dynds.range_mode import (
     DynRangeModeDS,
     SequenceAdapter,
+    SequenceScan,
+    _TieRank,
     mode_oracle,
     sequence_minority_oracle,
     sequence_mode_oracle,
@@ -219,6 +221,42 @@ def test_mixed_labels_rejected_like_oracle():
     assert ds.query(box) == mode_oracle([((2, 2), "a")], box) == ("a", 1)
 
 
+def test_mixed_type_labels_tie_like_oracle():
+    # int labels rank as -label, every other label as a _TieRank: counts tied
+    # between an int and a Fraction, float or bool label must still go to the
+    # smallest label, exactly as mode_oracle breaks them
+    pool = [2, 3, -1, Fraction(5, 2), Fraction(-1, 3), 0.5, 3.0, 2.5,
+            True, False]
+    for seed in range(4):
+        rng = random.Random(f"mixed.{seed}")
+        ds = DynRangeModeDS(2, 40, B_override=2 if seed % 2 else 3)
+        live = []
+        for _ in range(150):
+            if live and (len(live) == 40 or rng.random() < 0.4):
+                coords, lab = live.pop(rng.randrange(len(live)))
+                ds.update(coords, lab, False)
+            else:
+                coords = (rng.randint(1, 4), rng.randint(1, 4))
+                lab = rng.choice(pool)
+                ds.update(coords, lab, True)
+                live.append((coords, lab))
+            lows = (rng.randint(1, 4), rng.randint(1, 4))
+            highs = tuple(lo + rng.randint(0, 3) for lo in lows)
+            for box in (Box.closed(lows, highs), Box.closed((1, 1), (4, 4))):
+                assert ds.query(box) == mode_oracle(live, box)
+
+
+def test_int_labels_never_compare_tie_ranks(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("_TieRank compared during an int-label churn")
+
+    for name in ("__eq__", "__lt__", "__gt__"):
+        monkeypatch.setattr(_TieRank, name, refuse)
+    for seed in range(4):
+        random_trace_check(2, 700 + seed, ops=120, n_cap=60, coord_hi=6,
+                           labels=8, B_override=2 if seed % 2 else None)
+
+
 def test_counter_budget():
     c = 64
     for d, n_cap, coord_hi in [(1, 200, 40), (2, 120, 10)]:
@@ -307,6 +345,25 @@ def test_sequence_adapter_position_validation():
     assert seq.query(1, 1) == (5, 1)
 
 
+def test_sequence_adapter_rejected_insert_changes_nothing():
+    seq, scan = SequenceAdapter(1), SequenceScan(1)
+    for s in (seq, scan):
+        s.insert(1, 3)
+        with pytest.raises(ValueError, match="capacity 1 exceeded"):
+            s.insert(2, 4)
+        with pytest.raises(ValueError, match="bad range"):
+            s.query(1, 2)
+    assert (len(seq), seq.values, seq.query(1, 1)) == \
+        (len(scan.values), scan.values, scan.query(1, 1)) == (1, [3], (3, 1))
+    # a label that cannot be ordered with a live one leaves it unchanged too
+    seq = SequenceAdapter(4)
+    seq.insert(1, 3)
+    with pytest.raises(TypeError):
+        seq.insert(2, "a")
+    assert (len(seq), seq.keys, seq.query(1, 1)) == (1, [1 << seq.KEY_SHIFT],
+                                                      (3, 1))
+
+
 def test_sequence_adapter_bulk_build():
     seq = SequenceAdapter.from_values([3, 1, 3, 2, 3])
     assert seq.query(1, 5) == (3, 3)
@@ -392,10 +449,10 @@ class FractionSequenceAdapter(SequenceAdapter):
         left = self.keys[pos - 2] if pos >= 2 else self._lo_bound
         right = self.keys[pos - 1] if pos <= n else self._hi_bound
         key = (left + right) / 2
+        self.ds.update((key,), value, insert=True)
         self.keys.insert(pos - 1, key)
         self.values.insert(pos - 1, value)
         self._all_keys.add(key)
-        self.ds.update((key,), value, insert=True)
         if key.denominator.bit_length() - 1 > self.REBUILD_EXP:
             self._rebuild()
 
