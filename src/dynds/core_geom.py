@@ -12,6 +12,8 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import _count_elements
 from fractions import Fraction
+from itertools import islice
+from operator import lt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -422,7 +424,10 @@ class RangeTree:
     """Static-universe d-dim range tree with activation toggles.
 
     Entries are (coords, value) pairs declared up front; keys are their
-    positions in declaration order.  All entries start inactive.  Modes:
+    positions in declaration order.  All entries start inactive.  They are
+    stored by column, one list of coordinates per axis and one of values,
+    all indexed by key, so an entry costs one pointer per axis and no tuple,
+    and an axis relabel rewrites only that axis's list.  Modes:
     "count" (box count of active entries, also serves emptiness) and "max"
     (max value with witness key, ties to the smallest key).
 
@@ -466,7 +471,8 @@ class RangeTree:
         self.dim = dim
         self.mode = mode
         self.counter = counter if counter is not None else VisitCounter()
-        self._entries: List[Tuple[tuple, object]] = []
+        self._cols: List[list] = [[] for _ in range(dim)]  # coord per key
+        self._values: list = []
         self._active: List[bool] = []
         self._cells_of: List[Optional[List[int]]] = []
         self._axes: List[_Axis] = [_Axis([]) for _ in range(dim)]
@@ -482,16 +488,18 @@ class RangeTree:
     # ---------------- universe management ----------------
 
     def _declare(self, entries) -> List[int]:
-        keys = []
+        cols, values = self._cols, self._values
+        start = len(values)
         for coords, value in entries:
-            nc = tuple(_norm_coord(c) for c in _coords_of(coords))
-            if len(nc) != self.dim:
+            coords = _coords_of(coords)
+            if len(coords) != self.dim:
                 raise ValueError("entry dimension mismatch")
-            keys.append(len(self._entries))
-            self._entries.append((nc, value))
+            for col, c in zip(cols, coords):
+                col.append(_norm_coord(c))
+            values.append(value)
             self._active.append(False)
             self._cells_of.append(None)
-        return keys
+        return list(range(start, len(values)))
 
     def _recompute_strides(self) -> None:
         stride = 1
@@ -501,11 +509,10 @@ class RangeTree:
             stride *= 2 * self._axes[ax].leaves
 
     def _rebuild_axes(self) -> None:
-        for ax in range(self.dim):
-            vals = sorted({c[ax] for c, _ in self._entries})
-            self._axes[ax] = _Axis(vals)
+        for ax, col in enumerate(self._cols):
+            self._axes[ax] = _Axis(sorted(set(col)))
         self._recompute_strides()
-        self._cells_of = [None] * len(self._entries)
+        self._cells_of = [None] * len(self._values)
         # re-place currently active entries into the fresh cells
         self._count_cells = {}
         self._max_cells = {}
@@ -524,19 +531,13 @@ class RangeTree:
         re-spread rebuild happens only on local slot exhaustion, and rebuild
         visits are not counted (they amortize into pre-processing).
         """
-        ents = [(coords, value) for coords, value in entries]
-        keys = self._declare(ents)
-        needs_rebuild = False
-        for key in keys:
-            nc, _ = self._entries[key]
-            for ax in range(self.dim):
-                if self._axes[ax].try_insert(nc[ax]) is None:
-                    needs_rebuild = True
-                    break
-            if needs_rebuild:
-                break
-        if needs_rebuild:
-            self._rebuild_axes()
+        start = len(self._values)
+        keys = self._declare(entries)
+        for axis, col in zip(self._axes, self._cols):
+            for v in col[start:]:
+                if axis.try_insert(v) is None:
+                    self._rebuild_axes()
+                    return keys
         return keys
 
     def replace_axis_values(self, ax: int, mapping: dict) -> None:
@@ -546,16 +547,13 @@ class RangeTree:
         new values must keep the old strict order, so no cell changes.
         """
         axis = self._axes[ax]
-        new_vals = [mapping[v] for v in axis.values]
-        for a, b in zip(new_vals, new_vals[1:]):
-            if not a < b:
-                raise ValueError("mapping does not preserve order")
+        new_vals = list(map(mapping.__getitem__, axis.values))
+        if not all(map(lt, new_vals, islice(new_vals, 1, None))):
+            raise ValueError("mapping does not preserve order")
+        # every column value is an axis value, so this cannot fail midway
+        self._cols[ax] = list(map(mapping.__getitem__, self._cols[ax]))
         axis.values = new_vals
         axis.slot_of = dict(zip(new_vals, axis.slots))
-        self._entries = [
-            (tuple(mapping[c] if i == ax else c for i, c in enumerate(nc)), val)
-            for nc, val in self._entries
-        ]
 
     # ---------------- toggling ----------------
 
@@ -563,12 +561,9 @@ class RangeTree:
         cached = self._cells_of[key]
         if cached is not None:
             return cached
-        nc, _ = self._entries[key]
         cells = [0]
-        for ax in range(self.dim):
-            axis = self._axes[ax]
-            stride = self._strides[ax]
-            nodes = [n * stride for n in axis.ancestors(axis.slot_of[nc[ax]])]
+        for axis, stride, col in zip(self._axes, self._strides, self._cols):
+            nodes = [n * stride for n in axis.ancestors(axis.slot_of[col[key]])]
             cells = [a + b for a in cells for b in nodes]
         self._cells_of[key] = cells
         return cells
@@ -590,8 +585,7 @@ class RangeTree:
                     else:
                         del cc[cid]
         else:
-            _, value = self._entries[key]
-            item = (value, -key)
+            item = (self._values[key], -key)
             mc = self._max_cells
             if sign > 0:
                 for cid in cells:
@@ -614,7 +608,7 @@ class RangeTree:
 
     def toggle(self, key: int, active: bool) -> None:
         """Idempotent activation toggle for a declared entry."""
-        if not 0 <= key < len(self._entries):
+        if not 0 <= key < len(self._values):
             raise KeyError(f"unknown entry key {key}")
         if self._active[key] == active:
             return
@@ -628,10 +622,10 @@ class RangeTree:
         return [k for k, a in enumerate(self._active) if a]
 
     def entry(self, key: int) -> Tuple[tuple, object]:
-        return self._entries[key]
+        return tuple([col[key] for col in self._cols]), self._values[key]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._values)
 
     # ---------------- queries ----------------
 

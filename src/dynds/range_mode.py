@@ -14,8 +14,10 @@ any other label is wrapped in _TieRank, which also orders against those ints.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import product
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core_geom import (Box, Interval, RangeTree, VisitCounter, _debug_on,
@@ -68,6 +70,13 @@ def sequence_minority_oracle(values: Sequence, l: int, r: int) -> Tuple[object, 
 
 
 # ---------------- dynamic structure ----------------
+
+def _relabel(mappings, coords):
+    """The coordinate tuples `coords` relabelled through `mappings`, one
+    mapping per axis: split into axis columns, each column mapped, zipped
+    back into tuples, all in C with no Python frame per tuple."""
+    return zip(*map(map, [m.__getitem__ for m in mappings], zip(*coords)))
+
 
 class _TieRank:
     """Tie rank of a label that is not an int: larger order, smaller label.
@@ -242,6 +251,9 @@ class DynRangeModeDS:
         for k in new_keys:
             if k not in old_set:
                 self._tp.toggle(k, True)
+                # a key is shared by equal labels, so it answers with the
+                # label object that last turned it on, the live one
+                self._tp_label[k] = label
         self._label_box_keys[label] = new_keys
 
     def _light_box_keys(self, label, occ: Counter) -> List[int]:
@@ -271,7 +283,6 @@ class DynRangeModeDS:
                 [(bc, (cnt, rank)) for bc, cnt in missing])
             for (bc, cnt), ek in zip(missing, keys):
                 self._tp_keys[(label, bc, cnt)] = ek
-                self._tp_label[ek] = label
             new_keys.extend(keys)
         return new_keys
 
@@ -307,24 +318,28 @@ class DynRangeModeDS:
         """Order-preserving coordinate relabel, one mapping per axis."""
         if len(mappings) != self.d:
             raise ValueError("need one mapping per axis")
-
-        def remap(nc):
-            return tuple(mappings[i][c] for i, c in enumerate(nc))
-
-        self._occ = {lab: Counter({remap(c): m for c, m in occ.items()})
-                     for lab, occ in self._occ.items()}
-        self._tkeys = {lab: {(remap(c), copy): k for (c, copy), k in tk.items()}
-                       for lab, tk in self._tkeys.items()}
-        d = self.d
-        self._tp_keys = {
-            (lab, remap(bc[:d]) + remap(bc[d:]), cnt): k
-            for (lab, bc, cnt), k in self._tp_keys.items()}
+        first, second, third = itemgetter(0), itemgetter(1), itemgetter(2)
+        # label by label, so that only one label's maps exist twice at once
+        for lab, tk in self._tkeys.items():
+            # every live coordinate has a tree key, so one relabelled tuple
+            # per coordinate serves both the key map and the multiset
+            coords = list(map(first, tk))
+            moved = list(_relabel(mappings, coords))
+            self._tkeys[lab] = dict(zip(zip(moved, map(second, tk)),
+                                        tk.values()))
+            new_of = dict(zip(coords, moved)).__getitem__
+            occ = self._occ[lab]
+            self._occ[lab] = Counter(dict(zip(map(new_of, occ), occ.values())))
+        tp = self._tp_keys
+        self._tp_keys = dict(zip(zip(
+            map(first, tp), _relabel(list(mappings) * 2, map(second, tp)),
+            map(third, tp)), tp.values()))
         for tree in self._label_trees.values():
-            for ax in range(d):
+            for ax in range(self.d):
                 tree.replace_axis_values(ax, mappings[ax])
-        for ax in range(d):
+        for ax in range(self.d):
             self._tp.replace_axis_values(ax, mappings[ax])
-            self._tp.replace_axis_values(d + ax, mappings[ax])
+            self._tp.replace_axis_values(self.d + ax, mappings[ax])
 
     def _debug_check(self) -> None:
         for label, total in self._total.items():
@@ -361,6 +376,11 @@ class SequenceAdapter:
     even, so a dead key equals a later key exactly when its rational image
     does, and orders against it the same way; the spare bit of KEY_SHIFT
     over REBUILD_EXP + 1 is what keeps the odd integers free.
+
+    Besides the live keys, the adapter keeps only its dead keys (_dead:
+    deleted and not issued again), which a re-spacing must still map.  It
+    maps the live keys with one dict(zip(...)) over the new whole units and
+    finds each dead run's base by bisecting the live keys.
     """
 
     REBUILD_EXP = 64
@@ -371,7 +391,7 @@ class SequenceAdapter:
         self.ds = DynRangeModeDS(1, n_cap, B_override=B_override, counter=counter)
         self.keys: List[int] = []
         self.values: List[object] = []
-        self._all_keys: set = set()
+        self._dead: set = set()   # keys deleted and not issued again
         self._lo_bound = 0
         self._hi_bound = 2 << self.KEY_SHIFT
         self.rebuilds = 0
@@ -386,7 +406,6 @@ class SequenceAdapter:
         shift = cls.KEY_SHIFT
         seq.keys = [i << shift for i in range(1, len(values) + 1)]
         seq.values = list(values)
-        seq._all_keys = set(seq.keys)
         seq.ds.bulk_insert(((k,), v) for k, v in zip(seq.keys, seq.values))
         seq._hi_bound = (len(values) + 1) << shift
         return seq
@@ -406,7 +425,7 @@ class SequenceAdapter:
         self.ds.update((key,), value, insert=True)
         self.keys.insert(pos - 1, key)
         self.values.insert(pos - 1, value)
-        self._all_keys.add(key)
+        self._dead.discard(key)
         if key & 3:
             self._rebuild()
 
@@ -417,6 +436,7 @@ class SequenceAdapter:
         key = self.keys.pop(pos - 1)
         value = self.values.pop(pos - 1)
         self.ds.update((key,), value, insert=False)
+        self._dead.add(key)
 
     def query(self, l: int, r: int) -> Tuple[object, int]:
         if not 1 <= l <= r <= len(self.values):
@@ -430,31 +450,26 @@ class SequenceAdapter:
         """Re-space live keys to whole units via an order-preserving relabel."""
         self.rebuilds += 1
         shift = self.KEY_SHIFT
-        live = set(self.keys)
-        mapping: Dict[int, int] = {}
-        run: List[int] = []
-        nxt = 1
-
-        def flush(base):
-            t = len(run)
-            for s, k in enumerate(run, start=1):
+        keys = self.keys
+        n = len(keys)
+        spaced = list(range(1 << shift, (n + 1) << shift, 1 << shift))
+        mapping = dict(zip(keys, spaced))
+        dead = sorted(self._dead)
+        i = 0
+        while i < len(dead):
+            # the run of dead keys between live keys base - 1 and base
+            base = bisect_left(keys, dead[i])
+            j = bisect_left(dead, keys[base], i) if base < n else len(dead)
+            t = j - i
+            for s in range(1, t + 1):
                 q, rem = divmod((base * (t + 1) + s) << shift, t + 1)
-                mapping[k] = q if rem == 0 else q | 1
-            run.clear()
-
-        for k in sorted(self._all_keys):
-            if k in live:
-                flush(nxt - 1)
-                mapping[k] = nxt << shift
-                nxt += 1
-            else:
-                run.append(k)
-        flush(nxt - 1)
+                mapping[dead[i + s - 1]] = q | 1 if rem else q
+            i = j
         self.ds.remap_axis_values([mapping])
-        self.keys = [mapping[k] for k in self.keys]
-        self._all_keys = set(mapping.values())
+        self.keys = spaced
+        self._dead = set(map(mapping.__getitem__, dead))
         self._lo_bound = 0
-        self._hi_bound = nxt << shift
+        self._hi_bound = (n + 1) << shift
 
     def max_denominator_exp(self) -> int:
         """Largest denominator exponent of a live key's dyadic rational."""
@@ -485,6 +500,15 @@ class SequenceScan:
     def insert(self, pos: int, value) -> None:
         if not 1 <= pos <= len(self.values) + 1:
             raise ValueError(f"insert position {pos} out of range")
+        if self.values:
+            # refuse what the adapter refuses: a value with no order
+            # against the live ones
+            ref = self.values[0]
+            try:
+                ref < value
+            except TypeError:
+                raise TypeError(f"label {value!r} cannot be ordered with "
+                                f"label {ref!r}") from None
         if len(self.values) >= self.n_cap:
             raise ValueError(f"capacity {self.n_cap} exceeded")
         self.values.insert(pos - 1, value)

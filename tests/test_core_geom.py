@@ -516,6 +516,41 @@ def test_rt_replace_axis_values():
     assert tree.count(Box.closed((0,), (9,))) == 0
     with pytest.raises(ValueError):
         tree.replace_axis_values(0, {10: 5, 40: 4, 90: 3})
+    # a 2-D tree relabelled on axis 1 only
+    tree = RangeTree(2, [((1, 5), 10), ((4, 5), 20), ((4, 2), 30),
+                         ((9, 8), 40)], mode="max")
+    for k in range(3):
+        tree.toggle(k, True)
+    boxes = [Box.closed((0, 0), (9, 9)), Box.closed((0, 20), (5, 50)),
+             Box.closed((4, 2), (9, 5)), Box.closed((1, 30), (9, 80))]
+
+    def state():
+        return ([tree.entry(k) for k in range(len(tree))],
+                [list(axis.values) for axis in tree._axes],
+                [tree.max_entry(box) for box in boxes])
+
+    before = state()
+    assert before[2] == [(30, 2), None, (30, 2), None]
+    for bad, err in (({2: 20, 5: 80, 8: 50}, ValueError),   # not monotone
+                     ({2: 20, 5: 50}, KeyError)):           # misses 8
+        with pytest.raises(err):
+            tree.replace_axis_values(1, bad)
+        assert state() == before
+    tree.replace_axis_values(1, {2: 20, 5: 50, 8: 80})
+    entries, values, answers = state()
+    assert entries == [((1, 50), 10), ((4, 50), 20), ((4, 20), 30),
+                       ((9, 80), 40)]
+    assert values == [[1, 4, 9], [20, 50, 80]]
+    assert answers == [None, (30, 2), None, (20, 1)]
+    # a later value lands between the relabelled ones, on a free slot
+    (k,) = tree.extend([((4, 35), 50)])
+    slots = tree._axes[1].slot_of
+    assert slots[20] < slots[35] < slots[50]
+    assert tree.entry(k) == ((4, 35), 50)
+    tree.toggle(k, True)
+    assert tree.max_entry(Box.closed((0, 30), (9, 40))) == (50, 4)
+    assert tree.max_entry(Box.closed((0, 36), (9, 49))) is None
+    assert tree.max_entry(Box.closed((0, 0), (9, 99))) == (50, 4)
 
 
 def test_rt_scaled_int_coords():
