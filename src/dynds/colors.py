@@ -8,16 +8,16 @@ checked one by one through their sorted occurrence lists.
 DynColorCountDS answers distinct-color counts over a dynamic 2D point
 multiset by pairing a periodically rebuilt static snapshot with per-color
 live/snapshot emptiness corrections for the colors dirtied since the last
-rebuild.
+rebuild.  Each color's live and snapshot points are a core_geom.PointMultiset.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core_geom import Box, Interval, RangeTree, VisitCounter, _norm_coord
+from .core_geom import (Box, Interval, PointMultiset, RangeTree, VisitCounter,
+                        _norm_coord)
 
 __all__ = [
     "cc_oracle",
@@ -126,36 +126,6 @@ class CommonColorsDS:
 
 # ---------------- dynamic 2D color counting ----------------
 
-class _ColorTree:
-    """Per-color 2D count tree over a point multiset (copy-indexed entries)."""
-
-    def __init__(self, counter: VisitCounter):
-        self.tree = RangeTree(2, mode="count", counter=counter)
-        self.keys: Dict[tuple, int] = {}
-        self.occ: Counter = Counter()
-
-    def toggle_point(self, nc: tuple, insert: bool) -> None:
-        if insert:
-            self.occ[nc] += 1
-            copy = self.occ[nc]
-            k = self.keys.get((nc, copy))
-            if k is None:
-                (k,) = self.tree.extend([(nc, 1)])
-                self.keys[(nc, copy)] = k
-            self.tree.toggle(k, True)
-        else:
-            if self.occ[nc] <= 0:
-                raise ValueError(f"delete of absent point {nc}")
-            copy = self.occ[nc]
-            self.tree.toggle(self.keys[(nc, copy)], False)
-            self.occ[nc] -= 1
-            if self.occ[nc] == 0:
-                del self.occ[nc]
-
-    def nonempty(self, box: Box) -> bool:
-        return not self.tree.is_empty(box)
-
-
 class DynColorCountDS:
     """Distinct-color box counting with periodic snapshot rebuilds."""
 
@@ -169,8 +139,8 @@ class DynColorCountDS:
         self.R = rebuild_period if rebuild_period is not None \
             else max(1, round(n_cap ** (2.0 / 3.0)))
         self.counter = counter if counter is not None else VisitCounter()
-        self._live: Dict[object, _ColorTree] = {}
-        self._snap: Dict[object, RangeTree] = {}
+        self._live: Dict[object, PointMultiset] = {}
+        self._snap: Dict[object, PointMultiset] = {}
         self.dirty: Set = set()
         self.n_live = 0
         self.updates_since = 0
@@ -180,13 +150,21 @@ class DynColorCountDS:
         nc = tuple(_norm_coord(c) for c in coords)
         if len(nc) != 2:
             raise ValueError("points must be 2-dimensional")
-        if insert and self.n_live >= self.n_cap:
-            raise ValueError(f"capacity {self.n_cap} exceeded")
-        ct = self._live.get(color)
-        if ct is None:
-            ct = self._live[color] = _ColorTree(self.counter)
-        ct.toggle_point(nc, insert)
-        self.n_live += 1 if insert else -1
+        tree = self._live.get(color)
+        if insert:
+            if self.n_live >= self.n_cap:
+                raise ValueError(f"capacity {self.n_cap} exceeded")
+            if tree is None:
+                tree = self._live[color] = PointMultiset(
+                    2, counter=self.counter)
+            tree.add(nc)
+            self.n_live += 1
+        else:
+            if tree is None or nc not in tree.occ:
+                raise ValueError(f"delete of absent point {coords} "
+                                 f"label {color!r}")
+            tree.remove(nc)
+            self.n_live -= 1
         self.dirty.add(color)
         self.updates_since += 1
         if self.updates_since >= self.R:
@@ -197,17 +175,10 @@ class DynColorCountDS:
         self.rebuilds += 1
         self.counter.pause()
         try:
-            self._snap = {}
-            for color, ct in self._live.items():
-                if not ct.occ:
-                    continue
-                entries = []
-                for nc, mult in ct.occ.items():
-                    entries.extend((nc, 1) for _ in range(mult))
-                tree = RangeTree(2, entries, mode="count", counter=self.counter)
-                for k in range(len(entries)):
-                    tree.toggle(k, True)
-                self._snap[color] = tree
+            self._snap = {
+                color: PointMultiset(2, live.occ.elements(),
+                                     counter=self.counter)
+                for color, live in self._live.items() if live.occ}
         finally:
             self.counter.resume()
         self.dirty.clear()
@@ -219,8 +190,7 @@ class DynColorCountDS:
             if not tree.is_empty(box):
                 total += 1
         for color in self.dirty:
-            live = self._live.get(color)
-            live_hit = live is not None and live.nonempty(box)
+            live_hit = not self._live[color].is_empty(box)
             snap = self._snap.get(color)
             snap_hit = snap is not None and not snap.is_empty(box)
             total += int(live_hit) - int(snap_hit)
@@ -228,7 +198,6 @@ class DynColorCountDS:
 
     def live_points(self) -> List[Tuple[tuple, object]]:
         out = []
-        for color, ct in self._live.items():
-            for nc, mult in ct.occ.items():
-                out.extend((nc, color) for _ in range(mult))
+        for color, tree in self._live.items():
+            out.extend((nc, color) for nc in tree.occ.elements())
         return out

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from collections import _count_elements
+from collections import Counter, _count_elements
 from fractions import Fraction
 from itertools import islice
-from operator import lt
+from operator import itemgetter, lt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "PointScan",
     "VisitCounter",
     "RangeTree",
+    "PointMultiset",
     "RT_VISIT_C",
     "dominates",
     "orthant_union_decompose",
@@ -318,7 +319,11 @@ class PointScan:
 
     def update(self, coords, label, insert: bool) -> None:
         if not insert:
-            self.pts.remove((tuple(coords), label))
+            try:
+                self.pts.remove((tuple(coords), label))
+            except ValueError:
+                raise ValueError(f"delete of absent point {coords} "
+                                 f"label {label!r}") from None
         elif len(self.pts) >= self.n_cap:
             raise ValueError(f"capacity {self.n_cap} exceeded")
         else:
@@ -464,8 +469,6 @@ class RangeTree:
 
     def __init__(self, dim: int, entries: Iterable[Tuple[Sequence, object]] = (),
                  mode: str = "count", counter: Optional[VisitCounter] = None):
-        if mode == "empty":
-            mode = "count"
         if mode not in ("count", "max"):
             raise ValueError(f"unknown mode {mode!r}")
         self.dim = dim
@@ -702,6 +705,74 @@ class RangeTree:
             return None
         best = max(tops)
         return best[0], -best[1]
+
+
+def _relabel(mappings, coords):
+    """The coordinate tuples `coords` relabelled through `mappings`, one
+    mapping per axis: split into axis columns, each column mapped, zipped
+    back into tuples, all in C with no Python frame per tuple."""
+    return zip(*map(map, [m.__getitem__ for m in mappings], zip(*coords)))
+
+
+class PointMultiset(RangeTree):
+    """Count-mode RangeTree over a multiset of normalised point tuples.
+
+    Copy j of a point is an entry of its own: `occ` holds the live
+    multiplicities and `keys` maps (point, j) to the entry key.  A removed
+    copy stays declared, inactive, and the next add of that point reuses it.
+    The constructor declares the given points at once, in order, then
+    activates them in the same order.
+    """
+
+    def __init__(self, dim: int, points: Iterable[tuple] = (),
+                 counter: Optional[VisitCounter] = None):
+        points = list(points)
+        super().__init__(dim, [(p, 1) for p in points], counter=counter)
+        self.occ: Counter = Counter()
+        self.keys: dict = {}
+        occ, keys = self.occ, self.keys
+        for key, p in enumerate(points):
+            occ[p] += 1
+            keys[(p, occ[p])] = key
+            self.toggle(key, True)
+
+    def add(self, p: tuple) -> None:
+        occ = self.occ
+        occ[p] += 1
+        copy = occ[p]
+        key = self.keys.get((p, copy))
+        if key is None:
+            (key,) = self.extend([(p, 1)])
+            self.keys[(p, copy)] = key
+        self.toggle(key, True)
+
+    def remove(self, p: tuple) -> None:
+        """Deactivate the point's highest live copy; KeyError if absent."""
+        occ = self.occ
+        copy = occ[p]
+        self.toggle(self.keys[(p, copy)], False)
+        if copy == 1:
+            del occ[p]
+        else:
+            occ[p] = copy - 1
+
+    def remap(self, mappings: Sequence[dict]) -> None:
+        """Order-preserving coordinate relabel, one mapping per axis, of the
+        tree and of the point-keyed `occ` and `keys`."""
+        if len(mappings) != self.dim:
+            raise ValueError("need one mapping per axis")
+        for ax, mapping in enumerate(mappings):
+            self.replace_axis_values(ax, mapping)
+        # every live point has a key, so one relabelled tuple per declared
+        # point serves both maps
+        keys = self.keys
+        points = list(map(itemgetter(0), keys))
+        moved = list(_relabel(mappings, points))
+        self.keys = dict(zip(zip(moved, map(itemgetter(1), keys)),
+                             keys.values()))
+        new_of = dict(zip(points, moved)).__getitem__
+        occ = self.occ
+        self.occ = Counter(dict(zip(map(new_of, occ), occ.values())))
 
 
 # ---------------- 3D orthant-union decomposition ----------------

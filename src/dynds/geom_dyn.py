@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core_geom import (
     Box,
     Interval,
-    RangeTree,
+    PointMultiset,
     ScaledInt,
     VisitCounter,
     orthant_union_decompose,
@@ -229,21 +229,15 @@ class Skyline3DBlock:
     def __init__(self, counter: Optional[VisitCounter] = None):
         self.counter = counter if counter is not None else VisitCounter()
 
-    def _tree(self, pts: Sequence[tuple]) -> RangeTree:
-        t = RangeTree(3, [(p, 1) for p in pts], mode="count",
-                      counter=self.counter)
-        for k in range(len(pts)):
-            t.toggle(k, True)
-        return t
-
     def preprocess(self, core: Sequence[tuple]):
         flags = maximal3d_flags(core)
         s0 = [p for p, f in zip(core, flags) if f]
-        return (len(s0), self._tree(s0), self._tree(core))
+        return (len(s0), PointMultiset(3, s0, counter=self.counter),
+                PointMultiset(3, core, counter=self.counter))
 
     def query(self, state, buffer: Sequence[tuple]) -> int:
         n0, s0_tree, s_tree = state
-        bt = self._tree(buffer)
+        bt = PointMultiset(3, buffer, counter=self.counter)
         live = 0
         for p in buffer:
             up = Box([Interval.at_least(c) for c in p])

@@ -1,10 +1,11 @@
 """Dynamic range mode over labeled points, plus scan oracles and a sequence view.
 
-The structure keeps a count tree per label and a global max tree holding, for
-every light label (at most B live occurrences), one entry per axis-aligned box
-spanned by that label's coordinate values, valued by the label's count in the
-box.  A query takes the best heavy label by direct counting and the best light
-entry via a dominance query on the box-boundary coordinates.
+The structure keeps a count tree per label (a core_geom.PointMultiset over
+the label's points) and a global max tree holding, for every light label (at
+most B live occurrences), one entry per axis-aligned box spanned by that
+label's coordinate values, valued by the label's count in the box.  A query
+takes the best heavy label by direct counting and the best light entry via a
+dominance query on the box-boundary coordinates.
 
 A max-tree value is (count, tie rank), where a larger rank means a smaller
 label, so the max lands on the smallest label among equal counts.  The rank of
@@ -20,8 +21,8 @@ from itertools import product
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core_geom import (Box, Interval, RangeTree, VisitCounter, _debug_on,
-                        _invariant, _norm_coord)
+from .core_geom import (Box, Interval, PointMultiset, RangeTree, VisitCounter,
+                        _debug_on, _invariant, _norm_coord, _relabel)
 
 __all__ = [
     "mode_oracle",
@@ -70,13 +71,6 @@ def sequence_minority_oracle(values: Sequence, l: int, r: int) -> Tuple[object, 
 
 
 # ---------------- dynamic structure ----------------
-
-def _relabel(mappings, coords):
-    """The coordinate tuples `coords` relabelled through `mappings`, one
-    mapping per axis: split into axis columns, each column mapped, zipped
-    back into tuples, all in C with no Python frame per tuple."""
-    return zip(*map(map, [m.__getitem__ for m in mappings], zip(*coords)))
-
 
 class _TieRank:
     """Tie rank of a label that is not an int: larger order, smaller label.
@@ -131,10 +125,8 @@ class DynRangeModeDS:
             else max(1, round(n_cap ** (1.0 / (2 * d + 1))))
         self.counter = counter if counter is not None else VisitCounter()
         self.n_live = 0
-        self._occ: Dict[object, Counter] = {}          # label -> coords multiset
         self._total: Counter = Counter()               # live label -> count
-        self._label_trees: Dict[object, RangeTree] = {}
-        self._tkeys: Dict[object, Dict[tuple, int]] = {}  # label -> (coords, copy) -> key
+        self._label_trees: Dict[object, PointMultiset] = {}
         self.heavy: set = set()
         self._tp = RangeTree(2 * d, mode="max", counter=self.counter)
         self._tp_keys: Dict[tuple, int] = {}           # (label, boxcoords, count) -> key
@@ -152,20 +144,11 @@ class DynRangeModeDS:
     def _insert_raw(self, nc: tuple, label) -> None:
         if self.n_live >= self.n_cap:
             raise ValueError(f"capacity {self.n_cap} exceeded")
-        occ = self._occ.setdefault(label, Counter())
         tree = self._label_trees.get(label)
         if tree is None:
-            tree = self._label_trees[label] = RangeTree(
-                self.d, mode="count", counter=self.counter)
-            self._tkeys[label] = {}
-        tkeys = self._tkeys[label]
-        occ[nc] += 1
-        copy = occ[nc]
-        ek = tkeys.get((nc, copy))
-        if ek is None:
-            (ek,) = tree.extend([(nc, 1)])
-            tkeys[(nc, copy)] = ek
-        tree.toggle(ek, True)
+            tree = self._label_trees[label] = PointMultiset(
+                self.d, counter=self.counter)
+        tree.add(nc)
         self._total[label] += 1
         self.n_live += 1
 
@@ -194,14 +177,10 @@ class DynRangeModeDS:
             self._check_labels((label,))
             self._insert_raw(nc, label)
         else:
-            occ = self._occ.get(label)
-            if not occ or nc not in occ:
+            tree = self._label_trees.get(label)
+            if tree is None or nc not in tree.occ:
                 raise ValueError(f"delete of absent point {coords} label {label!r}")
-            copy = occ[nc]
-            self._label_trees[label].toggle(self._tkeys[label][(nc, copy)], False)
-            occ[nc] -= 1
-            if occ[nc] == 0:
-                del occ[nc]
+            tree.remove(nc)
             self._total[label] -= 1
             if not self._total[label]:
                 del self._total[label]
@@ -240,7 +219,7 @@ class DynRangeModeDS:
             self.heavy.add(label)
         else:
             self.heavy.discard(label)
-            occ = self._occ.get(label)
+            occ = self._label_trees[label].occ
             if occ:
                 new_keys = self._light_box_keys(label, occ)
         old = self._label_box_keys.get(label, [])
@@ -318,32 +297,21 @@ class DynRangeModeDS:
         """Order-preserving coordinate relabel, one mapping per axis."""
         if len(mappings) != self.d:
             raise ValueError("need one mapping per axis")
-        first, second, third = itemgetter(0), itemgetter(1), itemgetter(2)
         # label by label, so that only one label's maps exist twice at once
-        for lab, tk in self._tkeys.items():
-            # every live coordinate has a tree key, so one relabelled tuple
-            # per coordinate serves both the key map and the multiset
-            coords = list(map(first, tk))
-            moved = list(_relabel(mappings, coords))
-            self._tkeys[lab] = dict(zip(zip(moved, map(second, tk)),
-                                        tk.values()))
-            new_of = dict(zip(coords, moved)).__getitem__
-            occ = self._occ[lab]
-            self._occ[lab] = Counter(dict(zip(map(new_of, occ), occ.values())))
+        for tree in self._label_trees.values():
+            tree.remap(mappings)
+        first, second, third = itemgetter(0), itemgetter(1), itemgetter(2)
         tp = self._tp_keys
         self._tp_keys = dict(zip(zip(
             map(first, tp), _relabel(list(mappings) * 2, map(second, tp)),
             map(third, tp)), tp.values()))
-        for tree in self._label_trees.values():
-            for ax in range(self.d):
-                tree.replace_axis_values(ax, mappings[ax])
         for ax in range(self.d):
             self._tp.replace_axis_values(ax, mappings[ax])
             self._tp.replace_axis_values(self.d + ax, mappings[ax])
 
     def _debug_check(self) -> None:
         for label, total in self._total.items():
-            occ = self._occ.get(label, Counter())
+            occ = self._label_trees[label].occ
             _invariant(total == sum(occ.values()), "label total")
             _invariant((label in self.heavy) == (total > self.B), "heavy set")
             active = self._label_box_keys.get(label, [])
@@ -499,7 +467,8 @@ class SequenceScan:
 
     def insert(self, pos: int, value) -> None:
         if not 1 <= pos <= len(self.values) + 1:
-            raise ValueError(f"insert position {pos} out of range")
+            raise ValueError(f"insert position {pos} out of range "
+                             f"1..{len(self.values) + 1}")
         if self.values:
             # refuse what the adapter refuses: a value with no order
             # against the live ones
@@ -515,7 +484,8 @@ class SequenceScan:
 
     def delete(self, pos: int) -> None:
         if not 1 <= pos <= len(self.values):
-            raise ValueError(f"delete position {pos} out of range")
+            raise ValueError(f"delete position {pos} out of range "
+                             f"1..{len(self.values)}")
         del self.values[pos - 1]
 
     def query(self, l: int, r: int) -> Tuple[object, int]:

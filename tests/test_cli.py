@@ -147,6 +147,14 @@ STAGED_ERRORS = [
     ("halfspace", "d=2", "P 0 0\nHINS 1 0 0 ge\nP 1 1\n", 3,
      "point set is fixed before halfspace ops"),
     ("halfspace", "d=2", "QRY\n", 1, "no points"),
+    ("range-mode-dyn", "d=1 cap=4", "DEL 1 2\n", 1,
+     "delete of absent point [1] label 2"),
+    ("color-count", "cap=4", "DEL 1 1 2\n", 1,
+     "delete of absent point (1, 1) label 2"),
+    ("sequence-mode", "cap=4", "SINS 2 5\n", 1,
+     "insert position 2 out of range 1..1"),
+    ("sequence-mode", "cap=4", "SINS 1 5\nSDEL 2\n", 2,
+     "delete position 2 out of range 1..1"),
 ]
 
 
@@ -538,6 +546,17 @@ def test_crosscheck_report_bytes_pinned(scope, code, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_python_m_dynds_runs_the_cli():
+    # an uninstalled checkout runs the CLI as `python -m dynds`
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "dynds", "crosscheck", "--scope", "langerman"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines()[-1] == "total mismatches=0"
+
+
 def test_crosscheck_unknown_scope_exit2(capsys):
     assert main(["crosscheck", "--scope", "bogus"]) == 2
     assert "unknown scope" in capsys.readouterr().err
@@ -577,7 +596,7 @@ def _trace_behaviour_digest(seeds=range(6), size=24):
 def test_trace_behaviour_pinned():
     # generated traces, answers and error text are part of the CLI contract
     assert _trace_behaviour_digest() == (
-        "2218744e02b070ea0623aa9dfb13b8e54005a03fe61b1658324fb8a4661e388c")
+        "34c2ede15b1cb6a48df3f3bc0b284befde405e32277ca425c63b308a283e8fff")
 
 
 # ---------------- bench ----------------

@@ -159,8 +159,10 @@ def test_dcc_validation():
     ds = DynColorCountDS(10)
     with pytest.raises(ValueError):
         ds.update((1, 2, 3), "r", True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"delete of absent point \(1, 2\) label 'r'"):
         ds.update((1, 2), "r", False)
+    assert not ds._live  # a refused delete makes no tree for its color
     with pytest.raises(ValueError):
         DynColorCountDS(0)
     full = DynColorCountDS(1)
@@ -235,3 +237,31 @@ def test_dcc_shared_counter():
     before = vc.count
     ds.query(box2(1, 1, 1, 1))
     assert vc.count > before
+
+
+def test_dcc_visits_pinned():
+    # seeded churn with duplicate points, deletes, queries and several
+    # snapshot rebuilds: the visit total is part of the cost model
+    vc = VisitCounter()
+    ds = DynColorCountDS(80, rebuild_period=16, counter=vc)
+    rng = random.Random("dcc.pin")
+    live = []
+    dups = 0
+    for _ in range(150):
+        r = rng.random()
+        if r < 0.45 or not live:
+            p = (rng.randint(1, 4), rng.randint(1, 4))
+            c = rng.randint(1, 3)
+            ds.update(p, c, True)
+            live.append((p, c))
+            dups += live.count((p, c)) > 1
+        elif r < 0.7:
+            p, c = live.pop(rng.randrange(len(live)))
+            ds.update(p, c, False)
+        else:
+            x = sorted(rng.randint(1, 5) for _ in range(2))
+            y = sorted(rng.randint(1, 5) for _ in range(2))
+            b = box2(x[0], x[1], y[0], y[1])
+            assert ds.query(b) == dcc_oracle(live, b)
+    assert dups > 0 and ds.rebuilds >= 2
+    assert vc.count == 3202

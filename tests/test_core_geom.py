@@ -13,6 +13,7 @@ from dynds.core_geom import (
     Box,
     Interval,
     Point,
+    PointMultiset,
     RangeTree,
     ScaledInt,
     VisitCounter,
@@ -551,6 +552,81 @@ def test_rt_replace_axis_values():
     assert tree.max_entry(Box.closed((0, 30), (9, 40))) == (50, 4)
     assert tree.max_entry(Box.closed((0, 36), (9, 49))) is None
     assert tree.max_entry(Box.closed((0, 0), (9, 99))) == (50, 4)
+
+
+def _random_box2(rng):
+    x = sorted(rng.randint(0, 6) for _ in range(2))
+    y = sorted(rng.randint(0, 6) for _ in range(2))
+    return Box.closed((x[0], y[0]), (x[1], y[1]))
+
+
+def test_point_multiset_copies_reuse_entries():
+    pm = PointMultiset(2, [(1, 1), (1, 1), (2, 3)])
+    assert len(pm) == 3 and pm.occ == {(1, 1): 2, (2, 3): 1}
+    everything = Box.closed((0, 0), (9, 9))
+    pm.remove((1, 1))
+    assert pm.count(everything) == 2 and pm.occ[(1, 1)] == 1
+    pm.add((1, 1))
+    assert len(pm) == 3 and pm.count(everything) == 3
+    pm.remove((2, 3))
+    assert (2, 3) not in pm.occ
+    pm.add((2, 3))
+    pm.add((2, 3))
+    assert len(pm) == 4 and pm.keys[((2, 3), 2)] == 3
+    with pytest.raises(KeyError):
+        pm.remove((5, 5))
+    assert pm.count(everything) == 4
+
+
+def test_point_multiset_built_equals_added():
+    rng = random.Random(14)
+    pts = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)]
+    assert len(set(pts)) < len(pts)
+    built, added = PointMultiset(2, pts), PointMultiset(2)
+    for p in pts:
+        added.add(p)
+    assert built.occ == added.occ and built.keys == added.keys
+    for _ in range(60):
+        box = _random_box2(rng)
+        want = sum(box.contains(p) for p in pts)
+        assert built.count(box) == added.count(box) == want
+
+
+def test_point_multiset_remap_keeps_occ_and_counts():
+    rng = random.Random(15)
+    pm = PointMultiset(2)
+    live = []
+    for _ in range(50):
+        if live and rng.random() < 0.3:
+            p = live.pop(rng.randrange(len(live)))
+            pm.remove(p)
+        else:
+            p = (rng.randint(1, 5), rng.randint(1, 5))
+            pm.add(p)
+            live.append(p)
+    boxes = [_random_box2(rng) for _ in range(40)]
+    before = [pm.count(b) for b in boxes]
+    occ = dict(pm.occ)
+    mappings = [{v: 10 * v for v in range(1, 6)},
+                {v: 100 + v for v in range(1, 6)}]
+
+    def moved(p):
+        return (10 * p[0], 100 + p[1])
+
+    pm.remap(mappings)
+    assert pm.occ == {moved(p): m for p, m in occ.items()}
+    for box, want in zip(boxes, before):
+        lo = tuple(iv.lo for iv in box.intervals)
+        hi = tuple(iv.hi for iv in box.intervals)
+        assert pm.count(Box.closed(moved(lo), moved(hi))) == want
+    # the relabelled points stay removable and re-addable
+    for p in live:
+        pm.remove(moved(p))
+    assert not pm.occ and pm.count(Box.closed((0, 0), (99, 999))) == 0
+    pm.add(moved(live[0]))
+    assert pm.count(Box.closed((0, 0), (99, 999))) == 1
+    with pytest.raises(ValueError, match="one mapping per axis"):
+        pm.remap(mappings[:1])
 
 
 def test_rt_scaled_int_coords():
