@@ -2,8 +2,9 @@
 
 The engine here handles deletions whose time of death is announced at
 insertion.  Work is split into windows of b operations; elements surviving
-the whole window are preprocessed into a static core and the rest live in a
-small buffer that queries scan against the core.
+the whole window form a static core, preprocessed once and then advanced by
+each window's difference, and the rest live in a small buffer that queries
+scan against the core.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress, groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core_geom import (
@@ -21,6 +22,9 @@ from .core_geom import (
     PointMultiset,
     ScaledInt,
     VisitCounter,
+    _debug_on,
+    _invariant,
+    _norm_coord,
     orthant_union_decompose,
 )
 
@@ -150,9 +154,13 @@ class SemiOnlineEngine:
     """Windowed core/buffer driver for deletion-time-announced dynamics.
 
     problem must expose alpha, beta, preprocess(core_elems) -> state and
-    query(state, buffer_elems).  Every call to insert, delete or query is
-    one operation; deletions name no element, they remove whichever element
-    declared the current operation index as its death.
+    query(state, buffer_elems).  It may also expose
+    advance(state, added, removed) -> state, which turns the previous
+    window's state into one for the new core given the elements that
+    entered and left it; the engine then calls preprocess for the first
+    window only.  Every call to insert, delete or query is one operation;
+    deletions name no element, they remove whichever element declared the
+    current operation index as its death.  `rebuilds` counts windows.
     """
 
     def __init__(self, problem, capacity: int, initial: Sequence = (),
@@ -172,6 +180,7 @@ class SemiOnlineEngine:
         self._death_map: Dict[int, _Rec] = {}
         self._live: List[_Rec] = [_Rec(e, math.inf) for e in initial]
         self._buffer: List[_Rec] = []
+        self._core: Optional[List[_Rec]] = None
         self._state = None
         self.rebuilds = 0
 
@@ -187,7 +196,17 @@ class SemiOnlineEngine:
             for r in self._live:
                 (core if r.death > self._window_end else buf).append(r)
             self._buffer = buf
-            self._state = self.problem.preprocess([r.elem for r in core])
+            advance = getattr(self.problem, "advance", None)
+            if self._core is None or advance is None:
+                self._state = self.problem.preprocess([r.elem for r in core])
+            else:
+                # records are compared by identity: equal elements are
+                # distinct records
+                old, new = set(self._core), set(core)
+                self._state = advance(
+                    self._state, [r.elem for r in core if r not in old],
+                    [r.elem for r in self._core if r not in new])
+            self._core = core
             self.rebuilds += 1
         if len(self._buffer) > 2 * self.b:
             raise RuntimeError(f"buffer of {len(self._buffer)} records exceeds "
@@ -220,8 +239,24 @@ class SemiOnlineEngine:
         return self.problem.query(self._state, [r.elem for r in self._buffer])
 
 
+def _bloated(tree: PointMultiset) -> bool:
+    """True once the tree declares more than 2 * (its live entries) + 16."""
+    return len(tree) > 2 * sum(tree.occ.values()) + 16
+
+
 class Skyline3DBlock:
-    """Skyline (maximal point) counting block for the semi-online engine."""
+    """Skyline (maximal point) counting block for the semi-online engine.
+
+    The state is (n0, s0_tree, s_tree): s_tree holds the core, s0_tree its
+    maximal points S0 (equal duplicates kill each other) and n0 = |S0|.
+    `advance` moves only the core's difference through s_tree, recomputes
+    S0 with maximal3d_flags and toggles only the change in s0_tree, so a
+    window costs O((b + |dS0|) log^3 n) visits where `preprocess` costs
+    Theta(n log^3 n).  A removed point stays declared in its tree; once
+    either tree declares more than 2 * (its live entries) + 16, `advance`
+    rebuilds both by `preprocess` (global rebuilding, Overmars 1983), so
+    the window cost depends on n and not on the update history.
+    """
 
     alpha = 1.0
     beta = 1.0
@@ -230,10 +265,49 @@ class Skyline3DBlock:
         self.counter = counter if counter is not None else VisitCounter()
 
     def preprocess(self, core: Sequence[tuple]):
-        flags = maximal3d_flags(core)
-        s0 = [p for p, f in zip(core, flags) if f]
+        s0 = list(compress(core, maximal3d_flags(core)))
         return (len(s0), PointMultiset(3, s0, counter=self.counter),
                 PointMultiset(3, core, counter=self.counter))
+
+    def advance(self, state, added: Sequence[tuple],
+                removed: Sequence[tuple]):
+        _, s0_tree, s_tree = state
+        # removals first, so that an added point reuses a freed copy
+        for p in removed:
+            s_tree.remove(p)
+        for p in added:
+            s_tree.add(p)
+        core = list(s_tree.occ.elements())
+        if _bloated(s_tree):
+            return self.preprocess(core)
+        s0 = Counter(compress(core, maximal3d_flags(core)))
+        have = s0_tree.occ
+        gone, new = have - s0, s0 - have
+        for p in gone.elements():
+            s0_tree.remove(p)
+        for p in new.elements():
+            s0_tree.add(p)
+        if _bloated(s0_tree):
+            return self.preprocess(core)
+        state = (sum(s0.values()), s0_tree, s_tree)
+        if _debug_on():
+            self._check(state)
+        return state
+
+    @staticmethod
+    def _check(state) -> None:
+        """Debug check: each tree's active entries are its `occ`, and
+        s0_tree's multiset and n0 are the maxima of s_tree's."""
+        n0, s0_tree, s_tree = state
+        for tree in (s_tree, s0_tree):
+            held = Counter(tree.entry(k)[0] for k in tree.active_keys())
+            _invariant(held == Counter(tuple(map(_norm_coord, p))
+                                       for p in tree.occ.elements()),
+                       "skyline tree entries match its multiset")
+        core = list(s_tree.occ.elements())
+        s0 = Counter(compress(core, maximal3d_flags(core)))
+        _invariant(s0_tree.occ == s0 and n0 == sum(s0.values()),
+                   "skyline S0 is the core's maxima")
 
     def query(self, state, buffer: Sequence[tuple]) -> int:
         n0, s0_tree, s_tree = state
@@ -375,18 +449,24 @@ _SENSE_OPS = {"lt": operator.lt, "le": operator.le,
               "gt": operator.gt, "ge": operator.ge}
 
 
-def _contains(h, p) -> bool:
+def _containment(h):
+    """The halfspace h = (normal, Fraction offset, canonical sense) as a
+    test on points.  normal . p <sense> num/den is decided exactly as
+    (normal . p) * den <sense> num, den being positive, so int points
+    compare ints and never build a Fraction."""
     normal, off, sense = h
-    return _SENSE_OPS[sense](sum(a * c for a, c in zip(normal, p)), off)
+    test, num, den = _SENSE_OPS[sense], off.numerator, off.denominator
+    return lambda p: test(sum(map(operator.mul, normal, p)) * den, num)
 
 
 def halfspace_depths(points, halfspaces) -> List[int]:
     """Per point, how many of `halfspaces` contain it, by a full scan.
 
-    halfspaces: (normal, offset, canonical sense) triples; a repeated triple
-    counts once per repeat.
+    halfspaces: (normal, Fraction offset, canonical sense) triples; a
+    repeated triple counts once per repeat.
     """
-    return [sum(_contains(h, p) for h in halfspaces) for p in points]
+    tests = [_containment(h) for h in halfspaces]
+    return [sum(t(p) for t in tests) for p in points]
 
 
 class HalfspaceSystem:
@@ -418,9 +498,10 @@ class HalfspaceSystem:
 
     def _apply(self, key, delta: int) -> None:
         counts, hist = self._counts, self._hist
+        self.counter.add(len(self.points))
+        hit = _containment(key)
         for i, p in enumerate(self.points):
-            self.counter.add(1)
-            if _contains(key, p):
+            if hit(p):
                 c = counts[i]
                 new = counts[i] = c + delta
                 hist[c] -= 1

@@ -673,12 +673,12 @@ def test_bench_range_mode_dyn_2d_visits_pinned(tmp_path):
 def test_bench_skyline3d_visits_pinned(tmp_path):
     assert _bench_pinned_columns(tmp_path, "skyline3d") == (
         "# bench structure=skyline3d seed=0 sizes=256,512,1024,2048,4096",
-        [("256", "144", "1071836", "7443.306"),
-         ("512", "198", "2131578", "10765.545"),
-         ("1024", "288", "4756148", "16514.403"),
-         ("2048", "405", "9483696", "23416.533"),
-         ("4096", "576", "18938648", "32879.597")],
-        "fit_exponent=0.5407 target=0.5000 tol=0.20 pass=true")
+        [("256", "144", "148284", "1029.750"),
+         ("512", "198", "285986", "1444.374"),
+         ("1024", "288", "557524", "1935.847"),
+         ("2048", "405", "1094088", "2701.452"),
+         ("4096", "576", "2161432", "3752.486")],
+        "fit_exponent=0.4634 target=0.5000 tol=0.20 pass=true")
 
 
 def test_bench_too_few_sizes_exit2(capsys):

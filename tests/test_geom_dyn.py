@@ -1,11 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dynds.core_geom import ScaledInt, VisitCounter
+from dynds.core_geom import Box, Interval, ScaledInt, VisitCounter
 from dynds.geom_dyn import (
     HalfspaceSystem,
     SemiOnlineEngine,
@@ -264,6 +268,134 @@ def test_skyline_counter_moves():
     eng = SemiOnlineEngine(block, 16, initial=[(1, 1, 1)], block_size=4)
     eng.query()
     assert vc.count > 0
+
+
+class CountingSkyline(Skyline3DBlock):
+    # counts the windows served by a full preprocess
+    preprocessed = 0
+
+    def preprocess(self, core):
+        self.preprocessed += 1
+        return super().preprocess(core)
+
+
+def _orthants(rng, hi, count):
+    # random upper and lower orthants, corners in and just past [0, hi]
+    boxes = []
+    for _ in range(count):
+        c = [rng.randint(0, hi + 1) for _ in range(3)]
+        side = Interval.at_least if rng.random() < 0.5 else Interval.at_most
+        boxes.append(Box([side(v) for v in c]))
+    return boxes
+
+
+def _churn(seed, n_ops, hi, block_size, check):
+    """Random inserts with deaths up to 8 windows ahead, deletes and queries
+    through a CountingSkyline engine over a few immortal initial points;
+    after each op that opened a window, check(eng, rng) runs, and every
+    query is compared with skyline_oracle."""
+    rng = random.Random(seed)
+    pt = lambda: tuple(rng.randint(0, hi) for _ in range(3))
+    init = [pt() for _ in range(rng.randint(0, 12))]
+    eng = SemiOnlineEngine(CountingSkyline(), 4 * block_size ** 2,
+                           initial=init, block_size=block_size)
+    live, pending = list(init), {}
+    for op in range(1, n_ops + 1):
+        windows = eng.rebuilds
+        if op in pending:
+            eng.delete()
+            live.remove(pending.pop(op))
+        elif rng.random() < 0.6:
+            p = pt()
+            d = op + rng.randint(1, 8 * block_size)
+            while d in pending:
+                d += 1
+            eng.insert(p, death=d)
+            pending[d] = p
+            live.append(p)
+        else:
+            assert eng.query() == skyline_oracle(live), (seed, op)
+        if eng.rebuilds != windows:
+            check(eng, rng)
+    return eng
+
+
+@pytest.mark.parametrize("seed,hi", [(1, 3), (2, 3), (3, 6), (4, 40)])
+def test_skyline_advance_equals_fresh_preprocess(seed, hi, monkeypatch):
+    # small coordinate ranges repeat points, and duplicates kill each other
+    # in S0; the debug check runs inside every advance as well
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+
+    def check(eng, rng):
+        n0, s0_tree, s_tree = eng._state
+        f0, fresh_s0, fresh_s = Skyline3DBlock().preprocess(
+            [r.elem for r in eng._core])
+        assert n0 == f0
+        assert s_tree.occ == fresh_s.occ and s0_tree.occ == fresh_s0.occ
+        for box in _orthants(rng, hi, 6):
+            assert s_tree.count(box) == fresh_s.count(box)
+            assert s0_tree.count(box) == fresh_s0.count(box)
+
+    eng = _churn(seed, 300, hi, 4, check)
+    assert eng.problem.preprocessed < eng.rebuilds / 4
+
+
+def test_skyline_churn_keeps_trees_compact():
+    # fresh coordinates at every insert: a point that leaves the core leaves
+    # a dead entry behind, until the block rebuilds both trees
+    def check(eng, rng):
+        _, s0_tree, s_tree = eng._state
+        for tree in (s_tree, s0_tree):
+            assert len(tree) <= 2 * sum(tree.occ.values()) + 16
+
+    eng = _churn(7, 6000, 10 ** 6, 8, check)
+    assert eng.problem.preprocessed > 1
+
+
+def test_skyline_advance_is_counted():
+    # the window's tree work shows in the counter: nothing pauses it
+    vc = VisitCounter()
+    block = CountingSkyline(counter=vc)
+    eng = SemiOnlineEngine(block, 16, block_size=2)
+    eng.insert((1, 2, 3), death=50)            # op 1 opens [1, 2]
+    eng.insert((3, 2, 1), death=51)            # op 2
+    before = vc.count
+    eng.insert((2, 2, 2))                      # op 3: both enter the core
+    assert vc.count > before
+    assert block.preprocessed == 1
+    assert eng._state[0] == 2
+
+
+def test_skyline_debug_check_catches_a_broken_tree(monkeypatch):
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    eng = SemiOnlineEngine(Skyline3DBlock(), 16, initial=[(1, 1, 1)],
+                           block_size=2)
+    eng.query()                                # op 1: preprocess
+    _, _, s_tree = eng._state
+    s_tree.toggle(s_tree.active_keys()[0], False)   # occ still holds it
+    eng.query()                                # op 2
+    with pytest.raises(RuntimeError, match="skyline tree entries"):
+        eng.query()                            # op 3: advance checks
+
+
+def test_skyline_debug_check_holds_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from dynds.geom_dyn import SemiOnlineEngine, Skyline3DBlock\n"
+            "eng = SemiOnlineEngine(Skyline3DBlock(), 16,\n"
+            "                       initial=[(1, 1, 1)], block_size=1)\n"
+            "eng.query()\n"
+            "s_tree = eng._state[2]\n"
+            "s_tree.toggle(s_tree.active_keys()[0], False)\n"
+            "try:\n"
+            "    eng.query()\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src),
+                              "DYNDS_DEBUG_ASSERT": "1"})
+    assert out.stdout == ("invariant broken: skyline tree entries match its "
+                          "multiset\n")
 
 
 # ---------------- Klee oracles ----------------
