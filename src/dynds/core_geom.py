@@ -209,10 +209,6 @@ class Interval:
     def at_least(cls, lo) -> "Interval":
         return cls(lo, None)
 
-    @classmethod
-    def open_closed(cls, lo, hi) -> "Interval":
-        return cls(lo, hi, lo_closed=False, hi_closed=True)
-
     def contains(self, x) -> bool:
         if self.lo is not None:
             if self.lo_closed:
@@ -367,23 +363,33 @@ def _next_pow2(n: int) -> int:
 
 
 class _Axis:
-    """Coordinate axis over an implicit segment tree with slack leaf slots.
+    """Coordinate axis over an implicit segment tree of leaf slots.
 
-    Values occupy every fourth leaf with wide end margins, so a new value
-    between two existing ones usually takes a free slot without disturbing
-    any other leaf index.  try_insert returns None when the local gap is
-    exhausted and the owner must re-spread (rebuild cells).
+    Two layouts.  Packed (`packed=True`): value i sits on leaf i of
+    next_pow2(m) leaves, so a leaf has the fewest ancestors that m values
+    allow.  The RangeTree constructor builds its axes packed, since it knows
+    the whole universe (Itai, Konheim & Rodeh, ICALP 1981, on sparse tables:
+    no slack where no insert comes).  Slack (the default): values occupy
+    every fourth leaf of next_pow2(6m + 8) with wide end margins, so a new
+    value between two existing ones usually takes a free slot without
+    disturbing any other leaf index.  An empty tree starts slack, and the
+    re-spread of an `extend` that finds no free slot is slack, so a tree
+    that grows by `extend` keeps this layout.  try_insert returns None when
+    the local gap is exhausted and the owner must re-spread (rebuild cells).
     """
 
-    __slots__ = ("values", "slots", "slot_of", "leaves", "depth")
+    __slots__ = ("values", "slots", "slot_of", "leaves")
 
-    def __init__(self, values: List):
+    def __init__(self, values: List, packed: bool = False):
         self.values = list(values)  # sorted distinct
         m = len(self.values)
-        self.leaves = _next_pow2(6 * m + 8)
-        self.depth = self.leaves.bit_length()  # ancestors per leaf
-        start = (self.leaves - 4 * (m - 1)) // 2 if m else 0
-        self.slots = [start + 4 * i for i in range(m)]
+        if packed:
+            self.leaves = _next_pow2(m)
+            self.slots = list(range(m))
+        else:
+            self.leaves = _next_pow2(6 * m + 8)
+            start = (self.leaves - 4 * (m - 1)) // 2 if m else 0
+            self.slots = [start + 4 * i for i in range(m)]
         self.slot_of = dict(zip(self.values, self.slots))
 
     def try_insert(self, v) -> Optional[int]:
@@ -486,7 +492,7 @@ class RangeTree:
         ents = list(entries)
         if ents:
             self._declare(ents)
-            self._rebuild_axes()
+            self._rebuild_axes(packed=True)
 
     # ---------------- universe management ----------------
 
@@ -511,9 +517,9 @@ class RangeTree:
             self._strides[ax] = stride
             stride *= 2 * self._axes[ax].leaves
 
-    def _rebuild_axes(self) -> None:
+    def _rebuild_axes(self, packed: bool = False) -> None:
         for ax, col in enumerate(self._cols):
-            self._axes[ax] = _Axis(sorted(set(col)))
+            self._axes[ax] = _Axis(sorted(set(col)), packed)
         self._recompute_strides()
         self._cells_of = [None] * len(self._values)
         # re-place currently active entries into the fresh cells
@@ -531,8 +537,9 @@ class RangeTree:
         """Declare additional universe entries.
 
         New coordinate values take free leaf slots when possible; a full
-        re-spread rebuild happens only on local slot exhaustion, and rebuild
-        visits are not counted (they amortize into pre-processing).
+        re-spread rebuild, to the slack layout, happens only on local slot
+        exhaustion, and rebuild visits are not counted (they amortize into
+        pre-processing).
         """
         start = len(self._values)
         keys = self._declare(entries)

@@ -84,7 +84,10 @@ def skyline_oracle(points: Sequence[tuple]) -> int:
 
 
 def maximal3d_flags(points: Sequence[tuple]) -> List[bool]:
-    """Sweep version of maximal_flags for 3D, O(n log n)."""
+    """Sweep version of maximal_flags for 3D, O(n log n).  Points that are
+    not 3-dimensional raise ValueError."""
+    if any(len(p) != 3 for p in points):
+        raise ValueError("points must be 3-dimensional")
     n = len(points)
     order = sorted(range(n), key=lambda i: -points[i][2])
     flags = [False] * n
@@ -256,6 +259,14 @@ class Skyline3DBlock:
     either tree declares more than 2 * (its live entries) + 16, `advance`
     rebuilds both by `preprocess` (global rebuilding, Overmars 1983), so
     the window cost depends on n and not on the update history.
+
+    `query` builds no tree over the buffer.  A buffer point is live when no
+    core point and no other buffer occurrence weakly dominates it: one
+    maximal3d_flags sweep over the buffer (Kung, Luccio & Preparata, JACM
+    1975) decides the second, charged len(buffer) visits, and an s_tree
+    orthant count decides the first, for the points the sweep keeps only.
+    The buffer's union of lower orthants, split into disjoint boxes, gives
+    the S0 points it kills through s0_tree counts.
     """
 
     alpha = 1.0
@@ -311,11 +322,11 @@ class Skyline3DBlock:
 
     def query(self, state, buffer: Sequence[tuple]) -> int:
         n0, s0_tree, s_tree = state
-        bt = PointMultiset(3, buffer, counter=self.counter)
+        self.counter.add(len(buffer))
         live = 0
-        for p in buffer:
+        for p in compress(buffer, maximal3d_flags(buffer)):
             up = Box([Interval.at_least(c) for c in p])
-            if s_tree.count(up) == 0 and bt.count(up) == 1:
+            if s_tree.count(up) == 0:
                 live += 1
         killed = 0
         for box in orthant_union_decompose(list(buffer)):

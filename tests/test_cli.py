@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from dynds.cli import (PROBLEMS, TRACE_SUITES, BenchReport, OpError, OpTrace,
                        TraceError, gen_trace, main, parse_trace, run_trace,
                        trace_suite)
+from dynds.core_geom import VisitCounter
 from dynds.range_mode import DynRangeModeDS
 from dynds.reductions import (REDUCTIONS, KPartiteGraph, OuMvInstance,
                               format_graph, format_oumv)
@@ -538,12 +539,26 @@ def test_crosscheck_deterministic_bytes(tmp_path):
     ("fault", 1,
      "76342d8a5903e1153a755cefd5cc044b1b0920bdbbbf767d18d01a5dbcc662ee"),
 ])
-def test_crosscheck_report_bytes_pinned(scope, code, digest, tmp_path):
-    # the seed-3 reports are part of the CLI contract
+def test_crosscheck_report_bytes_pinned(scope, code, digest, tmp_path,
+                                        monkeypatch):
+    # the seed-3 reports are part of the CLI contract, and the default
+    # scope's counted visits, summed over every VisitCounter the run makes,
+    # are part of the cost model
+    visits = {"default": 3262243}.get(scope)
+    made = []
+    init = VisitCounter.__init__
+
+    def recording_init(self):
+        init(self)
+        made.append(self)
+
+    monkeypatch.setattr(VisitCounter, "__init__", recording_init)
     out = tmp_path / "report.txt"
     assert main(["crosscheck", "--scope", scope, "--seed", "3",
                  "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if visits is not None:
+        assert sum(c.count for c in made) == visits
 
 
 def test_python_m_dynds_runs_the_cli():
@@ -673,12 +688,12 @@ def test_bench_range_mode_dyn_2d_visits_pinned(tmp_path):
 def test_bench_skyline3d_visits_pinned(tmp_path):
     assert _bench_pinned_columns(tmp_path, "skyline3d") == (
         "# bench structure=skyline3d seed=0 sizes=256,512,1024,2048,4096",
-        [("256", "144", "148284", "1029.750"),
-         ("512", "198", "285986", "1444.374"),
-         ("1024", "288", "557524", "1935.847"),
-         ("2048", "405", "1094088", "2701.452"),
-         ("4096", "576", "2161432", "3752.486")],
-        "fit_exponent=0.4634 target=0.5000 tol=0.20 pass=true")
+        [("256", "144", "32616", "226.500"),
+         ("512", "198", "64918", "327.869"),
+         ("1024", "288", "128916", "447.625"),
+         ("2048", "405", "257202", "635.067"),
+         ("4096", "576", "513851", "892.102")],
+        "fit_exponent=0.4909 target=0.5000 tol=0.20 pass=true")
 
 
 def test_bench_too_few_sizes_exit2(capsys):

@@ -508,6 +508,82 @@ def test_rt_extend_new_coords_rebuilds_and_preserves_state():
     assert tree.count(Box.closed((7, -3), (7, -3))) == 1
 
 
+def _pow2_at_least(m):
+    return 1 << (m - 1).bit_length()
+
+
+def test_rt_constructor_packs_axes():
+    # a tree built over its whole universe has no slack leaves: value i of
+    # an axis with m values sits on leaf i of next_pow2(m)
+    rng = random.Random(21)
+    for dim in (1, 2, 3):
+        for u in (1, 2, 3, 5, 8, 9, 25, 60):
+            entries = [(tuple(rng.randint(0, 40) for _ in range(dim)), 0)
+                       for _ in range(u)]
+            tree = RangeTree(dim, entries)
+            for ax, axis in enumerate(tree._axes):
+                m = len({c[ax] for c, _ in entries})
+                assert axis.leaves == _pow2_at_least(m)
+                assert axis.slots == list(range(m))
+
+
+def test_rt_slack_layout_for_trees_grown_by_extend():
+    # an empty tree, and the re-spread of an extend that finds no free slot,
+    # lay values on every fourth leaf of next_pow2(6m + 8)
+    def slack(axis):
+        m = len(axis.values)
+        return (axis.leaves == _pow2_at_least(6 * m + 8)
+                and all(b - a == 4 for a, b in zip(axis.slots,
+                                                   axis.slots[1:])))
+
+    assert all(axis.leaves == 8 for axis in RangeTree(2)._axes)
+    grown = RangeTree(2)
+    grown.extend([((i, -i), 0) for i in range(10)])
+    assert all(map(slack, grown._axes))
+    packed = RangeTree(1, [((i,), 0) for i in range(4)])
+    packed.extend([((-1,), 0)])                 # leaf 0 is taken: re-spread
+    assert slack(packed._axes[0])
+
+
+@pytest.mark.parametrize("mode", ["count", "max"])
+def test_rt_extend_after_packed_build_matches_scan(mode):
+    # new values land below, above and between a packed axis's values;
+    # small values make max-mode ties, which go to the smallest key
+    rng = random.Random(f"packed.{mode}")
+    kinds = set()
+    for _ in range(15):
+        entries = [((rng.randrange(0, 20, 2), rng.randrange(0, 20, 2)),
+                    rng.randint(0, 3)) for _ in range(rng.randint(1, 12))]
+        tree = RangeTree(2, entries, mode=mode)
+        scan = ScanTree(entries)
+        for _ in range(40):
+            r = rng.random()
+            if r < 0.3:
+                new = [((rng.randint(-6, 26), rng.randint(-6, 26)),
+                        rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+                for (x, _), _ in new:
+                    xs = [c[0] for c, _ in scan.entries]
+                    kinds.add("below" if x < min(xs) else
+                              "above" if x > max(xs) else "between")
+                assert tree.extend(new) == list(
+                    range(len(scan.entries), len(scan.entries) + len(new)))
+                scan.entries += new
+                scan.active += [False] * len(new)
+            elif r < 0.7:
+                k = rng.randrange(len(scan.entries))
+                flag = rng.random() < 0.7
+                tree.toggle(k, flag)
+                scan.toggle(k, flag)
+            else:
+                lo = [rng.randint(-8, 24) for _ in range(2)]
+                box = Box.closed(lo, [v + rng.randint(0, 16) for v in lo])
+                if mode == "count":
+                    assert tree.count(box) == scan.count(box)
+                else:
+                    assert tree.max_entry(box) == scan.max_entry(box)
+    assert kinds == {"below", "above", "between"}
+
+
 def test_rt_replace_axis_values():
     tree = RangeTree(1, [((1,), 5), ((4,), 6), ((9,), 7)])
     for k in range(3):

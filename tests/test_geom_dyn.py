@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dynds.core_geom import Box, Interval, ScaledInt, VisitCounter
+from dynds.core_geom import (Box, Interval, PointMultiset, ScaledInt,
+                              VisitCounter)
 from dynds.geom_dyn import (
     HalfspaceSystem,
     SemiOnlineEngine,
@@ -122,6 +123,24 @@ def test_maximal3d_large_agrees():
     want = maximal_flags_scan(pts)
     assert maximal3d_flags(pts) == maximal_flags(pts) == want
     assert skyline_oracle(pts) == sum(want)
+
+
+def test_maximal3d_flags_equal_buffer_tree_predicate():
+    # Skyline3DBlock.query reads the flags where it once asked a tree over
+    # the buffer whether a point's upper orthant held only the point itself
+    rng = random.Random(13)
+    for trial in range(150):
+        hi = rng.choice([2, 3, 8])
+        pts = [tuple(rng.randint(0, hi) for _ in range(3))
+               for _ in range(rng.randint(0, 20))]
+        pts += rng.sample(pts, min(len(pts), rng.randint(0, 3)))
+        rng.shuffle(pts)
+        if trial % 2:
+            pts = [tuple(ScaledInt(c, 3) for c in p) for p in pts]
+        tree = PointMultiset(3, pts)
+        want = [tree.count(Box([Interval.at_least(c) for c in p])) == 1
+                for p in pts]
+        assert maximal3d_flags(pts) == want, (trial, pts)
 
 
 # ---------------- semi-online engine ----------------
@@ -268,6 +287,36 @@ def test_skyline_counter_moves():
     eng = SemiOnlineEngine(block, 16, initial=[(1, 1, 1)], block_size=4)
     eng.query()
     assert vc.count > 0
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (1, 2, 3, 4)])
+def test_skyline_query_rejects_wrong_dimension(bad):
+    # the buffer sweep refuses what the buffer tree refused, as a ValueError
+    eng = SemiOnlineEngine(Skyline3DBlock(), 16, initial=[(1, 1, 1)],
+                           block_size=8)
+    eng.insert(bad, death=30)
+    with pytest.raises(ValueError):
+        eng.query()
+
+
+def test_skyline_query_builds_no_tree(monkeypatch):
+    built = []
+    init = PointMultiset.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PointMultiset, "__init__", counting_init)
+    core = [(1, 5, 5), (5, 1, 5), (5, 5, 1), (2, 2, 2)]
+    eng = SemiOnlineEngine(Skyline3DBlock(), 16, initial=core, block_size=8)
+    buffer = [(6, 0, 0), (6, 0, 0), (0, 6, 6), (3, 3, 3)]
+    for i, p in enumerate(buffer):
+        eng.insert(p, death=20 + i)            # ops 1-4, one window
+    assert len(built) == 2                     # the window's s0 and core trees
+    for _ in range(3):
+        assert eng.query() == skyline_oracle(core + buffer)
+    assert len(built) == 2
 
 
 class CountingSkyline(Skyline3DBlock):
