@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .colors import CommonColorsDS, DynColorCountDS, cc_oracle, dcc_oracle
+from .colors import (CommonColorsDS, CommonColorsScan, DynColorCountDS,
+                     dcc_oracle)
 from .core_geom import Box, Interval, PointScan, VisitCounter
 from .geom_dyn import (_SENSE_OPS, HalfspaceScan, HalfspaceSystem,
                        SemiOnlineEngine, Skyline3DBlock, SkylineScan)
@@ -26,8 +27,9 @@ from .range_mode import (DynRangeModeDS, SequenceAdapter, SequenceScan,
                          mode_oracle)
 from .reductions import (REDUCTIONS, Counted, _content_lines,
                          crosscheck_suite, parse_graph, parse_oumv)
-from .tensor_ds import (EricksonEager, EricksonLazy, HypercliqueCounting,
-                        HypercliqueLazy, LangermanDS, LangermanScan, Tensor)
+from .tensor_ds import (EricksonEager, EricksonLazy, EricksonScan,
+                        HypercliqueCounting, HypercliqueLazy, HypercliqueScan,
+                        LangermanDS, LangermanScan, Tensor)
 
 
 class TraceError(ValueError):
@@ -91,19 +93,35 @@ def _parses(kind: str, tok: str) -> bool:
 
 
 @dataclass(frozen=True)
+class Staged:
+    """The `calls` entry of an op kind that stages a build (BASE, P).
+
+    The ops of that kind that open a trace collect their argument rows, and
+    `build(make, trace, rows)` turns the rows into the solver, `make` being
+    what the structure id's `solvers` entry returned.  The build runs at the
+    first op of another kind, or at the last op when every op is staged; a
+    staged op after the build fails with the text `late`.
+    """
+    build: Callable[[Callable, OpTrace, List[list]], object]
+    late: str
+
+
+@dataclass(frozen=True)
 class Problem:
     """Everything `solve` and `crosscheck` know about one trace problem.
 
     `ops` maps a trace to its op grammar (op kind -> one argument kind per
     argument; arities may depend on the header).  `calls[kind](solver,
     *args)` runs one op on any solver with typed arguments and returns its
-    output line, or None.  `solvers` builds a solver per structure id from
-    the trace; `gen(rng, size)` makes a random valid trace; `suites` are
-    the structure ids that crosscheck compares with `oracle`.
+    output line, or None; a kind that stages the build maps to a `Staged`.
+    `solvers` builds a solver per structure id from the trace, or for a
+    staged problem the maker that `Staged.build` gets; `gen(rng, size)`
+    makes a random valid trace; `suites` are the structure ids that
+    crosscheck compares with `oracle`.
     """
     header: Tuple[str, ...]
     ops: Callable[[OpTrace], Dict[str, str]]
-    calls: Dict[str, Callable[..., Optional[str]]]
+    calls: Dict[str, Callable[..., Optional[str]] | Staged]
     solvers: Dict[str, Callable[[OpTrace], object]]
     gen: Callable[[random.Random, int], OpTrace]
     suites: Tuple[str, ...]
@@ -137,7 +155,10 @@ def parse_trace(text: str) -> OpTrace:
         for piece in header[k].split(","):
             if not _parses("i", piece):
                 raise TraceError(no, f"header {k} must be integer(s)")
-    specs = PROBLEMS[problem].ops(trace)
+    try:
+        specs = PROBLEMS[problem].ops(trace)
+    except ValueError as exc:
+        raise TraceError(no, f"{exc}") from exc
     for no, toks in rows[2:]:
         kind, args = toks[0], toks[1:]
         spec = specs.get(kind)
@@ -160,16 +181,27 @@ def run_trace(trace: OpTrace, structure_id: str) -> List[str]:
                             f"{structure_id!r}")
     try:
         solver = make(trace)
+        convs = {kind: [_ARG[a] for a in spec]
+                 for kind, spec in problem.ops(trace).items()}
     except (ValueError, TypeError) as exc:
         raise TraceError(trace.header_line, f"{exc}") from exc
-    convs = {kind: [_ARG[a] for a in spec]
-             for kind, spec in problem.ops(trace).items()}
+    calls = problem.calls
+    # a staged problem's `solver` is its maker until the rows build it
+    stage = next((k for k, c in calls.items() if isinstance(c, Staged)), None)
+    rows = [] if stage else None
+    last = len(trace.ops)
     out = []
     for idx, op in enumerate(trace.ops, start=1):
         kind = op[0]
         try:
             args = [conv(t) for conv, t in zip(convs[kind], op[1:])]
-            line = problem.calls[kind](solver, *args)
+            if kind == stage:
+                if rows is None:
+                    raise ValueError(calls[kind].late)
+                rows.append(args)
+            if rows is not None and (kind != stage or idx == last):
+                solver, rows = calls[stage].build(solver, trace, rows), None
+            line = None if kind == stage else calls[kind](solver, *args)
         except (ValueError, KeyError, IndexError, RuntimeError) as exc:
             raise OpError(idx, f"{exc}") from exc
         if line is not None:
@@ -185,10 +217,7 @@ def gen_trace(problem: str, rng: random.Random, size: int = 40) -> OpTrace:
     return PROBLEMS[problem].gen(rng, size)
 
 
-# ---------------- scan oracles and staged solvers ----------------
-# An oracle answers by scanning and has the method names of the structure
-# it checks, so one `calls` table drives both.  The oracles that reduction
-# targets share live next to their structures; these serve traces only.
+# ---------------- output formats and staged builds ----------------
 
 def _fmt_pair(res) -> str:
     return "none" if res is None else f"({res[0]},{res[1]})"
@@ -203,147 +232,28 @@ def _box_from(vals: Sequence[int]) -> Box:
                 for lo, hi in zip(vals[::2], vals[1::2])])
 
 
-class _CommonColorsScan:
-    def __init__(self, arr):
-        self.arr = arr
-        self.on = set()
-        self.known = set(arr)
-
-    def set_on(self, c, flag):
-        if c not in self.known:
-            raise KeyError(f"unknown color {c}")
-        (self.on.add if flag else self.on.discard)(c)
-
-    def query(self, l1, r1, l2, r2):
-        return cc_oracle(self.arr, self.on, l1, r1, l2, r2)
+def _base_array(make, t: OpTrace, rows):
+    """common-colors: the one BASE row is the array."""
+    if not rows:
+        raise ValueError("BASE must precede other ops")
+    if len(rows) > 1:
+        raise ValueError("BASE given twice")
+    return make(rows[0])
 
 
-class _EricksonScan:
-    def __init__(self, t0: Tensor):
-        self.t = t0
-
-    def increment(self, axis, idx):
-        ext = self.t.extents
-        if not 0 <= axis < len(ext):
-            raise ValueError(f"axis {axis + 1} out of range")
-        if not 1 <= idx <= ext[axis]:
-            raise ValueError(f"index {idx} out of range")
-        for x in self.t.indices():
-            if x[axis] == idx:
-                self.t.add(x, 1)
-
-    def value(self, x):
-        return self.t[x]
-
-    def max_value(self):
-        return max(self.t.data)
-
-
-class _HypercliqueScan:
-    def __init__(self, vertices, k: int):
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        self.n = len(vertices)
-        self.k = k
-        self.edges = set()
-
-    def _edge(self, e):
-        if len(e) != self.k:
-            raise ValueError("edge must have k distinct vertices")
-        if any(not 1 <= v <= self.n for v in e):
-            raise ValueError("edge vertex out of range")
-        return e
-
-    def insert(self, e):
-        if self._edge(e) in self.edges:
-            raise ValueError("edge already present")
-        self.edges.add(e)
-
-    def delete(self, e):
-        if self._edge(e) not in self.edges:
-            raise ValueError("edge not present")
-        self.edges.discard(e)
-
-    def query(self, v):
-        if not 1 <= v <= self.n:
-            raise ValueError("query vertex out of range")
-        others = [u for u in range(1, self.n + 1) if u != v]
-        for cand in itertools.combinations(others, self.k):
-            t = set(cand) | {v}
-            if all(frozenset(s) in self.edges
-                   for s in itertools.combinations(sorted(t), self.k)):
-                return True
-        return False
-
-
-class _BaseFirst:
-    """common-colors: the first op, BASE, builds the structure."""
-
-    def __init__(self, build):
-        self.build = build
-        self.ds = None
-
-    def base(self, arr):
-        if self.ds is not None:
-            raise ValueError("BASE given twice")
-        self.ds = self.build(list(arr))
-
-    def built(self):
-        if self.ds is None:
-            raise ValueError("BASE must precede other ops")
-        return self.ds
-
-
-class _BaseOptional:
-    """erickson: an optional first op, BASE, fills the initial tensor, which
-    is all zeros otherwise."""
-
-    def __init__(self, build, ext):
-        if any(e < 1 for e in ext):
-            raise ValueError("extents must be positive")
-        self.build = build
-        self.ext = ext
-        self.ds = None
-
-    def base(self, cells):
-        if self.ds is not None:
-            raise ValueError("BASE must be the first op")
-        t0 = Tensor(self.ext)
-        for x, v in zip(t0.indices(), cells):
+def _base_tensor(make, t: OpTrace, rows):
+    """erickson: the start tensor, all zeros unless a BASE row fills it."""
+    if len(rows) > 1:
+        raise ValueError("BASE must be the first op")
+    t0 = Tensor(t.hdr_ints("ext"))
+    for row in rows:
+        for x, v in zip(t0.indices(), row):
             t0[x] = v
-        self.ds = self.build(t0)
-
-    def built(self):
-        if self.ds is None:
-            self.ds = self.build(Tensor(self.ext))
-        return self.ds
-
-
-class _PointsFirst:
-    """halfspace: P ops fix the point set; the first other op builds."""
-
-    def __init__(self, build):
-        self.build = build
-        self.pts: List[tuple] = []
-        self.ds = None
-
-    def point(self, p):
-        if self.ds is not None:
-            raise ValueError("point set is fixed before halfspace ops")
-        self.pts.append(p)
-
-    def built(self):
-        if self.ds is None:
-            self.ds = self.build(self.pts)
-        return self.ds
+    return make(t0)
 
 
 def _on_vertices(cls):
     return lambda t: cls(list(range(1, t.hdr_int("n") + 1)), t.hdr_int("k"))
-
-
-def _erickson(cls):
-    return lambda t: _BaseOptional(cls, t.hdr_ints("ext"))
 
 
 def _skyline_engine(t: OpTrace) -> SemiOnlineEngine:
@@ -585,12 +495,12 @@ PROBLEMS: Dict[str, Problem] = {
         ("m",),
         lambda t: {"BASE": "i" * t.hdr_int("m"), "ON": "i", "OFF": "i",
                    "QRY": "iiii"},
-        {"BASE": lambda s, *arr: s.base(arr),
-         "ON": lambda s, c: s.built().set_on(c, True),
-         "OFF": lambda s, c: s.built().set_on(c, False),
-         "QRY": lambda s, *q: str(s.built().query(*q))},
-        {"oracle": lambda t: _BaseFirst(_CommonColorsScan),
-         "real": lambda t: _BaseFirst(CommonColorsDS)},
+        {"BASE": Staged(_base_array, "BASE given twice"),
+         "ON": lambda s, c: s.set_on(c, True),
+         "OFF": lambda s, c: s.set_on(c, False),
+         "QRY": lambda s, *q: str(s.query(*q))},
+        {"oracle": lambda t: CommonColorsScan,
+         "real": lambda t: CommonColorsDS},
         _gen_common_colors, ("real",)),
     "langerman": Problem(
         ("ext",),
@@ -604,14 +514,16 @@ PROBLEMS: Dict[str, Problem] = {
         _gen_langerman, ("real",)),
     "erickson": Problem(
         ("ext",),
-        lambda t: {"BASE": "i" * math.prod(t.hdr_ints("ext")), "INC": "ii",
-                   "VQRY": "i" * len(t.hdr_ints("ext")), "MQRY": ""},
-        {"BASE": lambda s, *cells: s.base(cells),
-         "INC": lambda s, ax, idx: s.built().increment(ax - 1, idx),
-         "VQRY": lambda s, *x: str(s.built().value(x)),
-         "MQRY": lambda s: str(s.built().max_value())},
-        {"oracle": _erickson(_EricksonScan), "real": _erickson(EricksonLazy),
-         "lazy": _erickson(EricksonLazy), "eager": _erickson(EricksonEager)},
+        # the BASE arity is the cell count: Tensor rejects bad extents
+        lambda t: {"BASE": "i" * len(Tensor(t.hdr_ints("ext")).data),
+                   "INC": "ii", "VQRY": "i" * len(t.hdr_ints("ext")),
+                   "MQRY": ""},
+        {"BASE": Staged(_base_tensor, "BASE must be the first op"),
+         "INC": lambda s, ax, idx: s.increment(ax - 1, idx),
+         "VQRY": lambda s, *x: str(s.value(x)),
+         "MQRY": lambda s: str(s.max_value())},
+        {"oracle": lambda t: EricksonScan, "real": lambda t: EricksonLazy,
+         "lazy": lambda t: EricksonLazy, "eager": lambda t: EricksonEager},
         _gen_erickson, ("lazy", "eager")),
     "hyperclique": Problem(
         ("n", "k"),
@@ -620,7 +532,7 @@ PROBLEMS: Dict[str, Problem] = {
         {"EINS": lambda s, *e: s.insert(frozenset(e)),
          "EDEL": lambda s, *e: s.delete(frozenset(e)),
          "QRY": lambda s, v: _fmt_bool(s.query(v))},
-        {"oracle": _on_vertices(_HypercliqueScan),
+        {"oracle": _on_vertices(HypercliqueScan),
          "real": _on_vertices(HypercliqueLazy),
          "lazy": _on_vertices(HypercliqueLazy),
          "counting": _on_vertices(HypercliqueCounting)},
@@ -639,12 +551,13 @@ PROBLEMS: Dict[str, Problem] = {
         lambda t: {"P": "i" * t.hdr_int("d"),
                    "HINS": "i" * t.hdr_int("d") + "fs",
                    "HDEL": "i" * t.hdr_int("d") + "fs", "QRY": ""},
-        {"P": lambda s, *p: s.point(p),
-         "HINS": lambda s, *h: s.built().insert(h[:-2], h[-2], h[-1]),
-         "HDEL": lambda s, *h: s.built().delete(h[:-2], h[-2], h[-1]),
-         "QRY": lambda s: str(s.built().min_count())},
-        {"oracle": lambda t: _PointsFirst(HalfspaceScan),
-         "real": lambda t: _PointsFirst(HalfspaceSystem)},
+        {"P": Staged(lambda make, t, rows: make(rows),
+                     "point set is fixed before halfspace ops"),
+         "HINS": lambda s, *h: s.insert(h[:-2], h[-2], h[-1]),
+         "HDEL": lambda s, *h: s.delete(h[:-2], h[-2], h[-1]),
+         "QRY": lambda s: str(s.min_count())},
+        {"oracle": lambda t: HalfspaceScan,
+         "real": lambda t: HalfspaceSystem},
         _gen_halfspace, ("real",)),
 }
 

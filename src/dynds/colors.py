@@ -16,13 +16,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core_geom import (Box, Interval, PointMultiset, RangeTree, VisitCounter,
-                        _norm_coord)
+from .core_geom import Box, Interval, PointMultiset, RangeTree, VisitCounter
 
 __all__ = [
     "cc_oracle",
     "docs_oracle",
     "CommonColorsDS",
+    "CommonColorsScan",
     "dcc_oracle",
     "DynColorCountDS",
 ]
@@ -124,6 +124,23 @@ class CommonColorsDS:
         return total
 
 
+class CommonColorsScan:
+    """Scan oracle for `CommonColorsDS`: the switched-on colors as a set,
+    and `query` is `cc_oracle`."""
+
+    def __init__(self, array: Sequence):
+        self.array = list(array)
+        self.on: Set = set()
+
+    def set_on(self, color, flag: bool) -> None:
+        if color not in self.array:
+            raise KeyError(f"unknown color {color!r}")
+        (self.on.add if flag else self.on.discard)(color)
+
+    def query(self, l1: int, r1: int, l2: int, r2: int) -> int:
+        return cc_oracle(self.array, self.on, l1, r1, l2, r2)
+
+
 # ---------------- dynamic 2D color counting ----------------
 
 class DynColorCountDS:
@@ -147,7 +164,7 @@ class DynColorCountDS:
         self.rebuilds = 0
 
     def update(self, coords, color, insert: bool) -> None:
-        nc = tuple(_norm_coord(c) for c in coords)
+        nc = tuple(coords)
         if len(nc) != 2:
             raise ValueError("points must be 2-dimensional")
         tree = self._live.get(color)

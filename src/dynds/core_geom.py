@@ -1,9 +1,9 @@
 """Exact coordinates, boxes, toggleable range trees, and orthant decomposition.
 
-Everything here works on exact values: plain ints, fractions.Fraction, or
-ScaledInt (a raw integer plus a shared positive scale).  No floats anywhere.
-Python integers are arbitrary precision, so raw arithmetic can never overflow
-silently; the checked-arithmetic requirement holds by construction.
+Every coordinate is exact: a plain int or a fractions.Fraction, which compare
+with each other across denominators.  No floats anywhere.  Python integers are
+arbitrary precision, so arithmetic can never overflow silently; the
+checked-arithmetic requirement holds by construction.
 """
 
 from __future__ import annotations
@@ -11,14 +11,11 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from collections import Counter, _count_elements
-from fractions import Fraction
 from itertools import islice
 from operator import itemgetter, lt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "ScaledInt",
-    "Point",
     "Interval",
     "Box",
     "PointScan",
@@ -26,7 +23,6 @@ __all__ = [
     "RangeTree",
     "PointMultiset",
     "RT_VISIT_C",
-    "dominates",
     "orthant_union_decompose",
 ]
 
@@ -47,130 +43,6 @@ def _invariant(ok: bool, what: str) -> None:
     """A debug invariant check; raises under `python -O` too."""
     if not ok:
         raise RuntimeError(f"invariant broken: {what}")
-
-
-class ScaledInt:
-    """Exact number raw/scale with integer raw and a fixed positive scale.
-
-    Addition and subtraction require matching scales (mixing is an error).
-    Ordering comparisons also require matching scales.  Equality and hashing
-    are value-based so instances can key dictionaries.
-    """
-
-    __slots__ = ("raw", "scale")
-
-    def __init__(self, raw: int, scale: int = 1):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.raw = raw
-        self.scale = scale
-
-    @classmethod
-    def of(cls, value: int, scale: int = 1) -> "ScaledInt":
-        """Exact representation of an integer value at the given scale."""
-        return cls(value * scale, scale)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.raw, self.scale)
-
-    def _require_same_scale(self, other: "ScaledInt") -> None:
-        if self.scale != other.scale:
-            raise ValueError(
-                f"scale mismatch: {self.scale} vs {other.scale}")
-
-    def __add__(self, other):
-        if not isinstance(other, ScaledInt):
-            return NotImplemented
-        self._require_same_scale(other)
-        return ScaledInt(self.raw + other.raw, self.scale)
-
-    def __sub__(self, other):
-        if not isinstance(other, ScaledInt):
-            return NotImplemented
-        self._require_same_scale(other)
-        return ScaledInt(self.raw - other.raw, self.scale)
-
-    def __neg__(self):
-        return ScaledInt(-self.raw, self.scale)
-
-    def __lt__(self, other):
-        if not isinstance(other, ScaledInt):
-            return NotImplemented
-        self._require_same_scale(other)
-        return self.raw < other.raw
-
-    def __le__(self, other):
-        if not isinstance(other, ScaledInt):
-            return NotImplemented
-        self._require_same_scale(other)
-        return self.raw <= other.raw
-
-    def __gt__(self, other):
-        if not isinstance(other, ScaledInt):
-            return NotImplemented
-        self._require_same_scale(other)
-        return self.raw > other.raw
-
-    def __ge__(self, other):
-        if not isinstance(other, ScaledInt):
-            return NotImplemented
-        self._require_same_scale(other)
-        return self.raw >= other.raw
-
-    def __eq__(self, other):
-        if not isinstance(other, ScaledInt):
-            return NotImplemented
-        if self.scale == other.scale:
-            return self.raw == other.raw
-        return self.raw * other.scale == other.raw * self.scale
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        if self.scale == 1:
-            return f"ScaledInt({self.raw})"
-        return f"ScaledInt({self.raw}, scale={self.scale})"
-
-
-class Point:
-    """A point with exact coordinates and an optional opaque payload."""
-
-    __slots__ = ("coords", "payload")
-
-    def __init__(self, coords: Sequence, payload=None):
-        self.coords = tuple(coords)
-        self.payload = payload
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Point):
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"Point{self.coords}"
-
-
-def _coords_of(p) -> tuple:
-    return p.coords if isinstance(p, Point) else tuple(p)
-
-
-def dominates(p, q) -> bool:
-    """True iff q dominates p: q >= p coordinatewise and coords differ."""
-    pc, qc = _coords_of(p), _coords_of(q)
-    if len(pc) != len(qc):
-        raise ValueError("dimension mismatch")
-    return all(qi >= pi for pi, qi in zip(pc, qc)) and pc != qc
 
 
 class Interval:
@@ -276,7 +148,7 @@ class Box:
         return len(self.intervals)
 
     def contains(self, p) -> bool:
-        pc = _coords_of(p)
+        pc = tuple(p)
         if len(pc) != self.dim:
             raise ValueError("dimension mismatch")
         return all(iv.contains(x) for iv, x in zip(self.intervals, pc))
@@ -349,10 +221,6 @@ class VisitCounter:
         if self._pause_depth == 0:
             raise RuntimeError("counter not paused")
         self._pause_depth -= 1
-
-
-def _norm_coord(c):
-    return c.raw if isinstance(c, ScaledInt) else c
 
 
 def _next_pow2(n: int) -> int:
@@ -500,11 +368,11 @@ class RangeTree:
         cols, values = self._cols, self._values
         start = len(values)
         for coords, value in entries:
-            coords = _coords_of(coords)
+            coords = tuple(coords)
             if len(coords) != self.dim:
                 raise ValueError("entry dimension mismatch")
             for col, c in zip(cols, coords):
-                col.append(_norm_coord(c))
+                col.append(c)
             values.append(value)
             self._active.append(False)
             self._cells_of.append(None)
@@ -650,16 +518,12 @@ class RangeTree:
             if lo is None:
                 i = 0
             else:
-                if isinstance(lo, ScaledInt):
-                    lo = lo.raw
                 i = bisect_left(vals, lo) if iv.lo_closed \
                     else bisect_right(vals, lo)
             hi = iv.hi
             if hi is None:
                 j = len(vals)
             else:
-                if isinstance(hi, ScaledInt):
-                    hi = hi.raw
                 j = bisect_right(vals, hi) if iv.hi_closed \
                     else bisect_left(vals, hi)
             if i >= j:
@@ -722,7 +586,7 @@ def _relabel(mappings, coords):
 
 
 class PointMultiset(RangeTree):
-    """Count-mode RangeTree over a multiset of normalised point tuples.
+    """Count-mode RangeTree over a multiset of point tuples.
 
     Copy j of a point is an entry of its own: `occ` holds the live
     multiplicities and `keys` maps (point, j) to the entry key.  A removed
@@ -791,7 +655,7 @@ def orthant_union_decompose(corners: Sequence) -> List[Box]:
     maintains the 2D staircase of (x, y) maxima; every staircase strip is
     emitted once per contiguous lifetime.  At most 4*len(corners)+1 boxes.
     """
-    pts = [_coords_of(p) for p in corners]
+    pts = [tuple(p) for p in corners]
     if not pts:
         return []
     if any(len(p) != 3 for p in pts):

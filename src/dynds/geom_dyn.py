@@ -20,11 +20,9 @@ from .core_geom import (
     Box,
     Interval,
     PointMultiset,
-    ScaledInt,
     VisitCounter,
     _debug_on,
     _invariant,
-    _norm_coord,
     orthant_union_decompose,
 )
 
@@ -312,8 +310,7 @@ class Skyline3DBlock:
         n0, s0_tree, s_tree = state
         for tree in (s_tree, s0_tree):
             held = Counter(tree.entry(k)[0] for k in tree.active_keys())
-            _invariant(held == Counter(tuple(map(_norm_coord, p))
-                                       for p in tree.occ.elements()),
+            _invariant(held == Counter(tree.occ.elements()),
                        "skyline tree entries match its multiset")
         core = list(s_tree.occ.elements())
         s0 = Counter(compress(core, maximal3d_flags(core)))
@@ -369,12 +366,6 @@ class SkylineScan:
 
 # ---------------- Klee volume oracles ----------------
 
-def _frac(v) -> Fraction:
-    if isinstance(v, ScaledInt):
-        return v.value
-    return Fraction(v)
-
-
 def _union_volume(boxes: List[tuple], axis: int) -> int:
     """Union volume of int boxes ((lo, hi) per axis) on the axes >= axis."""
     if axis == len(boxes[0]) - 1:
@@ -412,10 +403,10 @@ def klee_union_volume(corners: Sequence[tuple], side) -> Fraction:
     if not corners:
         return Fraction(0)
     d = len(corners[0])
-    s = _frac(side)
+    s = Fraction(side)
     if s <= 0:
         raise ValueError("side must be positive")
-    his = [tuple(_frac(c[i]) for i in range(d)) for c in corners]
+    his = [tuple(Fraction(c[i]) for i in range(d)) for c in corners]
     denom = math.lcm(s.denominator, *(v.denominator for c in his for v in c))
     side_i = s.numerator * (denom // s.denominator)
     ints = [[v.numerator * (denom // v.denominator) for v in c] for c in his]
@@ -434,15 +425,15 @@ def klee_union_volume_ie(corners: Sequence[tuple], side) -> Fraction:
     if not corners:
         return Fraction(0)
     d = len(corners[0])
-    s = _frac(side)
+    s = Fraction(side)
     total = Fraction(0)
     m = len(corners)
     for r in range(1, m + 1):
         for sub in combinations(range(m), r):
             v = Fraction(1)
             for i in range(d):
-                lo = max(_frac(corners[j][i]) - s for j in sub)
-                hi = min(_frac(corners[j][i]) for j in sub)
+                lo = max(Fraction(corners[j][i]) - s for j in sub)
+                hi = min(Fraction(corners[j][i]) for j in sub)
                 if hi <= lo:
                     v = Fraction(0)
                     break
@@ -504,8 +495,7 @@ class HalfspaceSystem:
         s = _SENSES.get(sense)
         if s is None:
             raise ValueError(f"bad sense {sense!r}")
-        off = offset.value if isinstance(offset, ScaledInt) else Fraction(offset)
-        return (tuple(int(a) for a in normal), off, s)
+        return (tuple(normal), Fraction(offset), s)
 
     def _apply(self, key, delta: int) -> None:
         counts, hist = self._counts, self._hist
@@ -560,7 +550,10 @@ class HalfspaceScan:
         self.hs.append((tuple(normal), Fraction(offset), _SENSES[sense]))
 
     def delete(self, normal, offset, sense) -> None:
-        self.hs.remove((tuple(normal), Fraction(offset), _SENSES[sense]))
+        h = (tuple(normal), Fraction(offset), _SENSES[sense])
+        if h not in self.hs:
+            raise ValueError("delete of absent halfspace")
+        self.hs.remove(h)
 
     def min_count(self) -> int:
         if not self.points:

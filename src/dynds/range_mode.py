@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core_geom import (Box, Interval, PointMultiset, RangeTree, VisitCounter,
-                        _debug_on, _invariant, _norm_coord, _relabel)
+                        _debug_on, _invariant, _relabel)
 
 __all__ = [
     "mode_oracle",
@@ -136,7 +136,7 @@ class DynRangeModeDS:
     # ---------------- updates ----------------
 
     def _norm(self, coords) -> tuple:
-        nc = tuple(_norm_coord(c) for c in coords)
+        nc = tuple(coords)
         if len(nc) != self.d:
             raise ValueError("point dimension mismatch")
         return nc

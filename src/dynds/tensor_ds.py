@@ -8,6 +8,8 @@ per-block multiset of residuals makes the zero test one lookup per block.
 EricksonLazy and EricksonEager maintain a tensor under slab increments with
 max queries.  HypercliqueLazy and HypercliqueCounting maintain a k-uniform
 hypergraph under edge flips and answer (k+1)-clique membership queries.
+EricksonScan and HypercliqueScan are their scan oracles, and share their
+argument checks.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ __all__ = [
     "LangermanScan",
     "EricksonLazy",
     "EricksonEager",
+    "EricksonScan",
     "HypercliqueLazy",
     "HypercliqueCounting",
+    "HypercliqueScan",
     "OuMvBrute",
     "BatchedOuMv",
     "oumv_bruteforce",
@@ -194,8 +198,8 @@ class LangermanDS:
 
     def prefix(self, x) -> int:
         x = tuple(x)
-        t = tuple(xi // self.B for xi in x)
-        return self._anchor_val(t) + self.r[x]
+        res = self.r[x]               # validates the index
+        return self._anchor_val(tuple(xi // self.B for xi in x)) + res
 
     def exists_zero(self) -> bool:
         for t in itertools.product(*(self._t_range(ax) for ax in range(self.d))):
@@ -242,6 +246,14 @@ class LangermanScan:
 
 # ---------------- slab-increment max structures ----------------
 
+def _check_slab(extents, axis: int, index: int) -> None:
+    """The slab argument check of every Erickson structure's increment."""
+    if not 0 <= axis < len(extents):
+        raise ValueError("bad axis")
+    if not 1 <= index <= extents[axis]:
+        raise ValueError("bad index")
+
+
 class EricksonLazy:
     """Tensor under slab increments, max query by full scan."""
 
@@ -252,10 +264,7 @@ class EricksonLazy:
         self.counter = counter if counter is not None else VisitCounter()
 
     def increment(self, axis: int, index: int, delta: int = 1) -> None:
-        if not 0 <= axis < len(self.extents):
-            raise ValueError("bad axis")
-        if not 1 <= index <= self.extents[axis]:
-            raise ValueError("bad index")
+        _check_slab(self.extents, axis, index)
         self.counter.add(1)
         self.inc[axis][index] += delta
 
@@ -295,10 +304,7 @@ class EricksonEager:
 
     def increment(self, axis: int, index: int, delta: int = 1) -> None:
         ext = self.extents
-        if not 0 <= axis < len(ext):
-            raise ValueError("bad axis")
-        if not 1 <= index <= ext[axis]:
-            raise ValueError("bad index")
+        _check_slab(ext, axis, index)
         if not isinstance(delta, int):
             raise TypeError("EricksonEager needs an int delta")
         ranges = [range(1, e + 1) if i != axis else (index,)
@@ -331,19 +337,32 @@ class EricksonEager:
         return self._max
 
 
+class EricksonScan:
+    """Scan oracle for the Erickson structures: the plain tensor, every
+    cell of it walked by each increment."""
+
+    def __init__(self, initial: Tensor):
+        self.t = initial.copy()
+        self.extents = initial.extents
+
+    def increment(self, axis: int, index: int, delta: int = 1) -> None:
+        _check_slab(self.extents, axis, index)
+        for x in self.t.indices():
+            if x[axis] == index:
+                self.t.add(x, delta)
+
+    def value(self, x) -> int:
+        return self.t[x]
+
+    def max_value(self) -> int:
+        return max(self.t.data)
+
+
 # ---------------- hypergraph clique maintenance ----------------
 
-def _check_edge(verts: Set, edge, k: int) -> frozenset:
-    e = frozenset(edge)
-    if len(e) != k:
-        raise ValueError(f"edge must have {k} distinct vertices")
-    if not e <= verts:
-        raise ValueError("edge uses unknown vertices")
-    return e
-
-
-class HypercliqueLazy:
-    """k-uniform hypergraph; query scans candidate (k+1)-sets directly."""
+class _Hypergraph:
+    """A k-uniform hypergraph on a fixed vertex list, and the argument checks
+    that the clique structures and their scan oracle share."""
 
     def __init__(self, vertices: Sequence, k: int,
                  counter: Optional[VisitCounter] = None):
@@ -357,24 +376,39 @@ class HypercliqueLazy:
         self.edges: Set[frozenset] = set()
         self.counter = counter if counter is not None else VisitCounter()
 
+    def _check_edge(self, edge, present: bool) -> frozenset:
+        """The edge as a frozenset, checked to be present or absent."""
+        e = frozenset(edge)
+        if len(e) != self.k:
+            raise ValueError(f"edge must have {self.k} distinct vertices")
+        if not e <= self._vset:
+            raise ValueError("edge uses unknown vertices")
+        if (e in self.edges) != present:
+            raise ValueError("edge not present" if present
+                             else "edge already present")
+        return e
+
+    def _check_vertex(self, v) -> None:
+        if v not in self._vset:
+            raise ValueError("unknown vertex")
+
+
+class HypercliqueLazy(_Hypergraph):
+    """k-uniform hypergraph; query scans candidate (k+1)-sets directly."""
+
     def insert(self, edge) -> None:
-        e = _check_edge(self._vset, edge, self.k)
-        if e in self.edges:
-            raise ValueError("edge already present")
+        e = self._check_edge(edge, False)
         self.counter.add(1)
         self.edges.add(e)
 
     def delete(self, edge) -> None:
-        e = _check_edge(self._vset, edge, self.k)
-        if e not in self.edges:
-            raise ValueError("edge not present")
+        e = self._check_edge(edge, True)
         self.counter.add(1)
         self.edges.discard(e)
 
     def query(self, v) -> bool:
         """Is v in a set of k+1 vertices all of whose k-subsets are edges?"""
-        if v not in self._vset:
-            raise ValueError("unknown vertex")
+        self._check_vertex(v)
         others = [u for u in self.vertices if u != v]
         for comb in itertools.combinations(others, self.k):
             self.counter.add(1)
@@ -384,21 +418,13 @@ class HypercliqueLazy:
         return False
 
 
-class HypercliqueCounting:
+class HypercliqueCounting(_Hypergraph):
     """Per-vertex counts of complete (k+1)-sets, adjusted on each edge flip."""
 
     def __init__(self, vertices: Sequence, k: int,
                  counter: Optional[VisitCounter] = None):
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        self.vertices = list(vertices)
-        self._vset = set(self.vertices)
-        if len(self._vset) != len(self.vertices):
-            raise ValueError("duplicate vertices")
-        self.k = k
-        self.edges: Set[frozenset] = set()
+        super().__init__(vertices, k, counter)
         self.cnt: Counter = Counter()
-        self.counter = counter if counter is not None else VisitCounter()
 
     def _completions(self, e: frozenset):
         """Vertices w outside e with every other k-subset of e+{w} present."""
@@ -412,28 +438,44 @@ class HypercliqueCounting:
                 yield cand
 
     def insert(self, edge) -> None:
-        e = _check_edge(self._vset, edge, self.k)
-        if e in self.edges:
-            raise ValueError("edge already present")
+        e = self._check_edge(edge, False)
         for cand in self._completions(e):
             for u in cand:
                 self.cnt[u] += 1
         self.edges.add(e)
 
     def delete(self, edge) -> None:
-        e = _check_edge(self._vset, edge, self.k)
-        if e not in self.edges:
-            raise ValueError("edge not present")
+        e = self._check_edge(edge, True)
         self.edges.discard(e)
         for cand in self._completions(e):
             for u in cand:
                 self.cnt[u] -= 1
 
     def query(self, v) -> bool:
-        if v not in self._vset:
-            raise ValueError("unknown vertex")
+        self._check_vertex(v)
         self.counter.add(1)
         return self.cnt[v] > 0
+
+
+class HypercliqueScan(_Hypergraph):
+    """Scan oracle for the clique structures: the edge set, and a query
+    tests every k-subset of every (k+1)-set through v."""
+
+    def insert(self, edge) -> None:
+        self.edges.add(self._check_edge(edge, False))
+
+    def delete(self, edge) -> None:
+        self.edges.discard(self._check_edge(edge, True))
+
+    def query(self, v) -> bool:
+        self._check_vertex(v)
+        others = [u for u in self.vertices if u != v]
+        for cand in itertools.combinations(others, self.k):
+            t = set(cand) | {v}
+            if all(frozenset(s) in self.edges
+                   for s in itertools.combinations(t, self.k)):
+                return True
+        return False
 
 
 # ---------------- OuMv baseline and batched driver ----------------

@@ -156,6 +156,16 @@ STAGED_ERRORS = [
      "insert position 2 out of range 1..1"),
     ("sequence-mode", "cap=4", "SINS 1 5\nSDEL 2\n", 2,
      "delete position 2 out of range 1..1"),
+    ("hyperclique", "n=3 k=2", "EINS 1 4\n", 1, "edge uses unknown vertices"),
+    ("hyperclique", "n=3 k=2", "EINS 2 2\n", 1,
+     "edge must have 2 distinct vertices"),
+    ("hyperclique", "n=3 k=2", "QRY 4\n", 1, "unknown vertex"),
+    ("erickson", "ext=2,2", "INC 3 1\n", 1, "bad axis"),
+    ("erickson", "ext=2,2", "BASE 1 2 3 4\nINC 1 5\n", 2, "bad index"),
+    ("halfspace", "d=2", "P 0 0\nHDEL 1 0 0 ge\n", 2,
+     "delete of absent halfspace"),
+    ("langerman", "ext=2,2", "PQRY 3 1\n", 1,
+     "index (3, 1) out of range (2, 2)"),
 ]
 
 
@@ -611,7 +621,7 @@ def _trace_behaviour_digest(seeds=range(6), size=24):
 def test_trace_behaviour_pinned():
     # generated traces, answers and error text are part of the CLI contract
     assert _trace_behaviour_digest() == (
-        "34c2ede15b1cb6a48df3f3bc0b284befde405e32277ca425c63b308a283e8fff")
+        "c4676cdb5e146e25297ee94f76c22db9e9e948c5d2ad98ac405743f54cc1ad9d")
 
 
 # ---------------- bench ----------------

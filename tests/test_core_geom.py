@@ -12,12 +12,9 @@ from dynds.core_geom import (
     RT_VISIT_C,
     Box,
     Interval,
-    Point,
     PointMultiset,
     RangeTree,
-    ScaledInt,
     VisitCounter,
-    dominates,
     orthant_union_decompose,
 )
 
@@ -79,40 +76,6 @@ def union_volume_by_cells(corners, lo, hi):
     return vols
 
 
-# ---------------- ScaledInt ----------------
-
-def test_scaled_int_basics():
-    a = ScaledInt.of(3, 4)
-    b = ScaledInt(5, 4)  # 5/4
-    assert a.raw == 12
-    assert (a - b).raw == 7
-    assert (a + b).raw == 17
-    assert b < a
-    assert -b == ScaledInt(-5, 4)
-    assert a.value == Fraction(3)
-    assert b.value == Fraction(5, 4)
-
-
-def test_scaled_int_scale_mismatch_is_error():
-    a = ScaledInt(1, 2)
-    b = ScaledInt(1, 3)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a - b
-    with pytest.raises(ValueError):
-        a < b
-    # equality is value-based and total
-    assert ScaledInt(2, 2) == ScaledInt(3, 3)
-    assert ScaledInt(1, 2) != ScaledInt(1, 3)
-
-
-def test_scaled_int_huge_values_stay_exact():
-    big = ScaledInt(2 ** 100 + 1, 1)
-    assert (big - ScaledInt(1, 1)).raw == 2 ** 100
-    assert (big + big).raw == 2 ** 101 + 2
-
-
 # ---------------- intervals and boxes ----------------
 
 def test_interval_validation():
@@ -140,14 +103,6 @@ def test_box_contains_and_intersects():
     assert b.intersects(other)
     disjoint = Box([Interval(2, 5, lo_closed=False), Interval(0, 9)])
     assert not b.intersects(disjoint)
-
-
-def test_dominates():
-    assert dominates((1, 2), (1, 3))
-    assert dominates((1, 2), (2, 2))
-    assert not dominates((1, 2), (1, 2))  # p = q
-    assert not dominates((1, 2), (0, 5))
-    assert dominates(Point((0, 0, 0)), Point((1, 0, 0)))
 
 
 # ---------------- range tree vs scan oracle ----------------
@@ -344,8 +299,7 @@ def product_query_ids(tree, box):
     for ax, iv in enumerate(box.intervals):
         axis = tree._axes[ax]
         vals = axis.values
-        lo, hi = (b.raw if isinstance(b, ScaledInt) else b
-                  for b in (iv.lo, iv.hi))
+        lo, hi = iv.lo, iv.hi
         lo_idx = 0
         if lo is not None:
             lo_idx = (bisect_left if iv.lo_closed else bisect_right)(vals, lo)
@@ -371,7 +325,7 @@ def product_query_ids(tree, box):
     return [sum(parts) for parts in itertools.product(*per_axis)], per_axis
 
 
-SCALE = 256  # ScaledInt scale; every coordinate below is a multiple of 1/256
+SCALE = 256  # every crowded coordinate below is a multiple of 1/256
 
 
 @given(st.data())
@@ -383,7 +337,9 @@ def test_rt_query_ids_match_product_reference(data):
     scaled = draw(st.booleans(), label="scaled")
 
     def conv(x):
-        return ScaledInt(int(x * SCALE), SCALE) if scaled else x
+        # scaled: every coordinate and bound a third of its drawn value, so
+        # that denominators 1, 3, 12 and 768 meet on one axis
+        return Fraction(x, 3) if scaled else x
 
     def point(crowd):
         # extend crowds values into (0, 1), where the slot gap runs out
@@ -706,13 +662,22 @@ def test_point_multiset_remap_keeps_occ_and_counts():
 
 
 def test_rt_scaled_int_coords():
-    s = 4
-    ents = [((ScaledInt(2, s),), 1), ((ScaledInt(5, s),), 2)]
+    # non-integer exact coordinates, as Fractions of several denominators
+    ents = [((Fraction(1, 2),), 1), ((Fraction(5, 4),), 2), ((1,), 3)]
     tree = RangeTree(1, ents)
-    tree.toggle(0, True)
-    tree.toggle(1, True)
-    box = Box([Interval.closed(ScaledInt(0, s), ScaledInt(3, s))])
-    assert tree.count(box) == 1
+    for key in range(3):
+        tree.toggle(key, True)
+    assert tree.count(Box([Interval.closed(0, Fraction(3, 4))])) == 1
+    assert tree.count(Box([Interval.closed(Fraction(2, 4), 1)])) == 2
+    assert tree.count(Box([Interval(Fraction(1, 2), Fraction(5, 4),
+                                    lo_closed=False)])) == 2
+    # values compare across denominators: 1/2 is not 1/3 but is 2/4
+    third = Box([Interval.closed(Fraction(1, 3), Fraction(1, 3))])
+    assert PointMultiset(1, [(Fraction(1, 2),), (Fraction(1, 3),)]).count(
+        third) == 1
+    pm = PointMultiset(1, [(Fraction(1, 2),), (Fraction(2, 4),)])
+    assert pm.count(Box([Interval.closed(Fraction(1, 2), 1)])) == 2
+    assert pm.occ[(Fraction(1, 2),)] == 2
 
 
 # ---------------- orthant union decomposition ----------------

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dynds.core_geom import (Box, Interval, PointMultiset, ScaledInt,
-                              VisitCounter)
+from dynds.core_geom import Box, Interval, PointMultiset, VisitCounter
 from dynds.geom_dyn import (
+    HalfspaceScan,
     HalfspaceSystem,
     SemiOnlineEngine,
     Skyline3DBlock,
@@ -61,9 +61,10 @@ def test_maximal_flags_edge_sizes():
 
 
 def test_maximal_flags_scaled_int_coords():
-    s = 3
-    pts = [(ScaledInt(1, s), ScaledInt(4, s)), (ScaledInt(2, s), ScaledInt(2, s)),
-           (ScaledInt(1, s), ScaledInt(2, s)), (ScaledInt(2, s), ScaledInt(2, s))]
+    # 2/3 and 4/6 are one value: the equal duplicates kill each other
+    F = Fraction
+    pts = [(F(1, 3), F(4, 3)), (F(2, 3), F(2, 3)),
+           (F(1, 3), F(1, 2)), (F(4, 6), F(2, 3))]
     assert maximal_flags(pts) == maximal_flags_scan(pts) == [
         True, False, False, False]
 
@@ -136,7 +137,9 @@ def test_maximal3d_flags_equal_buffer_tree_predicate():
         pts += rng.sample(pts, min(len(pts), rng.randint(0, 3)))
         rng.shuffle(pts)
         if trial % 2:
-            pts = [tuple(ScaledInt(c, 3) for c in p) for p in pts]
+            # one denominator per axis: 2, 3 and 4
+            pts = [tuple(Fraction(c, 2 + ax) for ax, c in enumerate(p))
+                   for p in pts]
         tree = PointMultiset(3, pts)
         want = [tree.count(Box([Interval.at_least(c) for c in p])) == 1
                 for p in pts]
@@ -474,10 +477,12 @@ def test_klee_empty_and_validation():
 
 
 def test_klee_scaledint_corners():
-    corners = [(ScaledInt(4, 2), ScaledInt(4, 2)), (1, 1)]
-    # cube side 2 anchored at (2,2) plus unit... no: both side 3/2
+    # two squares of side 3/2 that overlap in a 2/3 by 1/4 rectangle
+    corners = [(Fraction(7, 3), Fraction(5, 2)),
+               (Fraction(3, 2), Fraction(5, 4))]
     v = klee_union_volume(corners, Fraction(3, 2))
     assert v == klee_union_volume_ie(corners, Fraction(3, 2))
+    assert v == 2 * Fraction(9, 4) - Fraction(2, 3) * Fraction(1, 4)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -574,9 +579,23 @@ def test_halfspace_empty_points():
 
 
 def test_halfspace_scaledint_offsets():
+    # exact non-integer offsets, as Fractions
     hs = HalfspaceSystem([(1,), (2,)])
-    hs.insert((1,), ScaledInt(3, 2), "lt")    # x < 1.5
+    hs.insert((1,), Fraction(3, 2), "lt")     # x < 1.5
     assert hs.depth_oracle() == [1, 0]
+    hs.insert((1,), Fraction(5, 3), "ge")     # x >= 5/3
+    assert hs.depth_oracle() == [1, 1] and hs.min_count() == 1
+
+
+def test_halfspace_fraction_normals_stay_exact():
+    # x / 2 <= 1/4 holds for no point; a normal truncated to int would
+    # make it 0 <= 1/4 and hold for every point
+    for ds in (HalfspaceSystem([(1,), (2,)]), HalfspaceScan([(1,), (2,)])):
+        ds.insert((Fraction(1, 2),), Fraction(1, 4), "le")
+        assert ds.min_count() == 0
+        ds.delete((Fraction(1, 2),), Fraction(1, 4), "le")
+        with pytest.raises(ValueError, match="delete of absent halfspace"):
+            ds.delete((Fraction(1, 2),), Fraction(1, 4), "le")
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -167,6 +167,22 @@ def test_duplicate_points_same_label():
     assert ds.query(Box.closed((5,), (5,))) == ("z", 2)
 
 
+@pytest.mark.parametrize("b", [None, 1])
+def test_fraction_coords_compare_across_denominators(b):
+    # light (default threshold) and heavy (B=1) labels alike
+    ds = DynRangeModeDS(1, 10, B_override=b)
+    pts = [((Fraction(1, 2),), 7), ((Fraction(1, 3),), 7),
+           ((Fraction(2, 4),), 7)]
+    for coords, label in pts:
+        ds.update(coords, label, True)
+    third = Box.closed((Fraction(1, 3),), (Fraction(1, 3),))
+    half = Box.closed((Fraction(1, 2),), (Fraction(1, 2),))
+    assert ds.query(third) == mode_oracle(pts, third) == (7, 1)
+    assert ds.query(half) == mode_oracle(pts, half) == (7, 2)
+    ds.update((Fraction(1, 2),), 7, False)
+    assert ds.query(half) == (7, 1)
+
+
 def _active_boxes(ds):
     """Active max-tree entries as (label, boxcoords, count) keys."""
     name = {k: tpk for tpk, k in ds._tp_keys.items()}
