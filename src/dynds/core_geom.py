@@ -9,10 +9,10 @@ checked-arithmetic requirement holds by construction.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter, _count_elements
-from itertools import islice
-from operator import itemgetter, lt
+from itertools import compress, islice
+from operator import add, itemgetter, lt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -230,65 +230,194 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-class _Axis:
-    """Coordinate axis over an implicit segment tree of leaf slots.
+# Relabel thresholds of an _Axis (see its docstring): a window of at most
+# 2**BLOCK_LEVEL leaves may fill up; above that, the share of a window's
+# leaves that its values may use falls linearly with its height, from 1 to
+# ROOT_DENSITY = (num, den) for the whole axis.
+BLOCK_LEVEL = 2
+ROOT_DENSITY = (1, 2)
 
-    Two layouts.  Packed (`packed=True`): value i sits on leaf i of
-    next_pow2(m) leaves, so a leaf has the fewest ancestors that m values
-    allow.  The RangeTree constructor builds its axes packed, since it knows
-    the whole universe (Itai, Konheim & Rodeh, ICALP 1981, on sparse tables:
-    no slack where no insert comes).  Slack (the default): values occupy
-    every fourth leaf of next_pow2(6m + 8) with wide end margins, so a new
-    value between two existing ones usually takes a free slot without
-    disturbing any other leaf index.  An empty tree starts slack, and the
-    re-spread of an `extend` that finds no free slot is slack, so a tree
-    that grows by `extend` keeps this layout.  try_insert returns None when
-    the local gap is exhausted and the owner must re-spread (rebuild cells).
+
+def _spread(start: int, size: int, count: int) -> List[int]:
+    """count rising slots evenly over the leaves [start, start + size),
+    each in the middle of its share."""
+    return [start + (2 * i + 1) * size // (2 * count) for i in range(count)]
+
+
+def _window_slots(start: int, size: int, count: int, front: bool,
+                  back: bool) -> List[int]:
+    """Slots of a relabelled window of count values.  A new axis minimum
+    (front) or maximum (back) keeps half of the window's free leaves on
+    its outer side, so that a run of inserts at that end finds them."""
+    outside = (size - count) // 2
+    if front:
+        return [start + outside] + _spread(start + outside + 1,
+                                           size - outside - 1, count - 1)
+    if back:
+        return _spread(start, size - outside - 1, count - 1) + [
+            start + size - 1 - outside]
+    return _spread(start, size, count)
+
+
+class _Axis:
+    """Coordinate axis over an implicit segment tree of `leaves` leaf slots.
+
+    `leaves` is a power of two and the sorted distinct `values` sit on
+    strictly rising `slots`.  Every leaf has the same number of ancestors,
+    so an axis's depth is set by `leaves` alone, and the free leaves between
+    the values are what lets a new value in without moving others.
+
+    A build puts value i of m on leaf start + room * i of next_pow2(room *
+    m) leaves, with start centring the values.  room 1 packs them, with the
+    fewest levels that m values allow (a sparse table with no slack where
+    no insert comes: Itai, Konheim & Rodeh, ICALP 1981).  room 2 is for a
+    tree built to grow: a free leaf in every gap, and the other free leaves
+    split between the two ends, where the inserts of a sequence hammer.
+
+    `insert` places one new value, as a packed-memory array does (Bender,
+    Demaine & Farach-Colton, FOCS 2000; Bender & Hu's adaptive PMA, TODS
+    2007, for inserts hammered at one end):
+    - a free leaf in the value's gap takes it: the middle one of an inner
+      gap, and the one next to its neighbour before the first or after the
+      last value, so that a run of inserts at an end uses every free leaf;
+    - otherwise the smallest aligned window around the gap that stays under
+      its density bound is relabelled.  A window of at most 2**BLOCK_LEVEL
+      leaves may fill up; the values between the gap and its nearest free
+      leaf shift by one.  A window of height k > BLOCK_LEVEL, of h, may use
+      1 - (1 - ROOT_DENSITY) (k - BLOCK_LEVEL) / (h - BLOCK_LEVEL) of its
+      leaves, and its values are re-spread evenly, except that a new axis
+      minimum or maximum keeps half of the window's free leaves on its
+      outer side;
+    - when even the whole axis would pass ROOT_DENSITY, `leaves` doubles
+      and every value is re-spread.  So an axis that grew by inserts has
+      fewer than 4 (m + 1) leaves.
+    The owner re-places the entries on the moved values (RangeTree._move).
+
+    The constants were chosen on the visits that `dynds crosscheck --seed
+    3` counts, relabels included (1,385,474 as chosen), on the values moved
+    by the 10,000 front inserts of tests/test_range_mode.py::
+    test_front_insert_rebuild_stress (11,023), and on the updates that move
+    values in a perfbench seq-heavy-scan pass (seed 1: none of 237):
+    - ROOT_DENSITY 3/4 counts 1,382,368 visits but moves 25,808 values;
+    - BLOCK_LEVEL 0 (no shifts), 1 and 3 count 1,563,474, 1,439,475 and
+      1,391,272;
+    - an end window keeping 1/4 or 3/4 of its free leaves outside counts
+      1,477,841 and 1,402,707 and moves 35,751 and 14,130; keeping none
+      counts 1,556,455 and moves 440,175;
+    - room 1 for the label trees of DynRangeModeDS.bulk_insert moves
+      values in 55 of the seq-heavy-scan updates, and so does an even
+      spread of the built values in 18.
     """
 
     __slots__ = ("values", "slots", "slot_of", "leaves")
 
-    def __init__(self, values: List, packed: bool = False):
+    def __init__(self, values: List, room: int = 1):
         self.values = list(values)  # sorted distinct
         m = len(self.values)
-        if packed:
-            self.leaves = _next_pow2(m)
-            self.slots = list(range(m))
-        else:
-            self.leaves = _next_pow2(6 * m + 8)
-            start = (self.leaves - 4 * (m - 1)) // 2 if m else 0
-            self.slots = [start + 4 * i for i in range(m)]
+        self.leaves = _next_pow2(room * m)
+        # centred: the free leaves beyond the gaps split between the ends
+        start = (self.leaves - room * (m - 1)) // 2
+        self.slots = list(range(start, start + room * m, room))
         self.slot_of = dict(zip(self.values, self.slots))
 
-    def try_insert(self, v) -> Optional[int]:
-        """Slot for a new value, or None when a re-spread is needed."""
-        existing = self.slot_of.get(v)
-        if existing is not None:
-            return existing
-        pos = bisect_left(self.values, v)
-        if not self.values:
-            slot = self.leaves // 2
-        elif pos == 0:
-            slot = self.slots[0] - 2
-            if slot < 0:
-                slot = self.slots[0] - 1
-            if slot < 0:
-                return None
-        elif pos == len(self.values):
-            slot = self.slots[-1] + 2
-            if slot >= self.leaves:
-                slot = self.slots[-1] + 1
-            if slot >= self.leaves:
-                return None
+    def insert(self, v) -> Optional[List]:
+        """Give the new value v a slot.
+
+        Returns the values whose slots moved: none when v takes a free
+        leaf, those of one relabelled window otherwise; or None when the
+        axis doubled its leaves, which moves every slot.
+        """
+        values, slots, slot_of = self.values, self.slots, self.slot_of
+        m = len(values)
+        pos = bisect_left(values, v)
+        lo = slots[pos - 1] + 1 if pos else 0
+        hi = slots[pos] if pos < m else self.leaves
+        if lo < hi:
+            # an end insert takes the leaf next to its neighbour, so that a
+            # run of them uses every free leaf; an inner one halves its gap
+            slot = (hi - 1 if pos == 0 and m else
+                    lo if pos == m and m else (lo + hi - 1) // 2)
+            values.insert(pos, v)
+            slots.insert(pos, slot)
+            slot_of[v] = slot
+            return []
+        front, back = pos == 0, pos == m
+        anchor = lo - 1 if pos else 0   # the occupied leaf before the gap
+        leaves = self.leaves
+        h = leaves.bit_length() - 1
+        num, den = ROOT_DENSITY
+        k0 = BLOCK_LEVEL
+        for k in range(1, h + 1):
+            size = 1 << k
+            start = anchor >> k << k
+            i0 = bisect_left(slots, start, 0, pos)
+            i1 = bisect_left(slots, start + size, pos)
+            count = i1 - i0 + 1
+            if k <= k0:
+                if count <= size:
+                    return self._shift(v, pos, i0, i1, start, size)
+            # count / size <= 1 - (1 - num/den) * (k - k0) / (h - k0)
+            elif count * den * (h - k0) <= size * (
+                    den * (h - k0) - (den - num) * (k - k0)):
+                break
         else:
-            a, b = self.slots[pos - 1], self.slots[pos]
-            if b - a < 2:
-                return None
-            slot = (a + b) // 2
-        self.values.insert(pos, v)
-        self.slots.insert(pos, slot)
-        self.slot_of[v] = slot
-        return slot
+            values.insert(pos, v)
+            self.leaves = 2 * leaves
+            self.slots = _window_slots(0, 2 * leaves, m + 1, front, back)
+            self.slot_of = dict(zip(values, self.slots))
+            return None
+        values.insert(pos, v)
+        new = _window_slots(start, size, count, front, back)
+        old = slots[i0:i1]
+        old.insert(pos - i0, None)
+        slots[i0:i1] = new
+        moved = []
+        for j, (a, b) in enumerate(zip(old, new), i0):
+            if a != b:
+                slot_of[values[j]] = b
+                if a is not None:
+                    moved.append((values[j], a))
+        return moved
+
+    def _shift(self, v, pos: int, i0: int, i1: int, start: int,
+               size: int) -> List:
+        """Insert v at index pos of a window [start, start + size) that has
+        a free leaf, holding the values i0..i1-1, by shifting the values
+        between the gap and the nearest free leaf by one."""
+        values, slots, slot_of = self.values, self.slots, self.slot_of
+        # left: the run pos-1, pos-2, ... down to the first value with a
+        # free leaf below it
+        left = pos
+        while left > i0:
+            left -= 1
+            below = slots[left - 1] if left > i0 else start - 1
+            if slots[left] - 1 > below:
+                break
+        else:
+            left = None
+        right = pos
+        while right < i1:
+            above = slots[right + 1] if right + 1 < i1 else start + size
+            if slots[right] + 1 < above:
+                break
+            right += 1
+        else:
+            right = None
+        if right is None or (left is not None
+                             and pos - left <= right + 1 - pos):
+            run = range(left, pos)
+            slot, step = slots[pos - 1], -1
+        else:
+            run = range(pos, right + 1)
+            slot, step = slots[pos], 1
+        moved = [(values[j], slots[j]) for j in run]
+        for j in run:
+            slots[j] += step
+            slot_of[values[j]] = slots[j]
+        values.insert(pos, v)
+        slots.insert(pos, slot)
+        slot_of[v] = slot
+        return moved
 
     def ancestors(self, slot: int) -> List[int]:
         node = slot + self.leaves
@@ -321,12 +450,24 @@ class RangeTree:
     collections._count_elements.
 
     A query builds its box's cell ids the same way, in one loop over the
-    axes (_query_ids): per axis it bisects the bounds to a slot range, walks
-    the range's bottom-up canonical nodes, scales each by the axis stride
-    and combines them with the ids so far.  An empty axis range ends the
-    query with no visit; a 0-dim tree has the one cell 0.  count sums the
-    ids' cells and max_entry takes the max top of those that exist, both
-    through map over dict.get, so the per-cell reads run in C.
+    axes (_query_ids): per axis it bisects the bounds to a range of values,
+    widens their leaf range over the free leaves on either side, to the
+    leaf with the most trailing zeros in each gap (to the axis end on an
+    unbounded side), walks that range's bottom-up canonical nodes, scales
+    each by the axis stride and combines them with the ids so far.  Free
+    leaves hold no entry, so the widening covers the same entries with
+    fewer nodes.  An empty axis range ends the query with no visit; a 0-dim
+    tree has the one cell 0.  count sums the ids' cells and max_entry takes
+    the max top of those that exist, both through map over dict.get, so the
+    per-cell reads run in C.
+
+    The axes are laid out as `_Axis` describes.  The constructor builds
+    them over the entries it is given, with `room` leaves per value (see
+    _Axis); `extend` places new coordinate values one at a time.  Every
+    change of layout is paid in counted visits, never under
+    VisitCounter.pause: a local relabel touches only the changed cells of
+    the entries on the moved values, and a doubled axis re-places every
+    active entry, like a toggle each.
 
     A max-mode cell is a pair [top, members]: the cached max item and a
     {key: item} dict of the active entries under it, items being
@@ -342,7 +483,8 @@ class RangeTree:
     """
 
     def __init__(self, dim: int, entries: Iterable[Tuple[Sequence, object]] = (),
-                 mode: str = "count", counter: Optional[VisitCounter] = None):
+                 mode: str = "count", counter: Optional[VisitCounter] = None,
+                 room: int = 1):
         if mode not in ("count", "max"):
             raise ValueError(f"unknown mode {mode!r}")
         self.dim = dim
@@ -352,15 +494,14 @@ class RangeTree:
         self._values: list = []
         self._active: List[bool] = []
         self._cells_of: List[Optional[List[int]]] = []
-        self._axes: List[_Axis] = [_Axis([]) for _ in range(dim)]
-        self._strides: List[int] = [1] * dim
+        # per axis, the keys sorted by their coordinate on it: built at the
+        # axis's first relabel (see _move)
+        self._order: List[Optional[List[int]]] = [None] * dim
         self._count_cells = {}
         self._max_cells = {}
+        self._declare(entries)
+        self._axes = [_Axis(sorted(set(col)), room) for col in self._cols]
         self._recompute_strides()
-        ents = list(entries)
-        if ents:
-            self._declare(ents)
-            self._rebuild_axes(packed=True)
 
     # ---------------- universe management ----------------
 
@@ -385,37 +526,99 @@ class RangeTree:
             self._strides[ax] = stride
             stride *= 2 * self._axes[ax].leaves
 
-    def _rebuild_axes(self, packed: bool = False) -> None:
-        for ax, col in enumerate(self._cols):
-            self._axes[ax] = _Axis(sorted(set(col)), packed)
+    def _relayout(self) -> None:
+        """Re-place every active entry after an axis doubled its leaves,
+        which changes every cell id: counted like toggles."""
         self._recompute_strides()
         self._cells_of = [None] * len(self._values)
-        # re-place currently active entries into the fresh cells
         self._count_cells = {}
         self._max_cells = {}
-        self.counter.pause()
-        try:
-            for key, act in enumerate(self._active):
-                if act:
-                    self._apply(key, +1)
-        finally:
-            self.counter.resume()
+        for key in compress(range(len(self._active)), self._active):
+            self._apply(key, +1)
+
+    def _move(self, ax: int, moved: List) -> None:
+        """Re-place the entries whose axis-ax value moved to another slot.
+
+        moved holds (value, old slot) pairs in value order.  Only the cells
+        that changed are touched, and counted: a moved entry keeps every
+        cell id whose axis-ax node lies above the relabelled window.  The
+        entries are found through the axis's key order (keys sorted by
+        their axis-ax value), built at the axis's first relabel.
+        """
+        col = self._cols[ax]
+        get = col.__getitem__
+        order = self._order[ax]
+        if order is None:
+            order = self._order[ax] = sorted(range(len(col)), key=get)
+        axis = self._axes[ax]
+        leaves, stride = axis.leaves, self._strides[ax]
+        # an entry's cell list runs over the axes' ancestors as nested
+        # loops, axis 0 outermost: each axis-ax ancestor level is a block
+        # of `inner` consecutive ids, repeated `outer` times
+        inner = outer = 1
+        for b, other in enumerate(self._axes):
+            if b < ax:
+                outer *= other.leaves.bit_length()
+            elif b > ax:
+                inner *= other.leaves.bit_length()
+        depth = leaves.bit_length()
+        cells_of, active = self._cells_of, self._active
+        for v, was in moved:
+            now = axis.slot_of[v] + leaves
+            was += leaves
+            # the id change per ancestor level: nonzero below the level
+            # where the old and new leaf paths meet
+            block = []
+            level = 0
+            while now != was:
+                block += [(now - was) * stride] * inner
+                now >>= 1
+                was >>= 1
+                level += 1
+            block += [0] * (inner * (depth - level))
+            shift = block * outer
+            for key in order[bisect_left(order, v, key=get):
+                             bisect_right(order, v, key=get)]:
+                old = cells_of[key]
+                if old is None:
+                    continue
+                if active[key]:
+                    new = cells_of[key] = list(map(add, old, shift))
+                    self._apply(key, -1, list(compress(old, shift)))
+                    self._apply(key, +1, list(compress(new, shift)))
+                else:
+                    cells_of[key] = None
 
     def extend(self, entries) -> List[int]:
-        """Declare additional universe entries.
+        """Declare additional universe entries; returns their keys.
 
-        New coordinate values take free leaf slots when possible; a full
-        re-spread rebuild, to the slack layout, happens only on local slot
-        exhaustion, and rebuild visits are not counted (they amortize into
-        pre-processing).
+        Each new coordinate value takes a free leaf when its gap has one.
+        Otherwise its axis relabels one window, and only the entries on the
+        moved values are re-placed (`_move`), or the axis doubles, and every
+        active entry is re-placed once after the last value (`_relayout`).
+        Both are counted visits (see `_Axis` for the layout and the
+        measurements behind its constants).
         """
         start = len(self._values)
         keys = self._declare(entries)
-        for axis, col in zip(self._axes, self._cols):
+        relayout = False
+        for ax, (axis, col) in enumerate(zip(self._axes, self._cols)):
+            order = self._order[ax]
+            if order is not None:
+                for key in keys:
+                    insort(order, key, key=col.__getitem__)
+            slot_of = axis.slot_of
             for v in col[start:]:
-                if axis.try_insert(v) is None:
-                    self._rebuild_axes()
-                    return keys
+                if v in slot_of:
+                    continue
+                moved = axis.insert(v)
+                slot_of = axis.slot_of
+                if moved is None:
+                    relayout = True
+                elif moved and not relayout:
+                    self._move(ax, moved)
+        if relayout:
+            self._relayout()
         return keys
 
     def replace_axis_values(self, ax: int, mapping: dict) -> None:
@@ -446,8 +649,10 @@ class RangeTree:
         self._cells_of[key] = cells
         return cells
 
-    def _apply(self, key: int, sign: int) -> None:
-        cells = self._cells(key)
+    def _apply(self, key: int, sign: int,
+               cells: Optional[List[int]] = None) -> None:
+        if cells is None:
+            cells = self._cells(key)
         self.counter.add(len(cells))
         if self.mode == "count":
             cc = self._count_cells
@@ -528,10 +733,24 @@ class RangeTree:
                     else bisect_left(vals, hi)
             if i >= j:
                 return None
-            # bottom-up canonical walk of the inclusive slot range
+            # bottom-up canonical walk of a leaf range [l, r) that holds
+            # the same values, widened over the free leaves around them to
+            # the leaf with the most trailing zeros in each gap (a < b:
+            # clear b's bits below the highest bit where a and b differ)
+            slots = axis.slots
             leaves = axis.leaves
-            l = axis.slots[i] + leaves
-            r = axis.slots[j - 1] + leaves + 1
+            if i:
+                b = slots[i]
+                t = (slots[i - 1] ^ b).bit_length() - 1
+                l = leaves + (b >> t << t)
+            else:
+                l = leaves
+            if j < len(slots):
+                b = slots[j]
+                t = (slots[j - 1] ^ b).bit_length() - 1
+                r = leaves + (b >> t << t)
+            else:
+                r = 2 * leaves
             nodes = []
             while l < r:
                 if l & 1:
@@ -592,13 +811,14 @@ class PointMultiset(RangeTree):
     multiplicities and `keys` maps (point, j) to the entry key.  A removed
     copy stays declared, inactive, and the next add of that point reuses it.
     The constructor declares the given points at once, in order, then
-    activates them in the same order.
+    activates them in the same order; `room` is RangeTree's.
     """
 
     def __init__(self, dim: int, points: Iterable[tuple] = (),
-                 counter: Optional[VisitCounter] = None):
+                 counter: Optional[VisitCounter] = None, room: int = 1):
         points = list(points)
-        super().__init__(dim, [(p, 1) for p in points], counter=counter)
+        super().__init__(dim, [(p, 1) for p in points], counter=counter,
+                         room=room)
         self.occ: Counter = Counter()
         self.keys: dict = {}
         occ, keys = self.occ, self.keys

@@ -185,55 +185,73 @@ class DynRangeModeDS:
             if not self._total[label]:
                 del self._total[label]
             self.n_live -= 1
-        self._refresh_label(label)
+        self._refresh_labels((label,))
         if _debug_on():
             self._debug_check()
 
     def bulk_insert(self, points) -> None:
         """Batch insert regenerating each touched label's boxes only once.
 
-        A batch past the capacity, or with a label that cannot be ordered,
-        is refused whole before anything is inserted.
+        A label new to the structure gets its count tree in one build over
+        its batch points, with room 2 (see core_geom._Axis) since it will
+        grow; the points of a label already there are added one by one.  A
+        batch past the capacity, or with a label that cannot be ordered, is
+        refused whole before anything is inserted.
         """
         points = [(self._norm(coords), label) for coords, label in points]
         if self.n_live + len(points) > self.n_cap:
             raise ValueError(f"capacity {self.n_cap} exceeded")
         self._check_labels(label for _, label in points)
-        touched: Dict[object, None] = {}
+        by_label: Dict[object, List[tuple]] = {}
         for nc, label in points:
-            self._insert_raw(nc, label)
-            touched.setdefault(label)
-        for label in touched:
-            self._refresh_label(label)
+            by_label.setdefault(label, []).append(nc)
+        trees = self._label_trees
+        for label, pts in by_label.items():
+            tree = trees.get(label)
+            if tree is None:
+                trees[label] = PointMultiset(self.d, pts, counter=self.counter,
+                                             room=2)
+            else:
+                for nc in pts:
+                    tree.add(nc)
+            self._total[label] += len(pts)
+        self.n_live += len(points)
+        self._refresh_labels(by_label)
         if _debug_on():
             self._debug_check()
 
-    def _refresh_label(self, label) -> None:
-        """Regenerate the label's light boxes, or clear them when heavy.
+    def _refresh_labels(self, labels) -> None:
+        """Regenerate each label's light boxes, or clear them when heavy.
 
-        Only the difference is toggled: boxes whose (label, coords, count)
-        key survives the update stay active untouched.
+        Every label's new boxes are declared before any box is toggled, so
+        a max-tree axis that doubles on the way has none of this batch's
+        boxes to re-place.  Only the difference is toggled: boxes whose
+        (label, coords, count) key survives the update stay active
+        untouched.
         """
-        new_keys: List[int] = []
-        if self._total[label] > self.B:
-            self.heavy.add(label)
-        else:
-            self.heavy.discard(label)
-            occ = self._label_trees[label].occ
-            if occ:
-                new_keys = self._light_box_keys(label, occ)
-        old = self._label_box_keys.get(label, [])
-        old_set, new_set = set(old), set(new_keys)
-        for k in old:
-            if k not in new_set:
-                self._tp.toggle(k, False)
-        for k in new_keys:
-            if k not in old_set:
-                self._tp.toggle(k, True)
-                # a key is shared by equal labels, so it answers with the
-                # label object that last turned it on, the live one
-                self._tp_label[k] = label
-        self._label_box_keys[label] = new_keys
+        fresh: Dict[object, List[int]] = {}
+        for label in labels:
+            fresh[label] = []
+            if self._total[label] > self.B:
+                self.heavy.add(label)
+            else:
+                self.heavy.discard(label)
+                occ = self._label_trees[label].occ
+                if occ:
+                    fresh[label] = self._light_box_keys(label, occ)
+        for label, new_keys in fresh.items():
+            old = self._label_box_keys.get(label, [])
+            old_set, new_set = set(old), set(new_keys)
+            for k in old:
+                if k not in new_set:
+                    self._tp.toggle(k, False)
+            for k in new_keys:
+                if k not in old_set:
+                    self._tp.toggle(k, True)
+                    # a key is shared by equal labels, so it answers with
+                    # the label object that last turned it on, the live one
+                    self._tp_label[k] = label
+            self._label_box_keys[label] = new_keys
 
     def _light_box_keys(self, label, occ: Counter) -> List[int]:
         """Max-tree keys of every box spanned by a light label's points,

@@ -554,7 +554,7 @@ def test_crosscheck_report_bytes_pinned(scope, code, digest, tmp_path,
     # the seed-3 reports are part of the CLI contract, and the default
     # scope's counted visits, summed over every VisitCounter the run makes,
     # are part of the cost model
-    visits = {"default": 3262243}.get(scope)
+    visits = {"default": 1385474}.get(scope)
     made = []
     init = VisitCounter.__init__
 
@@ -675,32 +675,32 @@ def test_bench_sequence_mode_visits_pinned(tmp_path):
     assert _bench_pinned_columns(tmp_path, "sequence-mode") == (
         "# bench structure=sequence-mode seed=0 "
         "sizes=243,729,2187,6561,19683",
-        [("243", "120", "5644", "47.033"),
-         ("729", "120", "13074", "108.950"),
-         ("2187", "120", "26847", "223.725"),
-         ("6561", "120", "58452", "487.100"),
-         ("19683", "120", "135325", "1127.708")],
-        "fit_exponent=0.7147 target=0.6667 tol=0.20 pass=true")
+        [("243", "120", "1562", "13.017"),
+         ("729", "120", "3408", "28.400"),
+         ("2187", "120", "7393", "61.608"),
+         ("6561", "120", "15236", "126.967"),
+         ("19683", "120", "36882", "307.350")],
+        "fit_exponent=0.7119 target=0.6667 tol=0.20 pass=true")
 
 
 def test_bench_range_mode_dyn_2d_visits_pinned(tmp_path):
     assert _bench_pinned_columns(tmp_path, "range-mode-dyn-2d") == (
         "# bench structure=range-mode-dyn-2d seed=0 "
         "sizes=243,729,2187,6561,19683",
-        [("243", "60", "1936", "32.267"),
-         ("729", "60", "4194", "69.900"),
-         ("2187", "60", "9245", "154.083"),
-         ("6561", "60", "19486", "324.767"),
-         ("19683", "60", "41686", "694.767")],
-        "fit_exponent=0.6986 target=0.8000 tol=0.20 pass=true")
+        [("243", "60", "1852", "30.867"),
+         ("729", "60", "4026", "67.100"),
+         ("2187", "60", "9113", "151.883"),
+         ("6561", "60", "19294", "321.567"),
+         ("19683", "60", "41482", "691.367")],
+        "fit_exponent=0.7086 target=0.8000 tol=0.20 pass=true")
 
 
 def test_bench_skyline3d_visits_pinned(tmp_path):
     assert _bench_pinned_columns(tmp_path, "skyline3d") == (
         "# bench structure=skyline3d seed=0 sizes=256,512,1024,2048,4096",
-        [("256", "144", "32616", "226.500"),
-         ("512", "198", "64918", "327.869"),
-         ("1024", "288", "128916", "447.625"),
+        [("256", "144", "32617", "226.507"),
+         ("512", "198", "64929", "327.924"),
+         ("1024", "288", "128917", "447.628"),
          ("2048", "405", "257202", "635.067"),
          ("4096", "576", "513851", "892.102")],
         "fit_exponent=0.4909 target=0.5000 tol=0.20 pass=true")

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from bisect import bisect_left, bisect_right
+from operator import lt
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynds.core_geom import (
     RT_VISIT_C,
+    _Axis,
     Box,
     Interval,
     PointMultiset,
@@ -243,11 +245,11 @@ def test_rt_toggle_cells_match_product_enumeration(dim, mode):
                 rng.randint(0, 5)) for _ in range(10)]
     tree = RangeTree(dim, entries, mode=mode)
     scan = ScanTree(entries)
-    respreads = 0
+    relabels = 0
     for step in range(8):
-        # crowd new values into (0, 1) on every axis: the slot gap there
-        # runs out, so extend re-spreads the axes
-        axes_before = list(tree._axes)
+        # crowd new values into (0, 1) on every axis: the free leaves there
+        # run out, so extend relabels a window or doubles an axis
+        before = [dict(axis.slot_of) for axis in tree._axes]
         den = 2 ** (step + 3)
         new = [(tuple(Fraction(rng.randint(1, den - 1), den)
                       for _ in range(dim)), rng.randint(0, 5))
@@ -255,7 +257,8 @@ def test_rt_toggle_cells_match_product_enumeration(dim, mode):
         tree.extend(new)
         scan.entries.extend(new)
         scan.active.extend([False] * len(new))
-        respreads += tree._axes[0] is not axes_before[0]
+        relabels += any(axis.slot_of[v] != s for axis, slots in
+                        zip(tree._axes, before) for v, s in slots.items())
         for key in range(len(tree)):
             assert tree._cells(key) == product_cells(tree, key)
         for _ in range(25):
@@ -287,14 +290,21 @@ def test_rt_toggle_cells_match_product_enumeration(dim, mode):
                 assert tree.max_entry(box) == scan.max_entry(box)
         if mode == "count":
             assert all(c > 0 for c in tree._count_cells.values())
-    assert respreads >= 2
+    assert relabels >= 2
+
+
+def roomiest(x, y):
+    """The leaf in [x, y] with the most trailing zeros, by trying each."""
+    return max(range(x, y + 1),
+               key=lambda n: (n & -n).bit_length() if n else math.inf)
 
 
 def product_query_ids(tree, box):
     """A box's cell ids as the per-axis bottom-up canonical decompositions,
     combined by itertools.product with one sum() per cell: the reference
-    for RangeTree._query_ids.  Returns (ids, per-axis node lists), or None
-    when some axis range is empty."""
+    for RangeTree._query_ids.  Each axis walks the leaf range of the box's
+    values widened over the free leaves around it.  Returns (ids, per-axis
+    node lists), or None when some axis range is empty."""
     per_axis = []
     for ax, iv in enumerate(box.intervals):
         axis = tree._axes[ax]
@@ -309,9 +319,14 @@ def product_query_ids(tree, box):
                       else bisect_left)(vals, hi) - 1
         if lo_idx > hi_idx:
             return None
+        # widen the leaf range over the free leaves around it, to the leaf
+        # with the most trailing zeros in each gap, or to the axis end
+        slots, leaves = axis.slots, axis.leaves
+        l = leaves + (roomiest(slots[lo_idx - 1] + 1, slots[lo_idx])
+                      if lo_idx else 0)
+        r = leaves + (roomiest(slots[hi_idx] + 1, slots[hi_idx + 1])
+                      if hi_idx + 1 < len(slots) else leaves)
         nodes = []
-        l = axis.slots[lo_idx] + axis.leaves
-        r = axis.slots[hi_idx] + axis.leaves + 1
         while l < r:
             if l & 1:
                 nodes.append(l)
@@ -452,16 +467,47 @@ def test_rt_extend_known_coords_no_rebuild_cost():
     assert tree.count(Box.closed((0,), (9,))) == 2
 
 
+def active_cells(tree):
+    return {key: product_cells(tree, key) for key in tree.active_keys()}
+
+
+def changed_cells(before, after):
+    """Cells a relabel touches: each moved entry's old and new cells that
+    differ, summed over the active entries."""
+    return sum(len(set(cells) ^ set(after[key]))
+               for key, cells in before.items())
+
+
 def test_rt_extend_new_coords_rebuilds_and_preserves_state():
-    tree = RangeTree(2, [((1, 1), 5), ((4, 2), 6)])
-    tree.toggle(0, True)
-    tree.toggle(1, True)
-    before = tree.counter.count
-    (k,) = tree.extend([((7, -3), 2)])
-    assert tree.counter.count == before  # rebuild is not charged
-    tree.toggle(k, True)
-    assert tree.count(Box.closed((-5, -5), (9, 9))) == 3
-    assert tree.count(Box.closed((7, -3), (7, -3))) == 1
+    # x values 0, 10, ..., 70 on every other leaf of 16 (room 2)
+    tree = RangeTree(2, [((10 * i, i % 3), i) for i in range(8)], room=2)
+    assert tree._axes[0].slots == [1, 3, 5, 7, 9, 11, 13, 15]
+    for key in range(0, 8, 2):
+        tree.toggle(key, True)
+    steps = []
+    for x in (35, 32, 33, 31, 34, -5, -6, -7, -8, -9):
+        before, leaves = active_cells(tree), tree._axes[0].leaves
+        visits = tree.counter.count
+        (k,) = tree.extend([((x, 1), 9)])
+        after = active_cells(tree)
+        if tree._axes[0].leaves != leaves:
+            # a doubled axis moves every cell: each active entry re-placed
+            steps.append("double")
+            assert tree.counter.count - visits == sum(map(len, after.values()))
+        else:
+            # a free leaf moves nothing; a relabel is charged exactly the
+            # cells of the entries on its moved values that changed
+            steps.append("relabel" if after != before else "free")
+            assert tree.counter.count - visits == changed_cells(before, after)
+        tree.toggle(k, True)
+        assert all(tree._cells(key) == product_cells(tree, key)
+                   for key in tree.active_keys())
+    assert steps[:2] == ["free", "free"] and {"relabel", "double"} <= set(steps)
+    xs = [10 * i for i in range(0, 8, 2)] + [35, 32, 33, 31, 34, -5, -6, -7,
+                                             -8, -9]
+    for lo, hi in ((-9, 70), (31, 35), (-7, -6), (0, 34), (32, 60)):
+        want = sum(lo <= x <= hi for x in xs)
+        assert tree.count(Box.closed((lo, -1), (hi, 9))) == want
 
 
 def _pow2_at_least(m):
@@ -469,36 +515,48 @@ def _pow2_at_least(m):
 
 
 def test_rt_constructor_packs_axes():
-    # a tree built over its whole universe has no slack leaves: value i of
-    # an axis with m values sits on leaf i of next_pow2(m)
+    # a tree built over its whole universe puts value i of an axis's m on
+    # leaf start + room * i of next_pow2(room * m), centred: room 1 packs
+    # them, room 2 keeps a free leaf in every gap
     rng = random.Random(21)
     for dim in (1, 2, 3):
         for u in (1, 2, 3, 5, 8, 9, 25, 60):
             entries = [(tuple(rng.randint(0, 40) for _ in range(dim)), 0)
                        for _ in range(u)]
-            tree = RangeTree(dim, entries)
-            for ax, axis in enumerate(tree._axes):
-                m = len({c[ax] for c, _ in entries})
-                assert axis.leaves == _pow2_at_least(m)
-                assert axis.slots == list(range(m))
+            for room in (1, 2):
+                tree = RangeTree(dim, entries, room=room)
+                for ax, axis in enumerate(tree._axes):
+                    m = len({c[ax] for c, _ in entries})
+                    leaves = _pow2_at_least(room * m)
+                    assert axis.leaves == leaves
+                    start = axis.slots[0]
+                    assert axis.slots == [start + room * i for i in range(m)]
+                    # the free leaves outside the values split evenly
+                    assert abs((leaves - 1 - axis.slots[-1]) - start) <= 1
 
 
 def test_rt_slack_layout_for_trees_grown_by_extend():
-    # an empty tree, and the re-spread of an extend that finds no free slot,
-    # lay values on every fourth leaf of next_pow2(6m + 8)
-    def slack(axis):
-        m = len(axis.values)
-        return (axis.leaves == _pow2_at_least(6 * m + 8)
-                and all(b - a == 4 for a, b in zip(axis.slots,
-                                                   axis.slots[1:])))
-
-    assert all(axis.leaves == 8 for axis in RangeTree(2)._axes)
-    grown = RangeTree(2)
-    grown.extend([((i, -i), 0) for i in range(10)])
-    assert all(map(slack, grown._axes))
+    # an empty tree has one leaf per axis; a tree grown one value at a time
+    # doubles an axis only past half full, so it keeps fewer than
+    # 4 (m + 1) leaves, in every order of arrival
+    assert all(axis.leaves == 1 for axis in RangeTree(2)._axes)
+    rng = random.Random(22)
+    orders = {"rising": list(range(200)), "falling": list(range(200))[::-1],
+              "random": rng.sample(range(10_000), 200)}
+    for name, xs in orders.items():
+        tree = RangeTree(2)
+        for i, x in enumerate(xs):
+            tree.extend([((x, -x), 0)])
+            for axis in tree._axes:
+                m = len(axis.values)
+                assert m <= axis.leaves < 4 * (m + 1), name
+        assert tree._axes[0].leaves <= 512, name
     packed = RangeTree(1, [((i,), 0) for i in range(4)])
-    packed.extend([((-1,), 0)])                 # leaf 0 is taken: re-spread
-    assert slack(packed._axes[0])
+    assert packed._axes[0].slots == [0, 1, 2, 3]
+    packed.toggle(0, True)
+    packed.extend([((-1,), 0)])                 # leaf 0 is taken: doubles
+    assert packed._axes[0].leaves == 8
+    assert packed.count(Box.closed((-1,), (0,))) == 1
 
 
 @pytest.mark.parametrize("mode", ["count", "max"])
@@ -538,6 +596,129 @@ def test_rt_extend_after_packed_build_matches_scan(mode):
                 else:
                     assert tree.max_entry(box) == scan.max_entry(box)
     assert kinds == {"below", "above", "between"}
+
+
+def churn_values(pattern, rng):
+    """An endless stream of new axis-0 values for an adversarial churn."""
+    for i in itertools.count(1):
+        if pattern == "front":
+            yield -i
+        elif pattern == "back":
+            yield 1000 + i
+        elif pattern == "gap":
+            # always just above 20, below the previous one: one gap hammered
+            yield 20 + Fraction(1, i + 1)
+        else:
+            yield Fraction(rng.randrange(-10**6, 10**6), 7)
+
+
+def move_budget(n):
+    """Values that axes holding n values in all may have moved so far:
+    n log2(n)^2, the packed-memory array bound with constant 1."""
+    return n * math.log2(max(n, 2)) ** 2
+
+
+@pytest.mark.parametrize("pattern", ["front", "back", "gap", "random"])
+@pytest.mark.parametrize("mode", ["count", "max"])
+def test_rt_axis_churn_adversarial(pattern, mode, monkeypatch):
+    # one new axis-0 value per extend, placed by the pattern; axis 1 draws
+    # from a few values and entry values from 0..2, so max-mode cells tie
+    moved = [0]
+    insert = _Axis.insert
+
+    def counting_insert(axis, v):
+        got = insert(axis, v)
+        moved[0] += len(axis.values) if got is None else len(got)
+        return got
+
+    monkeypatch.setattr(_Axis, "insert", counting_insert)
+    rng = random.Random(f"churn.{pattern}.{mode}")
+    entries = [((10 * i, rng.randint(0, 3)), rng.randint(0, 2))
+               for i in range(8)]
+    tree = RangeTree(2, entries, mode=mode)
+    scan = ScanTree(entries)
+    values = churn_values(pattern, rng)
+    for op in range(160):
+        r = rng.random()
+        if r < 0.5:
+            new = [((next(values), rng.randint(0, 3)), rng.randint(0, 2))]
+            tree.extend(new)
+            scan.entries += new
+            scan.active.append(False)
+        elif r < 0.8:
+            key = rng.randrange(len(scan.entries))
+            flag = rng.random() < 0.7
+            tree.toggle(key, flag)
+            scan.toggle(key, flag)
+        else:
+            xs = sorted(c[0] for c, _ in rng.sample(scan.entries, 2))
+            box = Box.closed((xs[0], 0), (xs[1], rng.randint(0, 3)))
+            if mode == "count":
+                assert tree.count(box) == scan.count(box)
+            else:
+                assert tree.max_entry(box) == scan.max_entry(box)
+        for axis in tree._axes:
+            m = len(axis.values)
+            assert all(map(lt, axis.slots, axis.slots[1:]))
+            assert 0 <= axis.slots[0] and axis.slots[-1] < axis.leaves
+            # density bound: past half full an axis doubles, never earlier
+            assert axis.leaves < 4 * (m + 1)
+        for key, cells in enumerate(tree._cells_of):
+            if cells is not None:
+                assert cells == product_cells(tree, key)
+        assert moved[0] <= move_budget(sum(len(a.values)
+                                           for a in tree._axes))
+    everything = Box([Interval.all(), Interval.all()])
+    if mode == "count":
+        assert tree.count(everything) == scan.count(everything)
+    else:
+        assert tree.max_entry(everything) == scan.max_entry(everything)
+
+
+def test_rt_axis_churn_moves_stay_in_budget():
+    # the same patterns at 3,000 inserts on a bare axis
+    rng = random.Random("axis-budget")
+    for pattern in ("front", "back", "gap", "random"):
+        axis = _Axis(list(range(0, 100, 10)))
+        values = churn_values(pattern, rng)
+        moved = 0
+        for _ in range(3000):
+            got = axis.insert(next(values))
+            moved += len(axis.values) if got is None else len(got)
+        assert axis.leaves < 4 * (len(axis.values) + 1)
+        assert moved <= move_budget(len(axis.values)), pattern
+
+
+def test_tree_churn_never_pauses_the_counter(monkeypatch):
+    # layout changes are counted work: a seeded churn of extends, toggles,
+    # adds, removes and queries never calls VisitCounter.pause
+    def refuse(counter):
+        raise AssertionError("VisitCounter.pause called")
+
+    monkeypatch.setattr(VisitCounter, "pause", refuse)
+    rng = random.Random("no-pause")
+    counter = VisitCounter()
+    trees = [RangeTree(3, mode=mode, counter=counter)
+             for mode in ("count", "max")]
+    trees.append(RangeTree(2, [((rng.randint(0, 9), rng.randint(0, 9)), 1)
+                               for _ in range(20)], counter=counter))
+    pm = PointMultiset(2, [(rng.randint(0, 9), 0) for _ in range(10)],
+                       counter=counter)
+    live = list(pm.occ.elements())
+    for _ in range(600):
+        tree = rng.choice(trees)
+        coords = tuple(rng.randint(-50, 50) for _ in range(tree.dim))
+        (key,) = tree.extend([(coords, rng.randint(0, 5))])
+        tree.toggle(rng.randrange(key + 1), rng.random() < 0.6)
+        if live and rng.random() < 0.4:
+            pm.remove(live.pop(rng.randrange(len(live))))
+        else:
+            p = (rng.randint(-99, 99), rng.randint(-99, 99))
+            pm.add(p)
+            live.append(p)
+        pm.count(Box.closed((-50, -50), (50, 50)))
+    assert counter.count > 0
+    assert pm.count(Box.closed((-99, -99), (99, 99))) == len(live)
 
 
 def test_rt_replace_axis_values():

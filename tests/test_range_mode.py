@@ -402,6 +402,70 @@ def test_sequence_adapter_bulk_build():
     assert seq.max_denominator_exp() == 0
 
 
+def active_box_keys(ds):
+    """The (label, box coords, count) keys of the max tree's active light
+    boxes."""
+    return {tk for tk, key in ds._tp_keys.items() if ds._tp.is_active(key)}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bulk_insert_matches_one_by_one_updates(d):
+    # a label new to the structure gets its count tree in one build, one
+    # already there takes its points one by one; either way the answers,
+    # the per-label keys and the active light boxes are those of updates
+    rng = random.Random(f"bulk.{d}")
+    for trial in range(8):
+        B = rng.choice([None, 1, 2, 3])
+        bulk, one = (DynRangeModeDS(d, 300, B_override=B) for _ in range(2))
+
+        def point():
+            return (tuple(rng.randint(0, 5) for _ in range(d)),
+                    rng.randint(0, 6))
+
+        for coords, label in [point() for _ in range(rng.randint(0, 6))]:
+            bulk.update(coords, label, insert=True)
+            one.update(coords, label, insert=True)
+        batch = [point() for _ in range(rng.randint(1, 60))]
+        bulk.bulk_insert(batch)
+        for coords, label in batch:
+            one.update(coords, label, insert=True)
+        assert bulk._label_trees.keys() == one._label_trees.keys()
+        for label, tree in bulk._label_trees.items():
+            assert tree.keys == one._label_trees[label].keys
+            assert tree.occ == one._label_trees[label].occ
+        assert active_box_keys(bulk) == active_box_keys(one)
+        for _ in range(30):
+            lo = [rng.randint(0, 5) for _ in range(d)]
+            box = Box.closed(lo, [x + rng.randint(0, 5) for x in lo])
+            assert bulk.query(box) == one.query(box)
+
+
+def test_sequence_from_values_matches_repeated_inserts():
+    rng = random.Random("from-values")
+    for B in (None, 1, 3):
+        values = [rng.randint(1, 9) for _ in range(300)]
+        built = SequenceAdapter.from_values(values, n_cap=400, B_override=B)
+        grown = SequenceAdapter(400, B_override=B)
+        for i, v in enumerate(values):
+            grown.insert(i + 1, v)
+        for _ in range(200):
+            n = len(built)
+            r = rng.random()
+            if r < 0.3:
+                pos, v = rng.randint(1, n + 1), rng.randint(1, 9)
+                built.insert(pos, v)
+                grown.insert(pos, v)
+            elif r < 0.5:
+                pos = rng.randint(1, n)
+                built.delete(pos)
+                grown.delete(pos)
+            else:
+                l = rng.randint(1, n)
+                r = rng.randint(l, n)
+                assert built.query(l, r) == grown.query(l, r)
+        assert built.values == grown.values
+
+
 def test_front_insert_rebuild_stress():
     seq = SequenceAdapter(10000)
     for _ in range(10000):
