@@ -618,11 +618,10 @@ def _bench_sequence_mode(n: int, rng: random.Random) -> Tuple[int, int]:
     # ~n^{2/3}/3 labels with ~3n^{1/3} copies each: every label sits above
     # the B threshold, so queries pay the full heavy scan
     ctr = VisitCounter()
-    ctr.pause()
     m = max(2, round(n ** (2 / 3) / 3))
     seq = SequenceAdapter.from_values([rng.randint(1, m) for _ in range(n)],
                                       n_cap=n + 400, counter=ctr)
-    ctr.resume()
+    base = ctr.count
     ops = 120
     length = n
     for _ in range(ops):
@@ -638,14 +637,13 @@ def _bench_sequence_mode(n: int, rng: random.Random) -> Tuple[int, int]:
             seq.query(l, rng.randint(l, length))
         else:
             seq.query(1, length)
-    return ops, ctr.count
+    return ops, ctr.count - base
 
 
 def _bench_drm2(n: int, rng: random.Random) -> Tuple[int, int]:
     # ~n^{4/5}/2 heavy labels (copies stacked per label so their trees stay
     # constant-size); the heavy scan dominates at the d=2 target exponent
     ctr = VisitCounter()
-    ctr.pause()
     ds = DynRangeModeDS(2, n + 200, counter=ctr)
     side = max(2, math.isqrt(n))
     m = max(2, round(n ** 0.8 / 2))
@@ -654,7 +652,7 @@ def _bench_drm2(n: int, rng: random.Random) -> Tuple[int, int]:
     live = Counter(i % m + 1 for i in range(n))
     ds.bulk_insert((spot[lab], lab) for lab, k in live.items()
                    for _ in range(k))
-    ctr.resume()
+    base = ctr.count
     ops = 60
     for _ in range(ops):
         if rng.random() < 0.2:
@@ -671,7 +669,7 @@ def _bench_drm2(n: int, rng: random.Random) -> Tuple[int, int]:
             ds.query(Box.closed((xa, ya), (xb, yb)))
         else:
             ds.query(Box.closed((1, 1), (side, side)))
-    return ops, ctr.count
+    return ops, ctr.count - base
 
 
 def _bench_langerman(d: int):
@@ -681,9 +679,8 @@ def _bench_langerman(d: int):
         for x in t0.indices():
             t0[x] = rng.randint(0, 2)
         ctr = VisitCounter()
-        ctr.pause()
         ds = LangermanDS(ext, initial=t0, counter=ctr)
-        ctr.resume()
+        base = ctr.count
         ops = 150 if d == 1 else 60
         for i in range(ops):
             if i % 4 == 3:
@@ -691,17 +688,16 @@ def _bench_langerman(d: int):
             else:
                 x = tuple(rng.randint(1, e) for e in ext)
                 ds.update(x, rng.choice((-2, -1, 1, 2)))
-        return ops, ctr.count
+        return ops, ctr.count - base
     return run
 
 
 def _bench_skyline3d(n: int, rng: random.Random) -> Tuple[int, int]:
     ctr = VisitCounter()
-    ctr.pause()
     initial = [tuple(rng.randint(1, 16) for _ in range(3)) for _ in range(n)]
     eng = SemiOnlineEngine(Skyline3DBlock(counter=ctr), n + 100,
                            initial=initial)
-    ctr.resume()
+    base = ctr.count
     rounds = max(8, 3 * math.isqrt(n))
     ops = 0
     for _ in range(rounds):
@@ -710,7 +706,7 @@ def _bench_skyline3d(n: int, rng: random.Random) -> Tuple[int, int]:
         eng.query()
         eng.delete()
         ops += 3
-    return ops, ctr.count
+    return ops, ctr.count - base
 
 
 def _bench_oracle_scan(n: int, rng: random.Random) -> Tuple[int, int]:

@@ -6,9 +6,9 @@ contribute k*k occurrence quadruples to a 4-dim count tree; heavy colors are
 checked one by one through their sorted occurrence lists.
 
 DynColorCountDS answers distinct-color counts over a dynamic 2D point
-multiset by pairing a periodically rebuilt static snapshot with per-color
-live/snapshot emptiness corrections for the colors dirtied since the last
-rebuild.  Each color's live and snapshot points are a core_geom.PointMultiset.
+multiset with one core_geom.PointMultiset per color, one emptiness query per
+color tree, and every R updates a packed rebuild of the trees of the colors
+changed since the last one.
 """
 
 from __future__ import annotations
@@ -144,7 +144,11 @@ class CommonColorsScan:
 # ---------------- dynamic 2D color counting ----------------
 
 class DynColorCountDS:
-    """Distinct-color box counting with periodic snapshot rebuilds."""
+    """Distinct-color box counting: one PointMultiset per color, and one
+    emptiness query per color tree.  A deleted point stays declared in its
+    tree, so every R updates `_rebuild` packs the `dirty` colors' trees over
+    their live points and drops the emptied ones (global rebuilding,
+    Overmars 1983); its visits are counted."""
 
     def __init__(self, n_cap: int, rebuild_period: Optional[int] = None,
                  counter: Optional[VisitCounter] = None):
@@ -156,8 +160,7 @@ class DynColorCountDS:
         self.R = rebuild_period if rebuild_period is not None \
             else max(1, round(n_cap ** (2.0 / 3.0)))
         self.counter = counter if counter is not None else VisitCounter()
-        self._live: Dict[object, PointMultiset] = {}
-        self._snap: Dict[object, PointMultiset] = {}
+        self._trees: Dict[object, PointMultiset] = {}
         self.dirty: Set = set()
         self.n_live = 0
         self.updates_since = 0
@@ -167,12 +170,12 @@ class DynColorCountDS:
         nc = tuple(coords)
         if len(nc) != 2:
             raise ValueError("points must be 2-dimensional")
-        tree = self._live.get(color)
+        tree = self._trees.get(color)
         if insert:
             if self.n_live >= self.n_cap:
                 raise ValueError(f"capacity {self.n_cap} exceeded")
             if tree is None:
-                tree = self._live[color] = PointMultiset(
+                tree = self._trees[color] = PointMultiset(
                     2, counter=self.counter)
             tree.add(nc)
             self.n_live += 1
@@ -188,33 +191,19 @@ class DynColorCountDS:
             self._rebuild()
 
     def _rebuild(self) -> None:
-        """Rebuild the static snapshot from the live multiset; clears dirty."""
+        """Rebuild each dirty color's tree packed, or drop it once empty;
+        clears dirty."""
         self.rebuilds += 1
-        self.counter.pause()
-        try:
-            self._snap = {
-                color: PointMultiset(2, live.occ.elements(),
-                                     counter=self.counter)
-                for color, live in self._live.items() if live.occ}
-        finally:
-            self.counter.resume()
+        trees = self._trees
+        for color in self.dirty:
+            occ = trees[color].occ
+            if occ:
+                trees[color] = PointMultiset(2, occ.elements(),
+                                             counter=self.counter)
+            else:
+                del trees[color]
         self.dirty.clear()
         self.updates_since = 0
 
     def query(self, box: Box) -> int:
-        total = 0
-        for color, tree in self._snap.items():
-            if not tree.is_empty(box):
-                total += 1
-        for color in self.dirty:
-            live_hit = not self._live[color].is_empty(box)
-            snap = self._snap.get(color)
-            snap_hit = snap is not None and not snap.is_empty(box)
-            total += int(live_hit) - int(snap_hit)
-        return total
-
-    def live_points(self) -> List[Tuple[tuple, object]]:
-        out = []
-        for color, tree in self._live.items():
-            out.extend((nc, color) for nc in tree.occ.elements())
-        return out
+        return sum(not tree.is_empty(box) for tree in self._trees.values())

@@ -96,24 +96,6 @@ class Interval:
                 return False
         return True
 
-    def intersects(self, other: "Interval") -> bool:
-        # lo of the overlap vs hi of the overlap, minding open ends
-        lo, lo_c = self.lo, self.lo_closed
-        if other.lo is not None and (lo is None or other.lo > lo
-                                     or (other.lo == lo and not other.lo_closed)):
-            lo, lo_c = other.lo, other.lo_closed
-        hi, hi_c = self.hi, self.hi_closed
-        if other.hi is not None and (hi is None or other.hi < hi
-                                     or (other.hi == hi and not other.hi_closed)):
-            hi, hi_c = other.hi, other.hi_closed
-        if lo is None or hi is None:
-            return True
-        if lo > hi:
-            return False
-        if lo == hi:
-            return lo_c and hi_c
-        return True
-
     def __eq__(self, other):
         if not isinstance(other, Interval):
             return NotImplemented
@@ -152,11 +134,6 @@ class Box:
         if len(pc) != self.dim:
             raise ValueError("dimension mismatch")
         return all(iv.contains(x) for iv, x in zip(self.intervals, pc))
-
-    def intersects(self, other: "Box") -> bool:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return all(a.intersects(b) for a, b in zip(self.intervals, other.intervals))
 
     def __eq__(self, other):
         if not isinstance(other, Box):
@@ -202,25 +179,17 @@ class PointScan:
 
 
 class VisitCounter:
-    """Shared counter of canonical-cell touches; can be paused for rebuilds."""
+    """Shared counter of canonical-cell touches.  Every structure's work,
+    rebuilds included, is counted; a caller that wants the cost of some ops
+    alone reads `count` before and after them."""
 
-    __slots__ = ("count", "_pause_depth")
+    __slots__ = ("count",)
 
     def __init__(self):
         self.count = 0
-        self._pause_depth = 0
 
     def add(self, k: int = 1) -> None:
-        if self._pause_depth == 0:
-            self.count += k
-
-    def pause(self) -> None:
-        self._pause_depth += 1
-
-    def resume(self) -> None:
-        if self._pause_depth == 0:
-            raise RuntimeError("counter not paused")
-        self._pause_depth -= 1
+        self.count += k
 
 
 def _next_pow2(n: int) -> int:
@@ -464,10 +433,9 @@ class RangeTree:
     The axes are laid out as `_Axis` describes.  The constructor builds
     them over the entries it is given, with `room` leaves per value (see
     _Axis); `extend` places new coordinate values one at a time.  Every
-    change of layout is paid in counted visits, never under
-    VisitCounter.pause: a local relabel touches only the changed cells of
-    the entries on the moved values, and a doubled axis re-places every
-    active entry, like a toggle each.
+    change of layout is paid in counted visits: a local relabel touches
+    only the changed cells of the entries on the moved values, and a
+    doubled axis re-places every active entry, like a toggle each.
 
     A max-mode cell is a pair [top, members]: the cached max item and a
     {key: item} dict of the active entries under it, items being

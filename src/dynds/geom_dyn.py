@@ -185,10 +185,6 @@ class SemiOnlineEngine:
         self._state = None
         self.rebuilds = 0
 
-    # elements currently stored, for oracle comparison
-    def live_elements(self) -> list:
-        return [r.elem for r in self._live]
-
     def _begin_op(self) -> None:
         self.op_index += 1
         if self.op_index > self._window_end:
@@ -251,8 +247,11 @@ class Skyline3DBlock:
     The state is (n0, s0_tree, s_tree): s_tree holds the core, s0_tree its
     maximal points S0 (equal duplicates kill each other) and n0 = |S0|.
     `advance` moves only the core's difference through s_tree, recomputes
-    S0 with maximal3d_flags and toggles only the change in s0_tree, so a
-    window costs O((b + |dS0|) log^3 n) visits where `preprocess` costs
+    S0 with maximal3d_flags and toggles only the change in s0_tree.  The
+    recompute is one sweep over the whole core, charged len(core) visits:
+    `advance` lists the core anyway, and an update local to the moved
+    points would need a dynamic 3-D maxima structure.  A window thus costs
+    len(core) + O((b + |dS0|) log^3 n) visits where `preprocess` costs
     Theta(n log^3 n).  A removed point stays declared in its tree; once
     either tree declares more than 2 * (its live entries) + 16, `advance`
     rebuilds both by `preprocess` (global rebuilding, Overmars 1983), so
@@ -289,6 +288,7 @@ class Skyline3DBlock:
         core = list(s_tree.occ.elements())
         if _bloated(s_tree):
             return self.preprocess(core)
+        self.counter.add(len(core))
         s0 = Counter(compress(core, maximal3d_flags(core)))
         have = s0_tree.occ
         gone, new = have - s0, s0 - have

@@ -457,11 +457,6 @@ class SequenceAdapter:
         self._lo_bound = 0
         self._hi_bound = (n + 1) << shift
 
-    def max_denominator_exp(self) -> int:
-        """Largest denominator exponent of a live key's dyadic rational."""
-        return max((max(0, self.KEY_SHIFT - (k & -k).bit_length() + 1)
-                    for k in self.keys), default=0)
-
 
 class SequenceScan:
     """Scan oracle for `SequenceAdapter`: a plain list under the same

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from dynds.colors import (
     dcc_oracle,
     docs_oracle,
 )
-from dynds.core_geom import Box, VisitCounter
+from dynds.core_geom import Box, PointMultiset, VisitCounter
 
 
 # ---------------- oracles ----------------
@@ -137,6 +138,12 @@ def box2(x_lo, x_hi, y_lo, y_hi):
     return Box([Interval.closed(x_lo, x_hi), Interval.closed(y_lo, y_hi)])
 
 
+def live_points(ds):
+    """The (point, color) pairs that `ds` holds, one per live copy."""
+    return [(p, color) for color, tree in ds._trees.items()
+            for p in tree.occ.elements()]
+
+
 def test_dcc_basic():
     ds = DynColorCountDS(100, rebuild_period=10)
     assert ds.R == 10
@@ -162,7 +169,7 @@ def test_dcc_validation():
     with pytest.raises(ValueError,
                        match=r"delete of absent point \(1, 2\) label 'r'"):
         ds.update((1, 2), "r", False)
-    assert not ds._live  # a refused delete makes no tree for its color
+    assert not ds._trees  # a refused delete makes no tree for its color
     with pytest.raises(ValueError):
         DynColorCountDS(0)
     full = DynColorCountDS(1)
@@ -217,7 +224,7 @@ def test_dcc_random_traces(period):
                 y = sorted(rng.randint(1, 8) for _ in range(2))
                 b = box2(x[0], x[1], y[0], y[1])
                 assert ds.query(b) == dcc_oracle(live, b)
-        assert sorted(map(repr, ds.live_points())) == sorted(map(repr, live))
+        assert sorted(map(repr, live_points(ds))) == sorted(map(repr, live))
 
 
 def test_dcc_dirty_never_exceeds_period():
@@ -239,9 +246,72 @@ def test_dcc_shared_counter():
     assert vc.count > before
 
 
+def test_dcc_query_is_one_emptiness_query_per_color(monkeypatch):
+    ds = DynColorCountDS(100, rebuild_period=7)
+    rng = random.Random("dcc.per-color")
+    pts = []
+    for _ in range(24):
+        p = (rng.randint(1, 6), rng.randint(1, 6))
+        c = rng.randint(1, 6)
+        ds.update(p, c, True)
+        pts.append((p, c))
+    assert ds.rebuilds == 3 and ds.dirty
+    asked = []
+    is_empty = PointMultiset.is_empty
+
+    def recorded(tree, box):
+        asked.append(tree)
+        return is_empty(tree, box)
+
+    monkeypatch.setattr(PointMultiset, "is_empty", recorded)
+    for lo in range(1, 7):
+        asked.clear()
+        b = box2(lo, 6, 1, lo)
+        assert ds.query(b) == dcc_oracle(pts, b)
+        assert sorted(map(id, asked)) == sorted(map(id, ds._trees.values()))
+
+
+def test_dcc_rebuild_replaces_only_dirty_trees():
+    ds = DynColorCountDS(100, rebuild_period=4)
+    for i, c in enumerate("abcd"):
+        ds.update((i, i), c, True)
+    assert ds.rebuilds == 1 and not ds.dirty
+    before = dict(ds._trees)
+    ds.update((0, 0), "a", False)   # empties "a"
+    ds.update((5, 5), "b", True)
+    ds.update((5, 5), "b", False)   # leaves a declared, inactive copy
+    assert len(ds._trees["b"]) == 2 and ds.dirty == {"a", "b"}
+    ds.update((6, 6), "e", True)    # a new color; the 4th update rebuilds
+    assert ds.rebuilds == 2 and not ds.dirty
+    assert set(ds._trees) == {"b", "c", "d", "e"}
+    assert ds._trees["c"] is before["c"] and ds._trees["d"] is before["d"]
+    assert ds._trees["b"] is not before["b"]
+    assert ds._trees["b"].occ == Counter({(1, 1): 1})
+    assert len(ds._trees["b"]) == 1  # packed over its live points only
+    assert ds.query(box2(0, 9, 0, 9)) == 4
+
+
+def test_dcc_rebuild_visits_are_counted():
+    # the same updates with and without a rebuild after the third differ
+    # by exactly the visits of fresh trees over the dirty colors' points
+    counts = []
+    for period in (3, 100):
+        vc = VisitCounter()
+        ds = DynColorCountDS(100, rebuild_period=period, counter=vc)
+        for p, c in [((1, 2), "a"), ((3, 4), "a"), ((5, 6), "b")]:
+            ds.update(p, c, True)
+        counts.append(vc.count)
+    fresh = VisitCounter()
+    for pts in ([(1, 2), (3, 4)], [(5, 6)]):
+        PointMultiset(2, pts, counter=fresh)
+    assert fresh.count > 0
+    assert counts[0] - counts[1] == fresh.count
+
+
 def test_dcc_visits_pinned():
     # seeded churn with duplicate points, deletes, queries and several
-    # snapshot rebuilds: the visit total is part of the cost model
+    # rebuilds: the visit total, rebuilds included, is part of the cost
+    # model
     vc = VisitCounter()
     ds = DynColorCountDS(80, rebuild_period=16, counter=vc)
     rng = random.Random("dcc.pin")
@@ -264,4 +334,4 @@ def test_dcc_visits_pinned():
             b = box2(x[0], x[1], y[0], y[1])
             assert ds.query(b) == dcc_oracle(live, b)
     assert dups > 0 and ds.rebuilds >= 2
-    assert vc.count == 1236
+    assert vc.count == 2135

@@ -333,6 +333,13 @@ class ListSeq:
         return sequence_mode_oracle(self.vals, l, r)
 
 
+def max_denominator_exp(seq):
+    """Largest denominator exponent of a live key of `seq` read as the
+    dyadic rational key / 2**KEY_SHIFT."""
+    return max((max(0, seq.KEY_SHIFT - (k & -k).bit_length() + 1)
+                for k in seq.keys), default=0)
+
+
 def test_sequence_adapter_random_traces():
     for seed in range(10):
         rng = random.Random(900 + seed)
@@ -358,7 +365,7 @@ def test_sequence_adapter_random_traces():
                 assert got[1] == want[1]
                 true_freq = sum(1 for v in ref.vals[l - 1:rr] if v == got[0])
                 assert true_freq == got[1]
-            assert seq.max_denominator_exp() <= SequenceAdapter.REBUILD_EXP
+            assert max_denominator_exp(seq) <= SequenceAdapter.REBUILD_EXP
             assert seq.values == ref.vals
 
 
@@ -399,7 +406,7 @@ def test_sequence_adapter_bulk_build():
     seq = SequenceAdapter.from_values([3, 1, 3, 2, 3])
     assert seq.query(1, 5) == (3, 3)
     assert seq.query(2, 4)[1] == 1
-    assert seq.max_denominator_exp() == 0
+    assert max_denominator_exp(seq) == 0
 
 
 def active_box_keys(ds):
@@ -471,7 +478,7 @@ def test_front_insert_rebuild_stress():
     for _ in range(10000):
         seq.insert(1, 7)
     assert seq.rebuilds > 0
-    assert seq.max_denominator_exp() <= SequenceAdapter.REBUILD_EXP
+    assert max_denominator_exp(seq) <= SequenceAdapter.REBUILD_EXP
     assert seq.query(1, 10000) == (7, 10000)
     assert seq.query(17, 4016) == (7, 4000)
 
@@ -604,8 +611,8 @@ def assert_same_state(seq, ref):
     assert seq._dead == {scaled_key(k) for k in ref._all_keys - set(ref.keys)}
     assert seq.ds.counter.count == ref.ds.counter.count
     assert seq.rebuilds == ref.rebuilds
-    assert seq.max_denominator_exp() == ref.max_denominator_exp()
-    assert seq.max_denominator_exp() <= SequenceAdapter.REBUILD_EXP
+    assert max_denominator_exp(seq) == ref.max_denominator_exp()
+    assert max_denominator_exp(seq) <= SequenceAdapter.REBUILD_EXP
     assert seq.values == ref.values
 
 
