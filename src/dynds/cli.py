@@ -794,12 +794,18 @@ def run_bench(structure_id: str, sizes: Sequence[int], seed: int,
 
 # ---------------- commands ----------------
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+def _emit(text: str, out: Optional[str], code: int = 0) -> int:
+    """Write text to the file out, or to stdout without one; returns code,
+    or 2 when out cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _fail(exc)
+    return code
 
 
 def _fail(msg, code: int = 2) -> int:
@@ -820,8 +826,7 @@ def cmd_solve(args) -> int:
         return _fail(exc)
     except OpError as exc:
         return _fail(exc, 3)
-    _emit("".join(ln + "\n" for ln in lines), args.out)
-    return 0
+    return _emit("".join(ln + "\n" for ln in lines), args.out)
 
 
 def cmd_reduce(args) -> int:
@@ -854,12 +859,13 @@ def cmd_reduce(args) -> int:
     answers = result if isinstance(result, list) else [result]
     body = "".join(_fmt_bool(a) + "\n" for a in answers)
     calls = " ".join(f"{k}={v}" for k, v in sorted(target.calls.items()))
-    _emit(body + f"# calls {calls}\n", args.out)
-    return 0
+    return _emit(body + f"# calls {calls}\n", args.out)
 
 
 def cmd_crosscheck(args) -> int:
     scope, count = args.scope, args.count
+    if count < 1:
+        return _fail(f"count must be >= 1, got {count}")
     suites: List[Tuple[str, str]] = []
     if scope == "fault":
         pairs = [(rid, f"faulty:{sorted(cfg.adapters)[0]}")
@@ -881,9 +887,8 @@ def cmd_crosscheck(args) -> int:
     reports += [trace_suite(problem, sid, args.seed, cases=20)
                 for problem, sid in suites]
     bad = sum(len(rep.mismatches) for rep in reports)
-    _emit("".join(rep.render() for rep in reports)
-          + f"total mismatches={bad}\n", args.out)
-    return 0 if bad == 0 else 1
+    return _emit("".join(rep.render() for rep in reports)
+                 + f"total mismatches={bad}\n", args.out, 1 if bad else 0)
 
 
 def cmd_bench(args) -> int:
@@ -899,8 +904,7 @@ def cmd_bench(args) -> int:
         rep = run_bench(args.structure, sizes, args.seed, tol=args.tol)
     except ValueError as exc:
         return _fail(exc)
-    _emit(rep.render(), args.out)
-    return 0
+    return _emit(rep.render(), args.out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

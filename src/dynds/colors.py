@@ -6,9 +6,8 @@ contribute k*k occurrence quadruples to a 4-dim count tree; heavy colors are
 checked one by one through their sorted occurrence lists.
 
 DynColorCountDS answers distinct-color counts over a dynamic 2D point
-multiset with one core_geom.PointMultiset per color, one emptiness query per
-color tree, and every R updates a packed rebuild of the trees of the colors
-changed since the last one.
+multiset with one core_geom.PointMultiset per color, dropped once it empties,
+and one emptiness query per color tree.
 """
 
 from __future__ import annotations
@@ -145,31 +144,23 @@ class CommonColorsScan:
 
 class DynColorCountDS:
     """Distinct-color box counting: one PointMultiset per color, and one
-    emptiness query per color tree.  A deleted point stays declared in its
-    tree, so every R updates `_rebuild` packs the `dirty` colors' trees over
-    their live points and drops the emptied ones (global rebuilding,
-    Overmars 1983); its visits are counted."""
+    emptiness query per color tree.  A color's tree goes once it empties;
+    a deleted point stays declared in its tree until the tree's own bound
+    rebuilds it (see PointMultiset), and `rebuilds` counts those rebuilds."""
 
-    def __init__(self, n_cap: int, rebuild_period: Optional[int] = None,
-                 counter: Optional[VisitCounter] = None):
+    def __init__(self, n_cap: int, counter: Optional[VisitCounter] = None):
         if n_cap < 1:
             raise ValueError("capacity must be >= 1")
-        if rebuild_period is not None and rebuild_period < 1:
-            raise ValueError("rebuild period must be >= 1")
         self.n_cap = n_cap
-        self.R = rebuild_period if rebuild_period is not None \
-            else max(1, round(n_cap ** (2.0 / 3.0)))
         self.counter = counter if counter is not None else VisitCounter()
         self._trees: Dict[object, PointMultiset] = {}
-        self.dirty: Set = set()
         self.n_live = 0
-        self.updates_since = 0
         self.rebuilds = 0
 
     def update(self, coords, color, insert: bool) -> None:
         nc = tuple(coords)
         if len(nc) != 2:
-            raise ValueError("points must be 2-dimensional")
+            raise ValueError("point dimension mismatch")
         tree = self._trees.get(color)
         if insert:
             if self.n_live >= self.n_cap:
@@ -183,27 +174,12 @@ class DynColorCountDS:
             if tree is None or nc not in tree.occ:
                 raise ValueError(f"delete of absent point {coords} "
                                  f"label {color!r}")
-            tree.remove(nc)
+            self.rebuilds += tree.remove(nc)
             self.n_live -= 1
-        self.dirty.add(color)
-        self.updates_since += 1
-        if self.updates_since >= self.R:
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Rebuild each dirty color's tree packed, or drop it once empty;
-        clears dirty."""
-        self.rebuilds += 1
-        trees = self._trees
-        for color in self.dirty:
-            occ = trees[color].occ
-            if occ:
-                trees[color] = PointMultiset(2, occ.elements(),
-                                             counter=self.counter)
-            else:
-                del trees[color]
-        self.dirty.clear()
-        self.updates_since = 0
+            if not tree.n_live:
+                del self._trees[color]
 
     def query(self, box: Box) -> int:
+        if box.dim != 2:
+            raise ValueError("query box dimension mismatch")
         return sum(not tree.is_empty(box) for tree in self._trees.values())

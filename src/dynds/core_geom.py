@@ -151,7 +151,8 @@ class PointScan:
     """Scan oracle for the labelled-point structures (`DynRangeModeDS`,
     `DynColorCountDS`): a point list, and `query(box)` is `scan(points,
     box)`.  Rejects the dimension and capacity that their constructors
-    reject, and an insert that would pass the capacity."""
+    reject, a point or box of another dimension than d, with their texts,
+    and an insert that would pass the capacity."""
 
     def __init__(self, scan, d: int, n_cap: int):
         if d < 1:
@@ -159,22 +160,28 @@ class PointScan:
         if n_cap < 1:
             raise ValueError("capacity must be >= 1")
         self.scan = scan
+        self.d = d
         self.n_cap = n_cap
         self.pts: List[Tuple[tuple, object]] = []
 
     def update(self, coords, label, insert: bool) -> None:
+        nc = tuple(coords)
+        if len(nc) != self.d:
+            raise ValueError("point dimension mismatch")
         if not insert:
             try:
-                self.pts.remove((tuple(coords), label))
+                self.pts.remove((nc, label))
             except ValueError:
                 raise ValueError(f"delete of absent point {coords} "
                                  f"label {label!r}") from None
         elif len(self.pts) >= self.n_cap:
             raise ValueError(f"capacity {self.n_cap} exceeded")
         else:
-            self.pts.append((tuple(coords), label))
+            self.pts.append((nc, label))
 
     def query(self, box: Box):
+        if box.dim != self.d:
+            raise ValueError("query box dimension mismatch")
         return self.scan(self.pts, box)
 
 
@@ -776,8 +783,11 @@ class PointMultiset(RangeTree):
     """Count-mode RangeTree over a multiset of point tuples.
 
     Copy j of a point is an entry of its own: `occ` holds the live
-    multiplicities and `keys` maps (point, j) to the entry key.  A removed
-    copy stays declared, inactive, and the next add of that point reuses it.
+    multiplicities, `n_live` their sum, and `keys` maps (point, j) to the
+    entry key.  A removed copy stays declared, inactive, and the next add of
+    that point reuses it, until a remove leaves more than 2 * n_live + 16
+    declared entries: the tree then rebuilds itself in place, packed over
+    its live points, with counted visits (global rebuilding, Overmars 1983).
     The constructor declares the given points at once, in order, then
     activates them in the same order; `room` is RangeTree's.
     """
@@ -789,6 +799,7 @@ class PointMultiset(RangeTree):
                          room=room)
         self.occ: Counter = Counter()
         self.keys: dict = {}
+        self.n_live = len(points)
         occ, keys = self.occ, self.keys
         for key, p in enumerate(points):
             occ[p] += 1
@@ -804,9 +815,11 @@ class PointMultiset(RangeTree):
             (key,) = self.extend([(p, 1)])
             self.keys[(p, copy)] = key
         self.toggle(key, True)
+        self.n_live += 1
 
-    def remove(self, p: tuple) -> None:
-        """Deactivate the point's highest live copy; KeyError if absent."""
+    def remove(self, p: tuple) -> bool:
+        """Deactivate the point's highest live copy; KeyError if absent.
+        True when the tree then rebuilt itself."""
         occ = self.occ
         copy = occ[p]
         self.toggle(self.keys[(p, copy)], False)
@@ -814,6 +827,11 @@ class PointMultiset(RangeTree):
             del occ[p]
         else:
             occ[p] = copy - 1
+        self.n_live -= 1
+        rebuild = len(self) > 2 * self.n_live + 16
+        if rebuild:  # in place, so that holders of the tree need no update
+            self.__init__(self.dim, occ.elements(), self.counter)
+        return rebuild
 
     def remap(self, mappings: Sequence[dict]) -> None:
         """Order-preserving coordinate relabel, one mapping per axis, of the

@@ -236,11 +236,6 @@ class SemiOnlineEngine:
         return self.problem.query(self._state, [r.elem for r in self._buffer])
 
 
-def _bloated(tree: PointMultiset) -> bool:
-    """True once the tree declares more than 2 * (its live entries) + 16."""
-    return len(tree) > 2 * sum(tree.occ.values()) + 16
-
-
 class Skyline3DBlock:
     """Skyline (maximal point) counting block for the semi-online engine.
 
@@ -252,10 +247,9 @@ class Skyline3DBlock:
     `advance` lists the core anyway, and an update local to the moved
     points would need a dynamic 3-D maxima structure.  A window thus costs
     len(core) + O((b + |dS0|) log^3 n) visits where `preprocess` costs
-    Theta(n log^3 n).  A removed point stays declared in its tree; once
-    either tree declares more than 2 * (its live entries) + 16, `advance`
-    rebuilds both by `preprocess` (global rebuilding, Overmars 1983), so
-    the window cost depends on n and not on the update history.
+    Theta(n log^3 n).  A removed point stays declared in its tree until
+    that tree rebuilds itself (see PointMultiset), so the window cost
+    depends on n and not on the update history.
 
     `query` builds no tree over the buffer.  A buffer point is live when no
     core point and no other buffer occurrence weakly dominates it: one
@@ -286,8 +280,6 @@ class Skyline3DBlock:
         for p in added:
             s_tree.add(p)
         core = list(s_tree.occ.elements())
-        if _bloated(s_tree):
-            return self.preprocess(core)
         self.counter.add(len(core))
         s0 = Counter(compress(core, maximal3d_flags(core)))
         have = s0_tree.occ
@@ -296,8 +288,6 @@ class Skyline3DBlock:
             s0_tree.remove(p)
         for p in new.elements():
             s0_tree.add(p)
-        if _bloated(s0_tree):
-            return self.preprocess(core)
         state = (sum(s0.values()), s0_tree, s_tree)
         if _debug_on():
             self._check(state)

@@ -535,6 +535,15 @@ def test_crosscheck_fault_scope_exit1(capsys):
     assert m and int(m.group(1)) >= 1
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_crosscheck_count_below_one_exit2(count, capsys):
+    assert main(["crosscheck", "--scope", "langerman",
+                 "--count", str(count)]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == f"error: count must be >= 1, got {count}\n"
+
+
 def test_crosscheck_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for p in (a, b):
@@ -554,7 +563,7 @@ def test_crosscheck_report_bytes_pinned(scope, code, digest, tmp_path,
     # the seed-3 reports are part of the CLI contract, and the default
     # scope's counted visits, summed over every VisitCounter the run makes,
     # are part of the cost model
-    visits = {"default": 1341335}.get(scope)
+    visits = {"default": 1328659}.get(scope)
     made = []
     init = VisitCounter.__init__
 
@@ -749,6 +758,25 @@ def test_bench_degenerate_sizes_exit2(capsys, sizes):
     assert main(["bench", "--structure", "oracle-scan", "--sizes", sizes]) == 2
     err = capsys.readouterr().err
     assert "positive and not all equal" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "reduce", "crosscheck",
+                                     "bench"])
+def test_unwritable_out_exit2(command, tmp_path, capsys):
+    trace = _write(tmp_path, "t.trace",
+                   "problem langerman\nheader ext=4\nZQRY\n")
+    graph = _write(tmp_path, "g.txt", format_graph(_planted_graph()))
+    argv = {"solve": ["solve", trace],
+            "reduce": ["reduce", graph, "--reduction",
+                       "red_4clique_range_mode"],
+            "crosscheck": ["crosscheck", "--scope", "langerman"],
+            "bench": ["bench", "--structure", "oracle-scan",
+                      "--sizes", "1,2,3,4"]}[command]
+    out = tmp_path / "missing" / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("error: ")
+    assert str(out) in got.err and "Traceback" not in got.err
 
 
 @pytest.mark.parametrize("exponent", [0.5, 2 / 3])

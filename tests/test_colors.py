@@ -145,8 +145,7 @@ def live_points(ds):
 
 
 def test_dcc_basic():
-    ds = DynColorCountDS(100, rebuild_period=10)
-    assert ds.R == 10
+    ds = DynColorCountDS(100)
     ds.update((1, 1), "r", True)
     ds.update((2, 2), "r", True)
     ds.update((3, 3), "g", True)
@@ -155,11 +154,11 @@ def test_dcc_basic():
     assert ds.query(box2(4, 9, 4, 9)) == 0
     ds.update((2, 2), "r", False)
     assert ds.query(box2(2, 3, 2, 3)) == 1
-
-
-def test_dcc_default_period():
-    assert DynColorCountDS(1000).R == 100
-    assert DynColorCountDS(8).R == 4
+    ds.update((3, 3), "g", False)   # empties "g": its tree goes at once
+    assert set(ds._trees) == {"r"}
+    assert ds.query(box2(1, 3, 1, 3)) == 1
+    ds.update((3, 3), "g", True)
+    assert ds.query(box2(1, 3, 1, 3)) == 2
 
 
 def test_dcc_validation():
@@ -178,41 +177,54 @@ def test_dcc_validation():
         full.update((2, 2), "g", True)
     full.update((1, 1), "r", False)
     full.update((2, 2), "g", True)
-    with pytest.raises(ValueError):
-        DynColorCountDS(10, rebuild_period=0)
+
+
+def _color_with_dead_entries(ds, declared):
+    """Insert `declared` distinct points of color "a", then delete all but
+    the first; returns them.  The tree declares them all until it rebuilds,
+    which a delete does once it leaves more than 2 * live + 16 entries."""
+    pts = [(i, i * i % 23) for i in range(declared)]
+    for p in pts:
+        ds.update(p, "a", True)
+    for p in pts[1:]:
+        ds.update(p, "a", False)
+    return pts
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_dcc_rebuild_boundary(extra):
-    # traces of length R-1, R, R+1 around the rebuild trigger
-    R = 6
-    ds = DynColorCountDS(100, rebuild_period=R)
-    pts = []
-    rng = random.Random(40 + extra)
-    for i in range(R + extra):
-        p = (rng.randint(1, 5), rng.randint(1, 5))
-        c = rng.randint(1, 3)
-        ds.update(p, c, True)
-        pts.append((p, c))
-    assert ds.rebuilds == (1 if extra >= 0 else 0)
-    assert ds.updates_since == (R + extra) % R if extra >= 0 else R - 1
-    if extra >= 0:
-        assert len(ds.dirty) == (0 if extra == 0 else 1)
-    for lo in range(1, 6):
-        b = box2(lo, 5, 1, 5)
-        assert ds.query(b) == dcc_oracle(pts, b)
+    # 18, 19 and 20 declared entries against one live point: the last
+    # delete leaves the tree at, one past and two past 2 * 1 + 16
+    ds = DynColorCountDS(100)
+    ds.update((9, 9), "b", True)
+    other = ds._trees["b"]
+    ds.update((5, 5), "a", True)
+    ds.update((5, 5), "a", False)   # "a" empties and goes
+    pts = _color_with_dead_entries(ds, 19 + extra)
+    tree = ds._trees["a"]
+    assert ds.rebuilds == (0 if extra < 0 else 1)
+    assert tree.occ == Counter({pts[0]: 1})
+    assert len(tree) == (18 if extra < 0 else 1)
+    assert ds._trees["b"] is other and len(other) == 1
+    live = [(pts[0], "a"), ((9, 9), "b")]
+    for lo in range(0, 10):
+        b = box2(lo, 22, 0, 22)
+        assert ds.query(b) == dcc_oracle(live, b)
 
 
-@pytest.mark.parametrize("period", [1, 3, None])
-def test_dcc_random_traces(period):
-    rng = random.Random(f"dcc.{period}")
+@pytest.mark.parametrize("span", [1, 3, None])
+def test_dcc_random_traces(span):
+    # coordinates in [1, span], or fresh ones in [1, 10**6] for None; after
+    # every op each color tree is non-empty and within its dead-entry bound
+    rng = random.Random(f"dcc.{span}")
+    hi = span or 10 ** 6
     for _ in range(6):
-        ds = DynColorCountDS(60, rebuild_period=period)
+        ds = DynColorCountDS(60)
         live = []
         for _ in range(90):
             r = rng.random()
             if r < 0.5 or not live:
-                p = (rng.randint(1, 8), rng.randint(1, 8))
+                p = (rng.randint(1, hi), rng.randint(1, hi))
                 c = rng.randint(1, 4)
                 ds.update(p, c, True)
                 live.append((p, c))
@@ -220,25 +232,52 @@ def test_dcc_random_traces(period):
                 p, c = live.pop(rng.randrange(len(live)))
                 ds.update(p, c, False)
             else:
-                x = sorted(rng.randint(1, 8) for _ in range(2))
-                y = sorted(rng.randint(1, 8) for _ in range(2))
+                x = sorted(rng.randint(1, hi) for _ in range(2))
+                y = sorted(rng.randint(1, hi) for _ in range(2))
                 b = box2(x[0], x[1], y[0], y[1])
                 assert ds.query(b) == dcc_oracle(live, b)
+            for tree in ds._trees.values():
+                assert 0 < tree.n_live and len(tree) <= 2 * tree.n_live + 16
         assert sorted(map(repr, live_points(ds))) == sorted(map(repr, live))
 
 
-def test_dcc_dirty_never_exceeds_period():
-    ds = DynColorCountDS(100, rebuild_period=5)
-    rng = random.Random(9)
-    for i in range(40):
-        ds.update((rng.randint(1, 4), rng.randint(1, 4)), i, True)
-        assert len(ds.dirty) <= ds.R - 1 or ds.updates_since == 0
-        assert ds.updates_since < ds.R
+def test_dcc_churn_keeps_color_trees_compact(monkeypatch):
+    # each round moves one point to a fresh point of the same color: the
+    # trees rebuild on their own, and `rebuilds` counts every rebuild
+    rebuilt = []
+    remove = PointMultiset.remove
+
+    def recorded(tree, p):
+        rebuilt.append(remove(tree, p))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(PointMultiset, "remove", recorded)
+    rng = random.Random("dcc.churn")
+    ds = DynColorCountDS(100)
+
+    def fresh():
+        return rng.randint(0, 10 ** 6), rng.randint(0, 10 ** 6)
+
+    live = [(fresh(), c) for c in range(4) for _ in range(5)]
+    for p, c in live:
+        ds.update(p, c, True)
+    for _ in range(400):
+        i = rng.randrange(len(live))
+        p, c = live[i]
+        ds.update(p, c, False)
+        live[i] = (fresh(), c)
+        ds.update(live[i][0], c, True)
+        for tree in ds._trees.values():
+            assert len(tree) <= 2 * tree.n_live + 16
+        lo = fresh()
+        b = box2(lo[0], lo[0] + 5 * 10 ** 5, lo[1], lo[1] + 5 * 10 ** 5)
+        assert ds.query(b) == dcc_oracle(live, b)
+    assert ds.rebuilds == sum(rebuilt) >= 10
 
 
 def test_dcc_shared_counter():
     vc = VisitCounter()
-    ds = DynColorCountDS(50, rebuild_period=50, counter=vc)
+    ds = DynColorCountDS(50, counter=vc)
     ds.update((1, 1), "a", True)
     assert vc.count > 0
     before = vc.count
@@ -247,7 +286,7 @@ def test_dcc_shared_counter():
 
 
 def test_dcc_query_is_one_emptiness_query_per_color(monkeypatch):
-    ds = DynColorCountDS(100, rebuild_period=7)
+    ds = DynColorCountDS(100)
     rng = random.Random("dcc.per-color")
     pts = []
     for _ in range(24):
@@ -255,7 +294,10 @@ def test_dcc_query_is_one_emptiness_query_per_color(monkeypatch):
         c = rng.randint(1, 6)
         ds.update(p, c, True)
         pts.append((p, c))
-    assert ds.rebuilds == 3 and ds.dirty
+    for p, c in [q for q in pts if q[1] == 1]:   # color 1 empties
+        ds.update(p, c, False)
+        pts.remove((p, c))
+    assert len(ds._trees) == len({c for _, c in pts}) == 5
     asked = []
     is_empty = PointMultiset.is_empty
 
@@ -271,49 +313,49 @@ def test_dcc_query_is_one_emptiness_query_per_color(monkeypatch):
         assert sorted(map(id, asked)) == sorted(map(id, ds._trees.values()))
 
 
-def test_dcc_rebuild_replaces_only_dirty_trees():
-    ds = DynColorCountDS(100, rebuild_period=4)
-    for i, c in enumerate("abcd"):
+def test_dcc_rebuild_packs_one_tree_in_place():
+    ds = DynColorCountDS(100)
+    for i, c in enumerate("bcd"):
         ds.update((i, i), c, True)
-    assert ds.rebuilds == 1 and not ds.dirty
     before = dict(ds._trees)
-    ds.update((0, 0), "a", False)   # empties "a"
-    ds.update((5, 5), "b", True)
-    ds.update((5, 5), "b", False)   # leaves a declared, inactive copy
-    assert len(ds._trees["b"]) == 2 and ds.dirty == {"a", "b"}
-    ds.update((6, 6), "e", True)    # a new color; the 4th update rebuilds
-    assert ds.rebuilds == 2 and not ds.dirty
-    assert set(ds._trees) == {"b", "c", "d", "e"}
-    assert ds._trees["c"] is before["c"] and ds._trees["d"] is before["d"]
-    assert ds._trees["b"] is not before["b"]
-    assert ds._trees["b"].occ == Counter({(1, 1): 1})
-    assert len(ds._trees["b"]) == 1  # packed over its live points only
+    pts = _color_with_dead_entries(ds, 19)   # the last delete rebuilds "a"
+    tree = ds._trees["a"]
+    assert ds.rebuilds == 1
+    ds.update((7, 7), "a", True)
+    ds.update(pts[0], "a", False)       # the rebuilt tree takes updates
+    assert ds._trees["a"] is tree and tree.occ == Counter({(7, 7): 1})
+    assert len(tree) == 2               # the rebuilt entry and (7, 7)
+    assert all(ds._trees[c] is before[c] for c in "bcd")
     assert ds.query(box2(0, 9, 0, 9)) == 4
 
 
 def test_dcc_rebuild_visits_are_counted():
-    # the same updates with and without a rebuild after the third differ
-    # by exactly the visits of fresh trees over the dirty colors' points
-    counts = []
-    for period in (3, 100):
-        vc = VisitCounter()
-        ds = DynColorCountDS(100, rebuild_period=period, counter=vc)
-        for p, c in [((1, 2), "a"), ((3, 4), "a"), ((5, 6), "b")]:
-            ds.update(p, c, True)
-        counts.append(vc.count)
+    # the delete that rebuilds costs its toggle plus exactly the visits of
+    # a fresh tree over the color's live points
+    vc = VisitCounter()
+    ds = DynColorCountDS(100, counter=vc)
+    pts = [(i, i * i % 23) for i in range(19)]
+    for p in pts:
+        ds.update(p, "a", True)
+    for p in pts[1:-1]:
+        ds.update(p, "a", False)
+    tree = ds._trees["a"]
+    toggle = len(tree._cells(tree.keys[(pts[-1], 1)]))
+    before = vc.count
+    ds.update(pts[-1], "a", False)
+    assert ds.rebuilds == 1
     fresh = VisitCounter()
-    for pts in ([(1, 2), (3, 4)], [(5, 6)]):
-        PointMultiset(2, pts, counter=fresh)
+    PointMultiset(2, [pts[0]], counter=fresh)
     assert fresh.count > 0
-    assert counts[0] - counts[1] == fresh.count
+    assert vc.count - before == toggle + fresh.count
 
 
 def test_dcc_visits_pinned():
-    # seeded churn with duplicate points, deletes, queries and several
-    # rebuilds: the visit total, rebuilds included, is part of the cost
-    # model
+    # seeded churn with duplicate points, deletes and queries: the visit
+    # total is part of the cost model.  On a 4 x 4 grid a point's dead
+    # copies are reused, so no tree passes its dead-entry bound
     vc = VisitCounter()
-    ds = DynColorCountDS(80, rebuild_period=16, counter=vc)
+    ds = DynColorCountDS(80, counter=vc)
     rng = random.Random("dcc.pin")
     live = []
     dups = 0
@@ -333,5 +375,5 @@ def test_dcc_visits_pinned():
             y = sorted(rng.randint(1, 5) for _ in range(2))
             b = box2(x[0], x[1], y[0], y[1])
             assert ds.query(b) == dcc_oracle(live, b)
-    assert dups > 0 and ds.rebuilds >= 2
-    assert vc.count == 2135
+    assert dups > 0 and ds.rebuilds == 0
+    assert vc.count == 1108

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from operator import lt
 from fractions import Fraction
 
@@ -15,10 +16,13 @@ from dynds.core_geom import (
     Box,
     Interval,
     PointMultiset,
+    PointScan,
     RangeTree,
     VisitCounter,
     orthant_union_decompose,
 )
+from dynds.colors import DynColorCountDS, dcc_oracle
+from dynds.range_mode import DynRangeModeDS, mode_oracle
 from overlap import boxes_intersect
 
 
@@ -806,6 +810,75 @@ def test_point_multiset_remap_keeps_occ_and_counts():
     assert pm.count(Box.closed((0, 0), (99, 999))) == 1
     with pytest.raises(ValueError, match="one mapping per axis"):
         pm.remap(mappings[:1])
+
+
+def test_point_multiset_rebuilds_past_its_dead_entry_bound():
+    # churn of fresh and repeated points against a Counter: after every op
+    # the tree declares at most 2 * n_live + 16 entries and counts right,
+    # and a rebuild costs its toggle plus what a fresh build over the live
+    # points costs
+    rng = random.Random(16)
+    vc = VisitCounter()
+    pm = PointMultiset(2, counter=vc)
+    live = Counter()
+    rebuilds = 0
+    for _ in range(1500):
+        if live and rng.random() < 0.5:
+            p = rng.choice(sorted(live))
+            live[p] -= 1
+            if not live[p]:
+                del live[p]
+            toggle = len(pm._cells(pm.keys[(p, pm.occ[p])]))
+            before = vc.count
+            if pm.remove(p):
+                rebuilds += 1
+                fresh = VisitCounter()
+                PointMultiset(2, live.elements(), counter=fresh)
+                assert vc.count - before == toggle + fresh.count
+                assert len(pm) == sum(live.values())
+        else:
+            p = ((rng.randint(0, 3), rng.randint(0, 3)) if rng.random() < 0.3
+                 else (rng.randint(0, 10 ** 6), rng.randint(0, 10 ** 6)))
+            pm.add(p)
+            live[p] += 1
+        assert pm.occ == live and pm.n_live == sum(live.values())
+        assert len(pm) <= 2 * pm.n_live + 16
+        lo = [rng.randint(0, 10 ** 6) for _ in range(2)]
+        box = Box.closed(lo, [c + rng.randint(0, 5 * 10 ** 5) for c in lo])
+        assert pm.count(box) == sum(m for q, m in live.items()
+                                    if box.contains(q))
+    assert rebuilds >= 5
+
+
+# inputs that a 2-D labelled-point structure rejects as ValueError
+BAD_POINT_INPUTS = {
+    "insert-3d": lambda s: s.update((1, 2, 3), "a", True),
+    "insert-1d": lambda s: s.update((1,), "a", True),
+    "delete-3d": lambda s: s.update((1, 1, 1), "a", False),
+    "query-1d": lambda s: s.query(Box.closed((0,), (9,))),
+    "query-3d": lambda s: s.query(Box.closed((0, 0, 0), (9, 9, 9))),
+}
+
+
+POINT_PAIRS = {
+    "range-mode": lambda: (PointScan(mode_oracle, 2, 3), DynRangeModeDS(2, 3)),
+    "color-count": lambda: (PointScan(dcc_oracle, 2, 3), DynColorCountDS(3)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_POINT_INPUTS))
+@pytest.mark.parametrize("pair", sorted(POINT_PAIRS))
+def test_point_scan_rejects_what_its_structure_rejects(pair, bad):
+    # tried on an empty structure, on one holding a point, and on a full one
+    for held in (0, 1, 3):
+        texts = []
+        for ds in POINT_PAIRS[pair]():
+            for i in range(held):
+                ds.update((i, i), "a", True)
+            with pytest.raises(ValueError) as exc:
+                BAD_POINT_INPUTS[bad](ds)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1], (held, texts)
 
 
 def test_rt_scaled_int_coords():

@@ -397,16 +397,26 @@ def test_skyline_advance_equals_fresh_preprocess(seed, hi, monkeypatch):
     assert eng.problem.preprocessed < eng.rebuilds / 4
 
 
-def test_skyline_churn_keeps_trees_compact():
+def test_skyline_churn_keeps_trees_compact(monkeypatch):
     # fresh coordinates at every insert: a point that leaves the core leaves
-    # a dead entry behind, until the block rebuilds both trees
+    # a dead entry behind, until its tree rebuilds itself in place; the
+    # block preprocesses the first window only
+    rebuilt = []
+    remove = PointMultiset.remove
+
+    def recorded(tree, p):
+        rebuilt.append(remove(tree, p))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(PointMultiset, "remove", recorded)
+
     def check(eng, rng):
         _, s0_tree, s_tree = eng._state
         for tree in (s_tree, s0_tree):
             assert len(tree) <= 2 * sum(tree.occ.values()) + 16
 
     eng = _churn(7, 6000, 10 ** 6, 8, check)
-    assert eng.problem.preprocessed > 1
+    assert eng.problem.preprocessed == 1 and sum(rebuilt) > 1
 
 
 def test_skyline_advance_is_counted():

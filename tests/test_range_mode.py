@@ -158,6 +158,37 @@ def test_threshold_oscillation():
         assert "x" in ds.heavy
 
 
+def test_heavy_label_churn_keeps_label_trees_compact():
+    # each round moves one point of a heavy label to a fresh point, so a
+    # label tree that kept every dead entry would declare one more a round
+    rng = random.Random(22)
+    ds = DynRangeModeDS(2, 30)                 # B = 2: every label is heavy
+
+    def fresh():
+        return rng.randint(0, 10 ** 6), rng.randint(0, 10 ** 6)
+
+    live = [(fresh(), label) for label in range(3) for _ in range(10)]
+    for p, label in live:
+        ds.update(p, label, True)
+    assert ds.heavy == {0, 1, 2}
+
+    def compact():
+        return all(len(tree) <= 2 * sum(tree.occ.values()) + 16
+                   for tree in ds._label_trees.values())
+
+    for _ in range(1000):
+        i = rng.randrange(len(live))
+        p, label = live[i]
+        ds.update(p, label, False)
+        assert compact()
+        live[i] = (fresh(), label)
+        ds.update(live[i][0], label, True)
+        assert compact()
+        lo = fresh()
+        box = Box.closed(lo, [c + rng.randint(0, 5 * 10 ** 5) for c in lo])
+        assert ds.query(box) == mode_oracle(live, box)
+
+
 def test_duplicate_points_same_label():
     ds = DynRangeModeDS(1, 10, B_override=3)
     for _ in range(3):
