@@ -83,7 +83,8 @@ class CommonColorsDS:
             start = len(entries)
             entries.extend((q, 1) for q in qs)
             self._quad_keys[c] = list(range(start, start + len(qs)))
-        self._tree = RangeTree(4, entries, mode="count", counter=self.counter)
+        self._tree = RangeTree(4, entries, mode="count", counter=self.counter,
+                               sides=("both", "ge", "both", "ge"))
 
     def set_on(self, color, flag: bool) -> None:
         if color not in self.occ:

@@ -268,8 +268,12 @@ class Skyline3DBlock:
 
     def preprocess(self, core: Sequence[tuple]):
         s0 = list(compress(core, maximal3d_flags(core)))
-        return (len(s0), PointMultiset(3, s0, counter=self.counter),
-                PointMultiset(3, core, counter=self.counter))
+        # s0_tree is asked the boxes of orthant_union_decompose, at_most
+        # on y; s_tree only at_least orthants
+        return (len(s0), PointMultiset(3, s0, counter=self.counter,
+                                       sides=("both", "le", "both")),
+                PointMultiset(3, core, counter=self.counter,
+                              sides=("ge",) * 3))
 
     def advance(self, state, added: Sequence[tuple],
                 removed: Sequence[tuple]):
@@ -523,9 +527,6 @@ class HalfspaceSystem:
         if not self.points:
             raise ValueError("no points")
         return self._min
-
-    def depth_oracle(self) -> List[int]:
-        return halfspace_depths(self.points, list(self._halfspaces.elements()))
 
 
 class HalfspaceScan:

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core_geom import (Box, Interval, PointMultiset, RangeTree, VisitCounter,
-                        _debug_on, _invariant, _relabel)
+                        _check_label_order, _debug_on, _invariant, _relabel)
 
 __all__ = [
     "mode_oracle",
@@ -50,6 +50,10 @@ def mode_oracle(points, box: Box) -> Optional[Tuple[object, int]]:
         return None
     best = min(freq, key=lambda c: (-freq[c], c))
     return best, freq[best]
+
+
+# PointScan refuses a label that this tie rule cannot order
+mode_oracle.orders_labels = True
 
 
 def sequence_mode_oracle(values: Sequence, l: int, r: int) -> Tuple[object, int]:
@@ -128,7 +132,9 @@ class DynRangeModeDS:
         self._total: Counter = Counter()               # live label -> count
         self._label_trees: Dict[object, PointMultiset] = {}
         self.heavy: set = set()
-        self._tp = RangeTree(2 * d, mode="max", counter=self.counter)
+        # every query is an orthant: entry lo >= box lo, entry hi <= box hi
+        self._tp = RangeTree(2 * d, mode="max", counter=self.counter,
+                             sides=("ge",) * d + ("le",) * d)
         self._tp_keys: Dict[tuple, int] = {}           # (label, boxcoords, count) -> key
         self._tp_label: Dict[int, object] = {}
         self._label_box_keys: Dict[object, List[int]] = {}
@@ -152,29 +158,10 @@ class DynRangeModeDS:
         self._total[label] += 1
         self.n_live += 1
 
-    def _check_labels(self, labels) -> None:
-        """Raise TypeError if a label not yet live cannot be ordered.
-
-        Each new label is compared once with a live label (or, in an empty
-        structure, with the first new one).
-        """
-        ref = next(iter(self._total), None)
-        for label in labels:
-            if label in self._total:
-                continue
-            if ref is None:
-                ref = label
-                continue
-            try:
-                ref < label
-            except TypeError:
-                raise TypeError(f"label {label!r} cannot be ordered with "
-                                f"label {ref!r}") from None
-
     def update(self, coords, label, insert: bool) -> None:
         nc = self._norm(coords)
         if insert:
-            self._check_labels((label,))
+            _check_label_order(self._total, (label,))
             self._insert_raw(nc, label)
         else:
             tree = self._label_trees.get(label)
@@ -201,7 +188,7 @@ class DynRangeModeDS:
         points = [(self._norm(coords), label) for coords, label in points]
         if self.n_live + len(points) > self.n_cap:
             raise ValueError(f"capacity {self.n_cap} exceeded")
-        self._check_labels(label for _, label in points)
+        _check_label_order(self._total, map(itemgetter(1), points))
         by_label: Dict[object, List[tuple]] = {}
         for nc, label in points:
             by_label.setdefault(label, []).append(nc)

@@ -563,7 +563,7 @@ def test_crosscheck_report_bytes_pinned(scope, code, digest, tmp_path,
     # the seed-3 reports are part of the CLI contract, and the default
     # scope's counted visits, summed over every VisitCounter the run makes,
     # are part of the cost model
-    visits = {"default": 1328659}.get(scope)
+    visits = {"default": 861361}.get(scope)
     made = []
     init = VisitCounter.__init__
 
@@ -707,12 +707,12 @@ def test_bench_range_mode_dyn_2d_visits_pinned(tmp_path):
 def test_bench_skyline3d_visits_pinned(tmp_path):
     assert _bench_pinned_columns(tmp_path, "skyline3d") == (
         "# bench structure=skyline3d seed=0 sizes=256,512,1024,2048,4096",
-        [("256", "144", "34409", "238.951"),
-         ("512", "198", "68513", "346.025"),
-         ("1024", "288", "137109", "476.073"),
-         ("2048", "405", "273586", "675.521"),
-         ("4096", "576", "546619", "948.991")],
-        "fit_exponent=0.4944 target=0.5000 tol=0.20 pass=true")
+        [("256", "144", "9140", "63.472"),
+         ("512", "198", "18132", "91.576"),
+         ("1024", "288", "36754", "127.618"),
+         ("2048", "405", "72125", "178.086"),
+         ("4096", "576", "145350", "252.344")],
+        "fit_exponent=0.4942 target=0.5000 tol=0.20 pass=true")
 
 
 def test_bench_langerman_d1_visits_pinned(tmp_path):

@@ -230,15 +230,24 @@ def test_rt_max_mode_witness_removal_property(entries, on, q):
             scan.toggle(hit[1], False)
 
 
+def kept(side, node):
+    """Whether an axis of that side keeps the node: a prefix walk (x <= b)
+    reads only even nodes and the root, a suffix walk (x >= a) only odd
+    ones."""
+    return side == "both" or node == 1 or node % 2 == (side == "ge")
+
+
 def product_cells(tree, key):
     """An entry's cell ids as itertools.product with one sum() per cell
-    enumerates them: the reference for RangeTree._cells."""
+    enumerates them, over the ancestors that its axes keep: the reference
+    for RangeTree._cells."""
     nc, _ = tree.entry(key)
     per_axis = []
     for ax in range(tree.dim):
         axis = tree._axes[ax]
         per_axis.append([n * tree._strides[ax]
-                         for n in axis.ancestors(axis.slot_of[nc[ax]])])
+                         for n in axis.ancestors(axis.slot_of[nc[ax]])
+                         if kept(tree.sides[ax], n)])
     return [sum(parts) for parts in itertools.product(*per_axis)]
 
 
@@ -737,6 +746,144 @@ def test_rt_replace_axis_values():
     assert tree.max_entry(Box.closed((0, 0), (9, 99))) == (50, 4)
 
 
+def assert_cells_exact(tree):
+    """Every cached cell list is its recomputation, and every cell holds
+    exactly the active entries whose cell lists name it: a count, or in max
+    mode the members and their max as top."""
+    for key, cells in enumerate(tree._cells_of):
+        if cells is not None:
+            assert cells == product_cells(tree, key)
+    holders = {}
+    for key in tree.active_keys():
+        for cid in product_cells(tree, key):
+            holders.setdefault(cid, []).append(key)
+    if tree.mode == "count":
+        assert tree._count_cells == {c: len(k) for c, k in holders.items()}
+        return
+    assert tree._max_cells.keys() == holders.keys()
+    for cid, keys in holders.items():
+        top, members = tree._max_cells[cid]
+        assert members == {k: (tree.entry(k)[1], -k) for k in keys}
+        assert top == max(members.values())
+
+
+def sided_box(rng, sides, values):
+    """A random box bounded on each axis only on the sides it keeps, its
+    bounds drawn from the axis's values and a third to either side."""
+    ivs = []
+    for side, vals in zip(sides, values):
+        lo, hi = sorted(rng.choice(vals) + Fraction(rng.randint(-1, 1), 3)
+                        for _ in range(2))
+        lo_closed, hi_closed = rng.random() < 0.5, rng.random() < 0.5
+        shapes = {"le": [Interval(None, hi, hi_closed=hi_closed)],
+                  "ge": [Interval(lo, None, lo_closed=lo_closed)]}
+        shapes["both"] = shapes["le"] + shapes["ge"] + [Interval.closed(lo, hi)]
+        ivs.append(Interval.all() if rng.random() < 0.1
+                   else rng.choice(shapes[side]))
+    return Box(ivs)
+
+
+SIDES = [("le",), ("ge",), ("ge", "le"), ("both", "ge", "le"),
+         ("ge", "ge", "le", "le")]
+
+
+@pytest.mark.parametrize("sides", SIDES, ids="-".join)
+@pytest.mark.parametrize("mode", ["count", "max"])
+def test_rt_sides_churn_matches_scan(sides, mode, monkeypatch):
+    # extends crowd new values into one gap per axis, so that a window
+    # relabels (_move), or spread them, so that an axis doubles
+    # (_relayout); after every op each cell holds exactly its entries, and
+    # each answer is the scan's
+    calls = Counter()
+    for name in ("_move", "_relayout"):
+        def counted(tree, *args, _name=name, _orig=getattr(RangeTree, name)):
+            calls[_name] += 1
+            return _orig(tree, *args)
+        monkeypatch.setattr(RangeTree, name, counted)
+    rng = random.Random(f"sides.{mode}.{sides}")
+    dim = len(sides)
+
+    def point(crowd):
+        return tuple(20 + Fraction(rng.randint(1, 255), 256) if crowd
+                     else rng.randint(0, 40) for _ in range(dim))
+
+    entries = [(point(False), rng.randint(0, 3)) for _ in range(6)]
+    tree = RangeTree(dim, entries, mode=mode, sides=sides)
+    scan = ScanTree(entries)
+    for _ in range(120 if dim < 4 else 50):
+        r = rng.random()
+        if r < 0.3:
+            new = [(point(rng.random() < 0.6), rng.randint(0, 3))
+                   for _ in range(rng.randint(1, 2))]
+            tree.extend(new)
+            scan.entries += new
+            scan.active += [False] * len(new)
+        elif r < 0.7:
+            key = rng.randrange(len(scan.entries))
+            flag = rng.random() < 0.7
+            tree.toggle(key, flag)
+            scan.toggle(key, flag)
+        else:
+            box = sided_box(rng, sides, [a.values for a in tree._axes])
+            ref = product_query_ids(tree, box)
+            # a query reads only nodes that its axes keep
+            for ax, nodes in enumerate(ref[1] if ref else []):
+                assert all(kept(sides[ax], n // tree._strides[ax])
+                           for n in nodes)
+            if mode == "count":
+                assert tree.count(box) == scan.count(box)
+            else:
+                assert tree.max_entry(box) == scan.max_entry(box)
+        assert_cells_exact(tree)
+    assert calls["_move"] and calls["_relayout"]
+
+
+def test_rt_box_on_a_missing_side_raises():
+    tree = RangeTree(2, [((1, 1), 0)], sides=("le", "ge"))
+    tree.toggle(0, True)
+    assert tree.count(Box([Interval.at_most(2), Interval.at_least(0)])) == 1
+    assert tree.count(Box([Interval.all(), Interval.all()])) == 1
+    for box in (Box([Interval.closed(0, 2), Interval.all()]),
+                Box([Interval.at_least(0), Interval.at_least(0)]),
+                Box([Interval.at_most(2), Interval.closed(0, 2)])):
+        with pytest.raises(ValueError, match="does not keep"):
+            tree.count(box)
+    for sides in (("le",), ("le", "lt")):
+        with pytest.raises(ValueError, match="sides must be 2 of"):
+            RangeTree(2, sides=sides)
+        with pytest.raises(ValueError, match="sides must be 2 of"):
+            PointMultiset(2, sides=sides)
+
+
+def test_point_multiset_with_sides_rebuilds_and_keeps_them():
+    # the dead-entry churn of the test above on a tree with sides: a
+    # rebuilt tree keeps them, and counts every box of those sides right
+    rng = random.Random(17)
+    sides = ("ge", "le", "both")
+    pm = PointMultiset(3, sides=sides)
+    live = Counter()
+    rebuilds = 0
+    for op in range(500):
+        if live and rng.random() < 0.5:
+            p = rng.choice(sorted(live))
+            live[p] -= 1
+            if not live[p]:
+                del live[p]
+            rebuilds += pm.remove(p)
+        else:
+            p = tuple(rng.randint(0, 3) if rng.random() < 0.3
+                      else rng.randint(0, 10 ** 6) for _ in range(3))
+            pm.add(p)
+            live[p] += 1
+        assert pm.sides == sides and pm.occ == live
+        if op % 10 == 0:
+            assert_cells_exact(pm)
+        box = sided_box(rng, sides, [a.values or [0] for a in pm._axes])
+        assert pm.count(box) == sum(m for q, m in live.items()
+                                    if box.contains(q))
+    assert rebuilds >= 3
+
+
 def _random_box2(rng):
     x = sorted(rng.randint(0, 6) for _ in range(2))
     y = sorted(rng.randint(0, 6) for _ in range(2))
@@ -879,6 +1026,27 @@ def test_point_scan_rejects_what_its_structure_rejects(pair, bad):
                 BAD_POINT_INPUTS[bad](ds)
             texts.append(str(exc.value))
         assert texts[0] == texts[1], (held, texts)
+
+
+def test_point_scan_orders_labels_as_its_structure_does():
+    # a label that cannot be ordered with a live one: the range-mode pair
+    # refuses it with one text and stays as it was, on a one-point and on a
+    # full structure; the color-count pair takes any hashable color
+    everything = Box.closed((0, 0), (9, 9))
+    for held in (1, 3):
+        texts = []
+        for ds in POINT_PAIRS["range-mode"]():
+            for i in range(held):
+                ds.update((i, i), "a", True)
+            with pytest.raises(TypeError) as exc:
+                ds.update((5, 5), 1, True)
+            texts.append(str(exc.value))
+            assert ds.query(everything) == ("a", held)
+        assert texts == ["label 1 cannot be ordered with label 'a'"] * 2
+    for ds in POINT_PAIRS["color-count"]():
+        ds.update((0, 0), "a", True)
+        ds.update((1, 1), 1, True)
+        assert ds.query(everything) == 2
 
 
 def test_rt_scaled_int_coords():

@@ -15,6 +15,7 @@ from dynds.geom_dyn import (
     HalfspaceSystem,
     SemiOnlineEngine,
     Skyline3DBlock,
+    halfspace_depths,
     klee_union_volume,
     klee_union_volume_ie,
     maximal3d_flags,
@@ -336,14 +337,17 @@ class CountingSkyline(Skyline3DBlock):
         return super().preprocess(core)
 
 
-def _orthants(rng, hi, count):
-    # random upper and lower orthants, corners in and just past [0, hi]
-    boxes = []
-    for _ in range(count):
-        c = [rng.randint(0, hi + 1) for _ in range(3)]
-        side = Interval.at_least if rng.random() < 0.5 else Interval.at_most
-        boxes.append(Box([side(v) for v in c]))
-    return boxes
+def _boxes(rng, hi, count, sides):
+    """Random boxes with corners in and just past [0, hi], bounded on each
+    axis only on the sides that the tree keeps there: at_least on a "ge"
+    axis, at_most on an "le" axis, and on a "both" axis closed, at_least,
+    at_most or unbounded."""
+    shapes = {"ge": [Interval.at_least], "le": [Interval.at_most],
+              "both": [lambda v: Interval.closed(v, v + rng.randint(0, hi)),
+                       Interval.at_least, Interval.at_most,
+                       lambda v: Interval.all()]}
+    return [Box([rng.choice(shapes[side])(rng.randint(0, hi + 1))
+                 for side in sides]) for _ in range(count)]
 
 
 def _churn(seed, n_ops, hi, block_size, check):
@@ -389,9 +393,11 @@ def test_skyline_advance_equals_fresh_preprocess(seed, hi, monkeypatch):
             [r.elem for r in eng._core])
         assert n0 == f0
         assert s_tree.occ == fresh_s.occ and s0_tree.occ == fresh_s0.occ
-        for box in _orthants(rng, hi, 6):
-            assert s_tree.count(box) == fresh_s.count(box)
-            assert s0_tree.count(box) == fresh_s0.count(box)
+        for tree, fresh in ((s_tree, fresh_s), (s0_tree, fresh_s0)):
+            assert tree.sides == fresh.sides
+            for box in _boxes(rng, hi, 6, tree.sides):
+                brute = sum(m for p, m in tree.occ.items() if box.contains(p))
+                assert tree.count(box) == fresh.count(box) == brute
 
     eng = _churn(seed, 300, hi, 4, check)
     assert eng.problem.preprocessed < eng.rebuilds / 4
@@ -414,6 +420,9 @@ def test_skyline_churn_keeps_trees_compact(monkeypatch):
         _, s0_tree, s_tree = eng._state
         for tree in (s_tree, s0_tree):
             assert len(tree) <= 2 * sum(tree.occ.values()) + 16
+        # a rebuilt tree keeps the sides of the boxes it is asked
+        assert s_tree.sides == ("ge",) * 3
+        assert s0_tree.sides == ("both", "le", "both")
 
     eng = _churn(7, 6000, 10 ** 6, 8, check)
     assert eng.problem.preprocessed == 1 and sum(rebuilt) > 1
@@ -555,13 +564,19 @@ def test_klee_compressed_grid_guard():
 
 # ---------------- halfspace system ----------------
 
+def live_depths(hs):
+    """Per point of a HalfspaceSystem, how many of its halfspaces contain
+    it, recounted by halfspace_depths: the reference for its counts."""
+    return halfspace_depths(hs.points, list(hs._halfspaces.elements()))
+
+
 def test_halfspace_basic():
     hs = HalfspaceSystem([(1, 1), (3, 3)])
     hs.insert((1, 0), Fraction(5, 2), "lt")   # x < 2.5
     assert hs.min_count() == 0
-    assert hs.depth_oracle() == [1, 0]
+    assert live_depths(hs) == [1, 0]
     hs.insert((0, 1), 0, "gt")                # y > 0
-    assert hs.depth_oracle() == [2, 1]
+    assert live_depths(hs) == [2, 1]
     assert hs.min_count() == 1
     hs.delete((1, 0), Fraction(5, 2), "lt")
     assert hs.min_count() == 1
@@ -597,9 +612,9 @@ def test_halfspace_scaledint_offsets():
     # exact non-integer offsets, as Fractions
     hs = HalfspaceSystem([(1,), (2,)])
     hs.insert((1,), Fraction(3, 2), "lt")     # x < 1.5
-    assert hs.depth_oracle() == [1, 0]
+    assert live_depths(hs) == [1, 0]
     hs.insert((1,), Fraction(5, 3), "ge")     # x >= 5/3
-    assert hs.depth_oracle() == [1, 1] and hs.min_count() == 1
+    assert live_depths(hs) == [1, 1] and hs.min_count() == 1
 
 
 def test_halfspace_fraction_normals_stay_exact():
@@ -630,7 +645,7 @@ def test_halfspace_random_vs_oracle(seed):
                     rng.choice(["lt", "le", "gt", "ge"]))
             hs.insert(*trip)
             live.append(trip)
-        depths = hs.depth_oracle()
+        depths = live_depths(hs)
         assert hs.min_count() == min(depths)
         assert [hs._counts[i] for i in range(len(pts))] == depths
 
@@ -661,7 +676,7 @@ def test_halfspace_histogram_min_traces(seed):
                 hs.insert(*trip)
                 live.append(trip)
             ops += 1
-            assert hs.min_count() == min(hs.depth_oracle())
+            assert hs.min_count() == min(live_depths(hs))
             assert hs.counter.count == ops * len(pts)
         assert hs.size() == 0
         assert hs.min_count() == 0
