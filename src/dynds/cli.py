@@ -2,7 +2,7 @@
 
 Trace files are line-oriented: a `problem` line, a `header` line, then one
 op per line; `#` starts a comment.  All commands are deterministic for a
-fixed seed except the wall-clock nanosecond column of bench reports.
+fixed seed except the wall-clock nanosecond columns of bench reports.
 """
 from __future__ import annotations
 
@@ -611,17 +611,20 @@ class BenchPlan:
     structure_id: str
     target: float
     default_sizes: Tuple[int, ...]
-    runner: Callable[[int, random.Random], Tuple[int, int]]
+    # runner(n, rng) -> (ops, visits, start): visits are those of the ops
+    # alone, and start is the perf_counter_ns reading where set-up ends
+    # and the ops begin
+    runner: Callable[[int, random.Random], Tuple[int, int, int]]
 
 
-def _bench_sequence_mode(n: int, rng: random.Random) -> Tuple[int, int]:
+def _bench_sequence_mode(n: int, rng: random.Random) -> Tuple[int, int, int]:
     # ~n^{2/3}/3 labels with ~3n^{1/3} copies each: every label sits above
     # the B threshold, so queries pay the full heavy scan
     ctr = VisitCounter()
     m = max(2, round(n ** (2 / 3) / 3))
     seq = SequenceAdapter.from_values([rng.randint(1, m) for _ in range(n)],
                                       n_cap=n + 400, counter=ctr)
-    base = ctr.count
+    base, start = ctr.count, time.perf_counter_ns()
     ops = 120
     length = n
     for _ in range(ops):
@@ -637,10 +640,10 @@ def _bench_sequence_mode(n: int, rng: random.Random) -> Tuple[int, int]:
             seq.query(l, rng.randint(l, length))
         else:
             seq.query(1, length)
-    return ops, ctr.count - base
+    return ops, ctr.count - base, start
 
 
-def _bench_drm2(n: int, rng: random.Random) -> Tuple[int, int]:
+def _bench_drm2(n: int, rng: random.Random) -> Tuple[int, int, int]:
     # ~n^{4/5}/2 heavy labels (copies stacked per label so their trees stay
     # constant-size); the heavy scan dominates at the d=2 target exponent
     ctr = VisitCounter()
@@ -652,7 +655,7 @@ def _bench_drm2(n: int, rng: random.Random) -> Tuple[int, int]:
     live = Counter(i % m + 1 for i in range(n))
     ds.bulk_insert((spot[lab], lab) for lab, k in live.items()
                    for _ in range(k))
-    base = ctr.count
+    base, start = ctr.count, time.perf_counter_ns()
     ops = 60
     for _ in range(ops):
         if rng.random() < 0.2:
@@ -669,18 +672,18 @@ def _bench_drm2(n: int, rng: random.Random) -> Tuple[int, int]:
             ds.query(Box.closed((xa, ya), (xb, yb)))
         else:
             ds.query(Box.closed((1, 1), (side, side)))
-    return ops, ctr.count - base
+    return ops, ctr.count - base, start
 
 
 def _bench_langerman(d: int):
-    def run(n: int, rng: random.Random) -> Tuple[int, int]:
+    def run(n: int, rng: random.Random) -> Tuple[int, int, int]:
         ext = (n,) * d
         t0 = Tensor(ext)
         for x in t0.indices():
             t0[x] = rng.randint(0, 2)
         ctr = VisitCounter()
         ds = LangermanDS(ext, initial=t0, counter=ctr)
-        base = ctr.count
+        base, start = ctr.count, time.perf_counter_ns()
         ops = 150 if d == 1 else 60
         for i in range(ops):
             if i % 4 == 3:
@@ -688,16 +691,16 @@ def _bench_langerman(d: int):
             else:
                 x = tuple(rng.randint(1, e) for e in ext)
                 ds.update(x, rng.choice((-2, -1, 1, 2)))
-        return ops, ctr.count - base
+        return ops, ctr.count - base, start
     return run
 
 
-def _bench_skyline3d(n: int, rng: random.Random) -> Tuple[int, int]:
+def _bench_skyline3d(n: int, rng: random.Random) -> Tuple[int, int, int]:
     ctr = VisitCounter()
     initial = [tuple(rng.randint(1, 16) for _ in range(3)) for _ in range(n)]
     eng = SemiOnlineEngine(Skyline3DBlock(counter=ctr), n + 100,
                            initial=initial)
-    base = ctr.count
+    base, start = ctr.count, time.perf_counter_ns()
     rounds = max(8, 3 * math.isqrt(n))
     ops = 0
     for _ in range(rounds):
@@ -706,20 +709,21 @@ def _bench_skyline3d(n: int, rng: random.Random) -> Tuple[int, int]:
         eng.query()
         eng.delete()
         ops += 3
-    return ops, ctr.count - base
+    return ops, ctr.count - base, start
 
 
-def _bench_oracle_scan(n: int, rng: random.Random) -> Tuple[int, int]:
+def _bench_oracle_scan(n: int, rng: random.Random) -> Tuple[int, int, int]:
     data = [rng.randint(1, 8) for _ in range(n)]
     ctr = VisitCounter()
     ops = 25
+    start = time.perf_counter_ns()
     for _ in range(ops):
         want = rng.randint(1, 8)
         hits = 0
         for v in data:
             ctr.add(1)
             hits += v == want
-    return ops, ctr.count
+    return ops, ctr.count, start
 
 
 BENCHES: Dict[str, BenchPlan] = {
@@ -748,7 +752,7 @@ BENCHES: Dict[str, BenchPlan] = {
 class BenchReport:
     structure_id: str
     seed: int
-    rows: List[Tuple[int, int, int, int, float]]
+    rows: List[Tuple[int, int, int, int, float, int]]
     target: float
     tol: float
 
@@ -765,9 +769,9 @@ class BenchReport:
     def render(self) -> str:
         lines = [f"# bench structure={self.structure_id} seed={self.seed} "
                  f"sizes={','.join(str(r[0]) for r in self.rows)}",
-                 "n,ops,visits,ns,visits_per_op"]
-        for n, ops, visits, ns, vpo in self.rows:
-            lines.append(f"{n},{ops},{visits},{ns},{vpo:.3f}")
+                 "n,ops,visits,ns,visits_per_op,setup_ns"]
+        for n, ops, visits, ns, vpo, setup_ns in self.rows:
+            lines.append(f"{n},{ops},{visits},{ns},{vpo:.3f},{setup_ns}")
         lines.append(f"fit_exponent={self.fit_exponent:.4f} "
                      f"target={self.target:.4f} tol={self.tol:.2f} "
                      f"pass={_fmt_bool(self.ok)}")
@@ -786,9 +790,9 @@ def run_bench(structure_id: str, sizes: Sequence[int], seed: int,
     for n in sizes:
         rng = random.Random(f"dynds.bench.{seed}.{structure_id}.{n}")
         t0 = time.perf_counter_ns()
-        ops, visits = plan.runner(n, rng)
-        ns = time.perf_counter_ns() - t0
-        rows.append((n, ops, visits, ns, visits / ops))
+        ops, visits, start = plan.runner(n, rng)
+        end = time.perf_counter_ns()
+        rows.append((n, ops, visits, end - start, visits / ops, start - t0))
     return BenchReport(structure_id, seed, rows, plan.target, tol)
 
 

@@ -444,6 +444,47 @@ class _Axis:
         return [n for n in nodes if n & 1 == odd or n == 1]
 
 
+def _leaf_range(axis: _Axis, lo, lo_closed: bool, hi,
+                hi_closed: bool) -> Optional[Tuple[int, int]]:
+    """The node ids [l, r) of a leaf range whose bottom-up canonical walk
+    covers the axis values between the bounds (a None bound is unbounded),
+    or None when no value lies between them.
+
+    The bounds are bisected to a range of values, and its leaf range is
+    widened over the free leaves on either side, to the leaf with the most
+    trailing zeros in each gap (a < b: clear b's bits below the highest bit
+    where a and b differ), and to the axis end on an unbounded side.  Free
+    leaves hold no entry, so the walk covers the same entries with fewer
+    nodes.
+    """
+    vals = axis.values
+    if lo is None:
+        i = 0
+    else:
+        i = bisect_left(vals, lo) if lo_closed else bisect_right(vals, lo)
+    if hi is None:
+        j = len(vals)
+    else:
+        j = bisect_right(vals, hi) if hi_closed else bisect_left(vals, hi)
+    if i >= j:
+        return None
+    slots = axis.slots
+    leaves = axis.leaves
+    if i:
+        b = slots[i]
+        t = (slots[i - 1] ^ b).bit_length() - 1
+        l = leaves + (b >> t << t)
+    else:
+        l = leaves
+    if j < len(slots):
+        b = slots[j]
+        t = (slots[j - 1] ^ b).bit_length() - 1
+        r = leaves + (b >> t << t)
+    else:
+        r = 2 * leaves
+    return l, r
+
+
 class RangeTree:
     """Static-universe d-dim range tree with activation toggles.
 
@@ -467,13 +508,11 @@ class RangeTree:
     collections._count_elements.
 
     A query builds its box's cell ids the same way, in one loop over the
-    axes (_query_ids): per axis it bisects the bounds to a range of values,
-    widens their leaf range over the free leaves on either side, to the
-    leaf with the most trailing zeros in each gap (to the axis end on an
-    unbounded side), walks that range's bottom-up canonical nodes, scales
-    each by the axis stride and combines them with the ids so far.  Free
-    leaves hold no entry, so the widening covers the same entries with
-    fewer nodes.  An empty axis range ends the query with no visit; a 0-dim
+    axes (_query_ids): per axis it takes the leaf range of the values
+    inside the bounds, widened over the free leaves on either side
+    (_leaf_range), walks that range's bottom-up canonical nodes, scales
+    each by the axis stride and combines them with the ids so far.  An
+    empty axis range ends the query with no visit; a 0-dim
     tree has the one cell 0.  count sums the ids' cells and max_entry takes
     the max top of those that exist, both through map over dict.get, so the
     per-cell reads run in C.
@@ -731,7 +770,10 @@ class RangeTree:
     # ---------------- queries ----------------
 
     def _query_ids(self, box: Box) -> Optional[List[int]]:
-        """The box's canonical cell ids, or None when the box is empty."""
+        """The box's canonical cell ids, or None when the box is empty.
+
+        Each axis's leaf range comes from `_leaf_range`, which the 1-dim
+        heavy scan `_best_count_1d` shares."""
         if box.dim != self.dim:
             raise ValueError("box dimension mismatch")
         ids = None
@@ -741,39 +783,10 @@ class RangeTree:
                     is not None:
                 raise ValueError(f"box bounded on a side that an {side!r} "
                                  f"axis does not keep")
-            vals = axis.values
-            lo = iv.lo
-            if lo is None:
-                i = 0
-            else:
-                i = bisect_left(vals, lo) if iv.lo_closed \
-                    else bisect_right(vals, lo)
-            hi = iv.hi
-            if hi is None:
-                j = len(vals)
-            else:
-                j = bisect_right(vals, hi) if iv.hi_closed \
-                    else bisect_left(vals, hi)
-            if i >= j:
+            lr = _leaf_range(axis, iv.lo, iv.lo_closed, iv.hi, iv.hi_closed)
+            if lr is None:
                 return None
-            # bottom-up canonical walk of a leaf range [l, r) that holds
-            # the same values, widened over the free leaves around them to
-            # the leaf with the most trailing zeros in each gap (a < b:
-            # clear b's bits below the highest bit where a and b differ)
-            slots = axis.slots
-            leaves = axis.leaves
-            if i:
-                b = slots[i]
-                t = (slots[i - 1] ^ b).bit_length() - 1
-                l = leaves + (b >> t << t)
-            else:
-                l = leaves
-            if j < len(slots):
-                b = slots[j]
-                t = (slots[j - 1] ^ b).bit_length() - 1
-                r = leaves + (b >> t << t)
-            else:
-                r = 2 * leaves
+            l, r = lr
             nodes = []
             while l < r:
                 if l & 1:
@@ -900,6 +913,47 @@ class PointMultiset(RangeTree):
         new_of = dict(zip(points, moved)).__getitem__
         occ = self.occ
         self.occ = Counter(dict(zip(map(new_of, occ), occ.values())))
+
+
+def _best_count_1d(trees: dict, labels: Iterable, iv: Interval,
+                   counter: VisitCounter) -> Optional[Tuple[object, int]]:
+    """(label, count) of the label with the most active entries in iv
+    among the 1-dim count trees trees[label], label in labels, ties to the
+    smallest label; None when every count is 0.
+
+    One loop does what `trees[label].count(Box([iv]))` for every label
+    does: per tree the leaf range of `_leaf_range` (two bisects and the
+    widening) and the bottom-up walk, with each cell read as the walk finds
+    it (a 1-dim tree's stride is 1, so a node id is its cell id).  So it
+    reads the same cells and makes the same visits, charged to counter in
+    one add; counter is the trees' own, where `count` would charge them.
+    """
+    lo, lo_closed, hi, hi_closed = iv.lo, iv.lo_closed, iv.hi, iv.hi_closed
+    best = None
+    best_cnt = visits = 0
+    for label in labels:
+        tree = trees[label]
+        lr = _leaf_range(tree._axes[0], lo, lo_closed, hi, hi_closed)
+        if lr is None:
+            continue
+        l, r = lr
+        get = tree._count_cells.get
+        cnt = 0
+        while l < r:
+            if l & 1:
+                cnt += get(l, 0)
+                l += 1
+                visits += 1
+            if r & 1:
+                r -= 1
+                cnt += get(r, 0)
+                visits += 1
+            l >>= 1
+            r >>= 1
+        if cnt > best_cnt or (cnt and cnt == best_cnt and label < best):
+            best, best_cnt = label, cnt
+    counter.add(visits)
+    return None if best is None else (best, best_cnt)
 
 
 # ---------------- 3D orthant-union decomposition ----------------

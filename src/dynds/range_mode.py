@@ -22,7 +22,8 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core_geom import (Box, Interval, PointMultiset, RangeTree, VisitCounter,
-                        _check_label_order, _debug_on, _invariant, _relabel)
+                        _best_count_1d, _check_label_order, _debug_on,
+                        _invariant, _relabel)
 
 __all__ = [
     "mode_oracle",
@@ -273,15 +274,35 @@ class DynRangeModeDS:
     # ---------------- queries ----------------
 
     def query(self, box: Box) -> Optional[Tuple[object, int]]:
+        """(label, count) of the box's mode, ties to the smallest label, or
+        None when the box holds no point.
+
+        The heavy scan counts each heavy label in its tree.  With d = 1,
+        which serves every SequenceAdapter query, it runs as one loop over
+        the heavy labels' trees (core_geom._best_count_1d): the same cells
+        and visits as a `count` per tree, without a call pair and a cell id
+        list per tree.  With d >= 2 it calls `count` per tree.  The choice
+        by d was measured on 300 random range queries over the perfbench
+        seq-heavy-scan sequence (n = 19,683, 243 heavy labels), in one
+        process on a 2-CPU x86-64 VM, 12 alternating rounds: in median the
+        1-dim loop took 0.68x the time of the per-tree calls, a d-generic
+        loop (cell ids over the first d - 1 axes, the last axis walked
+        inline) 0.79x, and one summing the last axis's cells through map
+        1.05x.
+        """
         if box.dim != self.d:
             raise ValueError("query box dimension mismatch")
-        best: Optional[Tuple[object, int]] = None
         trees = self._label_trees
-        for label in self.heavy:
-            cnt = trees[label].count(box)
-            if cnt > 0 and (best is None or cnt > best[1]
-                            or (cnt == best[1] and label < best[0])):
-                best = (label, cnt)
+        if self.d == 1:
+            best = _best_count_1d(trees, self.heavy, box.intervals[0],
+                                  self.counter)
+        else:
+            best = None
+            for label in self.heavy:
+                cnt = trees[label].count(box)
+                if cnt > 0 and (best is None or cnt > best[1]
+                                or (cnt == best[1] and label < best[0])):
+                    best = (label, cnt)
         ivs = []
         for iv in box.intervals:
             ivs.append(Interval(iv.lo, None, lo_closed=iv.lo_closed))
@@ -447,7 +468,10 @@ class SequenceAdapter:
 
 class SequenceScan:
     """Scan oracle for `SequenceAdapter`: a plain list under the same
-    positional ops, each query a `scan(values, l, r)`."""
+    positional ops, each query a `scan(values, l, r)`.  Like `PointScan`,
+    it keeps the live values' counts in the order DynRangeModeDS keeps its
+    labels, so that it refuses a value that cannot be ordered with a live
+    one as the adapter does, naming the same live label."""
 
     def __init__(self, n_cap: int, scan=sequence_mode_oracle):
         if n_cap < 1:
@@ -455,6 +479,7 @@ class SequenceScan:
         self.n_cap = n_cap
         self.scan = scan
         self.values: List[object] = []
+        self.labels: Counter = Counter()   # live value -> count
 
     @classmethod
     def from_values(cls, values: Sequence, n_cap: int,
@@ -462,31 +487,30 @@ class SequenceScan:
         seq = cls(n_cap, scan)
         if len(values) > n_cap:
             raise ValueError(f"capacity {n_cap} exceeded")
+        _check_label_order(seq.labels, values)
         seq.values = list(values)
+        seq.labels.update(seq.values)
         return seq
 
     def insert(self, pos: int, value) -> None:
         if not 1 <= pos <= len(self.values) + 1:
             raise ValueError(f"insert position {pos} out of range "
                              f"1..{len(self.values) + 1}")
-        if self.values:
-            # refuse what the adapter refuses: a value with no order
-            # against the live ones
-            ref = self.values[0]
-            try:
-                ref < value
-            except TypeError:
-                raise TypeError(f"label {value!r} cannot be ordered with "
-                                f"label {ref!r}") from None
+        _check_label_order(self.labels, (value,))
         if len(self.values) >= self.n_cap:
             raise ValueError(f"capacity {self.n_cap} exceeded")
         self.values.insert(pos - 1, value)
+        self.labels[value] += 1
 
     def delete(self, pos: int) -> None:
         if not 1 <= pos <= len(self.values):
             raise ValueError(f"delete position {pos} out of range "
                              f"1..{len(self.values)}")
-        del self.values[pos - 1]
+        value = self.values.pop(pos - 1)
+        labels = self.labels
+        labels[value] -= 1
+        if not labels[value]:
+            del labels[value]
 
     def query(self, l: int, r: int) -> Tuple[object, int]:
         return self.scan(self.values, l, r)

@@ -653,8 +653,9 @@ def test_bench_csv_shape(tmp_path):
                  "--sizes", "50,100,200,400", "--seed", "2",
                  "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[1] == "n,ops,visits,ns,visits_per_op"
-    assert len([l for l in lines if re.match(r"\d+,", l)]) == 4
+    assert lines[1] == "n,ops,visits,ns,visits_per_op,setup_ns"
+    rows = [l.split(",") for l in lines if re.match(r"\d+,", l)]
+    assert len(rows) == 4 and {len(r) for r in rows} == {6}
 
 
 def test_bench_deterministic_but_for_ns(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dynds.core_geom import Box, VisitCounter
+from dynds.core_geom import Box, Interval, VisitCounter, _best_count_1d
 from dynds.range_mode import (
     DynRangeModeDS,
     SequenceAdapter,
@@ -433,6 +433,32 @@ def test_sequence_adapter_rejected_insert_changes_nothing():
     assert seq.keys == [1 << seq.KEY_SHIFT]
 
 
+def test_sequence_scan_names_the_label_the_adapter_names():
+    # the adapter compares a new label with its first live label in
+    # insertion order, not with the first value of the sequence
+    texts = []
+    for s in (SequenceAdapter(8), SequenceScan(8)):
+        got = []
+        s.insert(1, 3)
+        s.insert(1, 2)
+        for _ in range(2):
+            with pytest.raises(TypeError) as err:
+                s.insert(1, "a")
+            got.append(str(err.value))
+            s.delete(2)           # the first live label goes, then comes back
+            s.insert(1, 3)
+        texts.append(got)
+    assert texts[0] == texts[1] == [
+        "label 'a' cannot be ordered with label 3",
+        "label 'a' cannot be ordered with label 2"]
+    texts = []
+    for build in (SequenceAdapter.from_values, SequenceScan.from_values):
+        with pytest.raises(TypeError) as err:
+            build([2, 1, "a"], n_cap=3)
+        texts.append(str(err.value))
+    assert texts[0] == texts[1] == "label 'a' cannot be ordered with label 2"
+
+
 def test_sequence_adapter_bulk_build():
     seq = SequenceAdapter.from_values([3, 1, 3, 2, 3])
     assert seq.query(1, 5) == (3, 3)
@@ -547,6 +573,136 @@ def test_heavy_scan_ties_go_to_the_smallest_label():
     assert ds.query(Box.closed((1,), (2,))) == (3, 2)
     ds.update((1,), 3, insert=False)
     assert ds.query(Box.closed((1,), (2,))) == (5, 2)
+
+
+# ---------------- the 1-D heavy scan against a count per tree ----------------
+
+def _heavy_scan_by_count(ds, box):
+    """The heavy scan as a `count` call per heavy label's tree."""
+    best = None
+    for label in ds.heavy:
+        cnt = ds._label_trees[label].count(box)
+        if cnt > 0 and (best is None or cnt > best[1]
+                        or (cnt == best[1] and label < best[0])):
+            best = (label, cnt)
+    return best
+
+
+def _random_interval(rng, pool):
+    """Closed, open, half-open or unbounded, over bounds drawn from pool."""
+    lo, hi = (None if rng.random() < 0.2 else rng.choice(pool)
+              for _ in range(2))
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    if lo is not None and lo == hi:
+        return Interval(lo, hi)
+    return Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def _check_heavy_scan(ds, iv):
+    """_best_count_1d answers iv as a count per tree does, charging the
+    same visits to the structure's counter; returns the answer."""
+    ctr = ds.counter
+    before = ctr.count
+    want = _heavy_scan_by_count(ds, Box([iv]))
+    want_visits = ctr.count - before
+    before = ctr.count
+    got = _best_count_1d(ds._label_trees, ds.heavy, iv, ctr)
+    assert (got, ctr.count - before) == (want, want_visits), iv
+    return got
+
+
+def test_heavy_scan_loop_matches_count_per_tree():
+    # B = 2 over five int and Fraction labels: most labels are heavy, and
+    # their counts often tie
+    rng = random.Random(2201)
+    labels = [1, 2, 3, Fraction(5, 2), Fraction(7, 3)]
+    ds = DynRangeModeDS(1, 400, B_override=2)
+    live = [((Fraction(x, 3),), labels[x % 5]) for x in range(0, 60, 2)]
+    ds.bulk_insert(live)    # room-2 trees; later labels grow room-1 ones
+    seen = set()
+    # no value lies in the last two: the scan skips every tree
+    fixed = [Interval.all(), Interval(Fraction(1000), None),
+             Interval(Fraction(1, 11), Fraction(1, 10), False, False)]
+
+    def check():
+        pool = [c[0] for c, _ in live] + [Fraction(-1000), Fraction(1, 11)]
+        for iv in fixed + [_random_interval(rng, pool) for _ in range(6)]:
+            got = _check_heavy_scan(ds, iv)
+            box = Box([iv])
+            assert ds.query(box) == mode_oracle(live, box), iv
+            counts = sorted((sum(lab == label and iv.contains(c[0])
+                                 for c, lab in live) for label in ds.heavy),
+                            reverse=True)
+            if len(counts) > 1 and counts[0] == counts[1] > 0:
+                seen.add("tie")
+            if got is None and ds.heavy:
+                seen.add("empty")
+
+    def update(p, insert):
+        trees = ds._label_trees
+        leaves = {lab: t._axes[0].leaves for lab, t in trees.items()}
+        sizes = {lab: len(t) for lab, t in trees.items()}
+        ds.update(*p, insert)
+        if insert:
+            live.append(p)
+        else:
+            live.remove(p)
+        for lab, t in trees.items():
+            if t._axes[0].leaves > leaves.get(lab, t._axes[0].leaves):
+                seen.add("doubled")
+            if t._order[0] is not None:
+                seen.add("relabelled")
+            if len(t) < sizes.get(lab, 0):
+                seen.add("rebuilt")
+        check()
+
+    for step in range(240):
+        if step < 150 or rng.random() < 0.4:
+            # fresh coordinates, many below every live one: a new value
+            # takes a free leaf, shifts, relabels a window or doubles
+            x = Fraction(rng.randint(-400, 200), rng.choice((1, 3, 7)))
+            update(((x,), rng.choice(labels)), True)
+        else:
+            update(rng.choice(live), False)
+    # an order-preserving relabel, as a key re-spacing makes
+    mapping = {v: 2 * v + 1 for t in ds._label_trees.values()
+               for v in t._axes[0].values}
+    ds.remap_axis_values([mapping])
+    live[:] = [((mapping[c[0]],), lab) for c, lab in live]
+    fixed[1:] = [Interval(Fraction(3000), None),
+                 Interval(Fraction(13, 11), Fraction(6, 5), False, False)]
+    check()
+    # one label deleted down to two copies leaves dead entries past
+    # 2 * live + 16: its tree rebuilds itself
+    label = max(ds._label_trees, key=lambda lab: len(ds._label_trees[lab]))
+    for p in [p for p in live if p[1] == label][2:]:
+        update(p, False)
+    assert seen == {"doubled", "relabelled", "rebuilt", "tie", "empty"}
+
+
+def test_heavy_scan_loop_after_key_respacing():
+    # every 4th op inserts at the front, halving the first key, so the
+    # adapter re-spaces its keys: deleted keys stay on the axes between
+    # live ones
+    rng = random.Random(2202)
+    seq = SequenceAdapter.from_values([rng.randint(1, 4) for _ in range(40)],
+                                      n_cap=400, B_override=1)
+    ds = seq.ds
+    for step in range(300):
+        if step % 4 == 0:
+            seq.insert(1, rng.randint(1, 4))
+        elif rng.random() < 0.5:
+            seq.insert(rng.randint(1, len(seq) + 1), rng.randint(1, 4))
+        else:
+            seq.delete(rng.randint(1, len(seq)))
+        pool = seq.keys + sorted(seq._dead) + [-1, 1 << 80]
+        for _ in range(3):
+            _check_heavy_scan(ds, _random_interval(rng, pool))
+        l = rng.randint(1, len(seq))
+        r = rng.randint(l, len(seq))
+        assert seq.query(l, r) == sequence_mode_oracle(seq.values, l, r)
+    assert seq.rebuilds > 0 and seq._dead
 
 
 # ---------------- int keys against the Fraction-keyed reference ----------------
