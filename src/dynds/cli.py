@@ -756,11 +756,20 @@ class BenchReport:
     target: float
     tol: float
 
+    def _slope(self, per_op: Callable[[tuple], float]) -> float:
+        """Slope of log(per_op(row)) against log n over the rows."""
+        xs = [math.log(r[0]) for r in self.rows]
+        ys = [math.log(per_op(r)) for r in self.rows]
+        return statistics.linear_regression(xs, ys).slope
+
     @property
     def fit_exponent(self) -> float:
-        xs = [math.log(r[0]) for r in self.rows]
-        ys = [math.log(r[4]) for r in self.rows]
-        return statistics.linear_regression(xs, ys).slope
+        return self._slope(lambda r: r[4])
+
+    @property
+    def ns_fit_exponent(self) -> float:
+        """The same fit over ns per op: informational, like the ns column."""
+        return self._slope(lambda r: r[3] / r[1])
 
     @property
     def ok(self) -> bool:
@@ -772,6 +781,7 @@ class BenchReport:
                  "n,ops,visits,ns,visits_per_op,setup_ns"]
         for n, ops, visits, ns, vpo, setup_ns in self.rows:
             lines.append(f"{n},{ops},{visits},{ns},{vpo:.3f},{setup_ns}")
+        lines.append(f"ns_fit_exponent={self.ns_fit_exponent:.4f}")
         lines.append(f"fit_exponent={self.fit_exponent:.4f} "
                      f"target={self.target:.4f} tol={self.tol:.2f} "
                      f"pass={_fmt_bool(self.ok)}")

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import math
 import os
 import random
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -656,6 +658,22 @@ def test_bench_csv_shape(tmp_path):
     assert lines[1] == "n,ops,visits,ns,visits_per_op,setup_ns"
     rows = [l.split(",") for l in lines if re.match(r"\d+,", l)]
     assert len(rows) == 4 and {len(r) for r in rows} == {6}
+
+
+def test_bench_ns_fit_line(tmp_path):
+    # the slope of log(ns/ops) against log n, one line above the visit fit
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--structure", "oracle-scan",
+                 "--sizes", "50,100,200,400", "--seed", "2",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    rows = [[int(v) for v in l.split(",")[:4]] for l in lines
+            if re.match(r"\d+,", l)]
+    slope = statistics.linear_regression(
+        [math.log(n) for n, _, _, _ in rows],
+        [math.log(ns / ops) for _, ops, _, ns in rows]).slope
+    assert lines[-2] == f"ns_fit_exponent={slope:.4f}"
+    assert lines[-1].startswith("fit_exponent=")
 
 
 def test_bench_deterministic_but_for_ns(tmp_path):

@@ -15,7 +15,6 @@ from dynds.geom_dyn import (
     HalfspaceSystem,
     SemiOnlineEngine,
     Skyline3DBlock,
-    halfspace_depths,
     klee_union_volume,
     klee_union_volume_ie,
     maximal3d_flags,
@@ -564,19 +563,20 @@ def test_klee_compressed_grid_guard():
 
 # ---------------- halfspace system ----------------
 
-def live_depths(hs):
-    """Per point of a HalfspaceSystem, how many of its halfspaces contain
-    it, recounted by halfspace_depths: the reference for its counts."""
-    return halfspace_depths(hs.points, list(hs._halfspaces.elements()))
+@pytest.fixture
+def debug_assert(monkeypatch):
+    """Every HalfspaceSystem update runs `_debug_check`: its counts against
+    `halfspace_depths`, its histogram against the counts, and its min."""
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
 
 
-def test_halfspace_basic():
+def test_halfspace_basic(debug_assert):
     hs = HalfspaceSystem([(1, 1), (3, 3)])
     hs.insert((1, 0), Fraction(5, 2), "lt")   # x < 2.5
     assert hs.min_count() == 0
-    assert live_depths(hs) == [1, 0]
+    assert hs._counts == [1, 0]
     hs.insert((0, 1), 0, "gt")                # y > 0
-    assert live_depths(hs) == [2, 1]
+    assert hs._counts == [2, 1]
     assert hs.min_count() == 1
     hs.delete((1, 0), Fraction(5, 2), "lt")
     assert hs.min_count() == 1
@@ -601,20 +601,57 @@ def test_halfspace_delete_absent():
         hs.delete((1, 0), 0, "lt")
 
 
-def test_halfspace_empty_points():
+def test_halfspace_empty_points(debug_assert):
+    # no points: a normal of any length is taken, nothing is hit, the
+    # pointer stays at 0, and min_count has no answer
     hs = HalfspaceSystem([])
-    hs.insert((1, 0), 1, "le")
-    with pytest.raises(ValueError):
-        hs.min_count()
+    for ds in (hs, HalfspaceScan([])):
+        ds.insert((1, 0), 1, "le")
+        ds.delete((1, 0), 1, "le")
+        ds.insert((1, 0, 2), Fraction(1, 3), "gt")
+        with pytest.raises(ValueError, match="no points"):
+            ds.min_count()
+    assert (hs._counts, hs._hist, hs._min) == ([], [0], 0)
 
 
-def test_halfspace_scaledint_offsets():
+def test_halfspace_dimension_refused():
+    # a normal that is too short or too long was truncated by the dot
+    # product and accepted; points of mixed dimension likewise
+    for cls in (HalfspaceSystem, HalfspaceScan):
+        with pytest.raises(ValueError) as exc:
+            cls([(1, 2), (3,)])
+        assert str(exc.value) == "points of mixed dimension [1, 2]"
+        ds = cls([(1, 2), (3, 4)])
+        for normal in ((1,), (1, 1, 1)):
+            for op in (ds.insert, ds.delete):
+                with pytest.raises(ValueError) as exc:
+                    op(normal, 4, "lt")
+                assert str(exc.value) == (f"normal of length {len(normal)} "
+                                          f"for points of dimension 2")
+        assert ds.min_count() == 0
+
+
+@pytest.mark.parametrize("drift,what", [
+    (lambda hs: hs._counts.__setitem__(2, 1), "counts"),
+    (lambda hs: hs._hist.__setitem__(0, 2), "histogram"),
+    (lambda hs: setattr(hs, "_min", 1), "min pointer"),
+], ids=["counts", "histogram", "min"])
+def test_halfspace_debug_check_catches_drift(drift, what):
+    hs = HalfspaceSystem([(0,), (1,), (2,)])
+    hs.insert((1,), 1, "le")                  # counts [1, 1, 0]
+    hs._debug_check()
+    drift(hs)
+    with pytest.raises(RuntimeError, match=what):
+        hs._debug_check()
+
+
+def test_halfspace_scaledint_offsets(debug_assert):
     # exact non-integer offsets, as Fractions
     hs = HalfspaceSystem([(1,), (2,)])
     hs.insert((1,), Fraction(3, 2), "lt")     # x < 1.5
-    assert live_depths(hs) == [1, 0]
+    assert hs._counts == [1, 0]
     hs.insert((1,), Fraction(5, 3), "ge")     # x >= 5/3
-    assert live_depths(hs) == [1, 1] and hs.min_count() == 1
+    assert hs._counts == [1, 1] and hs.min_count() == 1
 
 
 def test_halfspace_fraction_normals_stay_exact():
@@ -629,25 +666,57 @@ def test_halfspace_fraction_normals_stay_exact():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_halfspace_random_vs_oracle(seed):
+def test_halfspace_random_vs_oracle(seed, debug_assert):
     rng = random.Random(seed)
     pts = [tuple(rng.randint(-3, 3) for _ in range(2))
            for _ in range(rng.randint(1, 7))]
-    hs = HalfspaceSystem(pts)
+    hs, scan = HalfspaceSystem(pts), HalfspaceScan(pts)
     live = []
     for _ in range(40):
         if live and rng.random() < 0.4:
             trip = live.pop(rng.randrange(len(live)))
             hs.delete(*trip)
+            scan.delete(*trip)
         else:
             trip = (tuple(rng.randint(-2, 2) for _ in range(2)),
                     Fraction(rng.randint(-6, 6), rng.choice([1, 2])),
                     rng.choice(["lt", "le", "gt", "ge"]))
             hs.insert(*trip)
+            scan.insert(*trip)
             live.append(trip)
-        depths = live_depths(hs)
-        assert hs.min_count() == min(depths)
-        assert [hs._counts[i] for i in range(len(pts))] == depths
+        assert hs.min_count() == scan.min_count()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_halfspace_debug_traces(seed, debug_assert):
+    # 3-D points; normals with zero and Fraction components, Fraction
+    # offsets; every update runs the debug check, and the trace must reach
+    # deletes that lower the min, then drain and go on
+    rng = random.Random(900 + seed)
+    pts = [tuple(rng.randint(-4, 4) for _ in range(3))
+           for _ in range(rng.randint(2, 12))]
+    hs, scan = HalfspaceSystem(pts), HalfspaceScan(pts)
+    comp = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    live, lowered, zero, frac = [], 0, 0, 0
+    for step in range(160):
+        if live and (step % 40 >= 25 or rng.random() < 0.35):
+            trip = live.pop(rng.randrange(len(live)))
+            before = hs.min_count()
+            hs.delete(*trip)
+            scan.delete(*trip)
+            lowered += hs.min_count() < before
+        elif step % 40 < 25:
+            normal = tuple(rng.choice(comp) for _ in range(3))
+            trip = (normal, Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+                    rng.choice(_ALL_SENSES))
+            zero += 0 in normal
+            frac += any(isinstance(a, Fraction) for a in normal)
+            hs.insert(*trip)
+            scan.insert(*trip)
+            live.append(trip)
+        assert hs.min_count() == scan.min_count()
+    assert lowered and zero and frac
+    assert hs.size() == 0 and hs.min_count() == 0
 
 
 _ALL_SENSES = ["lt", "<", "le", "<=", "gt", ">", "ge", ">="]
@@ -676,7 +745,7 @@ def test_halfspace_histogram_min_traces(seed):
                 hs.insert(*trip)
                 live.append(trip)
             ops += 1
-            assert hs.min_count() == min(live_depths(hs))
+            hs._debug_check()
             assert hs.counter.count == ops * len(pts)
         assert hs.size() == 0
         assert hs.min_count() == 0

@@ -116,6 +116,53 @@ def test_langerman_random_traces(extents, B, monkeypatch):
             assert ds.prefix(x) == brute_prefix(mirror, x)
 
 
+def _langerman_update_visits(extents, B, z):
+    """|grid anchors dominating z| + |cells at or past z whose anchor lags
+    behind z on some axis|, both counted over every cell."""
+    cells = list(Tensor(extents).indices())
+    anchors = sum(all(xi % B == 0 and xi >= zi for xi, zi in zip(x, z))
+                  for x in cells)
+    lagging = sum(all(xi >= zi for xi, zi in zip(x, z))
+                  and any(xi // B * B < zi for xi, zi in zip(x, z))
+                  for x in cells)
+    return anchors + lagging
+
+
+@pytest.mark.parametrize("extents,B", [
+    ((7,), 1), ((7,), 2), ((7,), 3), ((9,), 3),
+    ((5, 4), 1), ((7, 5), 2), ((7, 5), 3), ((6, 6), 3), ((4, 6), 5),
+    ((5, 4, 3), 1), ((5, 4, 3), 2), ((7, 5, 6), 3),
+])
+def test_langerman_update_visits_exact(extents, B, monkeypatch):
+    # every z, block boundaries on some axes and not others among them; the
+    # debug check also pins each flat cell's block multiset
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    rng = random.Random(f"{extents}/{B}")
+    ds = LangermanDS(extents, B=B)
+    mirror = Tensor(extents)
+    mixed = False
+    for z in Tensor(extents).indices():
+        on = [zi % B == 0 for zi in z]
+        mixed |= any(on) and not all(on)
+        delta = rng.choice([-2, -1, 1, 2])
+        before = ds.counter.count
+        ds.update(z, delta)
+        mirror.add(z, delta)
+        assert ds.counter.count - before == _langerman_update_visits(
+            extents, B, z), z
+    assert mixed or B == 1 or len(extents) == 1
+    for x in mirror.indices():
+        assert ds.prefix(x) == brute_prefix(mirror, x)
+
+
+def test_langerman_debug_check_pins_block_of_each_cell():
+    ds = LangermanDS((4, 4), B=2)
+    ds._debug_check()
+    ds._blk_of[5] = ds._blk_of[0]             # cell (2, 2) lives in block (1, 1)
+    with pytest.raises(RuntimeError, match="flat cell's block multiset"):
+        ds._debug_check()
+
+
 def test_langerman_counter_budget():
     n = 400
     ds = LangermanDS((n,))
