@@ -146,6 +146,8 @@ def parse_trace(text: str) -> OpTrace:
         if "=" not in t:
             raise TraceError(no, f"bad header token {t!r}")
         k, v = t.split("=", 1)
+        if k in header:
+            raise TraceError(no, f"header key {k!r} given twice")
         header[k] = v
     keys = PROBLEMS[problem].header
     if tuple(header) != keys:

@@ -13,7 +13,7 @@ and one emptiness query per color tree.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .core_geom import Box, Interval, PointMultiset, RangeTree, VisitCounter
 
@@ -71,7 +71,6 @@ class CommonColorsDS:
         self.heavy = set(self.occ) - self.light
         self._on: Set = set()
         # k*k quadruples per light color; i_{k+1} is the sentinel m+1
-        self.quads: Dict[object, List[Tuple[int, int, int, int]]] = {}
         entries = []
         self._quad_keys: Dict[object, List[int]] = {}
         for c in sorted(self.light, key=repr):
@@ -79,7 +78,6 @@ class CommonColorsDS:
             k = len(o) - 1
             qs = [(o[j1], o[j1 + 1], o[j2], o[j2 + 1])
                   for j1 in range(k) for j2 in range(k)]
-            self.quads[c] = qs
             start = len(entries)
             entries.extend((q, 1) for q in qs)
             self._quad_keys[c] = list(range(start, start + len(qs)))
@@ -98,9 +96,6 @@ class CommonColorsDS:
         if color in self.light:
             for k in self._quad_keys[color]:
                 self._tree.toggle(k, flag)
-
-    def is_on(self, color) -> bool:
-        return color in self._on
 
     def _occurs(self, color, l: int, r: int) -> bool:
         o = self.occ[color]

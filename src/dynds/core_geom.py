@@ -12,7 +12,7 @@ import os
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter, _count_elements
 from itertools import compress, islice
-from operator import itemgetter, lt
+from operator import itemgetter, lt, ne
 from typing import Collection, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -22,13 +22,8 @@ __all__ = [
     "VisitCounter",
     "RangeTree",
     "PointMultiset",
-    "RT_VISIT_C",
     "orthant_union_decompose",
 ]
-
-# Visit-budget constant: one toggle or query on a d-dim tree with u universe
-# entries touches at most RT_VISIT_C * (log2(u) + 1)**d canonical cells.
-RT_VISIT_C = 300
 
 # DYNDS_DEBUG_ASSERT=1 turns on the structures' invariant checks after every
 # update; read once, when dynds is imported.
@@ -82,19 +77,9 @@ class Interval:
         return cls(lo, None)
 
     def contains(self, x) -> bool:
-        if self.lo is not None:
-            if self.lo_closed:
-                if x < self.lo:
-                    return False
-            elif x <= self.lo:
-                return False
-        if self.hi is not None:
-            if self.hi_closed:
-                if x > self.hi:
-                    return False
-            elif x >= self.hi:
-                return False
-        return True
+        lo, hi = self.lo, self.hi
+        return ((lo is None or (lo <= x if self.lo_closed else lo < x)) and
+                (hi is None or (x <= hi if self.hi_closed else x < hi)))
 
     def __eq__(self, other):
         if not isinstance(other, Interval):
@@ -130,10 +115,9 @@ class Box:
         return len(self.intervals)
 
     def contains(self, p) -> bool:
-        pc = tuple(p)
-        if len(pc) != self.dim:
+        if len(p) != len(self.intervals):
             raise ValueError("dimension mismatch")
-        return all(iv.contains(x) for iv, x in zip(self.intervals, pc))
+        return all(map(Interval.contains, self.intervals, p))
 
     def __eq__(self, other):
         if not isinstance(other, Box):
@@ -295,29 +279,29 @@ class _Axis:
       gap, and the one next to its neighbour before the first or after the
       last value, so that a run of inserts at an end uses every free leaf;
     - otherwise the smallest aligned window around the gap that stays under
-      its density bound is relabelled.  A window of at most 2**BLOCK_LEVEL
-      leaves may fill up; the values between the gap and its nearest free
-      leaf shift by one.  A window of height k > BLOCK_LEVEL, of h, may use
-      1 - (1 - ROOT_DENSITY) (k - BLOCK_LEVEL) / (h - BLOCK_LEVEL) of its
-      leaves, and its values are re-spread evenly, except that a new axis
-      minimum or maximum keeps half of the window's free leaves on its
-      outer side;
+      its density bound is relabelled: its values, the new one among them,
+      are re-spread evenly, except that a new axis minimum or maximum keeps
+      half of the window's free leaves on its outer side.  A window of at
+      most 2**BLOCK_LEVEL leaves (a block) may fill up, and then holds its
+      values on consecutive leaves; one of height k > BLOCK_LEVEL, of h,
+      may use 1 - (1 - ROOT_DENSITY) (k - BLOCK_LEVEL) / (h - BLOCK_LEVEL)
+      of its leaves;
     - when even the whole axis would pass ROOT_DENSITY, `leaves` doubles
       and every value is re-spread.  So an axis that grew by inserts has
       fewer than 4 (m + 1) leaves.
     The owner re-places the entries on the moved values (RangeTree._move).
 
     The constants were chosen on the visits that `dynds crosscheck --seed
-    3` counts, relabels included (1,385,474 as chosen), on the values moved
-    by the 10,000 front inserts of tests/test_range_mode.py::
-    test_front_insert_rebuild_stress (11,023), and on the updates that move
-    values in a perfbench seq-heavy-scan pass (seed 1: none of 237):
-    - ROOT_DENSITY 3/4 counts 1,382,368 visits but moves 25,808 values;
-    - BLOCK_LEVEL 0 (no shifts), 1 and 3 count 1,563,474, 1,439,475 and
-      1,391,272;
+    3` counts, relabels included (861,345 as chosen), on the slots that the
+    10,000 front inserts of tests/test_range_mode.py::
+    test_front_insert_rebuild_stress move, each value of a doubled axis
+    counted (11,023), and on the updates that move values in a perfbench
+    seq-heavy-scan pass (seed 1: none of 237):
+    - ROOT_DENSITY 3/4 counts 859,735 visits but moves 25,808 slots;
+    - BLOCK_LEVEL 0, 1 and 3 count 909,251, 883,066 and 864,423;
     - an end window keeping 1/4 or 3/4 of its free leaves outside counts
-      1,477,841 and 1,402,707 and moves 35,751 and 14,130; keeping none
-      counts 1,556,455 and moves 440,175;
+      911,763 and 865,125 and moves 35,751 and 14,130 slots; keeping none
+      counts 930,521 and moves 440,175;
     - room 1 for the label trees of DynRangeModeDS.bulk_insert moves
       values in 55 of the seq-heavy-scan updates, and so does an even
       spread of the built values in 18.
@@ -367,12 +351,10 @@ class _Axis:
             i0 = bisect_left(slots, start, 0, pos)
             i1 = bisect_left(slots, start + size, pos)
             count = i1 - i0 + 1
-            if k <= k0:
-                if count <= size:
-                    return self._shift(v, pos, i0, i1, start, size)
-            # count / size <= 1 - (1 - num/den) * (k - k0) / (h - k0)
-            elif count * den * (h - k0) <= size * (
-                    den * (h - k0) - (den - num) * (k - k0)):
+            # a block may fill up; above it, count / size <= 1 - (1 -
+            # num/den) * (k - k0) / (h - k0)
+            if (count <= size if k <= k0 else count * den * (h - k0) <= size
+                    * (den * (h - k0) - (den - num) * (k - k0))):
                 break
         else:
             values.insert(pos, v)
@@ -393,44 +375,24 @@ class _Axis:
                     moved.append(values[j])
         return moved
 
-    def _shift(self, v, pos: int, i0: int, i1: int, start: int,
-               size: int) -> List:
-        """Insert v at index pos of a window [start, start + size) that has
-        a free leaf, holding the values i0..i1-1, by shifting the values
-        between the gap and the nearest free leaf by one."""
-        values, slots, slot_of = self.values, self.slots, self.slot_of
-        # left: the run pos-1, pos-2, ... down to the first value with a
-        # free leaf below it
-        left = pos
-        while left > i0:
-            left -= 1
-            below = slots[left - 1] if left > i0 else start - 1
-            if slots[left] - 1 > below:
-                break
-        else:
-            left = None
-        right = pos
-        while right < i1:
-            above = slots[right + 1] if right + 1 < i1 else start + size
-            if slots[right] + 1 < above:
-                break
-            right += 1
-        else:
-            right = None
-        if right is None or (left is not None
-                             and pos - left <= right + 1 - pos):
-            run = range(left, pos)
-            slot, step = slots[pos - 1], -1
-        else:
-            run = range(pos, right + 1)
-            slot, step = slots[pos], 1
-        moved = values[run.start:run.stop]
-        for j in run:
-            slots[j] += step
-            slot_of[values[j]] = slots[j]
-        values.insert(pos, v)
-        slots.insert(pos, slot)
-        slot_of[v] = slot
+    def checked_insert(self, v) -> Optional[List]:
+        """`insert(v)`, then a debug check of the layout and of what it
+        returned, against the values, slots and leaves from before it."""
+        values, slots, leaves = self.values[:], self.slots[:], self.leaves
+        moved = self.insert(v)
+        vals, new, m = self.values, self.slots, len(self.values)
+        i = bisect_left(vals, v)
+        _invariant(vals[i:i + 1] == [v] and values == vals[:i] + vals[i + 1:]
+                   and 0 <= new[0] and new[-1] < self.leaves < 4 * (m + 1)
+                   and all(map(lt, new, new[1:]))
+                   and self.slot_of == dict(zip(vals, new)),
+                   "axis layout: v added, slots rising in [0, leaves), "
+                   "leaves < 4 (m + 1), slot_of the values' slots")
+        _invariant(self.leaves == 2 * leaves if moved is None else
+                   self.leaves == leaves and moved == list(compress(
+                       values, map(ne, slots, new[:i] + new[i + 1:]))),
+                   "axis insert returns the moved old values, or None "
+                   "exactly when leaves doubled")
         return moved
 
     def ancestors(self, slot: int, side: str = "both") -> List[int]:
@@ -533,7 +495,7 @@ class RangeTree:
     since inclusion-exclusion over prefixes would multiply their query
     cells.  Measured: the max tree of DynRangeModeDS, asked only orthants,
     falls from 686.5 to 62.9 visits per op on perfbench drm2-light-churn
-    (seed 1); `dynds crosscheck --seed 3` counts 861,361 visits, where
+    (seed 1); `dynds crosscheck --seed 3` counts 861,345 visits, where
     all-"both" trees count 1,328,659; and the skyline3d bench at n = 4096
     145,350, where it counted 546,619.
 
@@ -656,6 +618,7 @@ class RangeTree:
         start = len(self._values)
         keys = self._declare(entries)
         relayout = False
+        debug = _debug_on()
         for ax, (axis, col) in enumerate(zip(self._axes, self._cols)):
             order = self._order[ax]
             if order is not None:
@@ -665,7 +628,7 @@ class RangeTree:
             for v in col[start:]:
                 if v in slot_of:
                     continue
-                moved = axis.insert(v)
+                moved = axis.checked_insert(v) if debug else axis.insert(v)
                 slot_of = axis.slot_of
                 if moved is None:
                     relayout = True

@@ -570,9 +570,6 @@ class HalfspaceSystem:
             del self._halfspaces[key]
         self._apply(key, -1)
 
-    def size(self) -> int:
-        return sum(self._halfspaces.values())
-
     def min_count(self) -> int:
         if not self.points:
             raise ValueError("no points")

@@ -42,12 +42,12 @@ __all__ = [
 class Tensor:
     """Dense integer tensor with 1-based indexing."""
 
-    def __init__(self, extents: Sequence[int], fill: int = 0):
+    def __init__(self, extents: Sequence[int]):
         extents = tuple(int(e) for e in extents)
         if not extents or any(e < 1 for e in extents):
             raise ValueError("extents must be positive")
         self.extents = extents
-        self.data = [fill] * math.prod(extents)
+        self.data = [0] * math.prod(extents)
 
     def _flat(self, idx) -> int:
         if len(idx) != len(self.extents):

@@ -58,6 +58,8 @@ BAD_TRACES = [
     ("problem sequence-mode\nheader cap=4\nSINS 1 z\n", 3, "bad SINS argument"),
     ("# lead\n\nproblem sequence-mode\nheader cap=4\nSDEL 1 2\n", 5,
      "takes 1 argument"),
+    ("problem sequence-mode\nheader cap=1 cap=8\n", 2,
+     "header key 'cap' given twice"),
 ]
 
 
@@ -565,7 +567,7 @@ def test_crosscheck_report_bytes_pinned(scope, code, digest, tmp_path,
     # the seed-3 reports are part of the CLI contract, and the default
     # scope's counted visits, summed over every VisitCounter the run makes,
     # are part of the cost model
-    visits = {"default": 861361}.get(scope)
+    visits = {"default": 861345}.get(scope)
     made = []
     init = VisitCounter.__init__
 
@@ -591,6 +593,20 @@ def test_python_m_dynds_runs_the_cli():
         env={**os.environ, "PYTHONPATH": str(src)})
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.splitlines()[-1] == "total mismatches=0"
+
+
+def test_crosscheck_with_debug_checks_under_python_O(tmp_path):
+    # every structure's invariant checks on, asserts stripped: the checks
+    # raise on their own, and the seed-3 report keeps its pinned bytes
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "report.txt"
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "dynds", "crosscheck", "--seed", "3",
+         "--out", str(out)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "DYNDS_DEBUG_ASSERT": "1"})
+    assert (run.returncode, run.stderr) == (0, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "908e87fc236da9ed23982e6165a4e3fff35bf3ca8fe224a06a20aaf8d2eb4de6")
 
 
 def test_crosscheck_unknown_scope_exit2(capsys):

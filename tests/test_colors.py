@@ -38,23 +38,28 @@ def test_docs_oracle():
 
 # ---------------- common colors structure ----------------
 
+def quads(ds, color):
+    """The quadruples of a light color, read back from the tree."""
+    return [ds._tree.entry(k)[0] for k in ds._quad_keys[color]]
+
+
 def test_cc_quadruple_layout():
     ds = CommonColorsDS([1, 2], B_thresh=1)
     assert ds.light == {1, 2}
-    assert ds.quads[1] == [(1, 3, 1, 3)]
-    assert ds.quads[2] == [(2, 3, 2, 3)]
+    assert quads(ds, 1) == [(1, 3, 1, 3)]
+    assert quads(ds, 2) == [(2, 3, 2, 3)]
 
 
 def test_cc_quadruple_count_is_k_squared():
     # color 7 occurs 3 times -> 9 quadruples
     a = [7, 5, 7, 5, 7]
     ds = CommonColorsDS(a, B_thresh=3)
-    assert len(ds.quads[7]) == 9
-    assert len(ds.quads[5]) == 4
+    assert len(quads(ds, 7)) == 9
+    assert len(quads(ds, 5)) == 4
     o = [1, 3, 5, 6]  # occurrences of 7 plus sentinel m+1
     expect = {(o[j1], o[j1 + 1], o[j2], o[j2 + 1])
               for j1 in range(3) for j2 in range(3)}
-    assert set(ds.quads[7]) == expect
+    assert set(quads(ds, 7)) == expect
 
 
 def test_cc_heavy_split():
@@ -82,7 +87,7 @@ def test_cc_toggle_validation():
         ds.set_on(9, True)
     ds.set_on(1, True)
     ds.set_on(1, True)  # idempotent
-    assert ds.is_on(1)
+    assert 1 in ds._on
     assert ds.query(1, 1, 2, 3) == 1
     ds.set_on(1, False)
     assert ds.query(1, 1, 2, 3) == 0

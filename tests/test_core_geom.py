@@ -4,14 +4,13 @@ import random
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import lt
+from operator import lt, ne
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynds.core_geom import (
-    RT_VISIT_C,
     _Axis,
     Box,
     Interval,
@@ -436,6 +435,11 @@ def test_rt_query_dim_mismatch_and_dim0():
         tree.count(Box.closed((0,), (1,)))
 
 
+# Visit-budget constant: one toggle or query on a d-dim tree with u universe
+# entries touches at most RT_VISIT_C * (log2(u) + 1)**d canonical cells.
+RT_VISIT_C = 300
+
+
 def test_rt_visit_counter_budget():
     rng = random.Random(7)
     for dim in (1, 2, 3, 4):
@@ -694,10 +698,39 @@ def test_rt_axis_churn_moves_stay_in_budget():
         values = churn_values(pattern, rng)
         moved = 0
         for _ in range(3000):
-            got = axis.insert(next(values))
-            moved += len(axis.values) if got is None else len(got)
+            v = next(values)
+            while v in axis.slot_of:    # as RangeTree.extend skips it
+                v = next(values)
+            old, slots, leaves = axis.values[:], axis.slots[:], axis.leaves
+            got = axis.insert(v)
+            if got is None:
+                # a doubling moves every slot
+                assert axis.leaves == 2 * leaves, pattern
+                moved += len(axis.values)
+            else:
+                # exactly the old values whose slot changed, in order
+                i = bisect_left(axis.values, v)
+                kept = axis.slots[:i] + axis.slots[i + 1:]
+                assert axis.leaves == leaves, pattern
+                assert got == list(itertools.compress(
+                    old, map(ne, slots, kept))), pattern
+                moved += len(got)
         assert axis.leaves < 4 * (len(axis.values) + 1)
         assert moved <= move_budget(len(axis.values)), pattern
+
+
+def test_rt_extend_debug_check_catches_a_bad_insert(monkeypatch):
+    # with DYNDS_DEBUG_ASSERT on, an axis insert that leaves out a moved
+    # value fails the check that RangeTree.extend runs after it
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    tree = RangeTree(1, [((x,), 1) for x in range(4)])
+    tree.extend([((Fraction(1, 2),), 1)])   # a full axis doubles: checked
+    insert = _Axis.insert
+    monkeypatch.setattr(_Axis, "insert",
+                        lambda self, v: (insert(self, v) or [None])[1:])
+    with pytest.raises(RuntimeError, match="returns the moved old values"):
+        for k in range(3, 30):
+            tree.extend([((Fraction(1, k),), 1)])
 
 
 def test_rt_replace_axis_values():

@@ -660,7 +660,7 @@ def test_heavy_scan_loop_matches_count_per_tree():
     for step in range(240):
         if step < 150 or rng.random() < 0.4:
             # fresh coordinates, many below every live one: a new value
-            # takes a free leaf, shifts, relabels a window or doubles
+            # takes a free leaf, re-spreads a window or doubles
             x = Fraction(rng.randint(-400, 200), rng.choice((1, 3, 7)))
             update(((x,), rng.choice(labels)), True)
         else:
