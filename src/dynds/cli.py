@@ -591,16 +591,19 @@ class TraceSuiteReport:
 def trace_suite(problem: str, structure_id: str, seed: int,
                 cases: int = 100, size: int = 40) -> TraceSuiteReport:
     """Random traces through the oracle and the named structure; exact
-    output equality required."""
+    output equality required.  A structure op that fails is a mismatch
+    whose got is the error text."""
     mismatches = []
     for case in range(cases):
         rng = random.Random(f"dynds.trace.{seed}.{problem}.{case}")
         trace = gen_trace(problem, rng, size)
-        want = run_trace(trace, "oracle")
-        got = run_trace(trace, structure_id)
+        want = "|".join(run_trace(trace, "oracle"))
+        try:
+            got = "|".join(run_trace(trace, structure_id))
+        except OpError as exc:
+            got = str(exc)
         if want != got:
-            mismatches.append((case, trace.serialize(),
-                               "|".join(want), "|".join(got)))
+            mismatches.append((case, trace.serialize(), want, got))
     return TraceSuiteReport(problem, structure_id, cases, mismatches)
 
 

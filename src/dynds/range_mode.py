@@ -186,13 +186,17 @@ class DynRangeModeDS:
         batch past the capacity, or with a label that cannot be ordered, is
         refused whole before anything is inserted.
         """
-        points = [(self._norm(coords), label) for coords, label in points]
+        points = list(points)
+        coords = list(map(tuple, map(itemgetter(0), points)))
+        if set(map(len, coords)) - {self.d}:
+            raise ValueError("point dimension mismatch")
         if self.n_live + len(points) > self.n_cap:
             raise ValueError(f"capacity {self.n_cap} exceeded")
-        _check_label_order(self._total, map(itemgetter(1), points))
         by_label: Dict[object, List[tuple]] = {}
-        for nc, label in points:
+        for nc, label in zip(coords, map(itemgetter(1), points)):
             by_label.setdefault(label, []).append(nc)
+        # each label once, in the order of its first point
+        _check_label_order(self._total, by_label)
         trees = self._label_trees
         for label, pts in by_label.items():
             tree = trees.get(label)
@@ -400,7 +404,7 @@ class SequenceAdapter:
         shift = cls.KEY_SHIFT
         seq.keys = [i << shift for i in range(1, len(values) + 1)]
         seq.values = list(values)
-        seq.ds.bulk_insert(((k,), v) for k, v in zip(seq.keys, seq.values))
+        seq.ds.bulk_insert(zip(zip(seq.keys), seq.values))
         seq._hi_bound = (len(values) + 1) << shift
         return seq
 

@@ -16,7 +16,7 @@ from dynds.cli import (PROBLEMS, TRACE_SUITES, BenchReport, OpError, OpTrace,
                        TraceError, gen_trace, main, parse_trace, run_trace,
                        trace_suite)
 from dynds.core_geom import VisitCounter
-from dynds.range_mode import DynRangeModeDS
+from dynds.range_mode import DynRangeModeDS, SequenceAdapter
 from dynds.reductions import (REDUCTIONS, KPartiteGraph, OuMvInstance,
                               format_graph, format_oumv)
 
@@ -619,6 +619,36 @@ def test_trace_suite_reports_mismatch_count():
     assert rep.cases == 4
     assert rep.mismatches == []
     assert "mismatches=0" in rep.render()
+
+
+def test_crosscheck_reports_a_failing_structure_op(monkeypatch, tmp_path):
+    # the third query of the real sequence structure raises: its case is a
+    # mismatch whose got is the op's error text, and `dynds crosscheck`
+    # exits 1 with a report in place of a traceback
+    calls = []
+    query = SequenceAdapter.query
+
+    def failing(self, l, r):
+        calls.append((l, r))
+        if len(calls) == 3:
+            raise RuntimeError(f"no mode found in the non-empty range "
+                               f"[{l}, {r}]")
+        return query(self, l, r)
+
+    monkeypatch.setattr(SequenceAdapter, "query", failing)
+    rep = trace_suite("sequence-mode", "real", seed=3, cases=5)
+    assert rep.cases == 5 and len(rep.mismatches) == 1
+    _, _, want, got = rep.mismatches[0]
+    assert re.fullmatch(r"op \d+: no mode found in the non-empty range "
+                        r"\[\d+, \d+\]", got) and want != got
+    calls.clear()
+    out = tmp_path / "report.txt"
+    assert main(["crosscheck", "--scope", "sequence-mode", "--seed", "3",
+                 "--out", str(out)]) == 1
+    text = out.read_text()
+    assert text.startswith("tracecheck problem=sequence-mode structure=real "
+                           "cases=20 mismatches=1\n")
+    assert f"got={got}\n" in text and text.endswith("total mismatches=1\n")
 
 
 def _trace_behaviour_digest(seeds=range(6), size=24):

@@ -917,6 +917,124 @@ def test_point_multiset_with_sides_rebuilds_and_keeps_them():
     assert rebuilds >= 3
 
 
+def placed_state(tree):
+    """What a placement leaves behind: the cached lists, the cells and the
+    active flags."""
+    return tree._cells_of, tree._count_cells, tree._max_cells, tree._active
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+@pytest.mark.parametrize("mode", ["count", "max"])
+@pytest.mark.parametrize("room", [1, 2])
+def test_batch_placement_matches_one_toggle_per_key(dim, mode, room,
+                                                   monkeypatch):
+    # RangeTree._place against one toggle per key, over batches of one or
+    # two keys (placed per key) and larger ones (placed by _cell_lists),
+    # every side, and points with several copies; then
+    # the same trees double an axis, and _relayout places the active keys
+    # again: every cached list is its product enumeration, every cell holds
+    # exactly its entries, and the visits are those of one toggle per key
+    relayouts = []
+
+    def counted(tree, _orig=RangeTree._relayout):
+        before = tree.counter.count
+        _orig(tree)
+        relayouts.append(tree.counter.count - before == sum(
+            len(product_cells(tree, k)) for k in tree.active_keys()))
+    monkeypatch.setattr(RangeTree, "_relayout", counted)
+    rng = random.Random(f"place.{dim}.{mode}.{room}")
+    for n in (1, 2, 3, 5, 12, 40):
+        sides = tuple(rng.choice(["both", "le", "ge"]) for _ in range(dim))
+        pool = [tuple(rng.randint(0, 9) for _ in range(dim))
+                for _ in range(max(1, n // 2))]
+        entries = [(rng.choice(pool), rng.randint(0, 3)) for _ in range(n)]
+        batch, ref = (RangeTree(dim, entries, mode=mode, room=room,
+                                sides=sides) for _ in range(2))
+        keys = sorted(rng.sample(range(n), rng.randint(1, n)))
+        for key in keys:
+            batch._active[key] = True
+        batch._place(keys)
+        for key in keys:
+            ref.toggle(key, True)
+        assert placed_state(batch) == placed_state(ref)
+        assert batch.counter.count == ref.counter.count
+        for key in keys:
+            assert batch._cells_of[key] == product_cells(batch, key)
+        assert_cells_exact(batch)
+        if not dim:
+            continue
+        leaves, done = batch._axes[0].leaves, len(relayouts)
+        for tree in (batch, ref):
+            # more new values past the axis end than it has leaves: it
+            # doubles
+            tree.extend([((10 + i,) * dim, 1) for i in range(leaves)])
+        assert batch._axes[0].leaves > leaves and len(relayouts) > done
+        assert placed_state(batch) == placed_state(ref)
+        for key in keys:
+            assert batch._cells_of[key] == product_cells(batch, key)
+        assert_cells_exact(batch)
+    assert dim == 0 or all(relayouts)
+
+
+@pytest.mark.parametrize("sides", [("both",), ("le", "ge"),
+                                   ("ge", "both", "le")], ids="-".join)
+@pytest.mark.parametrize("room", [1, 2])
+def test_point_multiset_build_matches_adds(sides, room):
+    # a build over points with several copies places what one add per
+    # point places on a tree of the same layout: keys, copies, cached
+    # lists, cells and visits
+    rng = random.Random(f"pm-build.{sides}.{room}")
+    dim = len(sides)
+    pool = [tuple(rng.randint(0, 20) for _ in range(dim)) for _ in range(9)]
+    for n in (0, 1, 2, 3, 4, 30):
+        points = [rng.choice(pool) for _ in range(n)]
+        built = PointMultiset(dim, points, room=room, sides=sides)
+        ref = PointMultiset(dim, points, room=room, sides=sides)
+        # the same declared entries, all inactive, then one add (one
+        # toggle of copy j's key) per point
+        ref._active = [False] * n
+        ref._cells_of = [None] * n
+        ref._count_cells = {}
+        ref.occ, ref.n_live = Counter(), 0
+        visits = ref.counter.count
+        for p in points:
+            ref.add(p)
+        assert built.counter.count == ref.counter.count - visits
+        assert (built.occ, built.keys, built.n_live) == (
+            ref.occ, ref.keys, ref.n_live)
+        assert placed_state(built) == placed_state(ref)
+        for key in range(n):
+            assert built._cells_of[key] == product_cells(built, key)
+        assert_cells_exact(built)
+
+
+def test_point_multiset_debug_checks_raise(monkeypatch):
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+
+    def tree():
+        pm = PointMultiset(2, [(1, 1), (1, 1), (2, 3)])
+        pm.add((4, 4))
+        assert pm.remove((1, 1)) is False
+        return pm
+
+    pm = tree()
+    pm.n_live += 1
+    with pytest.raises(RuntimeError, match="n_live is the sum"):
+        pm.add((5, 5))
+    pm = tree()
+    pm.extend([((9, i), 1) for i in range(20)])
+    with pytest.raises(RuntimeError, match=r"declared entries <= 2 n_live"):
+        pm.add((5, 5))
+    pm = tree()
+    pm.toggle(pm.keys[(2, 3), 1], False)
+    with pytest.raises(RuntimeError, match="the active keys are the live"):
+        pm.add((5, 5))
+    monkeypatch.setattr(RangeTree, "_cell_lists",
+                        lambda self, keys: [[0] for _ in keys])
+    with pytest.raises(RuntimeError, match="a placed key's cells are"):
+        PointMultiset(1, [(1,), (2,), (3,)])
+
+
 def _random_box2(rng):
     x = sorted(rng.randint(0, 6) for _ in range(2))
     y = sorted(rng.randint(0, 6) for _ in range(2))

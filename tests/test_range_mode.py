@@ -466,6 +466,19 @@ def test_sequence_adapter_bulk_build():
     assert max_denominator_exp(seq) == 0
 
 
+def test_from_values_setup_visits_pinned():
+    # a seeded build's set-up visits, as counted when every label tree
+    # placed its points one toggle at a time: a build that places them in
+    # one pass counts the same cells
+    n = 2187
+    m = max(2, round(n ** (2 / 3) / 3))
+    rng = random.Random("place.sequence.2187")
+    counter = VisitCounter()
+    SequenceAdapter.from_values([rng.randint(1, m) for _ in range(n)],
+                                counter=counter)
+    assert counter.count == 17160
+
+
 def active_box_keys(ds):
     """The (label, box coords, count) keys of the max tree's active light
     boxes."""
