@@ -162,9 +162,10 @@ class DynColorCountDS:
             if self.n_live >= self.n_cap:
                 raise ValueError(f"capacity {self.n_cap} exceeded")
             if tree is None:
-                tree = self._trees[color] = PointMultiset(
-                    2, counter=self.counter)
-            tree.add(nc)
+                self._trees[color] = PointMultiset(2, [nc],
+                                                   counter=self.counter)
+            else:
+                tree.add(nc)
             self.n_live += 1
         else:
             if tree is None or nc not in tree.occ:

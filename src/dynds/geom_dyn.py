@@ -23,13 +23,14 @@ from .core_geom import (
     VisitCounter,
     _debug_on,
     _invariant,
+    _staircase_span,
     orthant_union_decompose,
 )
 
 __all__ = [
     "skyline_oracle",
     "maximal_flags",
-    "maximal3d_flags",
+    "maxima3d",
     "SemiOnlineEngine",
     "Skyline3DBlock",
     "SkylineScan",
@@ -81,64 +82,30 @@ def skyline_oracle(points: Sequence[tuple]) -> int:
     return sum(maximal_flags(points))
 
 
-def maximal3d_flags(points: Sequence[tuple]) -> List[bool]:
-    """Sweep version of maximal_flags for 3D, O(n log n).  Points that are
-    not 3-dimensional raise ValueError."""
-    if any(len(p) != 3 for p in points):
+def maxima3d(mult: Counter) -> List[tuple]:
+    """The points of the multiset `mult` (point -> multiplicity) with
+    multiplicity 1 that no other point weakly dominates, in `mult`'s order:
+    maximal_flags' maxima, for 3-D points.  One pass over the distinct
+    points by descending (z, x, y) keeps the (x, y) staircase of those
+    passed (Kung, Luccio & Preparata, JACM 1975), O(n log n) comparisons
+    plus the staircase's list moves.  Every point that weakly dominates
+    another comes before it in that order, so a point is dominated iff
+    the staircase dominates it.  Points that are not 3-dimensional raise
+    ValueError."""
+    if any(len(p) != 3 for p in mult):
         raise ValueError("points must be 3-dimensional")
-    n = len(points)
-    order = sorted(range(n), key=lambda i: -points[i][2])
-    flags = [False] * n
-    # staircase over (x, y): xs ascending, ys strictly descending
     xs: List = []
     ys: List = []
-    from bisect import bisect_left, insort
-
-    def dominated(x, y) -> bool:
-        # some staircase point has x' >= x and y' >= y
-        i = bisect_left(xs, x)
-        return i < len(xs) and ys[i] >= y
-
-    def push(x, y):
-        i = bisect_left(xs, x)
-        if i < len(xs) and ys[i] >= y:
-            return
-        # drop points with x' <= x and y' <= y
-        j = i
-        while j > 0 and ys[j - 1] <= y:
-            j -= 1
-        del xs[j:i], ys[j:i]
-        xs.insert(j, x)
-        ys.insert(j, y)
-
-    i = 0
-    while i < n:
-        j = i
-        z = points[order[i]][2]
-        while j < n and points[order[j]][2] == z:
-            j += 1
-        group = order[i:j]
-        coords = Counter((points[g][0], points[g][1]) for g in group)
-        # within the group a distinct (x, y) survives iff it beats every
-        # strictly larger x and is the unique max y at its own x
-        per_x: Dict = {}
-        for (x, y), c in coords.items():
-            per_x.setdefault(x, []).append(y)
-        surv = set()
-        best_y = None
-        for x in sorted(per_x, reverse=True):
-            ymax = max(per_x[x])
-            if (best_y is None or ymax > best_y) and coords[(x, ymax)] == 1:
-                surv.add((x, ymax))
-            if best_y is None or ymax > best_y:
-                best_y = ymax
-        for g in group:
-            x, y = points[g][0], points[g][1]
-            flags[g] = (x, y) in surv and not dominated(x, y)
-        for (x, y) in coords:
-            push(x, y)
-        i = j
-    return flags
+    keep = set()
+    for p in sorted(mult, key=lambda p: (p[2], p[0], p[1]), reverse=True):
+        span = _staircase_span(xs, ys, p[0], p[1])
+        if span is not None:
+            lo, hi = span
+            xs[lo:hi] = [p[0]]
+            ys[lo:hi] = [p[1]]
+            if mult[p] == 1:
+                keep.add(p)
+    return [p for p in mult if p in keep]
 
 
 # ---------------- semi-online engine ----------------
@@ -242,10 +209,10 @@ class Skyline3DBlock:
     The state is (n0, s0_tree, s_tree): s_tree holds the core, s0_tree its
     maximal points S0 (equal duplicates kill each other) and n0 = |S0|.
     `advance` moves only the core's difference through s_tree, recomputes
-    S0 with maximal3d_flags and toggles only the change in s0_tree.  The
-    recompute is one sweep over the whole core, charged len(core) visits:
-    `advance` lists the core anyway, and an update local to the moved
-    points would need a dynamic 3-D maxima structure.  A window thus costs
+    S0 with maxima3d over s_tree's own multiset `occ` and toggles only the
+    change in s0_tree.  The recompute is one sweep over the whole core,
+    charged len(core) visits: an update local to the moved points would
+    need a dynamic 3-D maxima structure.  A window thus costs
     len(core) + O((b + |dS0|) log^3 n) visits where `preprocess` costs
     Theta(n log^3 n).  A removed point stays declared in its tree until
     that tree rebuilds itself (see PointMultiset), so the window cost
@@ -253,9 +220,9 @@ class Skyline3DBlock:
 
     `query` builds no tree over the buffer.  A buffer point is live when no
     core point and no other buffer occurrence weakly dominates it: one
-    maximal3d_flags sweep over the buffer (Kung, Luccio & Preparata, JACM
-    1975) decides the second, charged len(buffer) visits, and an s_tree
-    orthant count decides the first, for the points the sweep keeps only.
+    maxima3d sweep over the buffer decides the second, charged len(buffer)
+    visits, and an s_tree orthant count decides the first, for the points
+    the sweep keeps only.
     The buffer's union of lower orthants, split into disjoint boxes, gives
     the S0 points it kills through s0_tree counts.
     """
@@ -267,7 +234,7 @@ class Skyline3DBlock:
         self.counter = counter if counter is not None else VisitCounter()
 
     def preprocess(self, core: Sequence[tuple]):
-        s0 = list(compress(core, maximal3d_flags(core)))
+        s0 = maxima3d(Counter(core))
         # s0_tree is asked the boxes of orthant_union_decompose, at_most
         # on y; s_tree only at_least orthants
         return (len(s0), PointMultiset(3, s0, counter=self.counter,
@@ -283,9 +250,8 @@ class Skyline3DBlock:
             s_tree.remove(p)
         for p in added:
             s_tree.add(p)
-        core = list(s_tree.occ.elements())
-        self.counter.add(len(core))
-        s0 = Counter(compress(core, maximal3d_flags(core)))
+        self.counter.add(s_tree.n_live)
+        s0 = Counter(maxima3d(s_tree.occ))
         have = s0_tree.occ
         gone, new = have - s0, s0 - have
         for p in gone.elements():
@@ -300,14 +266,16 @@ class Skyline3DBlock:
     @staticmethod
     def _check(state) -> None:
         """Debug check: each tree's active entries are its `occ`, and
-        s0_tree's multiset and n0 are the maxima of s_tree's."""
+        s0_tree's multiset and n0 are the maxima of s_tree's, recomputed
+        by the bitset oracle maximal_flags and not by the sweep that
+        `advance` runs."""
         n0, s0_tree, s_tree = state
         for tree in (s_tree, s0_tree):
             held = Counter(tree.entry(k)[0] for k in tree.active_keys())
             _invariant(held == Counter(tree.occ.elements()),
                        "skyline tree entries match its multiset")
         core = list(s_tree.occ.elements())
-        s0 = Counter(compress(core, maximal3d_flags(core)))
+        s0 = Counter(compress(core, maximal_flags(core)))
         _invariant(s0_tree.occ == s0 and n0 == sum(s0.values()),
                    "skyline S0 is the core's maxima")
 
@@ -315,7 +283,7 @@ class Skyline3DBlock:
         n0, s0_tree, s_tree = state
         self.counter.add(len(buffer))
         live = 0
-        for p in compress(buffer, maximal3d_flags(buffer)):
+        for p in maxima3d(Counter(buffer)):
             up = Box([Interval.at_least(c) for c in p])
             if s_tree.count(up) == 0:
                 live += 1

@@ -153,9 +153,10 @@ class DynRangeModeDS:
             raise ValueError(f"capacity {self.n_cap} exceeded")
         tree = self._label_trees.get(label)
         if tree is None:
-            tree = self._label_trees[label] = PointMultiset(
-                self.d, counter=self.counter)
-        tree.add(nc)
+            self._label_trees[label] = PointMultiset(self.d, [nc],
+                                                     counter=self.counter)
+        else:
+            tree.add(nc)
         self._total[label] += 1
         self.n_live += 1
 

@@ -84,23 +84,18 @@ class Tensor:
         return t
 
     def prefix_sums(self) -> "Tensor":
-        """P[x] = sum of entries over the closed box [1, x]."""
+        """P[x] = sum of entries over the closed box [1, x]: axis by axis,
+        a running sum along every fiber, the row-major slice
+        data[f:f + span:st] of the fiber that starts at flat offset f, with
+        st the axis stride and span = st * extent."""
         p = self.copy()
-        strides = self.strides()
         data = p.data
-        for ax in range(len(self.extents)):
-            st = strides[ax]
-            e = self.extents[ax]
-            for base in range(len(data)):
-                # walk handled once per fiber start
-                if (base // st) % e != 0:
-                    continue
-                acc = 0
-                off = base
-                for _ in range(e):
-                    acc += data[off]
-                    data[off] = acc
-                    off += st
+        for st, e in zip(self.strides(), self.extents):
+            span = st * e
+            for base in range(0, len(data), span):
+                for f in range(base, base + st):
+                    data[f:f + span:st] = itertools.accumulate(
+                        data[f:f + span:st])
         return p
 
 
@@ -228,8 +223,6 @@ class LangermanDS:
             if blk.get(-self._anchor_val(t), 0) > 0:
                 return True
         return False
-
-    query = exists_zero
 
     def _debug_check(self) -> None:
         P = self.T.prefix_sums()

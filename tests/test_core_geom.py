@@ -1288,6 +1288,15 @@ def test_orthant_decompose_duplicates_and_ties():
     check_decomposition([(1, 1, 1), (1, 1, 1)], rng)
     check_decomposition([(0, 5, 2), (5, 0, 2), (3, 3, 2)], rng)
     check_decomposition([(1, 2, 3), (2, 1, 3), (1, 2, 4)], rng)
+    # duplicate-heavy: few distinct corners, each repeated; the copies
+    # change no box
+    for _ in range(20):
+        pts = [tuple(rng.randint(0, 2) for _ in range(3))
+               for _ in range(rng.randint(1, 6))]
+        many = [rng.choice(pts) for _ in range(25)] + pts
+        check_decomposition(many, rng)
+        assert orthant_union_decompose(many) == orthant_union_decompose(
+            list(dict.fromkeys(many)))
 
 
 def test_orthant_decompose_random():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from dynds.geom_dyn import (
     Skyline3DBlock,
     klee_union_volume,
     klee_union_volume_ie,
-    maximal3d_flags,
+    maxima3d,
     maximal_flags,
     skyline_oracle,
 )
@@ -39,6 +40,12 @@ def maximal_flags_scan(points):
                 break
         out.append(ok)
     return out
+
+
+def maximal3d_flags(points):
+    """maxima3d over the points' multiset, as one flag per occurrence."""
+    keep = set(maxima3d(Counter(points)))
+    return [p in keep for p in points]
 
 
 def test_maximal_flags_basic():
@@ -67,6 +74,9 @@ def test_maximal_flags_scaled_int_coords():
            (F(1, 3), F(1, 2)), (F(4, 6), F(2, 3))]
     assert maximal_flags(pts) == maximal_flags_scan(pts) == [
         True, False, False, False]
+    pts = [p + (F(2, 4),) for p in pts] + [(0, 0, F(1, 2))]
+    assert maximal3d_flags(pts) == maximal_flags(pts) == [
+        True, False, False, False, False]
 
 
 @pytest.mark.parametrize("pts", [
@@ -144,6 +154,16 @@ def test_maximal3d_flags_equal_buffer_tree_predicate():
         want = [tree.count(Box([Interval.at_least(c) for c in p])) == 1
                 for p in pts]
         assert maximal3d_flags(pts) == want, (trial, pts)
+
+
+def test_maxima3d_keeps_the_counters_order():
+    # an antichain, a dominated point and a duplicate, in no sorted order
+    mult = Counter([(2, 5, 1), (9, 1, 1), (1, 1, 1), (5, 2, 3), (4, 4, 4),
+                    (1, 9, 0), (4, 4, 4), (3, 3, 9)])
+    assert maxima3d(mult) == [(2, 5, 1), (9, 1, 1), (5, 2, 3), (1, 9, 0),
+                              (3, 3, 9)]
+    with pytest.raises(ValueError, match="3-dimensional"):
+        maxima3d(Counter([(1, 2, 3), (1, 2)]))
 
 
 # ---------------- semi-online engine ----------------
