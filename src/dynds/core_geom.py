@@ -506,9 +506,9 @@ class RangeTree:
     kept inside this cell layout.  Trees asked two-sided boxes keep "both",
     since inclusion-exclusion over prefixes would multiply their query
     cells.  Measured: the max tree of DynRangeModeDS, asked only orthants,
-    falls from 686.5 to 62.9 visits per op on perfbench drm2-light-churn
-    (seed 1); `dynds crosscheck --seed 3` counts 861,345 visits, where
-    all-"both" trees count 1,328,659; and the skyline3d bench at n = 4096
+    falls from 235.9 to 29.5 visits per op on perfbench drm2-light-churn
+    (seed 1); `dynds crosscheck --seed 3` counts 853,927 visits, where
+    all-"both" trees count 1,230,695; and the skyline3d bench at n = 4096
     145,350, where it counted 546,619.
 
     The axes are laid out as `_Axis` describes.  The constructor builds
@@ -525,8 +525,9 @@ class RangeTree:
     the remaining members, so that removal costs O(cell size) where a sorted
     cell would pay O(log size); every other removal is O(1).  On the
     perfbench drm2-light-churn workload (seed 1, one pass of 400 ops after
-    set-up), 14.9% of 135,168 cell removals took the top, and those rescans
-    read 5.7 members on average and 164 at most.  Each of these compares
+    set-up), 17.1% of 3,613 cell removals took the top of a cell that kept
+    other members, and those rescans read 6.1 members on average and 70 at
+    most.  Each of these compares
     items, so values should compare in C: DynRangeModeDS stores an int
     label's value as the int tuple (count, -label) for that reason.
     """

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -238,12 +239,81 @@ def test_light_refresh_toggles_only_changed_boxes(monkeypatch):
         calls.clear()
         ds.update(coords, "a", insert)
         after = set(ds._tp.active_keys())
-        assert len(calls) == 6
+        assert len(calls) == 2
         assert {k for k, _ in calls} == before ^ after
         assert all(active == (k in after) for k, active in calls)
     fresh = DynRangeModeDS(2, 10, B_override=3)
     fresh.bulk_insert([((1, 1), "a"), ((2, 4), "a")])
     assert _active_boxes(ds) == _active_boxes(fresh)
+
+
+def _box_cut_bounding_boxes(occ, d):
+    """(boxcoords, count) of the bounding box of every nonempty subset of
+    occ's points that a box cuts out, by brute force over every box whose
+    bounds are the points' coordinate values."""
+    vals = [sorted({c[i] for c in occ}) for i in range(d)]
+    out = set()
+    for bounds in product(*(combinations_with_replacement(v, 2)
+                            for v in vals)):
+        inside = [(c, m) for c, m in occ.items()
+                  if all(lo <= x <= hi for x, (lo, hi) in zip(c, bounds))]
+        if inside:
+            cols = list(zip(*(c for c, _ in inside)))
+            out.add((tuple(map(min, cols)) + tuple(map(max, cols)),
+                     sum(m for _, m in inside)))
+    return out
+
+
+def _light_churn(d, rng, ds, steps, coord_hi, labels):
+    """Random inserts and deletes on ds; yields the live points after each."""
+    live = []
+    for _ in range(steps):
+        if live and rng.random() < 0.4:
+            coords, lab = live.pop(rng.randrange(len(live)))
+            ds.update(coords, lab, False)
+        else:
+            coords = tuple(rng.randint(1, coord_hi) for _ in range(d))
+            lab = rng.randrange(labels)
+            ds.update(coords, lab, True)
+            live.append((coords, lab))
+        yield live
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_light_boxes_are_bounding_boxes_of_box_cut_subsets(d, monkeypatch):
+    # coordinates in 1..3, so points repeat and share coordinates; B = 5
+    # keeps most labels light and lets some turn heavy
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    for seed in range(6):
+        rng = random.Random(f"tight.{d}.{seed}")
+        ds = DynRangeModeDS(d, 100, B_override=5)
+        for live in _light_churn(d, rng, ds, 100, 3, 6):
+            active = _active_boxes(ds)
+            for lab, tree in ds._label_trees.items():
+                want = set() if lab in ds.heavy else \
+                    _box_cut_bounding_boxes(tree.occ, d)
+                assert {(bc, cnt) for l, bc, cnt in active if l == lab} \
+                    == want
+            lows = tuple(rng.randint(0, 3) for _ in range(d))
+            box = Box.closed(lows, [lo + rng.randint(0, 3) for lo in lows])
+            assert ds.query(box) == mode_oracle(live, box)
+
+
+def test_light_boxes_in_1d_are_every_nonempty_interval():
+    rng = random.Random("tight.1")
+    ds = DynRangeModeDS(1, 150, B_override=6)
+    for live in _light_churn(1, rng, ds, 150, 5, 4):
+        active = _active_boxes(ds)
+        for lab, tree in ds._label_trees.items():
+            vals = sorted({c for (c,) in tree.occ})
+            want = set() if lab in ds.heavy else {
+                ((lo, hi), sum(m for (c,), m in tree.occ.items()
+                               if lo <= c <= hi))
+                for lo, hi in combinations_with_replacement(vals, 2)}
+            assert {(bc, cnt) for l, bc, cnt in active if l == lab} == want
+        lo, hi = sorted((rng.randint(0, 5), rng.randint(0, 5)))
+        box = Box.closed((lo,), (hi,))
+        assert ds.query(box) == mode_oracle(live, box)
 
 
 def test_mixed_labels_rejected_like_oracle():
