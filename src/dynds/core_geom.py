@@ -506,9 +506,9 @@ class RangeTree:
     kept inside this cell layout.  Trees asked two-sided boxes keep "both",
     since inclusion-exclusion over prefixes would multiply their query
     cells.  Measured: the max tree of DynRangeModeDS, asked only orthants,
-    falls from 235.9 to 29.5 visits per op on perfbench drm2-light-churn
-    (seed 1); `dynds crosscheck --seed 3` counts 853,927 visits, where
-    all-"both" trees count 1,230,695; and the skyline3d bench at n = 4096
+    falls from 231.2 to 24.8 visits per op on perfbench drm2-light-churn
+    (seed 1); `dynds crosscheck --seed 3` counts 846,843 visits, where
+    all-"both" trees count 1,223,611; and the skyline3d bench at n = 4096
     145,350, where it counted 546,619.
 
     The axes are laid out as `_Axis` describes.  The constructor builds
@@ -893,14 +893,15 @@ class PointMultiset(RangeTree):
     The constructor declares the given points at once, in order, then
     activates them in one batch placement (RangeTree._place), with the
     cells and visits of one toggle per point in the same order; `room` is
-    RangeTree's.  A new label's or color's tree is built over its first
-    point: of the 1,081 builds of `dynds crosscheck --seed 3`, 821 are of
-    one point and 40 (skyline cores) of none.  One build over a point took
-    0.73x (1-D) and 0.95x (2-D) the time of an empty build and an add
-    (medians of 21 runs of 2,000, 2-CPU x86-64 VM, Python 3.11).  Under
-    DYNDS_DEBUG_ASSERT every build, add and remove checks that n_live is
-    the sum of occ, that at most 2 * n_live + 16 entries are declared and
-    that the active keys are the live copies'.
+    RangeTree's.  A new color's tree is built over its first point, and a
+    range-mode label's over its points when it turns heavy: of the 992
+    builds of `dynds crosscheck --seed 3`, 611 are label trees, 261 are of
+    one point (a color's) and 40 (skyline cores) of none.  One build over
+    a point took 0.73x (1-D) and 0.95x (2-D) the time of an empty build
+    and an add (medians of 21 runs of 2,000, 2-CPU x86-64 VM, Python
+    3.11).  Under DYNDS_DEBUG_ASSERT every build, add and remove checks
+    that n_live is the sum of occ, that at most 2 * n_live + 16 entries
+    are declared and that the active keys are the live copies'.
     """
 
     def __init__(self, dim: int, points: Iterable[tuple] = (),
@@ -983,24 +984,23 @@ class PointMultiset(RangeTree):
         self.occ = Counter(dict(zip(map(new_of, occ), occ.values())))
 
 
-def _best_count_1d(trees: dict, labels: Iterable, iv: Interval,
+def _best_count_1d(trees: dict, iv: Interval,
                    counter: VisitCounter) -> Optional[Tuple[object, int]]:
     """(label, count) of the label with the most active entries in iv
-    among the 1-dim count trees trees[label], label in labels, ties to the
-    smallest label; None when every count is 0.
+    among the 1-dim count trees trees[label], ties to the smallest label;
+    None when every count is 0.
 
-    One loop does what `trees[label].count(Box([iv]))` for every label
-    does: per tree the leaf range of `_leaf_range` (two bisects and the
-    widening) and the bottom-up walk, with each cell read as the walk finds
-    it (a 1-dim tree's stride is 1, so a node id is its cell id).  So it
-    reads the same cells and makes the same visits, charged to counter in
-    one add; counter is the trees' own, where `count` would charge them.
+    One loop does what `tree.count(Box([iv]))` for every tree does: per
+    tree the leaf range of `_leaf_range` (two bisects and the widening) and
+    the bottom-up walk, with each cell read as the walk finds it (a 1-dim
+    tree's stride is 1, so a node id is its cell id).  So it reads the same
+    cells and makes the same visits, charged to counter in one add; counter
+    is the trees' own, where `count` would charge them.
     """
     lo, lo_closed, hi, hi_closed = iv.lo, iv.lo_closed, iv.hi, iv.hi_closed
     best = None
     best_cnt = visits = 0
-    for label in labels:
-        tree = trees[label]
+    for label, tree in trees.items():
         lr = _leaf_range(tree._axes[0], lo, lo_closed, hi, hi_closed)
         if lr is None:
             continue

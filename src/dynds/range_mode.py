@@ -1,12 +1,14 @@
 """Dynamic range mode over labeled points, plus scan oracles and a sequence view.
 
-The structure keeps a count tree per label (a core_geom.PointMultiset over
-the label's points) and a global max tree holding, for every light label (at
-most B live occurrences), one entry per tight box of that label's points (a
-box each of whose 2d bounds is reached by one of the label's points inside
-it, see _tight_boxes), valued by the label's count in the box.  A query
-takes the best heavy label by direct counting and the best light entry via a
-dominance query on the box-boundary coordinates.
+The structure keeps a count tree (a core_geom.PointMultiset over the
+label's points) for every heavy label, one with more than B live
+occurrences, and holds a light label's points in a plain Counter.  A global
+max tree holds, for every light label, one entry per tight box of that
+label's points (a box each of whose 2d bounds is reached by one of the
+label's points inside it, see _tight_boxes), valued by the label's count in
+the box.  A query takes the best heavy label by direct counting and the
+best light entry via a dominance query on the box-boundary coordinates, so
+it reads no light label's points and no light label needs a count tree.
 
 A max-tree value is (count, tie rank), where a larger rank means a smaller
 label, so the max lands on the smallest label among equal counts.  The rank of
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain
-from operator import itemgetter, le
+from itertools import chain, repeat
+from operator import and_, itemgetter, le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core_geom import (Box, Interval, PointMultiset, RangeTree, VisitCounter,
@@ -120,45 +122,60 @@ def _tight_boxes(occ: Counter, d: int) -> List[Tuple[tuple, int]]:
     given, so this order is part of the visit counts.  They are found by
     cutting axis by axis: on each axis the pairs run over the values of the
     points still inside, and a cut that leaves a bound of an earlier axis
-    unreached ends there, since later cuts only remove points.  Filtering
-    the product of every axis's pairs over all the points instead (count
-    each box by a scan, keep it when its bounds are its points' min and
-    max) gives the same list in the same order, but was 2.9x to 10.5x
-    slower from B = 3 to 7 points in 2-D (this one 0.11 to 1.1 ms per point
-    set) and 6.9x to 96x slower in 3-D (0.22 to 2.9 ms), best of 5 rounds
-    over random point sets with distinct coordinates on a 2-CPU x86-64 VM,
-    Python 3.11.
+    unreached ends there, since later cuts only remove points.
+
+    Each occurrence is one bit of an int, and each axis maps a value to
+    the mask of the occurrences on it.  A cut's occurrences are an OR of
+    value masks ANDed with those still inside, a bound is reached when its
+    value's mask meets them, and a box's count is their bit_count.
+    Against a cut that sorted the (point, multiplicity) pairs on each axis,
+    summed their prefix counts and scanned the points for each earlier
+    bound, this took 0.57x, 0.39x and 0.32x the time at 2, 4 and 7 points
+    in 2-D, 0.43x and 0.29x at 3 and 5 points in 3-D, and 1.12x and 0.83x
+    at 3 and 19 points in 1-D (median of 9 rounds over 2,000 random
+    multisets, 400 in 3-D, with coordinates drawn from 1..2n, so with
+    duplicates; 16 us per 2-D set of 2 points; 2-CPU x86-64 VM, Python
+    3.11).  Filtering the product of every axis's pairs over all the points
+    instead was 2.9x to 10.5x slower than that sorting cut from B = 3 to 7
+    points in 2-D and 6.9x to 96x in 3-D.  In 1-D, where every interval is
+    tight, a running count per lower bound took 0.2x to 0.4x the time of
+    this pass on the 23,893 1-D calls of `dynds crosscheck` seeds 0 to 15
+    (82% of its calls, 2.05 points on average), but that is about 0.3% of
+    the run, and 6 alternating perfbench crosscheck-default pairs showed
+    no difference, so no 1-D case is kept.
     """
     out: List[Tuple[tuple, int]] = []
+    masks: List[dict] = [{} for _ in range(d)]
+    bit = 0
+    for c, m in occ.items():
+        run = ((1 << m) - 1) << bit
+        bit += m
+        for on, v in zip(masks, c):
+            on[v] = on.get(v, 0) | run
+    by_value = [sorted(on.items()) for on in masks]
     last = d - 1
 
-    def cut(ax, inside, los, his):
-        # inside: the (point, multiplicity) pairs in the box bounded on
-        # the axes before ax by los and his, each bound reached by one
-        inside.sort(key=lambda e: e[0][ax])
-        vals, starts = [], []
-        for j, (c, _) in enumerate(inside):
-            if not vals or c[ax] != vals[-1]:
-                vals.append(c[ax])
-                starts.append(j)
-        starts.append(len(inside))
-        sums = [0, *accumulate(map(itemgetter(1), inside))]
-        for a, lo in enumerate(vals):
-            for b in range(a, len(vals)):
-                sub = inside[starts[a]:starts[b + 1]]
-                # a bound of an earlier axis that no point in sub reaches
-                # stays unreached under any further cut
-                if ax and not all(
-                        any(c[j] == v for c, _ in sub)
-                        for j, v in chain(enumerate(los), enumerate(his))):
+    def cut(ax, vals, los, his, reach):
+        # vals: (value, mask) on axis ax of the occurrences in the box
+        # bounded on the axes before ax by los and his; reach: the masks of
+        # those bounds' values
+        on = masks[ax]
+        for a, (lo, _) in enumerate(vals):
+            sub = 0
+            for hi, m in vals[a:]:
+                sub |= m
+                # a bound of an earlier axis that no occurrence in sub
+                # reaches stays unreached under any further cut
+                if reach and not all(map(and_, repeat(sub), reach)):
                     continue
                 if ax == last:
-                    out.append((los + (lo,) + his + (vals[b],),
-                                sums[starts[b + 1]] - sums[starts[a]]))
+                    out.append((los + (lo,) + his + (hi,), sub.bit_count()))
                 else:
-                    cut(ax + 1, sub, los + (lo,), his + (vals[b],))
+                    cut(ax + 1, [(v, n & sub) for v, n in by_value[ax + 1]
+                                 if n & sub],
+                        los + (lo,), his + (hi,), reach + [on[lo], on[hi]])
 
-    cut(0, list(occ.items()), (), ())
+    cut(0, by_value[0], (), (), [])
     return out
 
 
@@ -185,14 +202,22 @@ class DynRangeModeDS:
         self.counter = counter if counter is not None else VisitCounter()
         self.n_live = 0
         self._total: Counter = Counter()               # live label -> count
+        # a live label's points, held once: in its count tree's occ while it
+        # is heavy (more than B points), in a plain Counter while it is light
         self._label_trees: Dict[object, PointMultiset] = {}
-        self.heavy: set = set()
+        self._light_points: Dict[object, Counter] = {}
         # every query is an orthant: entry lo >= box lo, entry hi <= box hi
         self._tp = RangeTree(2 * d, mode="max", counter=self.counter,
                              sides=("ge",) * d + ("le",) * d)
         self._tp_keys: Dict[tuple, int] = {}           # (label, boxcoords, count) -> key
         self._tp_label: Dict[int, object] = {}
         self._label_box_keys: Dict[object, List[int]] = {}
+
+    @property
+    def heavy(self):
+        """The heavy labels, those with more than B live points: the labels
+        with a count tree."""
+        return self._label_trees.keys()
 
     # ---------------- updates ----------------
 
@@ -202,31 +227,64 @@ class DynRangeModeDS:
             raise ValueError("point dimension mismatch")
         return nc
 
-    def _insert_raw(self, nc: tuple, label) -> None:
-        if self.n_live >= self.n_cap:
-            raise ValueError(f"capacity {self.n_cap} exceeded")
+    def _points(self, label) -> Counter:
+        """A label's live points, point -> multiplicity (empty when none)."""
         tree = self._label_trees.get(label)
-        if tree is None:
-            self._label_trees[label] = PointMultiset(self.d, [nc],
-                                                     counter=self.counter)
+        return tree.occ if tree is not None \
+            else self._light_points.get(label) or Counter()
+
+    def _add_points(self, label, pts: Sequence[tuple]) -> None:
+        """Add pts to label's points.  A label they make heavy gets its
+        count tree in one build: over pts alone, with room 2 (see
+        core_geom._Axis) since it will grow, when the label is new; else
+        over its light points, then pts, with room 1.  The room of that
+        light-to-heavy build was chosen on the visits that `dynds
+        crosscheck --seed 3` counts: 846,843 with room 1 against 858,359
+        with room 2 (seed 0: 828,928 against 841,558).
+        """
+        total = self._total[label] = self._total[label] + len(pts)
+        tree = self._label_trees.get(label)
+        if tree is not None:
+            for nc in pts:
+                tree.add(nc)
+        elif total > self.B:
+            occ = self._light_points.pop(label, None)
+            self._label_trees[label] = PointMultiset(
+                self.d, chain(occ.elements(), pts) if occ else pts,
+                counter=self.counter, room=1 if occ else 2)
         else:
-            tree.add(nc)
-        self._total[label] += 1
-        self.n_live += 1
+            occ = self._light_points.get(label)
+            if occ is None:
+                occ = self._light_points[label] = Counter()
+            for nc in pts:
+                occ[nc] += 1
 
     def update(self, coords, label, insert: bool) -> None:
         nc = self._norm(coords)
         if insert:
             _check_label_order(self._total, (label,))
-            self._insert_raw(nc, label)
+            if self.n_live >= self.n_cap:
+                raise ValueError(f"capacity {self.n_cap} exceeded")
+            self._add_points(label, (nc,))
+            self.n_live += 1
         else:
             tree = self._label_trees.get(label)
-            if tree is None or nc not in tree.occ:
+            occ = self._points(label)
+            if nc not in occ:
                 raise ValueError(f"delete of absent point {coords} label {label!r}")
-            tree.remove(nc)
-            self._total[label] -= 1
-            if not self._total[label]:
-                del self._total[label]
+            total = self._total[label] = self._total[label] - 1
+            if tree is not None and total > self.B:
+                tree.remove(nc)
+            else:
+                if tree is not None:    # turns light: the tree goes
+                    del self._label_trees[label]
+                    self._light_points[label] = occ
+                if occ[nc] == 1:
+                    del occ[nc]
+                else:
+                    occ[nc] -= 1
+                if not total:
+                    del self._total[label], self._light_points[label]
             self.n_live -= 1
         self._refresh_labels((label,))
         if _debug_on():
@@ -235,9 +293,14 @@ class DynRangeModeDS:
     def bulk_insert(self, points) -> None:
         """Batch insert regenerating each touched label's boxes only once.
 
-        A label new to the structure gets its count tree in one build over
-        its batch points, with room 2 (see core_geom._Axis) since it will
-        grow; the points of a label already there are added one by one.  A
+        A label new to the structure that the batch makes heavy gets its
+        count tree in one build over its batch points, in batch order, with
+        room 2 (see _add_points); the points of a heavy label already there
+        are added one by one, and a light label's go to its Counter.  With
+        no count tree for a light label, the set-up batch of perfbench
+        drm2-light-churn (24 light labels of 2 points, 3 heavy of 5) takes
+        2.15 ms where one tree per label took 3.04 ms (best of 200 builds,
+        median of 15 alternating rounds, 2-CPU x86-64 VM, Python 3.11).  A
         batch past the capacity, or with a label that cannot be ordered, is
         refused whole before anything is inserted.
         """
@@ -252,16 +315,8 @@ class DynRangeModeDS:
             by_label.setdefault(label, []).append(nc)
         # each label once, in the order of its first point
         _check_label_order(self._total, by_label)
-        trees = self._label_trees
         for label, pts in by_label.items():
-            tree = trees.get(label)
-            if tree is None:
-                trees[label] = PointMultiset(self.d, pts, counter=self.counter,
-                                             room=2)
-            else:
-                for nc in pts:
-                    tree.add(nc)
-            self._total[label] += len(pts)
+            self._add_points(label, pts)
         self.n_live += len(points)
         self._refresh_labels(by_label)
         if _debug_on():
@@ -277,15 +332,10 @@ class DynRangeModeDS:
         untouched.
         """
         fresh: Dict[object, List[int]] = {}
+        light = self._light_points
         for label in labels:
-            fresh[label] = []
-            if self._total[label] > self.B:
-                self.heavy.add(label)
-            else:
-                self.heavy.discard(label)
-                occ = self._label_trees[label].occ
-                if occ:
-                    fresh[label] = self._light_box_keys(label, occ)
+            occ = light.get(label)
+            fresh[label] = self._light_box_keys(label, occ) if occ else []
         for label, new_keys in fresh.items():
             old = self._label_box_keys.get(label, [])
             old_set, new_set = set(old), set(new_keys)
@@ -358,12 +408,11 @@ class DynRangeModeDS:
             raise ValueError("query box dimension mismatch")
         trees = self._label_trees
         if self.d == 1:
-            best = _best_count_1d(trees, self.heavy, box.intervals[0],
-                                  self.counter)
+            best = _best_count_1d(trees, box.intervals[0], self.counter)
         else:
             best = None
-            for label in self.heavy:
-                cnt = trees[label].count(box)
+            for label, tree in trees.items():
+                cnt = tree.count(box)
                 if cnt > 0 and (best is None or cnt > best[1]
                                 or (cnt == best[1] and label < best[0])):
                     best = (label, cnt)
@@ -390,6 +439,10 @@ class DynRangeModeDS:
         # label by label, so that only one label's maps exist twice at once
         for tree in self._label_trees.values():
             tree.remap(mappings)
+        light = self._light_points
+        for label, occ in light.items():
+            light[label] = Counter(dict(zip(_relabel(mappings, occ),
+                                            occ.values())))
         first, second, third = itemgetter(0), itemgetter(1), itemgetter(2)
         tp = self._tp_keys
         self._tp_keys = dict(zip(zip(
@@ -414,12 +467,21 @@ class DynRangeModeDS:
                 and list(map(max, cols)) == list(his))
 
     def _debug_check(self) -> None:
+        trees, light = self._label_trees, self._light_points
+        _invariant(trees.keys().isdisjoint(light)
+                   and len(trees) + len(light) == len(self._total),
+                   "each live label's points are held once")
         for label, total in self._total.items():
-            occ = self._label_trees[label].occ
+            tree = trees.get(label)
+            _invariant((tree is not None) == (total > self.B),
+                       "a label has a count tree exactly when it is heavy")
+            occ = self._points(label)
             _invariant(total == sum(occ.values()), "label total")
-            _invariant((label in self.heavy) == (total > self.B), "heavy set")
             active = self._label_box_keys.get(label, [])
-            if label in self.heavy:
+            if tree is not None:
+                _invariant(Counter(tree.entry(k)[0]
+                                   for k in tree.active_keys()) == occ,
+                           "a count tree holds its label's points")
                 _invariant(active == [], "heavy label has light boxes")
             else:
                 _invariant(len(set(active)) == len(active)

@@ -567,7 +567,7 @@ def test_crosscheck_report_bytes_pinned(scope, code, digest, tmp_path,
     # the seed-3 reports are part of the CLI contract, and the default
     # scope's counted visits, summed over every VisitCounter the run makes,
     # are part of the cost model
-    visits = {"default": 853927}.get(scope)
+    visits = {"default": 846843}.get(scope)
     made = []
     init = VisitCounter.__init__
 

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -16,6 +17,7 @@ from dynds.range_mode import (
     SequenceAdapter,
     SequenceScan,
     _TieRank,
+    _tight_boxes,
     mode_oracle,
     sequence_minority_oracle,
     sequence_mode_oracle,
@@ -264,6 +266,14 @@ def _box_cut_bounding_boxes(occ, d):
     return out
 
 
+def _points_by_label(live):
+    """label -> Counter of its points, over (coords, label) pairs."""
+    points = {}
+    for coords, lab in live:
+        points.setdefault(lab, Counter())[coords] += 1
+    return points
+
+
 def _light_churn(d, rng, ds, steps, coord_hi, labels):
     """Random inserts and deletes on ds; yields the live points after each."""
     live = []
@@ -289,9 +299,12 @@ def test_light_boxes_are_bounding_boxes_of_box_cut_subsets(d, monkeypatch):
         ds = DynRangeModeDS(d, 100, B_override=5)
         for live in _light_churn(d, rng, ds, 100, 3, 6):
             active = _active_boxes(ds)
-            for lab, tree in ds._label_trees.items():
+            points = _points_by_label(live)
+            assert ds.heavy == {lab for lab, occ in points.items()
+                                if sum(occ.values()) > 5}
+            for lab in points.keys() | {l for l, _, _ in active}:
                 want = set() if lab in ds.heavy else \
-                    _box_cut_bounding_boxes(tree.occ, d)
+                    _box_cut_bounding_boxes(points.get(lab, {}), d)
                 assert {(bc, cnt) for l, bc, cnt in active if l == lab} \
                     == want
             lows = tuple(rng.randint(0, 3) for _ in range(d))
@@ -304,16 +317,101 @@ def test_light_boxes_in_1d_are_every_nonempty_interval():
     ds = DynRangeModeDS(1, 150, B_override=6)
     for live in _light_churn(1, rng, ds, 150, 5, 4):
         active = _active_boxes(ds)
-        for lab, tree in ds._label_trees.items():
-            vals = sorted({c for (c,) in tree.occ})
+        points = _points_by_label(live)
+        assert ds.heavy == {lab for lab, occ in points.items()
+                            if sum(occ.values()) > 6}
+        for lab in points.keys() | {l for l, _, _ in active}:
+            occ = points.get(lab, {})
+            vals = sorted({c for (c,) in occ})
             want = set() if lab in ds.heavy else {
-                ((lo, hi), sum(m for (c,), m in tree.occ.items()
+                ((lo, hi), sum(m for (c,), m in occ.items()
                                if lo <= c <= hi))
                 for lo, hi in combinations_with_replacement(vals, 2)}
             assert {(bc, cnt) for l, bc, cnt in active if l == lab} == want
         lo, hi = sorted((rng.randint(0, 5), rng.randint(0, 5)))
         box = Box.closed((lo,), (hi,))
         assert ds.query(box) == mode_oracle(live, box)
+
+
+def _tight_boxes_by_sorted_cuts(occ, d):
+    """Reference for _tight_boxes, list and order: the cut-by-cut
+    enumeration that sorts the points still inside on each axis and scans
+    them for each earlier bound."""
+    out = []
+
+    def cut(ax, inside, los, his):
+        vals = sorted({c[ax] for c, _ in inside})
+        for a, lo in enumerate(vals):
+            for hi in vals[a:]:
+                sub = [(c, m) for c, m in inside if lo <= c[ax] <= hi]
+                if not all(any(c[j] == v for c, _ in sub)
+                           for j, v in [*enumerate(los), *enumerate(his)]):
+                    continue
+                if ax == d - 1:
+                    out.append((los + (lo,) + his + (hi,),
+                                sum(m for _, m in sub)))
+                else:
+                    cut(ax + 1, sub, los + (lo,), his + (hi,))
+
+    cut(0, list(occ.items()), (), ())
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tight_boxes_match_sorted_cut_enumeration(d):
+    # ints and Fractions on one axis, few values, so points repeat and
+    # share coordinates
+    rng = random.Random(f"tight.order.{d}")
+    pool = [0, Fraction(1, 2), 1, Fraction(4, 3), 2]
+    for _ in range(400):
+        vals = pool[:rng.randint(1, len(pool))]
+        occ = Counter(tuple(rng.choice(vals) for _ in range(d))
+                      for _ in range(rng.randint(1, 8)))
+        assert _tight_boxes(occ, d) == _tight_boxes_by_sorted_cuts(occ, d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_labels_cross_B_both_ways_by_update_and_bulk_insert(d, monkeypatch):
+    # B = 2 over three labels on coordinates 1..2, so points repeat: labels
+    # turn heavy by an insert, by a batch when new and by a batch when
+    # light, and turn light by a delete, again and again; debug checks on
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    rng = random.Random(f"cross.B.{d}")
+    ds = DynRangeModeDS(d, 400, B_override=2)
+    live = []
+    seen = set()
+
+    def point():
+        return tuple(rng.randint(1, 2) for _ in range(d)), rng.randrange(3)
+
+    for _ in range(400):
+        before = set(ds.heavy)
+        r = rng.random()
+        if live and (r < 0.4 or len(live) > 10):
+            coords, lab = live.pop(rng.randrange(len(live)))
+            ds.update(coords, lab, False)
+            how = "update"
+        elif r < 0.75:
+            p = point()
+            ds.update(*p, True)
+            live.append(p)
+            how = "update"
+        else:
+            batch = [point() for _ in range(rng.randint(1, 5))]
+            was_live = {lab for _, lab in live}
+            ds.bulk_insert(batch)
+            live.extend(batch)
+            how = "bulk"
+        for lab in set(ds.heavy) - before:
+            seen.add(("heavy", how, how == "bulk" and lab not in was_live))
+        for lab in before - set(ds.heavy):
+            seen.add(("light", how, False))
+        lows = [rng.randint(0, 2) for _ in range(d)]
+        for box in (Box.closed(lows, [lo + rng.randint(0, 2) for lo in lows]),
+                    Box.closed((0,) * d, (3,) * d)):
+            assert ds.query(box) == mode_oracle(live, box)
+    assert seen == {("heavy", "update", False), ("heavy", "bulk", False),
+                    ("heavy", "bulk", True), ("light", "update", False)}
 
 
 def test_mixed_labels_rejected_like_oracle():
@@ -555,11 +653,23 @@ def active_box_keys(ds):
     return {tk for tk, key in ds._tp_keys.items() if ds._tp.is_active(key)}
 
 
+def _numbered(order):
+    """The keys of a PointMultiset built over order and never shrunk:
+    (point, copy) -> the position of that copy in order."""
+    seen = Counter()
+    keys = {}
+    for key, p in enumerate(order):
+        seen[p] += 1
+        keys[p, seen[p]] = key
+    return keys
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_bulk_insert_matches_one_by_one_updates(d):
-    # a label new to the structure gets its count tree in one build, one
-    # already there takes its points one by one; either way the answers,
-    # the per-label keys and the active light boxes are those of updates
+    # a label the batch makes heavy gets its count tree in one build, a
+    # heavy one takes its points one by one; either way the answers, the
+    # per-label points and trees and the active light boxes are those of
+    # updates
     rng = random.Random(f"bulk.{d}")
     for trial in range(8):
         B = rng.choice([None, 1, 2, 3])
@@ -573,13 +683,34 @@ def test_bulk_insert_matches_one_by_one_updates(d):
             bulk.update(coords, label, insert=True)
             one.update(coords, label, insert=True)
         batch = [point() for _ in range(rng.randint(1, 60))]
+        # a light label's points as its Counter lists them, then the batch's
+        was_heavy = set(one.heavy)
+        light = {label: list(one._points(label).elements())
+                 for label in one._total if label not in was_heavy}
         bulk.bulk_insert(batch)
         for coords, label in batch:
+            if label not in was_heavy:
+                light.setdefault(label, []).append(coords)
             one.update(coords, label, insert=True)
-        assert bulk._label_trees.keys() == one._label_trees.keys()
+        assert bulk._total == one._total
+        for label in bulk._total:
+            assert bulk._points(label) == one._points(label)
+        assert bulk.heavy == one.heavy
         for label, tree in bulk._label_trees.items():
-            assert tree.keys == one._label_trees[label].keys
-            assert tree.occ == one._label_trees[label].occ
+            other = one._label_trees[label]
+            assert tree.occ == other.occ
+            if label in was_heavy:
+                # heavy before the batch: both added its points one by one
+                assert tree.keys == other.keys
+                continue
+            # made heavy by the batch: bulk_insert builds over the label's
+            # points in order; updates build over its Counter, which groups
+            # equal points (a, a, b for a, b, a), at the point past B, then
+            # add the rest, so the key numbers differ only by that grouping
+            pts = light[label]
+            assert tree.keys == _numbered(pts)
+            assert other.keys == _numbered(
+                [*Counter(pts[:bulk.B]).elements(), *pts[bulk.B:]])
         assert active_box_keys(bulk) == active_box_keys(one)
         for _ in range(30):
             lo = [rng.randint(0, 5) for _ in range(d)]
@@ -690,7 +821,7 @@ def _check_heavy_scan(ds, iv):
     want = _heavy_scan_by_count(ds, Box([iv]))
     want_visits = ctr.count - before
     before = ctr.count
-    got = _best_count_1d(ds._label_trees, ds.heavy, iv, ctr)
+    got = _best_count_1d(ds._label_trees, iv, ctr)
     assert (got, ctr.count - before) == (want, want_visits), iv
     return got
 
@@ -938,7 +1069,8 @@ def test_int_keys_dead_runs_match_fraction_reference():
         66 + Fraction(1, 2), 67 + Fraction(1, 3), 67 + Fraction(2, 3),
         68 + Fraction(1, 4), 68 + Fraction(1, 2), 68 + Fraction(3, 4)}
     assert_same_state(seq, ref)
-    axis = seq.ds._label_trees[2]._axes[0]
+    # label 2 is light, so its keys are on the max tree's box-bound axes
+    axis = seq.ds._tp._axes[0]
     # (position, whether the new key lands on a dead key): 66.5; 68.5 and
     # 68.25; 67.5 between the thirds, 67.25 below 67 + 1/3, 67.375 above it
     for pos, on_dead in ((67, True), (70, True), (70, True), (69, False),
