@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynds.core_geom import (
     _Axis,
+    _value_range,
     Box,
     Interval,
     PointMultiset,
@@ -869,6 +870,145 @@ def test_rt_sides_churn_matches_scan(sides, mode, monkeypatch):
                 assert tree.max_entry(box) == scan.max_entry(box)
         assert_cells_exact(tree)
     assert calls["_move"] and calls["_relayout"]
+
+
+def uncached_query_ids(tree, box):
+    """RangeTree._query_ids with every axis's walk cache empty."""
+    walks = tree._walks
+    tree._walks = [{} for _ in walks]
+    try:
+        return tree._query_ids(box)
+    finally:
+        tree._walks = walks
+
+
+WALK_SIDES = [("both",), ("le",), ("ge",), ("le", "ge"), ("both", "ge"),
+              ("ge", "both", "le"), ("both", "le", "ge", "both")]
+
+
+@pytest.mark.parametrize("sides", WALK_SIDES, ids="-".join)
+@pytest.mark.parametrize("mode", ["count", "max"])
+def test_rt_walk_cache_matches_uncached_walks(sides, mode, monkeypatch):
+    # queries bounded by axis values, so that axis walks repeat, between
+    # extends that take a free leaf, relabel a window or double an
+    # axis, order-preserving relabels, toggles and (count trees, kept as
+    # PointMultisets) self-rebuilds: every query's ids are the walk made
+    # with empty caches, its answer is the scan's and its visits are those
+    # ids, and no axis cache passes 2 * values + 16 entries
+    outcomes = Counter()
+
+    def insert(axis, v, _orig=_Axis.insert):
+        moved = _orig(axis, v)
+        outcomes["double" if moved is None else
+                 "relabel" if moved else "free"] += 1
+        return moved
+
+    monkeypatch.setattr(_Axis, "insert", insert)
+    rng = random.Random(f"walks.{mode}.{sides}")
+    dim = len(sides)
+
+    def point(crowd):
+        return tuple(20 + Fraction(rng.randint(1, 255), 256) if crowd
+                     else rng.randint(0, 40) for _ in range(dim))
+
+    count = mode == "count"
+    if count:
+        tree = PointMultiset(dim, [point(False) for _ in range(6)],
+                             sides=sides)
+        live = Counter(tree.occ)
+    else:
+        entries = [(point(False), rng.randint(0, 3)) for _ in range(6)]
+        tree = RangeTree(dim, entries, mode=mode, sides=sides)
+        scan = ScanTree(entries)
+    rebuilds = remaps = hits = 0
+    for _ in range(200 if dim < 4 else 80):
+        r = rng.random()
+        if r < 0.15:
+            new = [point(rng.random() < 0.6) for _ in range(rng.randint(1, 2))]
+            if count:
+                for p in new:
+                    tree.add(p)
+                    live[p] += 1
+            else:
+                new = [(p, rng.randint(0, 3)) for p in new]
+                tree.extend(new)
+                scan.entries += new
+                scan.active += [False] * len(new)
+        elif r < 0.2:
+            # order-preserving relabel of every axis, its slots kept
+            maps = [{v: 3 * v + 1 for v in axis.values} for axis in tree._axes]
+            if count:
+                tree.remap(maps)
+                live = Counter({tuple(m[x] for m, x in zip(maps, p)): c
+                                for p, c in live.items()})
+            else:
+                for ax, m in enumerate(maps):
+                    tree.replace_axis_values(ax, m)
+                scan.entries = [(tuple(m[x] for m, x in zip(maps, c)), v)
+                                for c, v in scan.entries]
+            remaps += 1
+        elif r < 0.5:
+            if count and live:
+                p = rng.choice(sorted(live))
+                live[p] -= 1
+                live += Counter()
+                rebuilds += tree.remove(p)
+            elif not count:
+                key = rng.randrange(len(scan.entries))
+                flag = rng.random() < 0.7
+                tree.toggle(key, flag)
+                scan.toggle(key, flag)
+        else:
+            box = sided_box(rng, sides, [a.values or [0] for a in tree._axes])
+            hits += sum(_value_range(axis.values, iv.lo, iv.lo_closed,
+                                     iv.hi, iv.hi_closed) in walks
+                        for axis, iv, walks in zip(tree._axes, box.intervals,
+                                                   tree._walks))
+            ids = tree._query_ids(box)
+            assert ids == uncached_query_ids(tree, box)
+            ref = product_query_ids(tree, box)
+            assert (ids is None) == (ref is None)
+            assert ref is None or sorted(ids) == sorted(ref[0])
+            before = tree.counter.count
+            if count:
+                assert tree.count(box) == sum(
+                    m for q, m in live.items() if box.contains(q))
+            else:
+                assert tree.max_entry(box) == scan.max_entry(box)
+            assert tree.counter.count - before == (
+                0 if ref is None else math.prod(map(len, ref[1])))
+        for axis, walks in zip(tree._axes, tree._walks):
+            assert len(walks) <= 2 * len(axis.values) + 16
+    assert outcomes["free"] and outcomes["relabel"] and outcomes["double"]
+    assert remaps and hits and (rebuilds or not count)
+
+
+def test_rt_walk_cache_clears_at_its_bound():
+    # 12 values have 78 value ranges: the cache fills to 2 * 12 + 16 = 40
+    # walks, then starts again, and every count stays right
+    tree = RangeTree(1, [((x,), 1) for x in range(12)])
+    for key in range(0, 12, 3):
+        tree.toggle(key, True)
+    sizes = []
+    for lo, hi in itertools.combinations_with_replacement(range(12), 2):
+        assert tree.count(Box.closed((lo,), (hi,))) == len(
+            range(lo + -lo % 3, hi + 1, 3))
+        sizes.append(len(tree._walks[0]))
+    assert max(sizes) == 40 and sizes[-1] < 40
+
+
+def test_rt_walk_cache_debug_check_catches_a_stale_walk(monkeypatch):
+    # with DYNDS_DEBUG_ASSERT on, a cached walk that is not the fresh walk
+    # of its value range fails the check that _query_ids runs on a hit
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    tree = RangeTree(1, [((x,), 1) for x in range(8)])
+    box = Box.closed((2,), (5,))
+    assert tree.count(box) == 0
+    assert tree.count(box) == 0     # a hit, checked
+    (walk,) = tree._walks[0].values()
+    walk.append(walk[0])
+    with pytest.raises(RuntimeError, match="cached axis walk"):
+        tree.count(box)
 
 
 def test_rt_box_on_a_missing_side_raises():

@@ -671,6 +671,7 @@ def test_bulk_insert_matches_one_by_one_updates(d):
     # per-label points and trees and the active light boxes are those of
     # updates
     rng = random.Random(f"bulk.{d}")
+    heavy_before = 0    # batch points of a label already heavy
     for trial in range(8):
         B = rng.choice([None, 1, 2, 3])
         bulk, one = (DynRangeModeDS(d, 300, B_override=B) for _ in range(2))
@@ -679,12 +680,15 @@ def test_bulk_insert_matches_one_by_one_updates(d):
             return (tuple(rng.randint(0, 5) for _ in range(d)),
                     rng.randint(0, 6))
 
-        for coords, label in [point() for _ in range(rng.randint(0, 6))]:
+        # up to 30 points over 7 labels first, so that with B <= 3 some
+        # labels are heavy when their batch points arrive
+        for coords, label in [point() for _ in range(rng.randint(0, 30))]:
             bulk.update(coords, label, insert=True)
             one.update(coords, label, insert=True)
         batch = [point() for _ in range(rng.randint(1, 60))]
         # a light label's points as its Counter lists them, then the batch's
         was_heavy = set(one.heavy)
+        heavy_before += sum(label in was_heavy for _, label in batch)
         light = {label: list(one._points(label).elements())
                  for label in one._total if label not in was_heavy}
         bulk.bulk_insert(batch)
@@ -716,6 +720,7 @@ def test_bulk_insert_matches_one_by_one_updates(d):
             lo = [rng.randint(0, 5) for _ in range(d)]
             box = Box.closed(lo, [x + rng.randint(0, 5) for x in lo])
             assert bulk.query(box) == one.query(box)
+    assert heavy_before
 
 
 def test_sequence_from_values_matches_repeated_inserts():
