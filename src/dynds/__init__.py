@@ -4,7 +4,7 @@ from .colors import CommonColorsDS, DynColorCountDS, cc_oracle, dcc_oracle
 from .core_geom import (Box, Interval, RangeTree, VisitCounter,
                         orthant_union_decompose)
 from .geom_dyn import (HalfspaceSystem, SemiOnlineEngine, Skyline3DBlock,
-                       klee_union_volume, klee_union_volume_ie, skyline_oracle)
+                       klee_union_volume, skyline_oracle)
 from .range_mode import (DynRangeModeDS, SequenceAdapter, mode_oracle,
                          sequence_minority_oracle, sequence_mode_oracle)
 from .reductions import (REDUCTIONS, Counted, KPartiteGraph, OuMvInstance,
@@ -22,7 +22,7 @@ __all__ = [
     "sequence_minority_oracle", "sequence_mode_oracle",
     "CommonColorsDS", "DynColorCountDS", "cc_oracle", "dcc_oracle",
     "HalfspaceSystem", "SemiOnlineEngine", "Skyline3DBlock",
-    "klee_union_volume", "klee_union_volume_ie", "skyline_oracle",
+    "klee_union_volume", "skyline_oracle",
     "BatchedOuMv", "EricksonEager", "EricksonLazy", "HypercliqueCounting",
     "HypercliqueLazy", "LangermanDS", "OuMvBrute", "Tensor",
     "oumv_bruteforce",

@@ -159,7 +159,7 @@ def parse_trace(text: str) -> OpTrace:
                 raise TraceError(no, f"header {k} must be integer(s)")
     try:
         specs = PROBLEMS[problem].ops(trace)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise TraceError(no, f"{exc}") from exc
     for no, toks in rows[2:]:
         kind, args = toks[0], toks[1:]
@@ -185,7 +185,7 @@ def run_trace(trace: OpTrace, structure_id: str) -> List[str]:
         solver = make(trace)
         convs = {kind: [_ARG[a] for a in spec]
                  for kind, spec in problem.ops(trace).items()}
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise TraceError(trace.header_line, f"{exc}") from exc
     calls = problem.calls
     # a staged problem's `solver` is its maker until the rows build it
@@ -871,7 +871,7 @@ def cmd_reduce(args) -> int:
     try:
         target = Counted(factory(inst))
         result = cfg.run(inst, target)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         return _fail(exc)
     except RuntimeError as exc:
         return _fail(exc, 3)

@@ -35,7 +35,6 @@ __all__ = [
     "Skyline3DBlock",
     "SkylineScan",
     "klee_union_volume",
-    "klee_union_volume_ie",
     "HalfspaceSystem",
     "HalfspaceScan",
 ]
@@ -379,29 +378,6 @@ def klee_union_volume(corners: Sequence[tuple], side) -> Fraction:
     if cells > 10 ** 8:
         raise ValueError("compressed grid too large")
     return Fraction(_union_volume(boxes, 0), denom ** d)
-
-
-def klee_union_volume_ie(corners: Sequence[tuple], side) -> Fraction:
-    """Inclusion-exclusion union volume; exponential in the cube count."""
-    from itertools import combinations
-    if not corners:
-        return Fraction(0)
-    d = len(corners[0])
-    s = Fraction(side)
-    total = Fraction(0)
-    m = len(corners)
-    for r in range(1, m + 1):
-        for sub in combinations(range(m), r):
-            v = Fraction(1)
-            for i in range(d):
-                lo = max(Fraction(corners[j][i]) - s for j in sub)
-                hi = min(Fraction(corners[j][i]) for j in sub)
-                if hi <= lo:
-                    v = Fraction(0)
-                    break
-                v *= hi - lo
-            total += v if r % 2 == 1 else -v
-    return total
 
 
 # ---------------- halfspace depth over a fixed point set ----------------

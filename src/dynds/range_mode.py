@@ -531,7 +531,6 @@ class SequenceAdapter:
         self.keys: List[int] = []
         self.values: List[object] = []
         self._dead: set = set()   # keys deleted and not issued again
-        self._lo_bound = 0
         self._hi_bound = 2 << self.KEY_SHIFT
         self.rebuilds = 0
 
@@ -556,7 +555,7 @@ class SequenceAdapter:
         n = len(self.values)
         if not 1 <= pos <= n + 1:
             raise ValueError(f"insert position {pos} out of range 1..{n + 1}")
-        left = self.keys[pos - 2] if pos >= 2 else self._lo_bound
+        left = self.keys[pos - 2] if pos >= 2 else 0
         right = self.keys[pos - 1] if pos <= n else self._hi_bound
         key = (left + right) >> 1
         # the structure refuses (past cap, or an unordered label) before it
@@ -607,7 +606,6 @@ class SequenceAdapter:
         self.ds.remap_axis_values([mapping])
         self.keys = spaced
         self._dead = set(map(mapping.__getitem__, dead))
-        self._lo_bound = 0
         self._hi_bound = (n + 1) << shift
 
 

@@ -9,7 +9,11 @@ Most adapters build a `Target`: a build function that makes a structure or
 its scan oracle, plus a `{driver call: f(ds, *args)}` table.  The scan
 oracles live next to their structures and share their method names, so
 one table serves both.  The graph, document and cube-volume oracles below
-have no structure to share and are written here.
+have no structure to share and are written here.  Both graph oracles answer
+with one breadth-first search, `_reaches`: subgraph connectivity enters only
+active vertices, st-reachability every vertex.  The common-colors document
+target extends the scan oracle `DocsTargetOracle`, whose on-set, id check
+and fingerprint it keeps, and answers pair queries from `CommonColorsDS`.
 
 The lower bounds charge a reduction for the updates and queries it makes on
 its target.  A driver runs on a target wrapped in `Counted`, which tallies
@@ -104,11 +108,6 @@ def clique_bruteforce(g: KPartiteGraph) -> bool:
         return False
 
     return extend([])
-
-
-def _triangle(g: KPartiteGraph, a: int, b: int, c: int) -> bool:
-    # a in part 1, b in part 2, c in part 3
-    return g.has(1, a, 2, b) and g.has(1, a, 3, c) and g.has(2, b, 3, c)
 
 
 def _is_clique(g: KPartiteGraph, verts: Sequence[int]) -> bool:
@@ -249,6 +248,21 @@ def format_oumv(inst: OuMvInstance) -> str:
 
 # ---------------- graph baselines ----------------
 
+def _reaches(adj, s, t, allowed) -> bool:
+    """Breadth-first search from s for t, entering only `allowed` vertices."""
+    seen = {s}
+    frontier = deque([s])
+    while frontier:
+        u = frontier.popleft()
+        if u == t:
+            return True
+        for w in adj[u]:
+            if w in allowed and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return False
+
+
 class SubConnTargetOracle:
     """Undirected graph with a dynamic active set; queries search it."""
 
@@ -278,19 +292,8 @@ class SubConnTargetOracle:
             self.active.discard(v)
 
     def query(self) -> bool:
-        if self.s not in self.active or self.t not in self.active:
-            return False
-        seen = {self.s}
-        frontier = deque([self.s])
-        while frontier:
-            u = frontier.popleft()
-            if u == self.t:
-                return True
-            for w in self.adj[u]:
-                if w in self.active and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return False
+        return self.s in self.active and self.t in self.active \
+            and _reaches(self.adj, self.s, self.t, self.active)
 
     def fingerprint(self):
         return frozenset(self.active)
@@ -326,17 +329,7 @@ class StReachTargetOracle:
         self.adj[u].discard(v)
 
     def query(self) -> bool:
-        seen = {self.s}
-        frontier = deque([self.s])
-        while frontier:
-            u = frontier.popleft()
-            if u == self.t:
-                return True
-            for w in self.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return False
+        return _reaches(self.adj, self.s, self.t, self.adj)
 
     def fingerprint(self):
         return frozenset((u, v) for u, outs in self.adj.items() for v in outs)
@@ -371,17 +364,19 @@ def _require(ok: bool, what: str) -> None:
 
 # ---------------- sequence mode / minority ----------------
 
+def _part4_neighbors(g: KPartiteGraph):
+    """Part-4 neighbour lists (sorted) and sets of parts 1..3, by vertex."""
+    nbrs = [{v: g.neighbors(p, v, 4) for v in range(1, n + 1)}
+            for p, n in enumerate(g.sizes[:3], start=1)]
+    return nbrs, [{v: set(ns) for v, ns in nbr.items()} for nbr in nbrs]
+
+
 def red_4clique_range_mode(g: KPartiteGraph, target) -> bool:
     """Parts A,B,C,D = 1..4; phase per c inserts N_D(c) into the middle."""
     _require_parts(g, 4)
     nA, nB, nC, nD = g.sizes
     dom = list(range(1, nD + 1))
-    nbrA = {a: g.neighbors(1, a, 4) for a in range(1, nA + 1)}
-    nbrB = {b: g.neighbors(2, b, 4) for b in range(1, nB + 1)}
-    nbrC = {c: g.neighbors(3, c, 4) for c in range(1, nC + 1)}
-    asets = {a: set(v) for a, v in nbrA.items()}
-    bsets = {b: set(v) for b, v in nbrB.items()}
-    csets = {c: set(v) for c, v in nbrC.items()}
+    (nbrA, nbrB, nbrC), (asets, bsets, csets) = _part4_neighbors(g)
 
     arr = []
     for a in range(1, nA + 1):      # P_a: non-neighbors first, neighbors last
@@ -407,7 +402,7 @@ def red_4clique_range_mode(g: KPartiteGraph, target) -> bool:
                 full = (nA - a) + (b - 1)
                 freq = full + (lab in asets[a]) + (lab in bsets[b]) \
                     + (lab in csets[c])
-                if freq == full + 3 and _triangle(g, a, b, c):
+                if freq == full + 3 and _is_clique(g, (a, b, c)):
                     found = True
         target.delete_middle()
         _fp_check(target, fp0, "mode phase")
@@ -426,12 +421,7 @@ def red_4clique_range_minority(g: KPartiteGraph, target) -> bool:
     if nD == 0:
         return False
     dom = list(range(1, nD + 1))
-    nbrA = {a: g.neighbors(1, a, 4) for a in range(1, nA + 1)}
-    nbrB = {b: g.neighbors(2, b, 4) for b in range(1, nB + 1)}
-    nbrC = {c: g.neighbors(3, c, 4) for c in range(1, nC + 1)}
-    asets = {a: set(v) for a, v in nbrA.items()}
-    bsets = {b: set(v) for b, v in nbrB.items()}
-    csets = {c: set(v) for c, v in nbrC.items()}
+    (nbrA, nbrB, nbrC), (asets, bsets, csets) = _part4_neighbors(g)
 
     arr = []
     for a in range(1, nA + 1):      # neighbors first here
@@ -454,7 +444,7 @@ def red_4clique_range_minority(g: KPartiteGraph, target) -> bool:
                     + (nD - len(nbrB[b]))
                 lab = target.query(l, r)
                 if lab in asets[a] and lab in bsets[b] and lab in csets[c] \
-                        and _triangle(g, a, b, c):
+                        and _is_clique(g, (a, b, c)):
                     found = True
         target.delete_middle()
         _fp_check(target, fp0, "minority phase")
@@ -629,24 +619,24 @@ class DocsTargetOracle:
         return frozenset(self.on)
 
 
-class DocsTargetCommonColors:
+class DocsTargetCommonColors(DocsTargetOracle):
     """Doc toggles through the fixed-array common-color structure.
 
     The array has one segment per symbol listing the documents containing
     it (document ids are the colors); a pair query counts on colors shared
-    by the two segments.
+    by the two segments.  The on-set, its id check and the fingerprint are
+    the scan oracle's.
     """
 
     def __init__(self):
+        super().__init__()
         self.cc: Optional[CommonColorsDS] = None
         self.span: Dict[object, Tuple[int, int]] = {}
-        self.n_docs = 0
-        self.on: Set[int] = set()
 
     def build(self, docs) -> None:
-        self.n_docs = len(docs)
+        super().build(docs)
         members: Dict[object, List[int]] = {}
-        for i, syms in enumerate(docs, start=1):
+        for i, syms in enumerate(self.docs, start=1):
             for s in syms:
                 members.setdefault(s, []).append(i)
         arr: List[int] = []
@@ -656,15 +646,9 @@ class DocsTargetCommonColors:
             arr += sorted(members[sym])
             self.span[sym] = (l, len(arr))
         self.cc = CommonColorsDS(arr)
-        self.on = set()
 
     def set_on(self, doc_id: int, flag: bool) -> None:
-        if not 1 <= doc_id <= self.n_docs:
-            raise KeyError(f"unknown document {doc_id}")
-        if flag:
-            self.on.add(doc_id)
-        else:
-            self.on.discard(doc_id)
+        super().set_on(doc_id, flag)
         if doc_id in self.cc.occ:   # empty documents never reached the array
             self.cc.set_on(doc_id, flag)
 
@@ -673,9 +657,6 @@ class DocsTargetCommonColors:
         if sp1 is None or sp2 is None:
             return 0
         return self.cc.query(sp1[0], sp1[1], sp2[0], sp2[1])
-
-    def fingerprint(self):
-        return frozenset(self.on)
 
 
 def red_4clique_2pattern(g: KPartiteGraph, target) -> bool:
@@ -698,7 +679,7 @@ def red_4clique_2pattern(g: KPartiteGraph, target) -> bool:
         for a in range(1, nA + 1):
             for b in range(1, nB + 1):
                 if target.query(("A", a), ("B", b)) > 0 \
-                        and _triangle(g, a, b, c):
+                        and _is_clique(g, (a, b, c)):
                     found = True
         for dd in on:
             target.set_on(dd, False)
@@ -712,11 +693,11 @@ def red_4clique_2pattern(g: KPartiteGraph, target) -> bool:
 
 # ---------------- 2-d color counting ----------------
 
-def red_4clique_color(g: KPartiteGraph, target, strict: bool = False) -> bool:
+def red_4clique_color(g: KPartiteGraph, target) -> bool:
     """Anti-chain point sets per part; inclusion-exclusion over six counts.
 
     q_ab is phase-invariant (the (0,0) points are removed each phase), so it
-    is measured once up front; strict=True re-measures it inside every phase.
+    is measured once up front.
     """
     _require_parts(g, 4)
     nA, nB, nC, nD = g.sizes
@@ -739,14 +720,10 @@ def red_4clique_color(g: KPartiteGraph, target, strict: bool = False) -> bool:
                     Interval.closed(-(nB + 1) + b, nA + 1 - a)])
 
     pairs = [(a, b) for a in range(1, nA + 1) for b in range(1, nB + 1)]
-    q_ab = {}
-    if not strict:
-        q_ab = {(a, b): target.count(box_ab(a, b)) for a, b in pairs}
+    q_ab = {(a, b): target.count(box_ab(a, b)) for a, b in pairs}
 
     found = False
     for c in range(1, nC + 1):
-        if strict:
-            q_ab = {(a, b): target.count(box_ab(a, b)) for a, b in pairs}
         ins = g.neighbors(3, c, 4)
         for dd in ins:
             target.insert((0, 0), dd)
@@ -760,14 +737,13 @@ def red_4clique_color(g: KPartiteGraph, target, strict: bool = False) -> bool:
                 + q_a[a] + q_b[b] + q_c[c]
             if _debug_on():
                 _invariant(common >= 0, "negative common-color count")
-            if common != 0 and _triangle(g, a, b, c):
+            if common != 0 and _is_clique(g, (a, b, c)):
                 found = True
         for dd in ins:
             target.delete((0, 0), dd)
         _fp_check(target, fp0, "color phase")
 
-    expected = (3 * nC + (nC if strict else 1)) * nA * nB
-    _budget(target.calls["count"] == expected, "color counts")
+    _budget(target.calls["count"] == (3 * nC + 1) * nA * nB, "color counts")
     return found
 
 
@@ -829,15 +805,34 @@ def red_4clique_streach(g: KPartiteGraph, target) -> bool:
 
 # ---------------- skyline counting ----------------
 
-def _skyline_initial(M, N: int, k: int, scale: int) -> List[tuple]:
+def _lift(M, top: int, k: int, scale: int) -> List[tuple]:
+    """The (2k-1)-d points of the tuples of M, in sorted order: each pair
+    axis holds (x, top - x), scaled, and axis 1 is perturbed by -t_k.
+    Skyline uses top = N, Klee top = N + 1."""
     pts = []
     for t in sorted(M):
-        coords = [t[0] * scale - t[k - 1], (N - t[0]) * scale]
+        coords = [t[0] * scale - t[k - 1], (top - t[0]) * scale]
         for i in range(2, k):
-            coords += [t[i - 1] * scale, (N - t[i - 1]) * scale]
+            coords += [t[i - 1] * scale, (top - t[i - 1]) * scale]
         coords.append(t[k - 1] * scale)
         pts.append(tuple(coords))
     return pts
+
+
+def _blockers(us, N: int, k: int, top: int, fill: int,
+              scale: int) -> List[tuple]:
+    """One point per non-queried index j of each of the first k-1 axes:
+    (j, top - j), scaled, on that axis pair and `fill` everywhere else."""
+    rows = []
+    for i in range(1, k):
+        for j in range(1, N + 1):
+            if j in us[i - 1]:
+                continue
+            coords = [fill] * (2 * k - 1)
+            coords[2 * i - 2] = j * scale
+            coords[2 * i - 1] = (top - j) * scale
+            rows.append(tuple(coords))
+    return rows
 
 
 def red_oumvk_skyline(inst: OuMvInstance, target,
@@ -845,27 +840,19 @@ def red_oumvk_skyline(inst: OuMvInstance, target,
     """Blocker points mask non-queried rows; probes sweep the last axis.
 
     Every measured count is checked against its closed form
-    -(sum |U_i|) + (k-1)N + 1 + |M restricted to the query prefix|.
+    -(sum |U_i|) + (k-1)N + 1 + |M inside the query prefix|.
     """
     N, k = inst.n, inst.k
     scale = N + 1          # clears the -a_k/scale perturbation on axis 1
     inf = 2 * N * scale
     dims = 2 * k - 1
-    target.preprocess(_skyline_initial(inst.tuples, N, k, scale))
+    target.preprocess(_lift(inst.tuples, N, k, scale))
     fp0 = _fp(target)
 
     op = 0
     answers = []
     for us in inst.queries:
-        blockers = []
-        for i in range(1, k):
-            for j in range(1, N + 1):
-                if j in us[i - 1]:
-                    continue
-                coords = [inf] * dims
-                coords[2 * i - 2] = j * scale
-                coords[2 * i - 1] = (N - j) * scale
-                blockers.append(tuple(coords))
+        blockers = _blockers(us, N, k, N, inf, scale)
         m = len(blockers)
         start = op
         for off, bp in enumerate(blockers, start=1):
@@ -947,26 +934,13 @@ def red_oumvk_klee(inst: OuMvInstance, target) -> List[bool]:
     side = N * scale
     corners = [c for c in itertools.product((0, side), repeat=dims)
                if c != (side,) * dims]
-    for t in sorted(inst.tuples):
-        p = [t[0] * scale - t[k - 1], (N + 1 - t[0]) * scale]
-        for i in range(2, k):
-            p += [t[i - 1] * scale, (N + 1 - t[i - 1]) * scale]
-        p.append(t[k - 1] * scale)
-        corners.append(tuple(p))
+    corners += _lift(inst.tuples, N + 1, k, scale)
     target.build(corners, side)
     fp0 = _fp(target)
 
     answers = []
     for us in inst.queries:
-        blockers = []
-        for i in range(1, k):
-            for j in range(1, N + 1):
-                if j in us[i - 1]:
-                    continue
-                coords = [side] * dims
-                coords[2 * i - 2] = j * scale
-                coords[2 * i - 1] = (N + 1 - j) * scale
-                blockers.append(tuple(coords))
+        blockers = _blockers(us, N, k, N + 1, side, scale)
         for bp in blockers:
             target.insert(bp)
         vols = [target.volume()]

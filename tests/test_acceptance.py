@@ -13,11 +13,12 @@ import pytest
 
 from dynds.cli import BENCHES, TRACE_SUITES, run_bench, trace_suite
 from dynds.core_geom import Box, orthant_union_decompose
-from dynds.geom_dyn import klee_union_volume, klee_union_volume_ie
+from dynds.geom_dyn import klee_union_volume
 from dynds.reductions import (REDUCTIONS, crosscheck_suite, oumv_answers,
                               random_oumv, red_oumvk_erickson,
                               red_oumvk_skyline)
 from dynds.tensor_ds import BatchedOuMv, OuMvBrute
+from inclusion_exclusion import klee_union_volume_ie
 from overlap import boxes_intersect
 
 SEED = 20260823

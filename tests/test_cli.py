@@ -190,6 +190,11 @@ HEADER_ERRORS = [
     ("color-count", "cap=0", "INS 1 1 1\n", "capacity must be >= 1"),
     ("langerman", "ext=0", "ZQRY\n", "extents must be positive"),
     ("erickson", "ext=0", "INC 1 1\n", "extents must be positive"),
+    # an extent past the platform's index size overflows the tensor
+    ("langerman", "ext=99999999999999999999", "ZQRY\n",
+     "cannot fit 'int' into an index-sized integer"),
+    ("erickson", "ext=99999999999999999999", "INC 1 1\n",
+     "cannot fit 'int' into an index-sized integer"),
 ]
 
 
@@ -360,6 +365,20 @@ def test_reduce_driver_value_error_exit2(tmp_path, capsys, adapter):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "perfect power" in captured.err
+
+
+@pytest.mark.parametrize("rid,aid,header", [
+    ("red_clique_batch_dmode_d1", "real", "3 2 2 99999999999999999999"),
+    ("red_4clique_range_minority", "oracle", "4 2 2 2 99999999999999999999"),
+])
+def test_reduce_overflowing_part_exit2(tmp_path, capsys, rid, aid, header):
+    # a part size past the platform's index size overflows in the driver
+    f = _write(tmp_path, "g.txt", header + "\n")
+    assert main(["reduce", f, "--reduction", rid, "--adapter", aid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_reduce_state_not_restored_exit3(tmp_path, capsys, monkeypatch):

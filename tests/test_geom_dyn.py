@@ -17,11 +17,11 @@ from dynds.geom_dyn import (
     SemiOnlineEngine,
     Skyline3DBlock,
     klee_union_volume,
-    klee_union_volume_ie,
     maxima3d,
     maximal_flags,
     skyline_oracle,
 )
+from inclusion_exclusion import klee_union_volume_ie
 
 
 # ---------------- skyline oracles ----------------

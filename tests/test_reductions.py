@@ -217,6 +217,70 @@ def test_streach_edge_errors():
         t.insert_edge(1, 9)
 
 
+def closure(vertices, arcs):
+    """Reflexive-transitive closure of `arcs`: {v: vertices reached from v}."""
+    reach = {v: {v} | {w for u, w in arcs if u == v} for v in vertices}
+    for m in vertices:          # Warshall
+        for v in vertices:
+            if m in reach[v]:
+                reach[v] |= reach[m]
+    return reach
+
+
+def test_subconn_search_matches_closure():
+    # undirected graphs under a random active set, s or t inactive included
+    rng = random.Random(32)
+    seen = Counter()
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        verts = list(range(n))
+        edges = [(u, v) for u in verts for v in verts
+                 if u < v and rng.random() < 0.35]
+        s, t = rng.choice(verts), rng.choice(verts)
+        o = SubConnTargetOracle()
+        o.build(verts, edges, s, t)
+        active = set(verts)
+        for step in range(12):
+            if step:
+                v = rng.choice(verts + [s, t])
+                flag = rng.random() < 0.5
+                o.set_active(v, flag)
+                (active.add if flag else active.discard)(v)
+            live = [(u, v) for u, v in edges if u in active and v in active]
+            reach = closure(verts, live + [(v, u) for u, v in live])
+            want = s in active and t in active and t in reach[s]
+            assert o.query() == want
+            seen[want, s in active and t in active] += 1
+    assert seen[True, True] and seen[False, True] and seen[False, False]
+
+
+def test_streach_search_matches_closure():
+    # directed graphs under random edge insertions and deletions
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        verts = list(range(n))
+        arcs = {(u, v) for u in verts for v in verts
+                if u != v and rng.random() < 0.25}
+        s, t = rng.choice(verts), rng.choice(verts)
+        o = StReachTargetOracle()
+        o.build(verts, sorted(arcs), s, t)
+        for step in range(12):
+            if step:
+                u, v = rng.choice(verts), rng.choice(verts)
+                if (u, v) in arcs:
+                    o.delete_edge(u, v)
+                    arcs.discard((u, v))
+                else:
+                    o.insert_edge(u, v)
+                    arcs.add((u, v))
+            want = t in closure(verts, arcs)[s]
+            assert o.query() == want
+            seen[want] += 1
+    assert seen[True] and seen[False]
+
+
 # ---------------- clique-side reductions ----------------
 
 def dense_triangle_free_4p():
@@ -301,26 +365,11 @@ def test_2pattern_toggle_budget():
     assert t.calls["set_on"] == 2 * 2 * 3   # on and off per phase edge
 
 
-def test_color_strict_mode_agrees():
-    rng = random.Random(77)
-    for _ in range(20):
-        g = random_kpartite(rng, [2, 2, 2, 2], 0.5)
-        lazy = red_4clique_color(
-            g, Counted(adapter("red_4clique_color", "oracle", g)))
-        strict = red_4clique_color(
-            g, Counted(adapter("red_4clique_color", "oracle", g)),
-            strict=True)
-        assert lazy == strict == clique_bruteforce(g)
-
-
 def test_color_count_budget():
     g = complete_kpartite([2, 2, 3, 2])
     t = Counted(adapter("red_4clique_color", "oracle", g))
     red_4clique_color(g, t)
     assert t.calls["count"] == (3 * 3 + 1) * 2 * 2
-    t2 = Counted(adapter("red_4clique_color", "oracle", g))
-    red_4clique_color(g, t2, strict=True)
-    assert t2.calls["count"] == (3 * 3 + 3) * 2 * 2
 
 
 def test_subconn_early_return():
