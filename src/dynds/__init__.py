@@ -10,9 +10,8 @@ from .range_mode import (DynRangeModeDS, SequenceAdapter, mode_oracle,
 from .reductions import (REDUCTIONS, Counted, KPartiteGraph, OuMvInstance,
                          clique_bruteforce, crosscheck_suite, oumv_answers,
                          parse_graph, parse_oumv, random_kpartite, random_oumv)
-from .tensor_ds import (BatchedOuMv, EricksonEager, EricksonLazy,
-                        HypercliqueCounting, HypercliqueLazy, LangermanDS,
-                        OuMvBrute, Tensor, oumv_bruteforce)
+from .tensor_ds import (EricksonEager, EricksonLazy, HypercliqueCounting,
+                        HypercliqueLazy, LangermanDS, Tensor, oumv_bruteforce)
 
 __version__ = "0.1.0"
 
@@ -23,9 +22,8 @@ __all__ = [
     "CommonColorsDS", "DynColorCountDS", "cc_oracle", "dcc_oracle",
     "HalfspaceSystem", "SemiOnlineEngine", "Skyline3DBlock",
     "klee_union_volume", "skyline_oracle",
-    "BatchedOuMv", "EricksonEager", "EricksonLazy", "HypercliqueCounting",
-    "HypercliqueLazy", "LangermanDS", "OuMvBrute", "Tensor",
-    "oumv_bruteforce",
+    "EricksonEager", "EricksonLazy", "HypercliqueCounting",
+    "HypercliqueLazy", "LangermanDS", "Tensor", "oumv_bruteforce",
     "REDUCTIONS", "Counted", "KPartiteGraph", "OuMvInstance", "clique_bruteforce",
     "crosscheck_suite", "oumv_answers", "parse_graph", "parse_oumv",
     "random_kpartite", "random_oumv",

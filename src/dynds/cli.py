@@ -832,6 +832,12 @@ def _fail(msg, code: int = 2) -> int:
     return code
 
 
+def _out_of_memory(exc: MemoryError) -> int:
+    """Exit 3 on an allocation the machine cannot hold, such as a header or
+    part size that parses but is too large to build."""
+    return _fail(f"out of memory: {str(exc) or 'allocation failed'}", 3)
+
+
 def cmd_solve(args) -> int:
     try:
         with open(args.trace) as fh:
@@ -845,6 +851,8 @@ def cmd_solve(args) -> int:
         return _fail(exc)
     except OpError as exc:
         return _fail(exc, 3)
+    except MemoryError as exc:
+        return _out_of_memory(exc)
     return _emit("".join(ln + "\n" for ln in lines), args.out)
 
 
@@ -875,6 +883,8 @@ def cmd_reduce(args) -> int:
         return _fail(exc)
     except RuntimeError as exc:
         return _fail(exc, 3)
+    except MemoryError as exc:
+        return _out_of_memory(exc)
     answers = result if isinstance(result, list) else [result]
     body = "".join(_fmt_bool(a) + "\n" for a in answers)
     calls = " ".join(f"{k}={v}" for k, v in sorted(target.calls.items()))

@@ -732,17 +732,13 @@ class RangeTree:
         `_count_elements` and charges the visits in one add, a max tree
         adds each by `_apply`.
 
-        One or two keys are placed by `_apply`, as toggles place them: for
-        so few the batch formulas cost more.  Measured on small trees (1-2
-        count axes, or 2-4 one-sided max axes) in one process on a 2-CPU
-        x86-64 VM, against the per-key placement in median: the batch took
-        1.39-1.53x its time for 1 key and 0.96-1.10x for 2, while for 3
-        and 4 keys it took 0.85-0.91x and 0.74-0.88x of one toggle per key.
+        Every batch takes this one path, however small.  A lone key placed
+        by it costs about 1.4-1.5x a toggle (small trees, 2-CPU x86-64 VM,
+        Python 3.11), some 1-3 us; `dynds crosscheck --seed 3` places one
+        or two keys 1,023 times, and none at all 52 times, a few ms of its
+        1.8 s.  The label-tree builds of the perfbench drm2 and seq
+        workloads place 4 keys or more.
         """
-        if len(keys) <= 2:
-            for key in keys:
-                self._apply(key, +1)
-            return
         lists = self._cell_lists(keys)
         cells_of = self._cells_of
         for key, cells in zip(keys, lists):

@@ -205,8 +205,9 @@ class SemiOnlineEngine:
 class Skyline3DBlock:
     """Skyline (maximal point) counting block for the semi-online engine.
 
-    The state is (n0, s0_tree, s_tree): s_tree holds the core, s0_tree its
-    maximal points S0 (equal duplicates kill each other) and n0 = |S0|.
+    The state is (s0_tree, s_tree): s_tree holds the core, s0_tree its
+    maximal points S0 (equal duplicates kill each other), and |S0| is
+    s0_tree's live count `n_live`.
     `advance` moves only the core's difference through s_tree, recomputes
     S0 with maxima3d over s_tree's own multiset `occ` and toggles only the
     change in s0_tree.  The recompute is one sweep over the whole core,
@@ -236,14 +237,14 @@ class Skyline3DBlock:
         s0 = maxima3d(Counter(core))
         # s0_tree is asked the boxes of orthant_union_decompose, at_most
         # on y; s_tree only at_least orthants
-        return (len(s0), PointMultiset(3, s0, counter=self.counter,
-                                       sides=("both", "le", "both")),
+        return (PointMultiset(3, s0, counter=self.counter,
+                              sides=("both", "le", "both")),
                 PointMultiset(3, core, counter=self.counter,
                               sides=("ge",) * 3))
 
     def advance(self, state, added: Sequence[tuple],
                 removed: Sequence[tuple]):
-        _, s0_tree, s_tree = state
+        s0_tree, s_tree = state
         # removals first, so that an added point reuses a freed copy
         for p in removed:
             s_tree.remove(p)
@@ -257,7 +258,7 @@ class Skyline3DBlock:
             s0_tree.remove(p)
         for p in new.elements():
             s0_tree.add(p)
-        state = (sum(s0.values()), s0_tree, s_tree)
+        state = (s0_tree, s_tree)
         if _debug_on():
             self._check(state)
         return state
@@ -265,21 +266,20 @@ class Skyline3DBlock:
     @staticmethod
     def _check(state) -> None:
         """Debug check: each tree's active entries are its `occ`, and
-        s0_tree's multiset and n0 are the maxima of s_tree's, recomputed
-        by the bitset oracle maximal_flags and not by the sweep that
-        `advance` runs."""
-        n0, s0_tree, s_tree = state
+        s0_tree's multiset is the maxima of s_tree's, recomputed by the
+        bitset oracle maximal_flags and not by the sweep that `advance`
+        runs."""
+        s0_tree, s_tree = state
         for tree in (s_tree, s0_tree):
             held = Counter(tree.entry(k)[0] for k in tree.active_keys())
             _invariant(held == Counter(tree.occ.elements()),
                        "skyline tree entries match its multiset")
         core = list(s_tree.occ.elements())
         s0 = Counter(compress(core, maximal_flags(core)))
-        _invariant(s0_tree.occ == s0 and n0 == sum(s0.values()),
-                   "skyline S0 is the core's maxima")
+        _invariant(s0_tree.occ == s0, "skyline S0 is the core's maxima")
 
     def query(self, state, buffer: Sequence[tuple]) -> int:
-        n0, s0_tree, s_tree = state
+        s0_tree, s_tree = state
         self.counter.add(len(buffer))
         live = 0
         for p in maxima3d(Counter(buffer)):
@@ -289,7 +289,7 @@ class Skyline3DBlock:
         killed = 0
         for box in orthant_union_decompose(list(buffer)):
             killed += s0_tree.count(box)
-        return live + n0 - killed
+        return live + s0_tree.n_live - killed
 
 
 class SkylineScan:

@@ -1,4 +1,4 @@
-"""Tensor-shaped dynamic structures and the batched OuMv driver.
+"""Tensor-shaped dynamic structures and the OuMv brute force.
 
 LangermanDS watches a d-dim array under point increments and answers "does
 any prefix box sum to zero".  Prefix values are cached on a grid of block
@@ -9,7 +9,7 @@ EricksonLazy and EricksonEager maintain a tensor under slab increments with
 max queries.  HypercliqueLazy and HypercliqueCounting maintain a k-uniform
 hypergraph under edge flips and answer (k+1)-clique membership queries.
 EricksonScan and HypercliqueScan are their scan oracles, and share their
-argument checks.
+argument checks.  oumv_bruteforce answers one OuMv query by a scan of M.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core_geom import VisitCounter, _debug_on, _invariant
 
@@ -31,8 +31,6 @@ __all__ = [
     "HypercliqueLazy",
     "HypercliqueCounting",
     "HypercliqueScan",
-    "OuMvBrute",
-    "BatchedOuMv",
     "oumv_bruteforce",
 ]
 
@@ -104,9 +102,12 @@ class Tensor:
 class LangermanDS:
     """Zero-prefix detection for a d-dim array under point increments.
 
-    Blocks have side B along every axis; a cell's block is floor(x_i / B)
-    per axis and its anchor is B times the block index.  Anchors with any
-    zero coordinate fall outside the array and contribute prefix 0.
+    Blocks have side B along every axis; a cell's block is t = floor(x_i / B)
+    per axis and its anchor is B * t.  `grid` and `blocks` are both keyed
+    by t: `grid[t]` is the prefix sum at the anchor, and a block with a
+    zero index, whose anchor falls outside the array, has none and reads
+    prefix 0.  `blocks` is filled in row-major cell order, which is
+    lexicographic block order, and `exists_zero` scans it in that order.
 
     An update at z adds delta to every grid anchor that dominates z, and to
     the residual of every cell at or past z whose anchor lags behind z on
@@ -140,17 +141,12 @@ class LangermanDS:
         self.counter = counter if counter is not None else VisitCounter()
         self._build()
 
-    # block index ranges per axis: 0 exists only when B > 1
-    def _t_range(self, ax: int) -> range:
-        lo = 1 // self.B
-        return range(lo, self.extents[ax] // self.B + 1)
-
     def _build(self) -> None:
         B, ext = self.B, self.extents
         P = self.T.prefix_sums()
         self.grid: Dict[tuple, int] = {
-            g: P[g] for g in itertools.product(*(range(B, e + 1, B)
-                                                 for e in ext))}
+            t: P[tuple(ti * B for ti in t)]
+            for t in itertools.product(*(range(1, e // B + 1) for e in ext))}
         self._strides = self.T.strides()
         self.r = P.copy()
         self.blocks: Dict[tuple, Counter] = {}
@@ -158,17 +154,12 @@ class LangermanDS:
         # indices() runs in row-major order, so its f-th cell is flat cell f
         for f, x in enumerate(self.T.indices()):
             t = tuple(xi // B for xi in x)
-            res = self.r.data[f] = P.data[f] - self._anchor_val(t)
+            res = self.r.data[f] = P.data[f] - self.grid.get(t, 0)
             blk = self.blocks.get(t)
             if blk is None:
                 blk = self.blocks[t] = Counter()
             blk[res] += 1
             self._blk_of.append(blk)
-
-    def _anchor_val(self, t: tuple) -> int:
-        if any(ti == 0 for ti in t):
-            return 0
-        return self.grid[tuple(ti * self.B for ti in t)]
 
     def update(self, z, delta: int) -> None:
         z = tuple(z)
@@ -176,11 +167,11 @@ class LangermanDS:
         if delta == 0:
             return
         B, ext, grid = self.B, self.extents, self.grid
-        # grid anchors dominating z: per axis, the multiples of B from z on
-        anchors = [range(-(-zi // B) * B, e + 1, B) for zi, e in zip(z, ext)]
+        # grid anchors dominating z: per axis, the blocks t with t * B >= z
+        anchors = [range(-(-zi // B), e // B + 1) for zi, e in zip(z, ext)]
         self.counter.add(math.prod(map(len, anchors)))
-        for g in itertools.product(*anchors):
-            grid[g] += delta
+        for t in itertools.product(*anchors):
+            grid[t] += delta
         # cells at or past z whose anchor lags behind z on some axis, as
         # disjoint slabs of flat offsets: the slab of axis a lags on a and
         # lies past z's block on the lagging axes before a
@@ -212,15 +203,13 @@ class LangermanDS:
     def prefix(self, x) -> int:
         x = tuple(x)
         res = self.r[x]               # validates the index
-        return self._anchor_val(tuple(xi // self.B for xi in x)) + res
+        return self.grid.get(tuple(xi // self.B for xi in x), 0) + res
 
     def exists_zero(self) -> bool:
-        for t in itertools.product(*(self._t_range(ax) for ax in range(self.d))):
-            blk = self.blocks.get(t)
-            if blk is None:
-                continue
+        grid = self.grid
+        for t, blk in self.blocks.items():
             self.counter.add(1)
-            if blk.get(-self._anchor_val(t), 0) > 0:
+            if blk.get(-grid.get(t, 0), 0) > 0:
                 return True
         return False
 
@@ -229,14 +218,15 @@ class LangermanDS:
         blocks: Dict[tuple, Counter] = {}
         for f, x in enumerate(self.T.indices()):
             t = tuple(xi // self.B for xi in x)
-            av = self._anchor_val(t)
+            av = self.grid.get(t, 0)
             _invariant(self.r[x] == P[x] - av, "residual table")
             _invariant(self._blk_of[f] is self.blocks.get(t),
                        "flat cell's block multiset")
             blocks.setdefault(t, Counter())[P[x] - av] += 1
         _invariant(blocks == self.blocks, "block residual histograms")
-        for g, v in self.grid.items():
-            _invariant(P[g] == v, "grid anchor is a prefix sum")
+        for t, v in self.grid.items():
+            _invariant(P[tuple(ti * self.B for ti in t)] == v,
+                       "grid anchor is a prefix sum")
 
 
 class LangermanScan:
@@ -491,7 +481,7 @@ class HypercliqueScan(_Hypergraph):
         return False
 
 
-# ---------------- OuMv baseline and batched driver ----------------
+# ---------------- OuMv brute force ----------------
 
 def _check_oumv(M, N: int, k: int):
     out = set()
@@ -512,74 +502,3 @@ def oumv_bruteforce(M, N: int, k: int, us: Sequence[Set[int]]) -> bool:
         if any(not 1 <= j <= N for j in u):
             raise ValueError("index set out of range")
     return any(all(a[i] in us[i] for i in range(k)) for a in ms)
-
-
-class OuMvBrute:
-    """Baseline online solver: rescans M on every query."""
-
-    def __init__(self, M, N: int, k: int):
-        self.M = _check_oumv(M, N, k)
-        self.N = N
-        self.k = k
-
-    def query(self, us: Sequence[Set[int]]) -> bool:
-        return oumv_bruteforce(self.M, self.N, self.k, us)
-
-    def reset(self) -> None:
-        pass
-
-
-class BatchedOuMv:
-    """Splits [N]^k into side sub_size blocks, one inner solver per block.
-
-    Queries are intersected and translated into each block's local
-    coordinates and the block answers are OR-ed.  Every phase_size queries
-    all inner solvers are reset first, which lets phase-limited solvers be
-    reused indefinitely.
-    """
-
-    def __init__(self, M, N: int, k: int, sub_size: int,
-                 factory: Callable, phase_size: Optional[int] = None):
-        if sub_size < 1:
-            raise ValueError("sub_size must be >= 1")
-        if phase_size is not None and phase_size < 1:
-            raise ValueError("phase_size must be >= 1")
-        ms = _check_oumv(M, N, k)
-        self.N = N
-        self.k = k
-        self.n = sub_size
-        g = -(-N // sub_size)
-        self.g = g
-        self.cells: List[Tuple[tuple, object]] = []
-        for c in itertools.product(range(g), repeat=k):
-            base = tuple(ci * sub_size for ci in c)
-            sub = {tuple(ai - base[i] for i, ai in enumerate(a))
-                   for a in ms
-                   if all(base[i] < a[i] <= base[i] + sub_size
-                          for i in range(k))}
-            self.cells.append((base, factory(sub, sub_size, k)))
-        self.phase_size = phase_size
-        self.queries_done = 0
-
-    def query(self, us: Sequence[Set[int]]) -> bool:
-        if len(us) != self.k:
-            raise ValueError("need k index sets")
-        for u in us:
-            if any(not 1 <= j <= self.N for j in u):
-                raise ValueError("index set out of range")
-        if self.phase_size is not None and self.queries_done >= self.phase_size:
-            self.reset()
-        ans = False
-        for base, solver in self.cells:
-            local = [{j - base[i] for j in us[i]
-                      if base[i] < j <= base[i] + self.n}
-                     for i in range(self.k)]
-            if solver.query(local):
-                ans = True
-        self.queries_done += 1
-        return ans
-
-    def reset(self) -> None:
-        for _, solver in self.cells:
-            solver.reset()
-        self.queries_done = 0

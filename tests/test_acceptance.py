@@ -15,11 +15,11 @@ from dynds.cli import BENCHES, TRACE_SUITES, run_bench, trace_suite
 from dynds.core_geom import Box, orthant_union_decompose
 from dynds.geom_dyn import klee_union_volume
 from dynds.reductions import (REDUCTIONS, crosscheck_suite, oumv_answers,
-                              random_oumv, red_oumvk_erickson,
-                              red_oumvk_skyline)
-from dynds.tensor_ds import BatchedOuMv, OuMvBrute
+                              random_oumv)
+from batched_oumv import BatchedOuMv, OuMvBrute
 from inclusion_exclusion import klee_union_volume_ie
 from overlap import boxes_intersect
+from recording import erickson_maxima, skyline_counts
 
 SEED = 20260823
 
@@ -160,8 +160,7 @@ def test_criterion_6_skyline_counts_closed_form():
     for i in range(25):
         c = cfg if i % 2 else cfg3
         inst = c.gen(rng, c.sizes[i % len(c.sizes)])
-        rec = []
-        red_oumvk_skyline(inst, c.adapters["oracle"](inst), record=rec)
+        _, rec = skyline_counts(inst, c.adapters["oracle"](inst))
         assert len(rec) == len(inst.queries)
         k, N = inst.k, inst.n
         for us, cs in zip(inst.queries, rec):
@@ -184,15 +183,13 @@ def test_criterion_6_erickson_threshold_schedule():
                          "red_oumvk_erickson_k3"]
         inst = cfg.gen(rng, cfg.sizes[i % len(cfg.sizes)])
         for adapter in sorted(cfg.adapters):
-            rec = []
-            answers = red_oumvk_erickson(inst, cfg.adapters[adapter](inst),
-                                         record=rec)
-            assert [f for f, _, _ in rec] == \
-                list(range(1, len(inst.queries) + 1))
-            for (f, thr, mv), ans in zip(rec, answers):
-                assert thr == inst.k + 1 + (f - 1) * inst.k
+            answers, maxima = erickson_maxima(
+                inst, cfg.adapters[adapter](inst))
+            assert len(maxima) == len(inst.queries)
+            for f, (mv, ans) in enumerate(zip(maxima, answers), start=1):
+                thr = inst.k + 1 + (f - 1) * inst.k
                 assert mv <= thr
                 assert ans == (mv == thr)
-            phases += len(rec)
+            phases += len(maxima)
     _line("criterion 6b", f"erickson accept threshold k+1+(f-1)k over "
                           f"{phases} phases")

@@ -381,6 +381,37 @@ def test_reduce_overflowing_part_exit2(tmp_path, capsys, rid, aid, header):
     assert "Traceback" not in captured.err
 
 
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+def test_solve_out_of_memory_exit3(tmp_path, capsys, monkeypatch):
+    # a structure the machine cannot hold is reported, not a traceback
+    monkeypatch.setitem(PROBLEMS["langerman"].solvers, "real", _out_of_memory)
+    f = _write(tmp_path, "z.trace", "problem langerman\nheader ext=4\nZQRY\n")
+    assert main(["solve", f, "--structure", "real"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: allocation failed\n"
+    assert "Traceback" not in captured.err
+
+
+def test_reduce_out_of_memory_exit3(tmp_path, capsys, monkeypatch):
+    def too_large(inst):
+        raise MemoryError("part too large")
+    monkeypatch.setitem(REDUCTIONS["red_oumvk_klee_k2"].adapters, "oracle",
+                        too_large)
+    inst = OuMvInstance(2, 2, frozenset({(1, 2)}),
+                        ((frozenset({1}), frozenset({2})),))
+    f = _write(tmp_path, "mv.txt", format_oumv(inst))
+    assert main(["reduce", f, "--reduction", "red_oumvk_klee_k2",
+                 "--adapter", "oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: part too large\n"
+    assert "Traceback" not in captured.err
+
+
 def test_reduce_state_not_restored_exit3(tmp_path, capsys, monkeypatch):
     # a target whose fingerprint drifts fails the reduction's state-restore
     # check, a RuntimeError that reduce reports without a traceback

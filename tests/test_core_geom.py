@@ -1068,9 +1068,9 @@ def placed_state(tree):
 @pytest.mark.parametrize("room", [1, 2])
 def test_batch_placement_matches_one_toggle_per_key(dim, mode, room,
                                                    monkeypatch):
-    # RangeTree._place against one toggle per key, over batches of one or
-    # two keys (placed per key) and larger ones (placed by _cell_lists),
-    # every side, and points with several copies; then
+    # RangeTree._place against one toggle per key, over batches of one,
+    # two and more keys (all placed by _cell_lists), every side, and
+    # points with several copies; then
     # the same trees double an axis, and _relayout places the active keys
     # again: every cached list is its product enumeration, every cell holds
     # exactly its entries, and the visits are those of one toggle per key

@@ -407,10 +407,10 @@ def test_skyline_advance_equals_fresh_preprocess(seed, hi, monkeypatch):
     monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
 
     def check(eng, rng):
-        n0, s0_tree, s_tree = eng._state
-        f0, fresh_s0, fresh_s = Skyline3DBlock().preprocess(
+        s0_tree, s_tree = eng._state
+        fresh_s0, fresh_s = Skyline3DBlock().preprocess(
             [r.elem for r in eng._core])
-        assert n0 == f0
+        assert s0_tree.n_live == fresh_s0.n_live
         assert s_tree.occ == fresh_s.occ and s0_tree.occ == fresh_s0.occ
         for tree, fresh in ((s_tree, fresh_s), (s0_tree, fresh_s0)):
             assert tree.sides == fresh.sides
@@ -436,7 +436,7 @@ def test_skyline_churn_keeps_trees_compact(monkeypatch):
     monkeypatch.setattr(PointMultiset, "remove", recorded)
 
     def check(eng, rng):
-        _, s0_tree, s_tree = eng._state
+        s0_tree, s_tree = eng._state
         for tree in (s_tree, s0_tree):
             assert len(tree) <= 2 * sum(tree.occ.values()) + 16
         # a rebuilt tree keeps the sides of the boxes it is asked
@@ -458,7 +458,7 @@ def test_skyline_advance_is_counted():
     eng.insert((2, 2, 2))                      # op 3: both enter the core
     assert vc.count > before
     assert block.preprocessed == 1
-    assert eng._state[0] == 2
+    assert eng._state[0].n_live == 2
 
 
 def test_skyline_debug_check_catches_a_broken_tree(monkeypatch):
@@ -466,7 +466,7 @@ def test_skyline_debug_check_catches_a_broken_tree(monkeypatch):
     eng = SemiOnlineEngine(Skyline3DBlock(), 16, initial=[(1, 1, 1)],
                            block_size=2)
     eng.query()                                # op 1: preprocess
-    _, _, s_tree = eng._state
+    _, s_tree = eng._state
     s_tree.toggle(s_tree.active_keys()[0], False)   # occ still holds it
     eng.query()                                # op 2
     with pytest.raises(RuntimeError, match="skyline tree entries"):
@@ -479,7 +479,7 @@ def test_skyline_debug_check_holds_under_optimize():
             "eng = SemiOnlineEngine(Skyline3DBlock(), 16,\n"
             "                       initial=[(1, 1, 1)], block_size=1)\n"
             "eng.query()\n"
-            "s_tree = eng._state[2]\n"
+            "s_tree = eng._state[1]\n"
             "s_tree.toggle(s_tree.active_keys()[0], False)\n"
             "try:\n"
             "    eng.query()\n"

@@ -29,14 +29,13 @@ from dynds.reductions import (
     red_4clique_color,
     red_4clique_range_mode,
     red_4clique_subconn,
-    red_oumvk_erickson,
     red_oumvk_langerman,
-    red_oumvk_skyline,
     Counted,
     DocsTargetOracle,
     StReachTargetOracle,
     SubConnTargetOracle,
 )
+from recording import erickson_maxima, skyline_counts
 
 
 def adapter(rid, aid, inst):
@@ -408,9 +407,8 @@ def test_oumv_reductions_random(rid, aid):
 def test_skyline_hand_instance():
     inst = OuMvInstance(2, 2, frozenset({(1, 2)}),
                         ((frozenset({1}), frozenset({2})),))
-    rec = []
-    out = red_oumvk_skyline(
-        inst, adapter("red_oumvk_skyline_k2", "oracle", inst), record=rec)
+    out, rec = skyline_counts(
+        inst, adapter("red_oumvk_skyline_k2", "oracle", inst))
     assert out == [True]
     assert rec == [[3, 3, 2]]
 
@@ -419,9 +417,8 @@ def test_skyline_counts_follow_closed_form():
     rng = random.Random(99)
     for _ in range(15):
         inst = random_oumv(rng, 2, 4)
-        rec = []
-        out = red_oumvk_skyline(
-            inst, adapter("red_oumvk_skyline_k2", "oracle", inst), record=rec)
+        out, rec = skyline_counts(
+            inst, adapter("red_oumvk_skyline_k2", "oracle", inst))
         assert out == oumv_answers(inst)
         for us, cs in zip(inst.queries, rec):
             for j, c in enumerate(cs):
@@ -443,23 +440,20 @@ def test_skyline_oracle_checks_the_deleted_point():
 def test_erickson_phase_thresholds():
     rng = random.Random(13)
     inst = random_oumv(rng, 2, 3, num_queries=4)
-    rec = []
-    out = red_oumvk_erickson(
-        inst, adapter("red_oumvk_erickson_k2", "lazy", inst), record=rec)
-    assert [f for f, _, _ in rec] == [1, 2, 3, 4]
-    for (f, thr, mv), ans in zip(rec, out):
-        assert thr == 2 + 1 + (f - 1) * 2
-        assert (mv == thr) == ans
+    out, maxima = erickson_maxima(
+        inst, adapter("red_oumvk_erickson_k2", "lazy", inst))
+    assert len(maxima) == 4
+    for f, (mv, ans) in enumerate(zip(maxima, out), start=1):
+        assert (mv == 2 + 1 + (f - 1) * 2) == ans
 
 
 def test_erickson_empty_tensor_max():
     inst = OuMvInstance(2, 2, frozenset(),
                         ((frozenset({1, 2}), frozenset({1, 2})),))
-    rec = []
-    out = red_oumvk_erickson(
-        inst, adapter("red_oumvk_erickson_k2", "lazy", inst), record=rec)
+    out, maxima = erickson_maxima(
+        inst, adapter("red_oumvk_erickson_k2", "lazy", inst))
     assert out == [False]
-    assert rec[0][2] == 2   # k + (f-1)k: ceiling minus one without a hit
+    assert maxima == [2]   # k + (f-1)k: ceiling minus one without a hit
 
 
 def test_halfspace_empty_tuples_short_circuit():

@@ -4,16 +4,15 @@ import random
 import pytest
 
 from dynds.tensor_ds import (
-    BatchedOuMv,
     EricksonEager,
     EricksonLazy,
     HypercliqueCounting,
     HypercliqueLazy,
     LangermanDS,
-    OuMvBrute,
     Tensor,
     oumv_bruteforce,
 )
+from batched_oumv import BatchedOuMv, OuMvBrute
 
 
 # ---------------- tensor ----------------
@@ -175,6 +174,48 @@ def test_langerman_counter_budget():
         before = ds.counter.count
         ds.exists_zero()
         assert ds.counter.count - before <= 2 * (n // ds.B + 1)
+
+
+@pytest.mark.parametrize("extents,B", [
+    ((7,), 1), ((7,), 3), ((5, 4), 1), ((7, 5), 2), ((4, 3, 3), 1),
+    ((5, 4, 3), 2),
+])
+def test_langerman_scan_stops_at_first_zero_block(extents, B):
+    # exists_zero charges one visit per block, the blocks in lexicographic
+    # order of their index t = x // B, up to and including the first that
+    # holds a zero prefix, or every block when none does.  A cell's
+    # residual is its prefix minus its anchor's, P(B * t), or minus 0 when
+    # some t_i is 0; its prefix is zero when the residual is -anchor.
+    rng = random.Random(f"scan/{extents}/{B}")
+    stops = set()
+    for trial in range(8):
+        mirror = Tensor(extents)
+        for x in mirror.indices():
+            mirror[x] = rng.choice([-1, 0, 1, 2] if trial % 2 else [1, 2])
+        if trial == 0:                 # a zero prefix in the first block
+            mirror[(1,) * len(extents)] = 0
+        ds = LangermanDS(extents, B=B, initial=mirror)
+        for _ in range(6):
+            blocks = {}
+            for x in mirror.indices():
+                t = tuple(xi // B for xi in x)
+                anchor = 0 if 0 in t else brute_prefix(
+                    mirror, tuple(ti * B for ti in t))
+                res = brute_prefix(mirror, x) - anchor
+                blocks.setdefault(t, []).append(res == -anchor)
+            order = sorted(blocks)
+            hits = [i for i, t in enumerate(order) if any(blocks[t])]
+            want = hits[0] + 1 if hits else len(order)
+            before = ds.counter.count
+            assert ds.exists_zero() == bool(hits)
+            assert ds.counter.count - before == want
+            stops.add("none" if not hits else "first" if want == 1 else
+                      "later")
+            z = tuple(rng.randint(1, e) for e in extents)
+            delta = rng.choice([-2, -1, 1, 2])
+            ds.update(z, delta)
+            mirror.add(z, delta)
+    assert stops == {"none", "first", "later"}
 
 
 def test_langerman_update_validation():
