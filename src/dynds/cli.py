@@ -157,6 +157,14 @@ def parse_trace(text: str) -> OpTrace:
         for piece in header[k].split(","):
             if not _parses("i", piece):
                 raise TraceError(no, f"header {k} must be integer(s)")
+            # a size past the index size would fail inside CPython, with a
+            # message that names no key
+            if int(piece) > sys.maxsize:
+                raise TraceError(no, f"header {k} must be at most "
+                                     f"{sys.maxsize}")
+            if int(piece) < -sys.maxsize:
+                raise TraceError(no, f"header {k} must be at least "
+                                     f"{-sys.maxsize}")
     try:
         specs = PROBLEMS[problem].ops(trace)
     except (ValueError, OverflowError) as exc:

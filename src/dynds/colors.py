@@ -15,7 +15,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Set
 
-from .core_geom import Box, Interval, PointMultiset, RangeTree, VisitCounter
+from .core_geom import (Box, Interval, PointMultiset, RangeTree, VisitCounter,
+                        _debug_on, _invariant)
 
 __all__ = [
     "cc_oracle",
@@ -142,7 +143,9 @@ class DynColorCountDS:
     """Distinct-color box counting: one PointMultiset per color, and one
     emptiness query per color tree.  A color's tree goes once it empties;
     a deleted point stays declared in its tree until the tree's own bound
-    rebuilds it (see PointMultiset), and `rebuilds` counts those rebuilds."""
+    rebuilds it (see PointMultiset), and `rebuilds` counts those rebuilds.
+    Under DYNDS_DEBUG_ASSERT every update checks the live count against the
+    trees' and that no empty tree is kept."""
 
     def __init__(self, n_cap: int, counter: Optional[VisitCounter] = None):
         if n_cap < 1:
@@ -175,6 +178,15 @@ class DynColorCountDS:
             self.n_live -= 1
             if not tree.n_live:
                 del self._trees[color]
+        if _debug_on():
+            self._debug_check()
+
+    def _debug_check(self) -> None:
+        trees = self._trees.values()
+        _invariant(self.n_live == sum(tree.n_live for tree in trees)
+                   <= self.n_cap, "live count")
+        _invariant(all(tree.n_live for tree in trees),
+                   "no empty color tree is kept")
 
     def query(self, box: Box) -> int:
         if box.dim != 2:

@@ -18,10 +18,9 @@ any other label is wrapped in _TieRank, which also orders against those ints.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from itertools import chain, repeat
-from operator import and_, itemgetter, le
+from operator import and_, itemgetter, le, lt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core_geom import (Box, Interval, PointMultiset, RangeTree, VisitCounter,
@@ -504,26 +503,19 @@ class SequenceAdapter:
     K / 2**KEY_SHIFT.  Each insert takes the midpoint (left + right) >> 1 of
     its neighbors, using fixed virtual boundary keys past either end (so
     repeated inserts at an end keep halving toward the boundary).  Between
-    ops every live key and both bounds are multiples of 4, so the midpoint
-    is exact and even; a midpoint that is not a multiple of 4 (denominator
-    exponent REBUILD_EXP + 1) re-spaces the keys, and the backing structure
-    is relabeled in place.  Live keys go to i << KEY_SHIFT.  A run of t dead
-    keys, which still sit on the structure's axes, between the live keys
-    base and base + 1 goes to base + s/(t+1) for s = 1..t: scaled by
-    2**KEY_SHIFT, the exact image when that is an integer, otherwise the odd
-    integer between the two even integers around it.  Later keys are always
-    even, so a dead key equals a later key exactly when its rational image
-    does, and orders against it the same way; the spare bit of KEY_SHIFT
-    over REBUILD_EXP + 1 is what keeps the odd integers free.
-
-    Besides the live keys, the adapter keeps only its dead keys (_dead:
-    deleted and not issued again), which a re-spacing must still map.  It
-    maps the live keys with one dict(zip(...)) over the new whole units and
-    finds each dead run's base by bisecting the live keys.
+    ops every key and both bounds are even, so a midpoint is exact; an odd
+    one (denominator exponent REBUILD_EXP + 1) re-spaces the keys, and the
+    backing structure is relabeled in place.  The adapter keeps its dead
+    keys (_dead: deleted and not issued again), which still sit on the
+    structure's axes, and a re-spacing puts every key, live or dead, on the
+    whole units i << KEY_SHIFT in order, by one dict(zip(...)).  This is a
+    labelled order-maintenance list (Dietz & Sleator, STOC 1987).  Under
+    DYNDS_DEBUG_ASSERT every insert and delete checks the keys and that
+    each axis value of the structure is a live or a dead key.
     """
 
     REBUILD_EXP = 64
-    KEY_SHIFT = REBUILD_EXP + 2
+    KEY_SHIFT = REBUILD_EXP + 1
 
     def __init__(self, n_cap: int, B_override: Optional[int] = None,
                  counter: Optional[VisitCounter] = None):
@@ -564,8 +556,10 @@ class SequenceAdapter:
         self.keys.insert(pos - 1, key)
         self.values.insert(pos - 1, value)
         self._dead.discard(key)
-        if key & 3:
+        if key & 1:
             self._rebuild()
+        if _debug_on():
+            self._debug_check()
 
     def delete(self, pos: int) -> None:
         n = len(self.values)
@@ -575,6 +569,8 @@ class SequenceAdapter:
         value = self.values.pop(pos - 1)
         self.ds.update((key,), value, insert=False)
         self._dead.add(key)
+        if _debug_on():
+            self._debug_check()
 
     def query(self, l: int, r: int) -> Tuple[object, int]:
         if not 1 <= l <= r <= len(self.values):
@@ -585,28 +581,31 @@ class SequenceAdapter:
         return got
 
     def _rebuild(self) -> None:
-        """Re-space live keys to whole units via an order-preserving relabel."""
+        """Re-space every key, live or dead, to whole units in order."""
         self.rebuilds += 1
         shift = self.KEY_SHIFT
-        keys = self.keys
-        n = len(keys)
-        spaced = list(range(1 << shift, (n + 1) << shift, 1 << shift))
-        mapping = dict(zip(keys, spaced))
-        dead = sorted(self._dead)
-        i = 0
-        while i < len(dead):
-            # the run of dead keys between live keys base - 1 and base
-            base = bisect_left(keys, dead[i])
-            j = bisect_left(dead, keys[base], i) if base < n else len(dead)
-            t = j - i
-            for s in range(1, t + 1):
-                q, rem = divmod((base * (t + 1) + s) << shift, t + 1)
-                mapping[dead[i + s - 1]] = q | 1 if rem else q
-            i = j
+        old = sorted(chain(self.keys, self._dead))
+        spaced = range(1 << shift, (len(old) + 1) << shift, 1 << shift)
+        mapping = dict(zip(old, spaced))
         self.ds.remap_axis_values([mapping])
-        self.keys = spaced
-        self._dead = set(map(mapping.__getitem__, dead))
-        self._hi_bound = (n + 1) << shift
+        self.keys = list(map(mapping.__getitem__, self.keys))
+        self._dead = set(map(mapping.__getitem__, self._dead))
+        self._hi_bound = (len(old) + 1) << shift
+
+    def _debug_check(self) -> None:
+        keys, dead = self.keys, self._dead
+        _invariant(all(map(lt, keys, keys[1:])), "keys rise strictly")
+        _invariant(not any(k & 1 for k in chain(keys, dead)),
+                   "keys are even between ops")
+        _invariant(dead.isdisjoint(keys), "dead keys are not live")
+        _invariant(all(0 < k < self._hi_bound for k in chain(keys, dead)),
+                   "every key lies between the bounds")
+        known = dead.union(keys)
+        ds = self.ds
+        axes = chain((tree._axes[0] for tree in ds._label_trees.values()),
+                     ds._tp._axes)
+        _invariant(all(known.issuperset(axis.values) for axis in axes),
+                   "every axis value is a live or a dead key")
 
 
 class SequenceScan:

@@ -190,11 +190,15 @@ HEADER_ERRORS = [
     ("color-count", "cap=0", "INS 1 1 1\n", "capacity must be >= 1"),
     ("langerman", "ext=0", "ZQRY\n", "extents must be positive"),
     ("erickson", "ext=0", "INC 1 1\n", "extents must be positive"),
-    # an extent past the platform's index size overflows the tensor
+    # a header integer past the platform's index size is refused by name
     ("langerman", "ext=99999999999999999999", "ZQRY\n",
-     "cannot fit 'int' into an index-sized integer"),
+     f"header ext must be at most {sys.maxsize}"),
     ("erickson", "ext=99999999999999999999", "INC 1 1\n",
-     "cannot fit 'int' into an index-sized integer"),
+     f"header ext must be at most {sys.maxsize}"),
+    ("hyperclique", "n=99999999999999999999 k=2", "QRY 1\n",
+     f"header n must be at most {sys.maxsize}"),
+    ("sequence-mode", f"cap=-{sys.maxsize + 1}", "SINS 1 5\n",
+     f"header cap must be at least -{sys.maxsize}"),
 ]
 
 

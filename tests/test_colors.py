@@ -280,6 +280,34 @@ def test_dcc_churn_keeps_color_trees_compact(monkeypatch):
     assert ds.rebuilds == sum(rebuilt) >= 10
 
 
+def _overcount(ds):
+    ds.n_live += 1
+
+
+def _shrink_cap(ds):
+    ds.n_cap = 1
+
+
+def _keep_empty_tree(ds):
+    ds._trees["ghost"] = PointMultiset(2)
+
+
+@pytest.mark.parametrize("corrupt,what", [
+    (_overcount, "live count"),
+    (_shrink_cap, "live count"),
+    (_keep_empty_tree, "no empty color tree is kept"),
+])
+def test_dcc_debug_check_raises_on_broken_invariant(corrupt, what,
+                                                    monkeypatch):
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    ds = DynColorCountDS(8)
+    for p, c in (((1, 1), "a"), ((2, 2), "b"), ((3, 3), "a")):
+        ds.update(p, c, True)
+    corrupt(ds)
+    with pytest.raises(RuntimeError, match=f"invariant broken: {what}"):
+        ds.update((1, 1), "a", False)
+
+
 def test_dcc_shared_counter():
     vc = VisitCounter()
     ds = DynColorCountDS(50, counter=vc)

@@ -900,10 +900,11 @@ def test_heavy_scan_loop_matches_count_per_tree():
     assert seen == {"doubled", "relabelled", "rebuilt", "tie", "empty"}
 
 
-def test_heavy_scan_loop_after_key_respacing():
+def test_heavy_scan_loop_after_key_respacing(monkeypatch):
     # every 4th op inserts at the front, halving the first key, so the
     # adapter re-spaces its keys: deleted keys stay on the axes between
-    # live ones
+    # live ones, and the adapter's debug check runs after every op
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
     rng = random.Random(2202)
     seq = SequenceAdapter.from_values([rng.randint(1, 4) for _ in range(40)],
                                       n_cap=400, B_override=1)
@@ -929,15 +930,14 @@ def test_heavy_scan_loop_after_key_respacing():
 class FractionSequenceAdapter(SequenceAdapter):
     """The adapter with dyadic Fraction keys that the int keys replaced.
 
-    Keys are re-spaced when a denominator exponent passes REBUILD_EXP; a run
-    of t dead keys between the live keys base and base + 1 goes to exactly
-    base + s/(t+1).  Only the key arithmetic differs from SequenceAdapter.
+    Keys are re-spaced when a denominator exponent passes REBUILD_EXP, every
+    key ever issued, live or dead, to the whole units 1, 2, ... in order.
+    Only the key arithmetic differs from SequenceAdapter.
     """
 
     def __init__(self, n_cap, B_override=None, counter=None):
         super().__init__(n_cap, B_override=B_override, counter=counter)
         self._all_keys = set()
-        self._lo_bound = Fraction(0)
         self._hi_bound = Fraction(2)
 
     @classmethod
@@ -955,7 +955,7 @@ class FractionSequenceAdapter(SequenceAdapter):
         n = len(self.values)
         if not 1 <= pos <= n + 1:
             raise ValueError(f"insert position {pos} out of range 1..{n + 1}")
-        left = self.keys[pos - 2] if pos >= 2 else self._lo_bound
+        left = self.keys[pos - 2] if pos >= 2 else Fraction(0)
         right = self.keys[pos - 1] if pos <= n else self._hi_bound
         key = (left + right) / 2
         self.ds.update((key,), value, insert=True)
@@ -967,30 +967,16 @@ class FractionSequenceAdapter(SequenceAdapter):
 
     def _rebuild(self):
         self.rebuilds += 1
-        live = set(self.keys)
-        mapping = {}
-        run = []
-        nxt = 1
-
-        def flush(base):
-            t = len(run)
-            for s, k in enumerate(run, start=1):
-                mapping[k] = base + Fraction(s, t + 1)
-            run.clear()
-
-        for k in sorted(self._all_keys):
-            if k in live:
-                flush(Fraction(nxt - 1))
-                mapping[k] = Fraction(nxt)
-                nxt += 1
-            else:
-                run.append(k)
-        flush(Fraction(nxt - 1))
+        mapping = {k: Fraction(i)
+                   for i, k in enumerate(sorted(self._all_keys), start=1)}
         self.ds.remap_axis_values([mapping])
         self.keys = [mapping[k] for k in self.keys]
         self._all_keys = set(mapping.values())
-        self._lo_bound = Fraction(0)
-        self._hi_bound = Fraction(nxt)
+        self._hi_bound = Fraction(len(mapping) + 1)
+
+    def _debug_check(self):
+        """None: the adapter's checks read int keys, and assert_same_state
+        compares this reference's keys with the int adapter's instead."""
 
     def max_denominator_exp(self):
         return max((k.denominator.bit_length() - 1 for k in self.keys),
@@ -1006,11 +992,10 @@ def axis_slots(seq):
 
 
 def scaled_key(key):
-    """The int key of a Fraction key: exact when key * 2**KEY_SHIFT is an
-    integer, otherwise the odd integer between the two even ones around it."""
-    q, rem = divmod(key.numerator << SequenceAdapter.KEY_SHIFT,
-                    key.denominator)
-    return q | 1 if rem else q
+    """The int key of a Fraction key, key * 2**KEY_SHIFT, always exact."""
+    scaled = key * (1 << SequenceAdapter.KEY_SHIFT)
+    assert scaled.denominator == 1
+    return scaled.numerator
 
 
 def assert_same_state(seq, ref):
@@ -1054,9 +1039,9 @@ def test_int_keys_match_fraction_reference(B):
 def test_int_keys_dead_runs_match_fraction_reference():
     """Dead runs of 1, 2 and 3 keys, then midpoints onto and beside them.
 
-    Values 1 sit at keys 1..4; dead label-2 keys between them re-space to
-    66 + 1/2, 67 + 1/3, 67 + 2/3 and 68 + 1/4, 68 + 1/2, 68 + 3/4 once 65
-    front inserts have moved the four to 66..69.
+    Values 1 sit at keys 1..4 with dead label-2 keys between them.  65 front
+    inserts re-space every key, live or dead, to a whole unit: the four 1s
+    go to 66, 68, 71 and 75, and the dead keys to 67; 69, 70; 72, 73, 74.
     """
     seqs = [cls.from_values([1, 1, 1, 1], n_cap=200)
             for cls in (SequenceAdapter, FractionSequenceAdapter)]
@@ -1070,14 +1055,13 @@ def test_int_keys_dead_runs_match_fraction_reference():
             seq.insert(1, 0)
         assert seq.rebuilds == 1
     seq, ref = seqs
-    assert ref._all_keys - set(ref.keys) == {
-        66 + Fraction(1, 2), 67 + Fraction(1, 3), 67 + Fraction(2, 3),
-        68 + Fraction(1, 4), 68 + Fraction(1, 2), 68 + Fraction(3, 4)}
+    assert ref.keys[65:] == [66, 68, 71, 75]
+    assert ref._all_keys - set(ref.keys) == {67, 69, 70, 72, 73, 74}
     assert_same_state(seq, ref)
     # label 2 is light, so its keys are on the max tree's box-bound axes
     axis = seq.ds._tp._axes[0]
-    # (position, whether the new key lands on a dead key): 66.5; 68.5 and
-    # 68.25; 67.5 between the thirds, 67.25 below 67 + 1/3, 67.375 above it
+    # (position, whether the new key lands on a dead key): 67; 73 and 72;
+    # 69.5 between the dead 69 and 70, 68.75 below 69, 69.125 above it
     for pos, on_dead in ((67, True), (70, True), (70, True), (69, False),
                          (69, False), (70, False)):
         before = len(axis.values)
@@ -1090,7 +1074,61 @@ def test_int_keys_dead_runs_match_fraction_reference():
             assert seq.query(l, r) == ref.query(l, r)
             assert_same_state(seq, ref)
     assert ref.keys[65:75] == [66 + Fraction(k, 8) for k in
-                               (0, 4, 8, 10, 11, 12, 16, 18, 20, 24)]
+                               (0, 8, 16, 22, 25, 28, 40, 48, 56, 72)]
+
+
+@pytest.mark.parametrize("t,later", [(1, 1), (2, 0), (3, 2)])
+def test_hammered_gap_of_dead_keys_matches_fraction_reference(t, later):
+    """Inserts hammered into a gap that holds t dead keys.
+
+    After a re-spacing the gap spans t + 1 units, so the hammered midpoints
+    run out of precision `later` = v2(t + 1) halvings after those of a
+    1-unit gap: the next re-spacing comes at hammer insert REBUILD_EXP + 1
+    + later.  Across it, the int adapter, the Fraction reference and the
+    scan agree.
+    """
+    rng = random.Random(f"hammer.{t}")
+    seqs = [cls.from_values([1, 2, 1, 2], n_cap=300, B_override=2)
+            for cls in (SequenceAdapter, FractionSequenceAdapter)]
+    for seq in seqs:
+        for i in range(t):
+            seq.insert(2 + i, 3)
+        for _ in range(t):
+            seq.delete(2)
+        for _ in range(65):
+            seq.insert(1, 0)
+    seq, ref = seqs
+    assert seq.rebuilds == 1 and len(seq._dead) == t
+    assert ref.keys[65:67] == [66, 67 + t]
+
+    def agree():
+        assert_same_state(seq, ref)
+        n = len(seq)
+        for l, r in ((1, n), (60, n), (64, 70), (66, 68),
+                     *[sorted(rng.sample(range(1, n + 1), 2))
+                       for _ in range(3)]):
+            want = sequence_mode_oracle(seq.values, l, r)
+            assert seq.query(l, r) == ref.query(l, r) == want
+
+    hammered = 0
+    while seq.rebuilds == 1:
+        v = rng.randint(0, 3)
+        for s in seqs:
+            s.insert(67, v)
+        hammered += 1
+        agree()
+    assert hammered == SequenceAdapter.REBUILD_EXP + 1 + later
+    for _ in range(40):
+        if rng.random() < 0.5:
+            pos, v = rng.randint(60, 75), rng.randint(0, 3)
+            for s in seqs:
+                s.insert(pos, v)
+        else:
+            pos = rng.randint(60, 75)
+            for s in seqs:
+                s.delete(pos)
+        agree()
+    assert axis_slots(seq) == axis_slots(ref)
 
 
 def test_sequence_memory_stays_under_bound():
@@ -1139,3 +1177,61 @@ def test_debug_check_holds_under_optimize():
                          env={**os.environ, "PYTHONPATH": str(src),
                               "DYNDS_DEBUG_ASSERT": "1"})
     assert out.stdout == "invariant broken: live count\n"
+
+
+def _drop_dead_key(seq):
+    seq._dead.pop()
+
+
+def _reverse_keys(seq):
+    seq.keys.reverse()
+
+
+def _odd_dead_key(seq):
+    seq._dead.add(seq._dead.pop() + 1)
+
+
+def _live_key_also_dead(seq):
+    seq._dead.add(seq.keys[-1])
+
+
+def _bound_on_last_key(seq):
+    seq._hi_bound = seq.keys[-1]
+
+
+@pytest.mark.parametrize("corrupt,what", [
+    (_drop_dead_key, "every axis value is a live or a dead key"),
+    (_reverse_keys, "keys rise strictly"),
+    (_odd_dead_key, "keys are even between ops"),
+    (_live_key_also_dead, "dead keys are not live"),
+    (_bound_on_last_key, "every key lies between the bounds"),
+])
+def test_sequence_debug_check_raises_on_broken_keys(corrupt, what,
+                                                    monkeypatch):
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    seq = SequenceAdapter.from_values([1, 2, 1, 3], n_cap=8)
+    seq.delete(2)
+    seq.insert(1, 2)
+    corrupt(seq)
+    with pytest.raises(RuntimeError, match=f"invariant broken: {what}"):
+        seq.insert(1, 3)
+
+
+def test_sequence_debug_check_holds_under_optimize():
+    # a dead key dropped from _dead, though its value is still on the max
+    # tree's axes, would make the next re-spacing miss it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from dynds.range_mode import SequenceAdapter\n"
+            "seq = SequenceAdapter.from_values([1, 2, 1], n_cap=8)\n"
+            "seq.delete(2)\n"
+            "seq._dead.clear()\n"
+            "try:\n"
+            "    seq.insert(1, 3)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src),
+                              "DYNDS_DEBUG_ASSERT": "1"})
+    assert out.stdout == ("invariant broken: every axis value is a live or "
+                          "a dead key\n")
