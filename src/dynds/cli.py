@@ -16,7 +16,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .colors import (CommonColorsDS, CommonColorsScan, DynColorCountDS,
                      dcc_oracle)
@@ -615,32 +617,27 @@ def trace_suite(problem: str, structure_id: str, seed: int,
     return TraceSuiteReport(problem, structure_id, cases, mismatches)
 
 
-
-
 # ---------------- benches ----------------
 
-@dataclass
+@dataclass(frozen=True)
 class BenchPlan:
-    structure_id: str
+    """One bench workload.  `steps(n, rng, counter)` builds its structure on
+    `counter` and yields once when set-up ends, then once after each op;
+    `run_bench` times and counts the rest."""
     target: float
     default_sizes: Tuple[int, ...]
-    # runner(n, rng) -> (ops, visits, start): visits are those of the ops
-    # alone, and start is the perf_counter_ns reading where set-up ends
-    # and the ops begin
-    runner: Callable[[int, random.Random], Tuple[int, int, int]]
+    steps: Callable[[int, random.Random, VisitCounter], Iterator[None]]
 
 
-def _bench_sequence_mode(n: int, rng: random.Random) -> Tuple[int, int, int]:
+def _bench_sequence_mode(n: int, rng: random.Random, ctr: VisitCounter):
     # ~n^{2/3}/3 labels with ~3n^{1/3} copies each: every label sits above
     # the B threshold, so queries pay the full heavy scan
-    ctr = VisitCounter()
     m = max(2, round(n ** (2 / 3) / 3))
     seq = SequenceAdapter.from_values([rng.randint(1, m) for _ in range(n)],
                                       n_cap=n + 400, counter=ctr)
-    base, start = ctr.count, time.perf_counter_ns()
-    ops = 120
+    yield
     length = n
-    for _ in range(ops):
+    for _ in range(120):
         r = rng.random()
         if r < 0.125:
             seq.insert(rng.randint(1, length + 1), rng.randint(1, m))
@@ -653,13 +650,12 @@ def _bench_sequence_mode(n: int, rng: random.Random) -> Tuple[int, int, int]:
             seq.query(l, rng.randint(l, length))
         else:
             seq.query(1, length)
-    return ops, ctr.count - base, start
+        yield
 
 
-def _bench_drm2(n: int, rng: random.Random) -> Tuple[int, int, int]:
+def _bench_drm2(n: int, rng: random.Random, ctr: VisitCounter):
     # ~n^{4/5}/2 heavy labels (copies stacked per label so their trees stay
     # constant-size); the heavy scan dominates at the d=2 target exponent
-    ctr = VisitCounter()
     ds = DynRangeModeDS(2, n + 200, counter=ctr)
     side = max(2, math.isqrt(n))
     m = max(2, round(n ** 0.8 / 2))
@@ -668,9 +664,8 @@ def _bench_drm2(n: int, rng: random.Random) -> Tuple[int, int, int]:
     live = Counter(i % m + 1 for i in range(n))
     ds.bulk_insert((spot[lab], lab) for lab, k in live.items()
                    for _ in range(k))
-    base, start = ctr.count, time.perf_counter_ns()
-    ops = 60
-    for _ in range(ops):
+    yield
+    for _ in range(60):
         if rng.random() < 0.2:
             lab = rng.randint(1, m)
             if rng.random() < 0.5 and live[lab] > 1:
@@ -685,79 +680,66 @@ def _bench_drm2(n: int, rng: random.Random) -> Tuple[int, int, int]:
             ds.query(Box.closed((xa, ya), (xb, yb)))
         else:
             ds.query(Box.closed((1, 1), (side, side)))
-    return ops, ctr.count - base, start
+        yield
 
 
-def _bench_langerman(d: int):
-    def run(n: int, rng: random.Random) -> Tuple[int, int, int]:
-        ext = (n,) * d
-        t0 = Tensor(ext)
-        for x in t0.indices():
-            t0[x] = rng.randint(0, 2)
-        ctr = VisitCounter()
-        ds = LangermanDS(ext, initial=t0, counter=ctr)
-        base, start = ctr.count, time.perf_counter_ns()
-        ops = 150 if d == 1 else 60
-        for i in range(ops):
-            if i % 4 == 3:
-                ds.exists_zero()
-            else:
-                x = tuple(rng.randint(1, e) for e in ext)
-                ds.update(x, rng.choice((-2, -1, 1, 2)))
-        return ops, ctr.count - base, start
-    return run
+def _bench_langerman(n: int, rng: random.Random, ctr: VisitCounter, d: int):
+    ext = (n,) * d
+    t0 = Tensor(ext)
+    for x in t0.indices():
+        t0[x] = rng.randint(0, 2)
+    ds = LangermanDS(ext, initial=t0, counter=ctr)
+    yield
+    for i in range(150 if d == 1 else 60):
+        if i % 4 == 3:
+            ds.exists_zero()
+        else:
+            x = tuple(rng.randint(1, e) for e in ext)
+            ds.update(x, rng.choice((-2, -1, 1, 2)))
+        yield
 
 
-def _bench_skyline3d(n: int, rng: random.Random) -> Tuple[int, int, int]:
-    ctr = VisitCounter()
+def _bench_skyline3d(n: int, rng: random.Random, ctr: VisitCounter):
     initial = [tuple(rng.randint(1, 16) for _ in range(3)) for _ in range(n)]
     eng = SemiOnlineEngine(Skyline3DBlock(counter=ctr), n + 100,
                            initial=initial)
-    base, start = ctr.count, time.perf_counter_ns()
-    rounds = max(8, 3 * math.isqrt(n))
-    ops = 0
-    for _ in range(rounds):
+    yield
+    for _ in range(max(8, 3 * math.isqrt(n))):
         p = tuple(rng.randint(1, 16) for _ in range(3))
         eng.insert(p, eng.op_index + 3)
+        yield
         eng.query()
+        yield
         eng.delete()
-        ops += 3
-    return ops, ctr.count - base, start
+        yield
 
 
-def _bench_oracle_scan(n: int, rng: random.Random) -> Tuple[int, int, int]:
+def _bench_oracle_scan(n: int, rng: random.Random, ctr: VisitCounter):
     data = [rng.randint(1, 8) for _ in range(n)]
-    ctr = VisitCounter()
-    ops = 25
-    start = time.perf_counter_ns()
-    for _ in range(ops):
+    yield
+    for _ in range(25):
         want = rng.randint(1, 8)
         hits = 0
         for v in data:
             ctr.add(1)
             hits += v == want
-    return ops, ctr.count, start
+        yield
 
 
 BENCHES: Dict[str, BenchPlan] = {
     "sequence-mode": BenchPlan(
-        "sequence-mode", 2 / 3, (243, 729, 2187, 6561, 19683),
-        _bench_sequence_mode),
+        2 / 3, (243, 729, 2187, 6561, 19683), _bench_sequence_mode),
     "range-mode-dyn-2d": BenchPlan(
-        "range-mode-dyn-2d", 0.8, (243, 729, 2187, 6561, 19683),
-        _bench_drm2),
+        0.8, (243, 729, 2187, 6561, 19683), _bench_drm2),
     "langerman-d1": BenchPlan(
-        "langerman-d1", 0.5, (16, 32, 64, 128, 256, 512, 1024),
-        _bench_langerman(1)),
+        0.5, (16, 32, 64, 128, 256, 512, 1024),
+        partial(_bench_langerman, d=1)),
     "langerman-d2": BenchPlan(
-        "langerman-d2", 4 / 3, (8, 12, 18, 27, 40, 60),
-        _bench_langerman(2)),
+        4 / 3, (8, 12, 18, 27, 40, 60), partial(_bench_langerman, d=2)),
     "skyline3d": BenchPlan(
-        "skyline3d", 0.5, (256, 512, 1024, 2048, 4096),
-        _bench_skyline3d),
+        0.5, (256, 512, 1024, 2048, 4096), _bench_skyline3d),
     "oracle-scan": BenchPlan(
-        "oracle-scan", 1.0, (512, 1024, 2048, 4096, 8192),
-        _bench_oracle_scan),
+        1.0, (512, 1024, 2048, 4096, 8192), _bench_oracle_scan),
 }
 
 
@@ -812,9 +794,14 @@ def run_bench(structure_id: str, sizes: Sequence[int], seed: int,
     rows = []
     for n in sizes:
         rng = random.Random(f"dynds.bench.{seed}.{structure_id}.{n}")
+        ctr = VisitCounter()
         t0 = time.perf_counter_ns()
-        ops, visits, start = plan.runner(n, rng)
+        steps = plan.steps(n, rng, ctr)
+        next(steps)
+        base, start = ctr.count, time.perf_counter_ns()
+        ops = sum(1 for _ in steps)
         end = time.perf_counter_ns()
+        visits = ctr.count - base
         rows.append((n, ops, visits, end - start, visits / ops, start - t0))
     return BenchReport(structure_id, seed, rows, plan.target, tol)
 
@@ -822,16 +809,12 @@ def run_bench(structure_id: str, sizes: Sequence[int], seed: int,
 # ---------------- commands ----------------
 
 def _emit(text: str, out: Optional[str], code: int = 0) -> int:
-    """Write text to the file out, or to stdout without one; returns code,
-    or 2 when out cannot be written."""
-    if not out:
-        sys.stdout.write(text)
-        return code
-    try:
+    """Write text to the file out, or to stdout without one; returns code."""
+    if out:
         with open(out, "w") as fh:
             fh.write(text)
-    except OSError as exc:
-        return _fail(exc)
+    else:
+        sys.stdout.write(text)
     return code
 
 
@@ -840,27 +823,10 @@ def _fail(msg, code: int = 2) -> int:
     return code
 
 
-def _out_of_memory(exc: MemoryError) -> int:
-    """Exit 3 on an allocation the machine cannot hold, such as a header or
-    part size that parses but is too large to build."""
-    return _fail(f"out of memory: {str(exc) or 'allocation failed'}", 3)
-
-
 def cmd_solve(args) -> int:
-    try:
-        with open(args.trace) as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _fail(exc)
-    try:
-        trace = parse_trace(text)
-        lines = run_trace(trace, args.structure)
-    except TraceError as exc:
-        return _fail(exc)
-    except OpError as exc:
-        return _fail(exc, 3)
-    except MemoryError as exc:
-        return _out_of_memory(exc)
+    with open(args.trace) as fh:
+        text = fh.read()
+    lines = run_trace(parse_trace(text), args.structure)
     return _emit("".join(ln + "\n" for ln in lines), args.out)
 
 
@@ -868,31 +834,17 @@ def cmd_reduce(args) -> int:
     cfg = REDUCTIONS.get(args.reduction)
     if cfg is None:
         return _fail(f"unknown reduction {args.reduction!r}")
-    base = args.adapter
-    factory = cfg.adapters.get(base)
+    factory = cfg.adapters.get(args.adapter)
     if factory is None:
-        return _fail(f"reduction {cfg.rid} has no adapter {base!r}")
-    try:
-        with open(args.instance) as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _fail(exc)
-    try:
-        inst = parse_graph(text) if cfg.kind == "clique" else parse_oumv(text)
-    except ValueError as exc:
-        return _fail(exc)
+        return _fail(f"reduction {cfg.rid} has no adapter {args.adapter!r}")
+    with open(args.instance) as fh:
+        text = fh.read()
+    inst = parse_graph(text) if cfg.kind == "clique" else parse_oumv(text)
     if inst.k != cfg.arity:
         return _fail(f"{cfg.rid} expects arity {cfg.arity}, instance has "
                      f"{inst.k}")
-    try:
-        target = Counted(factory(inst))
-        result = cfg.run(inst, target)
-    except (ValueError, OverflowError) as exc:
-        return _fail(exc)
-    except RuntimeError as exc:
-        return _fail(exc, 3)
-    except MemoryError as exc:
-        return _out_of_memory(exc)
+    target = Counted(factory(inst))
+    result = cfg.run(inst, target)
     answers = result if isinstance(result, list) else [result]
     body = "".join(_fmt_bool(a) + "\n" for a in answers)
     calls = " ".join(f"{k}={v}" for k, v in sorted(target.calls.items()))
@@ -937,14 +889,16 @@ def cmd_bench(args) -> int:
             sizes = tuple(int(x) for x in args.sizes.split(","))
         except ValueError:
             return _fail(f"bad size list {args.sizes!r}")
-    try:
-        rep = run_bench(args.structure, sizes, args.seed, tol=args.tol)
-    except ValueError as exc:
-        return _fail(exc)
+    rep = run_bench(args.structure, sizes, args.seed, tol=args.tol)
     return _emit(rep.render(), args.out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code: 0 on success, 1 when a
+    crosscheck finds mismatches, 2 when an input is rejected (a
+    `ValueError`, `OverflowError` or `OSError`), 3 on a failure while
+    running (an `OpError`, a `RuntimeError` or a `MemoryError`).  Each of
+    these ends in one `error: ...` line on stderr, not a traceback."""
     ap = argparse.ArgumentParser(
         prog="dynds",
         description="dynamic-structure traces, reductions, and benches")
@@ -979,7 +933,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(fn=cmd_bench)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OpError as exc:      # first: an OpError is a ValueError
+        return _fail(exc, 3)
+    except (ValueError, OverflowError, OSError) as exc:
+        return _fail(exc)
+    except RuntimeError as exc:
+        return _fail(exc, 3)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {str(exc) or 'allocation failed'}", 3)
 
 
 if __name__ == "__main__":

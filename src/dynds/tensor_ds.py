@@ -5,11 +5,11 @@ any prefix box sum to zero".  Prefix values are cached on a grid of block
 anchors; each cell keeps only its residual against its block anchor, and a
 per-block multiset of residuals makes the zero test one lookup per block.
 
-EricksonLazy and EricksonEager maintain a tensor under slab increments with
-max queries.  HypercliqueLazy and HypercliqueCounting maintain a k-uniform
-hypergraph under edge flips and answer (k+1)-clique membership queries.
-EricksonScan and HypercliqueScan are their scan oracles, and share their
-argument checks.  oumv_bruteforce answers one OuMv query by a scan of M.
+EricksonLazy and EricksonEager maintain a tensor under unit slab increments
+with max queries.  HypercliqueLazy and HypercliqueCounting maintain a
+k-uniform hypergraph under edge flips and answer (k+1)-clique membership
+queries.  EricksonScan and HypercliqueScan are their scan oracles, and share
+their argument checks.  oumv_bruteforce answers one OuMv query by a scan of M.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def _check_slab(extents, axis: int, index: int) -> None:
 
 
 class EricksonLazy:
-    """Tensor under slab increments, max query by full scan."""
+    """Tensor under unit slab increments, max query by full scan."""
 
     def __init__(self, initial: Tensor, counter: Optional[VisitCounter] = None):
         self.base = initial.copy()
@@ -266,10 +266,10 @@ class EricksonLazy:
         self.inc = [[0] * (e + 1) for e in self.extents]
         self.counter = counter if counter is not None else VisitCounter()
 
-    def increment(self, axis: int, index: int, delta: int = 1) -> None:
+    def increment(self, axis: int, index: int) -> None:
         _check_slab(self.extents, axis, index)
         self.counter.add(1)
-        self.inc[axis][index] += delta
+        self.inc[axis][index] += 1
 
     def value(self, x) -> int:
         return self.base[x] + sum(self.inc[i][xi] for i, xi in enumerate(x))
@@ -285,51 +285,28 @@ class EricksonLazy:
 
 
 class EricksonEager:
-    """Tensor under slab increments, values materialized, max via histogram.
-
-    `_hist` counts the cells holding each value and `_max` points at the
-    largest value held.  An increment moves every slab cell by the same
-    delta, so a positive delta can only raise the pointer to a moved cell,
-    and when a negative one empties the max slot the cells that left it sit
-    |delta| lower: the pointer walks down at most |delta| int slots, or
-    takes the largest key when the histogram has fewer distinct values than
-    that.  The walk needs int values and deltas; others raise TypeError.
-    """
+    """Tensor under unit row/column increments, values materialized, max
+    kept as a running max.  An increment adds 1 to every cell of its slab
+    and lowers no cell, so the new max is the larger of the old max and
+    the slab's new values: one visit per slab cell, one per max query."""
 
     def __init__(self, initial: Tensor, counter: Optional[VisitCounter] = None):
-        if not all(isinstance(v, int) for v in initial.data):
-            raise TypeError("EricksonEager needs int values")
         self.vals = initial.copy()
         self.extents = initial.extents
         self.counter = counter if counter is not None else VisitCounter()
-        self._hist = Counter(self.vals.data)
-        self._max = max(self._hist)
+        self._max = max(self.vals.data)
 
-    def increment(self, axis: int, index: int, delta: int = 1) -> None:
+    def increment(self, axis: int, index: int) -> None:
         ext = self.extents
         _check_slab(ext, axis, index)
-        if not isinstance(delta, int):
-            raise TypeError("EricksonEager needs an int delta")
         ranges = [range(1, e + 1) if i != axis else (index,)
                   for i, e in enumerate(ext)]
-        hist, top = self._hist, self._max
+        vals, top = self.vals, self._max
         for x in itertools.product(*ranges):
             self.counter.add(1)
-            old = self.vals[x]
-            new = old + delta
-            self.vals[x] = new
-            hist[new] += 1
-            hist[old] -= 1
-            if not hist[old]:
-                del hist[old]
+            new = vals[x] = vals[x] + 1
             if new > top:
                 top = new
-        if top not in hist:
-            if -delta <= len(hist):
-                while top not in hist:
-                    top -= 1
-            else:
-                top = max(hist)
         self._max = top
 
     def value(self, x) -> int:
@@ -348,11 +325,11 @@ class EricksonScan:
         self.t = initial.copy()
         self.extents = initial.extents
 
-    def increment(self, axis: int, index: int, delta: int = 1) -> None:
+    def increment(self, axis: int, index: int) -> None:
         _check_slab(self.extents, axis, index)
         for x in self.t.indices():
             if x[axis] == index:
-                self.t.add(x, delta)
+                self.t.add(x, 1)
 
     def value(self, x) -> int:
         return self.t[x]

@@ -735,6 +735,76 @@ def test_trace_behaviour_pinned():
         "c4676cdb5e146e25297ee94f76c22db9e9e948c5d2ad98ac405743f54cc1ad9d")
 
 
+# ---------------- regimes the generated traces miss ----------------
+
+def test_sequence_respacing_matches_oracle(monkeypatch):
+    # 65 front inserts halve the first key down to an odd one, which
+    # re-spaces every key, the 6 dead ones included; crosscheck's traces
+    # never get that far
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    rebuild, rebuilds = SequenceAdapter._rebuild, []
+
+    def counted(self):
+        rebuilds.append(len(self))
+        rebuild(self)
+    monkeypatch.setattr(SequenceAdapter, "_rebuild", counted)
+    rng = random.Random(34)
+    ops = [("SINS", str(i), str(rng.randint(1, 5))) for i in range(1, 21)]
+    ops += [("SDEL", str(rng.randint(1, 20 - i))) for i in range(6)]
+    n = 14
+    for _ in range(70):
+        ops.append(("SINS", "1", str(rng.randint(1, 5))))
+        n += 1
+        l = rng.randint(1, n)
+        ops.append(("SQRY", str(l), str(rng.randint(l, n))))
+    trace = OpTrace("sequence-mode", {"cap": "100"}, ops)
+    want = run_trace(trace, "oracle")
+    assert len(want) == 70
+    assert run_trace(trace, "real") == want
+    assert rebuilds
+
+
+def _skyline_dup_trace(rng: random.Random, size: int) -> OpTrace:
+    # _gen_skyline3d's schedule on points from {1,2}^3 that live up to 30
+    # ops, so that live points repeat
+    t = OpTrace("skyline3d", {})
+    deaths, op = set(), 0
+    for _ in range(size):
+        op += 1
+        if op in deaths:
+            t.ops.append(("DEL",))
+        elif rng.random() < 0.5:
+            death = op + rng.randint(1, 30)
+            while death in deaths:
+                death += 1
+            deaths.add(death)
+            p = tuple(rng.randint(1, 2) for _ in range(3))
+            t.ops.append(("INS",) + tuple(map(str, p)) + (str(death),))
+        else:
+            t.ops.append(("QRY",))
+    while any(d > op for d in deaths):
+        op += 1
+        t.ops.append(("DEL",) if op in deaths else ("QRY",))
+    t.header["cap"] = str(len(t.ops) + 4)
+    return t
+
+
+def test_skyline_repeated_points_match_oracle(monkeypatch):
+    # crosscheck's skyline traces never hand maxima3d a repeated point
+    import dynds.geom_dyn as geom_dyn
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    maxima3d, repeats = geom_dyn.maxima3d, []
+
+    def counted(mult):
+        repeats.append(max(mult.values(), default=0) > 1)
+        return maxima3d(mult)
+    monkeypatch.setattr(geom_dyn, "maxima3d", counted)
+    for case in range(60):
+        trace = _skyline_dup_trace(random.Random(f"skyline.dup.{case}"), 60)
+        assert run_trace(trace, "engine") == run_trace(trace, "oracle"), case
+    assert sum(repeats) >= 20
+
+
 # ---------------- bench ----------------
 
 def test_bench_oracle_scan_linear(tmp_path):
@@ -896,6 +966,40 @@ def test_unwritable_out_exit2(command, tmp_path, capsys):
     got = capsys.readouterr()
     assert got.out == "" and got.err.startswith("error: ")
     assert str(out) in got.err and "Traceback" not in got.err
+
+
+@pytest.mark.parametrize("exc,code", [
+    (ValueError, 2), (OverflowError, 2), (OSError, 2),
+    (RuntimeError, 3), (MemoryError, 3)])
+@pytest.mark.parametrize("command", ["solve", "reduce", "crosscheck",
+                                     "bench"])
+def test_exit_table(command, exc, code, tmp_path, capsys, monkeypatch):
+    # whatever a command's work raises from the table, `main` maps it to
+    # one exit code and one `error: ` line, never a traceback
+    import dynds.cli as cli
+
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    trace = _write(tmp_path, "t.trace",
+                   "problem langerman\nheader ext=4\nZQRY\n")
+    graph = _write(tmp_path, "g.txt", format_graph(_planted_graph()))
+    cfg = REDUCTIONS["red_4clique_range_mode"]
+    if command == "reduce":
+        monkeypatch.setitem(REDUCTIONS, cfg.rid,
+                            dataclasses.replace(cfg, run=fail))
+    else:
+        monkeypatch.setattr(cli, {"solve": "run_trace",
+                                  "crosscheck": "trace_suite",
+                                  "bench": "run_bench"}[command], fail)
+    argv = {"solve": ["solve", trace],
+            "reduce": ["reduce", graph, "--reduction", cfg.rid],
+            "crosscheck": ["crosscheck", "--scope", "langerman"],
+            "bench": ["bench", "--structure", "oracle-scan"]}[command]
+    assert main(argv) == code
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("error: ")
+    assert "injected" in got.err and "Traceback" not in got.err
 
 
 @pytest.mark.parametrize("exponent", [0.5, 2 / 3])

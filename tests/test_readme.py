@@ -1,8 +1,10 @@
 """README.md stays true: its ```python blocks run, its `solve` problem
-table and structure ids match `dynds.cli.PROBLEMS`, and its `reduce`
-reduction table matches `dynds.REDUCTIONS`."""
+table and structure ids match `dynds.cli.PROBLEMS`, its `reduce`
+reduction table matches `dynds.REDUCTIONS`, and its `bench` table matches
+`dynds.cli.BENCHES`."""
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -76,3 +78,16 @@ def test_readme_reduction_table_matches_reductions():
         instance = (f"graph, k={cfg.arity}" if cfg.kind == "clique"
                     else "OuMv")
         assert table[rid] == (instance, set(cfg.adapters)), rid
+
+
+def test_readme_bench_table_matches_benches():
+    from dynds.cli import BENCHES
+    text = README.read_text()
+    section = text[text.index("### bench"):text.index("## Testing")]
+    table = {}
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            structure, slope = [c.strip() for c in row.strip("|").split("|")]
+            table[structure.strip("`")] = float(Fraction(slope.split()[0]))
+    assert table == {sid: plan.target for sid, plan in BENCHES.items()}
+    assert list(table) == list(BENCHES)
