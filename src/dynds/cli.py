@@ -714,6 +714,31 @@ def _bench_skyline3d(n: int, rng: random.Random, ctr: VisitCounter):
         yield
 
 
+def _bench_halfspace(n: int, rng: random.Random, ctr: VisitCounter, d: int):
+    # n points of a side^d grid and the open slab halves that
+    # red_oumvk_halfspace inserts: each is axis-parallel, so an update meets
+    # O(n^{1-1/d}) kd-tree cells
+    side = max(2, round(n ** (1 / d)))
+    hs = HalfspaceSystem([tuple(rng.randrange(side) for _ in range(d))
+                          for _ in range(n)], counter=ctr)
+    yield
+    live = []
+    for _ in range(60):
+        r = rng.random()
+        if live and r < 0.35:
+            hs.delete(*live.pop(rng.randrange(len(live))))
+        elif r < 0.45:
+            hs.min_count()
+        else:
+            axis, j = rng.randrange(d), rng.randrange(side)
+            e = tuple(int(i == axis) for i in range(d))
+            h = ((e, Fraction(2 * j - 1, 2), "lt") if rng.random() < 0.5
+                 else (e, Fraction(2 * j + 1, 2), "gt"))
+            hs.insert(*h)
+            live.append(h)
+        yield
+
+
 def _bench_oracle_scan(n: int, rng: random.Random, ctr: VisitCounter):
     data = [rng.randint(1, 8) for _ in range(n)]
     yield
@@ -738,6 +763,12 @@ BENCHES: Dict[str, BenchPlan] = {
         4 / 3, (8, 12, 18, 27, 40, 60), partial(_bench_langerman, d=2)),
     "skyline3d": BenchPlan(
         0.5, (256, 512, 1024, 2048, 4096), _bench_skyline3d),
+    "halfspace-d2": BenchPlan(
+        0.5, (256, 1024, 4096, 16384, 65536),
+        partial(_bench_halfspace, d=2)),
+    "halfspace-d3": BenchPlan(
+        2 / 3, (512, 1728, 4096, 13824, 32768),
+        partial(_bench_halfspace, d=3)),
     "oracle-scan": BenchPlan(
         1.0, (512, 1024, 2048, 4096, 8192), _bench_oracle_scan),
 }

@@ -66,6 +66,8 @@ def test_criterion_2_trace_suites_exact():
     ("langerman-d1", 0.5),
     ("langerman-d2", 4 / 3),
     ("skyline3d", 0.5),
+    ("halfspace-d2", 0.5),
+    ("halfspace-d3", 2 / 3),
 ])
 def test_criterion_3_exponent_fit(structure, target):
     plan = BENCHES[structure]

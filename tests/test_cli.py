@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynds.cli import (PROBLEMS, TRACE_SUITES, BenchReport, OpError, OpTrace,
-                       TraceError, gen_trace, main, parse_trace, run_trace,
-                       trace_suite)
+                       TraceError, gen_trace, main, parse_trace, run_bench,
+                       run_trace, trace_suite)
 from dynds.core_geom import VisitCounter
 from dynds.range_mode import DynRangeModeDS, SequenceAdapter
 from dynds.reductions import (REDUCTIONS, KPartiteGraph, OuMvInstance,
@@ -621,7 +621,7 @@ def test_crosscheck_report_bytes_pinned(scope, code, digest, tmp_path,
     # the seed-3 reports are part of the CLI contract, and the default
     # scope's counted visits, summed over every VisitCounter the run makes,
     # are part of the cost model
-    visits = {"default": 846843}.get(scope)
+    visits = {"default": 757718}.get(scope)
     made = []
     init = VisitCounter.__init__
 
@@ -916,6 +916,19 @@ def test_bench_langerman_d1_visits_pinned(tmp_path):
          ("512", "150", "3255", "21.700"),
          ("1024", "150", "4809", "32.060")],
         "fit_exponent=0.5252 target=0.5000 tol=0.20 pass=true")
+
+
+@pytest.mark.parametrize("structure,rows", [
+    ("halfspace-d2", [(16, 60, 464), (64, 60, 1282), (256, 60, 3044),
+                      (1024, 60, 7136)]),
+    ("halfspace-d3", [(27, 60, 708), (64, 60, 1545), (216, 60, 3340),
+                      (512, 60, 7648)]),
+])
+def test_bench_halfspace_visits_pinned(structure, rows):
+    # small sizes only, the smallest default size among them: a row's
+    # visits depend on its n and seed alone
+    rep = run_bench(structure, [n for n, _, _ in rows], seed=0)
+    assert [r[:3] for r in rep.rows] == rows
 
 
 def test_bench_langerman_d2_visits_pinned(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -12,8 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from dynds.core_geom import Box, Interval, PointMultiset, VisitCounter
 from dynds.geom_dyn import (
+    _LEAF,
     HalfspaceScan,
     HalfspaceSystem,
+    _containment,
+    _halfspace_key,
     SemiOnlineEngine,
     Skyline3DBlock,
     klee_union_volume,
@@ -585,8 +589,8 @@ def test_klee_compressed_grid_guard():
 
 @pytest.fixture
 def debug_assert(monkeypatch):
-    """Every HalfspaceSystem update runs `_debug_check`: its counts against
-    `halfspace_depths`, its histogram against the counts, and its min."""
+    """Every HalfspaceSystem update runs `_debug_check`: its depths against
+    `halfspace_depths`, its min_count, and every node's minimum."""
     monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
 
 
@@ -599,9 +603,9 @@ def test_halfspace_basic(debug_assert):
     hs = HalfspaceSystem([(1, 1), (3, 3)])
     hs.insert((1, 0), Fraction(5, 2), "lt")   # x < 2.5
     assert hs.min_count() == 0
-    assert hs._counts == [1, 0]
+    assert hs._depths() == [1, 0]
     hs.insert((0, 1), 0, "gt")                # y > 0
-    assert hs._counts == [2, 1]
+    assert hs._depths() == [2, 1]
     assert hs.min_count() == 1
     hs.delete((1, 0), Fraction(5, 2), "lt")
     assert hs.min_count() == 1
@@ -627,8 +631,8 @@ def test_halfspace_delete_absent():
 
 
 def test_halfspace_empty_points(debug_assert):
-    # no points: a normal of any length is taken, nothing is hit, the
-    # pointer stays at 0, and min_count has no answer
+    # no points: a normal of any length is taken, the tree has no node, so
+    # nothing is visited, and min_count has no answer
     hs = HalfspaceSystem([])
     for ds in (hs, HalfspaceScan([])):
         ds.insert((1, 0), 1, "le")
@@ -636,7 +640,7 @@ def test_halfspace_empty_points(debug_assert):
         ds.insert((1, 0, 2), Fraction(1, 3), "gt")
         with pytest.raises(ValueError, match="no points"):
             ds.min_count()
-    assert (hs._counts, hs._hist, hs._min) == ([], [0], 0)
+    assert (hs._depths(), hs._mins, hs.counter.count) == ([], [], 0)
 
 
 def test_halfspace_dimension_refused():
@@ -656,14 +660,30 @@ def test_halfspace_dimension_refused():
         assert ds.min_count() == 0
 
 
+def tree_levels(hs):
+    """The number of node levels of hs's kd-tree (0 with no points)."""
+    levels, stack = 0, [(0, 1)] if hs._mins else []
+    while stack:
+        v, level = stack.pop()
+        levels = max(levels, level)
+        if hs._right[v] >= 0:
+            stack += [(v + 1, level + 1), (hs._right[v], level + 1)]
+    return levels
+
+
 @pytest.mark.parametrize("drift,what", [
-    (lambda hs: hs._counts.__setitem__(2, 1), "counts"),
-    (lambda hs: hs._hist.__setitem__(0, 2), "histogram"),
-    (lambda hs: setattr(hs, "_min", 1), "min pointer"),
-], ids=["counts", "histogram", "min"])
+    # a bucket count: that point's depth is off, no minimum moves
+    (lambda hs: hs._counts.__setitem__(_LEAF - 1, 3), "depth"),
+    # the root's minimum, which min_count reads
+    (lambda hs: hs._mins.__setitem__(0, 1), "min_count"),
+    # the root's left child: the root's minimum and min_count still hold
+    (lambda hs: hs._mins.__setitem__(1, 1), "node minimum"),
+], ids=["counts", "min", "node_min"])
 def test_halfspace_debug_check_catches_drift(drift, what):
-    hs = HalfspaceSystem([(0,), (1,), (2,)])
-    hs.insert((1,), 1, "le")                  # counts [1, 1, 0]
+    # 4L points on a line: a root, two children and four buckets
+    hs = HalfspaceSystem([(x,) for x in range(4 * _LEAF)])
+    assert tree_levels(hs) == 3
+    hs.insert((1,), 1, "le")                  # depths 1 at x = 0, 1
     hs._debug_check()
     drift(hs)
     with pytest.raises(RuntimeError, match=what):
@@ -674,9 +694,9 @@ def test_halfspace_scaledint_offsets(debug_assert):
     # exact non-integer offsets, as Fractions
     hs = HalfspaceSystem([(1,), (2,)])
     hs.insert((1,), Fraction(3, 2), "lt")     # x < 1.5
-    assert hs._counts == [1, 0]
+    assert hs._depths() == [1, 0]
     hs.insert((1,), Fraction(5, 3), "ge")     # x >= 5/3
-    assert hs._counts == [1, 1] and hs.min_count() == 1
+    assert hs._depths() == [1, 1] and hs.min_count() == 1
 
 
 def test_halfspace_fraction_normals_stay_exact():
@@ -747,30 +767,120 @@ def test_halfspace_debug_traces(seed, debug_assert):
 _ALL_SENSES = ["lt", "<", "le", "<=", "gt", ">", "ge", ">="]
 
 
+@pytest.mark.parametrize("side,d", [(64, 2), (16, 3)])
+def test_halfspace_axis_parallel_cost_bound(side, d):
+    # HalfspaceSystem's docstring bounds an axis-parallel update at
+    # 4 n^{1-1/d} visits on average; a per-point cost (n visits) fails here
+    pts = list(itertools.product(range(side), repeat=d))
+    n = len(pts)
+    hs = HalfspaceSystem(pts)
+    rng = random.Random(d)
+    slabs = []
+    for _ in range(100):
+        axis, j = rng.randrange(d), rng.randrange(side)
+        e = tuple(int(i == axis) for i in range(d))
+        slabs += [(e, Fraction(2 * j - 1, 2), "lt"),
+                  (e, Fraction(2 * j + 1, 2), "gt")]
+    for h in slabs:
+        hs.insert(*h)
+    for h in slabs:
+        hs.delete(*h)
+    mean = hs.counter.count / (2 * len(slabs))
+    assert mean <= 4 * n ** (1 - 1 / d), mean
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_halfspace_deep_trees_vs_scan(seed, debug_assert):
+    # 1 to 300 points in d = 1..3, so past one bucket the kd-tree's box
+    # bounds decide; duplicate points, axis-parallel and general normals
+    # with zero and Fraction components, every sense spelling, and deletes
+    # that lower the min, each update under the debug check
+    rng = random.Random(1300 + seed)
+    comp = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    levels, dups, lowered, zero, frac, senses = [], 0, 0, 0, 0, set()
+    for case in range(4):
+        d = case % 3 + 1
+        pts = [tuple(rng.randint(-6, 6) for _ in range(d))
+               for _ in range(rng.randint(1, 200 if case else 20))]
+        pts += rng.choices(pts, k=rng.randint(0, 100))
+        dups += len(set(pts)) < len(pts)
+        hs, scan = HalfspaceSystem(pts), HalfspaceScan(pts)
+        levels.append(tree_levels(hs))
+        live = []
+        for step in range(30):
+            if live and rng.random() < 0.4:
+                trip = live.pop(rng.randrange(len(live)))
+                before = hs.min_count()
+                hs.delete(*trip)
+                scan.delete(*trip)
+                lowered += hs.min_count() < before
+            else:
+                normal = [0] * d
+                for i in (range(d) if rng.random() < 0.5
+                          else [rng.randrange(d)]):
+                    normal[i] = rng.choice(comp[2:])
+                normal[rng.randrange(d)] = rng.choice(comp)
+                trip = (tuple(normal),
+                        Fraction(rng.randint(-12, 12), rng.randint(1, 3)),
+                        rng.choice(_ALL_SENSES))
+                zero += 0 in normal
+                frac += any(isinstance(a, Fraction) for a in normal)
+                senses.add(trip[2])
+                hs.insert(*trip)
+                scan.insert(*trip)
+                live.append(trip)
+            assert hs.min_count() == scan.min_count()
+    assert max(levels) >= 3 and dups and lowered and zero and frac
+    assert senses == set(_ALL_SENSES)
+
+
+def charged_visits(hs, normal, offset, sense):
+    """The visits an update of this halfspace charges: one per node visited
+    and one per point of each bucket it straddles.  A box is inside (or
+    outside) a halfspace iff its 2^d corners all are, which decides here
+    what the update decides from the normal's bound over the box."""
+    inside = _containment(_halfspace_key(normal, offset, sense, hs._dim))
+    visits, stack = 0, [0] if hs._mins else []
+    while stack:
+        v = stack.pop()
+        visits += 1
+        hits = [inside(c) for c in itertools.product(*zip(hs._lo[v],
+                                                          hs._hi[v]))]
+        if any(hits) and not all(hits):
+            if hs._right[v] >= 0:
+                stack += [v + 1, hs._right[v]]
+            else:
+                visits += hs._last[v] - hs._first[v]
+    return visits
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_halfspace_histogram_min_traces(seed):
     # inserts and deletes over all eight sense spellings, draining back to
-    # zero halfspaces twice; one visit per point per op
+    # zero halfspaces twice; each op charges the nodes it visits and the
+    # bucket points it tests
     rng = random.Random(500 + seed)
     pts = [tuple(rng.randint(-3, 3) for _ in range(2))
-           for _ in range(rng.randint(1, 8))]
+           for _ in range(rng.randint(1, 8 * _LEAF))]
     hs = HalfspaceSystem(pts)
-    live, ops = [], 0
+    live, visits = [], 0
     for _ in range(2):
         for step in ["ins"] * 25 + ["mix"] * 25 + ["drain"] * 100:
             if step == "drain" and not live:
                 break
             if live and (step == "drain" or
                          (step == "mix" and rng.random() < 0.5)):
-                hs.delete(*live.pop(rng.randrange(len(live))))
+                trip = live.pop(rng.randrange(len(live)))
+                visits += charged_visits(hs, *trip)
+                hs.delete(*trip)
             else:
                 trip = (tuple(rng.randint(-2, 2) for _ in range(2)),
                         Fraction(rng.randint(-6, 6), rng.choice([1, 2])),
                         rng.choice(_ALL_SENSES))
+                visits += charged_visits(hs, *trip)
                 hs.insert(*trip)
                 live.append(trip)
-            ops += 1
             hs._debug_check()
-            assert hs.counter.count == ops * len(pts)
+            assert hs.counter.count == visits
         assert n_halfspaces(hs) == 0
         assert hs.min_count() == 0
