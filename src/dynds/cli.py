@@ -293,14 +293,14 @@ def _gen_sequence_mode(rng: random.Random, size: int) -> OpTrace:
     return t
 
 
-def _gen_range_mode_dyn(rng: random.Random, size: int) -> OpTrace:
-    d = rng.choice((1, 2))
-    t = OpTrace("range-mode-dyn", {"d": str(d), "cap": str(size + 4)})
+def _gen_points(t: OpTrace, rng: random.Random, size: int, d: int,
+                span: int) -> OpTrace:
+    """Labelled points in [-span, span]^d: inserts, deletes, box queries."""
     live = []
     for _ in range(size):
         r = rng.random()
         if not live or r < 0.45:
-            c = tuple(rng.randint(-4, 4) for _ in range(d))
+            c = tuple(rng.randint(-span, span) for _ in range(d))
             lab = rng.randint(1, 4)
             t.ops.append(("INS",) + tuple(map(str, c)) + (str(lab),))
             live.append((c, lab))
@@ -310,30 +310,21 @@ def _gen_range_mode_dyn(rng: random.Random, size: int) -> OpTrace:
         else:
             qs = []
             for _ in range(d):
-                a, b = sorted((rng.randint(-4, 4), rng.randint(-4, 4)))
-                qs += [a, b]
+                qs += sorted((rng.randint(-span, span),
+                              rng.randint(-span, span)))
             t.ops.append(("QRY",) + tuple(map(str, qs)))
     return t
 
 
+def _gen_range_mode_dyn(rng: random.Random, size: int) -> OpTrace:
+    d = rng.choice((1, 2))
+    t = OpTrace("range-mode-dyn", {"d": str(d), "cap": str(size + 4)})
+    return _gen_points(t, rng, size, d, 4)
+
+
 def _gen_color_count(rng: random.Random, size: int) -> OpTrace:
     t = OpTrace("color-count", {"cap": str(size + 4)})
-    live = []
-    for _ in range(size):
-        r = rng.random()
-        if not live or r < 0.45:
-            c = (rng.randint(-3, 3), rng.randint(-3, 3))
-            col = rng.randint(1, 4)
-            t.ops.append(("INS", str(c[0]), str(c[1]), str(col)))
-            live.append((c, col))
-        elif r < 0.6:
-            c, col = live.pop(rng.randrange(len(live)))
-            t.ops.append(("DEL", str(c[0]), str(c[1]), str(col)))
-        else:
-            xa, xb = sorted((rng.randint(-3, 3), rng.randint(-3, 3)))
-            ya, yb = sorted((rng.randint(-3, 3), rng.randint(-3, 3)))
-            t.ops.append(("QRY", str(xa), str(xb), str(ya), str(yb)))
-    return t
+    return _gen_points(t, rng, size, 2, 3)
 
 
 def _gen_common_colors(rng: random.Random, size: int) -> OpTrace:

@@ -546,8 +546,8 @@ class RangeTree:
     since inclusion-exclusion over prefixes would multiply their query
     cells.  Measured: the max tree of DynRangeModeDS, asked only orthants,
     falls from 231.2 to 24.8 visits per op on perfbench drm2-light-churn
-    (seed 1); `dynds crosscheck --seed 3` counts 846,843 visits, where
-    all-"both" trees count 1,223,611; and the skyline3d bench at n = 4096
+    (seed 1); `dynds crosscheck --seed 3` counts 757,718 visits, where
+    all-"both" trees count 1,134,486; and the skyline3d bench at n = 4096
     145,350, where it counted 546,619.
 
     The axes are laid out as `_Axis` describes.  The constructor builds

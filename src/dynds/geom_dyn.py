@@ -391,20 +391,20 @@ _SENSE_OPS = {"lt": operator.lt, "le": operator.le,
 
 
 def _containment(h):
-    """The halfspace h = (normal, Fraction offset, canonical sense) as a
-    test on points.  normal . p <sense> num/den is decided exactly as
+    """The halfspace h = (normal, num, den, canonical sense) as a test on
+    points.  normal . p <sense> num/den is decided exactly as
     (normal . p) * den <sense> num, den being positive, so int points
     compare ints and never build a Fraction."""
-    normal, off, sense = h
-    test, num, den = _SENSE_OPS[sense], off.numerator, off.denominator
+    normal, num, den, sense = h
+    test = _SENSE_OPS[sense]
     return lambda p: test(sum(map(operator.mul, normal, p)) * den, num)
 
 
 def halfspace_depths(points, halfspaces) -> List[int]:
     """Per point, how many of `halfspaces` contain it, by a full scan.
 
-    halfspaces: (normal, Fraction offset, canonical sense) triples; a
-    repeated triple counts once per repeat.
+    halfspaces: (normal, num, den, canonical sense) keys, as
+    `_halfspace_key` makes them; a repeated key counts once per repeat.
     """
     tests = [_containment(h) for h in halfspaces]
     return [sum(t(p) for t in tests) for p in points]
@@ -421,9 +421,11 @@ def _halfspace_points(points) -> Tuple[List[tuple], Optional[int]]:
 
 
 def _halfspace_key(normal, offset, sense, dim: Optional[int]) -> tuple:
-    """The canonical (normal, Fraction offset, sense) triple of a halfspace
-    over points of dimension dim.  With no points (dim None) a normal of
-    any length is accepted: it contains nothing either way."""
+    """The canonical key (normal, num, den, sense) of a halfspace over
+    points of dimension dim: num/den is the offset in lowest terms, den
+    positive, so every spelling of one offset (2, Fraction(2), "2", 2.0)
+    makes one key, and the key hashes ints.  With no points (dim None) a
+    normal of any length is accepted: it contains nothing either way."""
     s = _SENSES.get(sense)
     if s is None:
         raise ValueError(f"bad sense {sense!r}")
@@ -431,7 +433,8 @@ def _halfspace_key(normal, offset, sense, dim: Optional[int]) -> tuple:
     if dim is not None and len(normal) != dim:
         raise ValueError(f"normal of length {len(normal)} for points of "
                          f"dimension {dim}")
-    return (normal, Fraction(offset), s)
+    off = Fraction(offset)
+    return (normal, off.numerator, off.denominator, s)
 
 
 # Bucket size L of HalfspaceSystem's kd-tree (see its docstring).
@@ -532,8 +535,8 @@ class HalfspaceSystem:
         self._mins = [0] * m
 
     def _apply(self, key, delta: int) -> None:
-        normal, off, sense = key
-        test, num, den = _SENSE_OPS[sense], off.numerator, off.denominator
+        normal, num, den, sense = key
+        test = _SENSE_OPS[sense]
         terms = [(i, a) for i, a in enumerate(normal) if a]
         right, lazy, mins = self._right, self._lazy, self._mins
         lo, hi = self._lo, self._hi
@@ -599,7 +602,6 @@ class HalfspaceSystem:
 
     def delete(self, normal, offset, sense) -> None:
         key = _halfspace_key(normal, offset, sense, self._dim)
-        # one lookup and one store: hashing the key's Fraction is costly
         live = self._halfspaces.get(key, 0)
         if live <= 0:
             raise ValueError("delete of absent halfspace")

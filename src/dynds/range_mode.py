@@ -238,8 +238,8 @@ class DynRangeModeDS:
         core_geom._Axis) since it will grow, when the label is new; else
         over its light points, then pts, with room 1.  The room of that
         light-to-heavy build was chosen on the visits that `dynds
-        crosscheck --seed 3` counts: 846,843 with room 1 against 858,359
-        with room 2 (seed 0: 828,928 against 841,558).
+        crosscheck --seed 3` counts: 757,718 with room 1 against 769,234
+        with room 2 (seed 0: 740,138 against 752,768).
         """
         total = self._total[label] = self._total[label] + len(pts)
         tree = self._label_trees.get(label)

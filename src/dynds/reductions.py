@@ -773,25 +773,17 @@ def red_4clique_streach(g: KPartiteGraph, target) -> bool:
             static.append((("B2", b), ("C1", c)))
     target.build(verts, static, "s", "t")
 
-    b_on = {b: False for b in range(1, nB + 1)}
-    c_on = {c: False for c in range(1, nC + 1)}
+    on = set()                          # the copy edges now in the graph
     for dd in range(1, nD + 1):
-        for b in range(1, nB + 1):
-            want = g.has(2, b, 4, dd)
-            if want != b_on[b]:
-                if want:
-                    target.insert_edge(("B1", b), ("B2", b))
-                else:
-                    target.delete_edge(("B1", b), ("B2", b))
-                b_on[b] = want
-        for c in range(1, nC + 1):
-            want = g.has(3, c, 4, dd)
-            if want != c_on[c]:
-                if want:
-                    target.insert_edge(("C1", c), ("C2", c))
-                else:
-                    target.delete_edge(("C1", c), ("C2", c))
-                c_on[c] = want
+        for part, n, one, two in ((2, nB, "B1", "B2"), (3, nC, "C1", "C2")):
+            for v in range(1, n + 1):
+                edge = ((one, v), (two, v))
+                if g.has(part, v, 4, dd) != (edge in on):
+                    if edge in on:
+                        target.delete_edge(*edge)
+                    else:
+                        target.insert_edge(*edge)
+                    on ^= {edge}
         fp_d = _fp(target)
         for a in g.neighbors(4, dd, 1):
             target.insert_edge("s", ("A1", a))
@@ -1261,21 +1253,29 @@ class ReductionConfig:
     brute: Callable
     adapters: Dict[str, Callable]
     sizes: Tuple[int, ...]
-    arity: int = 0          # parts for clique instances, k for OuMv
+    arity: int              # parts for clique instances, k for OuMv
 
 
-def _gen_clique(parts: int):
+def _clique(rid: str, run: Callable, adapters: Dict[str, Callable],
+            parts: int, sizes: Tuple[int, ...] = (2, 3, 4, 5)
+            ) -> ReductionConfig:
+    """A k-Clique reduction on `parts`-partite graphs of `size` per part."""
     def gen(rng: random.Random, size: int) -> KPartiteGraph:
         p = rng.choice((0.3, 0.5, 0.7))
         return random_kpartite(rng, [size] * parts, p)
-    return gen
+    return ReductionConfig(rid, "clique", gen, run, clique_bruteforce,
+                           adapters, sizes, parts)
 
 
-def _gen_oumv(k: int, square: bool = False):
+def _oumv(rid: str, run: Callable, adapters: Dict[str, Callable], k: int,
+          sizes: Tuple[int, ...] = (2, 3, 4, 5), square: bool = False
+          ) -> ReductionConfig:
+    """An OuMv_k reduction on n = size, or size ** 2 when `square`."""
     def gen(rng: random.Random, size: int) -> OuMvInstance:
         n = size * size if square else size
         return random_oumv(rng, k, n)
-    return gen
+    return ReductionConfig(rid, "oumv", gen, run, oumv_answers, adapters,
+                           sizes, k)
 
 
 def _seq_cap(g: KPartiteGraph) -> int:
@@ -1375,96 +1375,55 @@ _LANGERMAN = {
                                _LANGERMAN_SCAN_CALLS)}
 
 
-_R = []
-
-_R.append(ReductionConfig(
-    "red_4clique_range_mode", "clique", _gen_clique(4),
-    red_4clique_range_mode, clique_bruteforce,
-    {"oracle": lambda g: MiddleBatch(partial(
-        SequenceScan.from_values, n_cap=_seq_cap(g)), _SEQ_SCAN_CALLS),
-     "real": lambda g: MiddleBatch(partial(
-         SequenceAdapter.from_values, n_cap=_seq_cap(g)))},
-    (2, 3, 4, 5), arity=4))
-_R.append(ReductionConfig(
-    "red_4clique_range_minority", "clique", _gen_clique(4),
-    red_4clique_range_minority, clique_bruteforce,
+_R = [
+    _clique("red_4clique_range_mode", red_4clique_range_mode,
+            {"oracle": lambda g: MiddleBatch(partial(
+                SequenceScan.from_values, n_cap=_seq_cap(g)),
+                _SEQ_SCAN_CALLS),
+             "real": lambda g: MiddleBatch(partial(
+                 SequenceAdapter.from_values, n_cap=_seq_cap(g)))}, 4),
     # the separator copy of D takes |D| more slots than the mode array
-    {"oracle": lambda g: MiddleBatch(partial(
-        SequenceScan.from_values, n_cap=_seq_cap(g) + g.sizes[3],
-        scan=sequence_minority_oracle), _SEQ_SCAN_CALLS)},
-    (2, 3, 4, 5), arity=4))
-_R.append(ReductionConfig(
-    "red_clique_batch_dmode_d1", "clique", _gen_clique(3),
-    partial(red_clique_batch_dmode, d=1), clique_bruteforce,
-    _dmode(1), (2, 3, 4, 5), arity=3))
-_R.append(ReductionConfig(
-    "red_clique_batch_dmode_d2", "clique", _gen_clique(5),
-    partial(red_clique_batch_dmode, d=2), clique_bruteforce,
-    _dmode(2), (2, 3), arity=5))
-_R.append(ReductionConfig(
-    "red_clique_dyn_dmode_d1", "clique", _gen_clique(4),
-    partial(red_clique_dyn_dmode, d=1), clique_bruteforce,
-    _dmode(1), (2, 3, 4, 5), arity=4))
-_R.append(ReductionConfig(
-    "red_4clique_subconn", "clique", _gen_clique(4),
-    red_4clique_subconn, clique_bruteforce,
-    {"oracle": lambda g: SubConnTargetOracle()},
-    (2, 3, 4, 5), arity=4))
-_R.append(ReductionConfig(
-    "red_4clique_2pattern", "clique", _gen_clique(4),
-    red_4clique_2pattern, clique_bruteforce,
-    {"docs": lambda g: DocsTargetOracle(),
-     "cc": lambda g: DocsTargetCommonColors()},
-    (2, 3, 4, 5), arity=4))
-_R.append(ReductionConfig(
-    "red_4clique_color", "clique", _gen_clique(4),
-    red_4clique_color, clique_bruteforce,
-    {"oracle": _filled(partial(PointScan, dcc_oracle, 2), _seq_cap,
-                       {**_COLOR_CALLS, **_SORTED_POINTS}),
-     "dcc": _filled(DynColorCountDS, _seq_cap, _COLOR_CALLS)},
-    (2, 3, 4, 5), arity=4))
-_R.append(ReductionConfig(
-    "red_4clique_streach", "clique", _gen_clique(4),
-    red_4clique_streach, clique_bruteforce,
-    {"oracle": lambda g: StReachTargetOracle()},
-    (2, 3, 4, 5), arity=4))
-_R.append(ReductionConfig(
-    "red_oumvk_skyline_k2", "oumv", _gen_oumv(2),
-    red_oumvk_skyline, oumv_answers, _SKYLINE, (2, 3, 4, 5), arity=2))
-_R.append(ReductionConfig(
-    "red_oumvk_skyline_k3", "oumv", _gen_oumv(3),
-    red_oumvk_skyline, oumv_answers, {"oracle": _SKYLINE["oracle"]},
-    (2, 3, 4, 5), arity=3))
-_R.append(ReductionConfig(
-    "red_oumvk_klee_k2", "oumv", _gen_oumv(2),
-    red_oumvk_klee, oumv_answers,
-    {"oracle": lambda i: KleeTargetOracle()},
-    (2, 3, 4), arity=2))
-_R.append(ReductionConfig(
-    "red_oumvk_halfspace_k2", "oumv", _gen_oumv(2),
-    red_oumvk_halfspace, oumv_answers, _HALFSPACE, (2, 3, 4, 5, 6), arity=2))
-_R.append(ReductionConfig(
-    "red_oumvk_halfspace_k3", "oumv", _gen_oumv(3),
-    red_oumvk_halfspace, oumv_answers, _HALFSPACE, (2, 3, 4, 5, 6), arity=3))
-_R.append(ReductionConfig(
-    "red_oumvk_hyperclique_k2", "oumv", _gen_oumv(2),
-    red_oumvk_hyperclique, oumv_answers, _HYPERCLIQUE, (2, 3, 4, 5),
-    arity=2))
-_R.append(ReductionConfig(
-    "red_oumvk_hyperclique_k3", "oumv", _gen_oumv(3),
-    red_oumvk_hyperclique, oumv_answers, _HYPERCLIQUE, (2, 3, 4), arity=3))
-_R.append(ReductionConfig(
-    "red_oumvk_erickson_k2", "oumv", _gen_oumv(2),
-    red_oumvk_erickson, oumv_answers, _ERICKSON, (2, 3, 4, 5), arity=2))
-_R.append(ReductionConfig(
-    "red_oumvk_erickson_k3", "oumv", _gen_oumv(3),
-    red_oumvk_erickson, oumv_answers, _ERICKSON, (2, 3, 4), arity=3))
-_R.append(ReductionConfig(
-    "red_oumvk_langerman_k2", "oumv", _gen_oumv(2),
-    red_oumvk_langerman, oumv_answers, _LANGERMAN, (2, 3, 4), arity=2))
-_R.append(ReductionConfig(
-    "red_oumvk_langerman_k3", "oumv", _gen_oumv(3, square=True),
-    red_oumvk_langerman, oumv_answers, _LANGERMAN, (2,), arity=3))
+    _clique("red_4clique_range_minority", red_4clique_range_minority,
+            {"oracle": lambda g: MiddleBatch(partial(
+                SequenceScan.from_values, n_cap=_seq_cap(g) + g.sizes[3],
+                scan=sequence_minority_oracle), _SEQ_SCAN_CALLS)}, 4),
+    _clique("red_clique_batch_dmode_d1",
+            partial(red_clique_batch_dmode, d=1), _dmode(1), 3),
+    _clique("red_clique_batch_dmode_d2",
+            partial(red_clique_batch_dmode, d=2), _dmode(2), 5, (2, 3)),
+    _clique("red_clique_dyn_dmode_d1",
+            partial(red_clique_dyn_dmode, d=1), _dmode(1), 4),
+    _clique("red_4clique_subconn", red_4clique_subconn,
+            {"oracle": lambda g: SubConnTargetOracle()}, 4),
+    _clique("red_4clique_2pattern", red_4clique_2pattern,
+            {"docs": lambda g: DocsTargetOracle(),
+             "cc": lambda g: DocsTargetCommonColors()}, 4),
+    _clique("red_4clique_color", red_4clique_color,
+            {"oracle": _filled(partial(PointScan, dcc_oracle, 2), _seq_cap,
+                               {**_COLOR_CALLS, **_SORTED_POINTS}),
+             "dcc": _filled(DynColorCountDS, _seq_cap, _COLOR_CALLS)}, 4),
+    _clique("red_4clique_streach", red_4clique_streach,
+            {"oracle": lambda g: StReachTargetOracle()}, 4),
+    _oumv("red_oumvk_skyline_k2", red_oumvk_skyline, _SKYLINE, 2),
+    _oumv("red_oumvk_skyline_k3", red_oumvk_skyline,
+          {"oracle": _SKYLINE["oracle"]}, 3),
+    _oumv("red_oumvk_klee_k2", red_oumvk_klee,
+          {"oracle": lambda i: KleeTargetOracle()}, 2, (2, 3, 4)),
+    _oumv("red_oumvk_halfspace_k2", red_oumvk_halfspace, _HALFSPACE, 2,
+          (2, 3, 4, 5, 6)),
+    _oumv("red_oumvk_halfspace_k3", red_oumvk_halfspace, _HALFSPACE, 3,
+          (2, 3, 4, 5, 6)),
+    _oumv("red_oumvk_hyperclique_k2", red_oumvk_hyperclique, _HYPERCLIQUE, 2),
+    _oumv("red_oumvk_hyperclique_k3", red_oumvk_hyperclique, _HYPERCLIQUE, 3,
+          (2, 3, 4)),
+    _oumv("red_oumvk_erickson_k2", red_oumvk_erickson, _ERICKSON, 2),
+    _oumv("red_oumvk_erickson_k3", red_oumvk_erickson, _ERICKSON, 3,
+          (2, 3, 4)),
+    _oumv("red_oumvk_langerman_k2", red_oumvk_langerman, _LANGERMAN, 2,
+          (2, 3, 4)),
+    _oumv("red_oumvk_langerman_k3", red_oumvk_langerman, _LANGERMAN, 3, (2,),
+          square=True),
+]
 
 REDUCTIONS: Dict[str, ReductionConfig] = {c.rid: c for c in _R}
 

@@ -699,6 +699,23 @@ def test_halfspace_scaledint_offsets(debug_assert):
     assert hs._depths() == [1, 1] and hs.min_count() == 1
 
 
+@pytest.mark.parametrize("spellings", [
+    (2, Fraction(2), "2", 2.0), (Fraction(3, 2), "3/2", 1.5)])
+def test_halfspace_offset_spellings_are_one_halfspace(spellings,
+                                                      debug_assert):
+    # a halfspace is keyed by its offset's value, so one inserted under any
+    # spelling is deleted under any other, and deleted only once
+    for cls in (HalfspaceSystem, HalfspaceScan):
+        for put, take in itertools.product(spellings, repeat=2):
+            ds = cls([(1,)])
+            ds.insert((1,), put, "lt")                # x < 2, or x < 3/2
+            assert ds.min_count() == 1
+            ds.delete((1,), take, "<")
+            assert ds.min_count() == 0
+            with pytest.raises(ValueError, match="delete of absent"):
+                ds.delete((1,), put, "lt")
+
+
 def test_halfspace_fraction_normals_stay_exact():
     # x / 2 <= 1/4 holds for no point; a normal truncated to int would
     # make it 0 <= 1/4 and hold for every point

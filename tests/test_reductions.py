@@ -503,6 +503,19 @@ def test_registry_covers_both_kinds():
     assert kinds == {"clique", "oumv"}
     for cfg in REDUCTIONS.values():
         assert cfg.adapters and cfg.sizes
+        # each family fixes its brute force, and its generator makes
+        # instances of the registered arity at every registered size
+        rng = random.Random(cfg.rid)
+        for size in cfg.sizes:
+            inst = cfg.gen(rng, size)
+            assert inst.k == cfg.arity
+            if cfg.kind == "clique":
+                assert cfg.brute is clique_bruteforce
+                assert inst.sizes == (size,) * cfg.arity
+            else:
+                assert cfg.brute is oumv_answers
+                square = cfg.rid == "red_oumvk_langerman_k3"
+                assert inst.n == (size ** 2 if square else size)
 
 
 def test_crosscheck_unknown_ids():
