@@ -730,6 +730,43 @@ def _bench_halfspace(n: int, rng: random.Random, ctr: VisitCounter, d: int):
         yield
 
 
+def _bench_hyperclique_counting(n: int, rng: random.Random,
+                                ctr: VisitCounter):
+    # n vertices, 3-uniform edges flipped at random: a flip tests the n - 3
+    # vertices outside its edge, a query reads one count
+    hc = HypercliqueCounting(range(n), 3, counter=ctr)
+
+    def flip():
+        e = frozenset(rng.sample(range(n), 3))
+        (hc.delete if e in hc.edges else hc.insert)(e)
+    for _ in range(2 * n):
+        flip()
+    yield
+    for _ in range(60):
+        if rng.random() < 0.75:
+            flip()
+        else:
+            hc.query(rng.randrange(n))
+        yield
+
+
+def _bench_erickson_eager(n: int, rng: random.Random, ctr: VisitCounter):
+    # an N^3 tensor, n = N^3: an increment walks one slab of N^2 cells, a
+    # max query reads the running max
+    N = max(2, round(n ** (1 / 3)))
+    t0 = Tensor((N,) * 3)
+    for x in t0.indices():
+        t0[x] = rng.randint(0, 9)
+    ds = EricksonEager(t0, counter=ctr)
+    yield
+    for i in range(60):
+        if i % 4 == 3:
+            ds.max_value()
+        else:
+            ds.increment(rng.randrange(3), rng.randint(1, N))
+        yield
+
+
 def _bench_oracle_scan(n: int, rng: random.Random, ctr: VisitCounter):
     data = [rng.randint(1, 8) for _ in range(n)]
     yield
@@ -760,6 +797,10 @@ BENCHES: Dict[str, BenchPlan] = {
     "halfspace-d3": BenchPlan(
         2 / 3, (512, 1728, 4096, 13824, 32768),
         partial(_bench_halfspace, d=3)),
+    "hyperclique-counting": BenchPlan(
+        1.0, (16, 32, 64, 128, 256, 512), _bench_hyperclique_counting),
+    "erickson-eager": BenchPlan(
+        2 / 3, (64, 512, 4096, 13824, 32768), _bench_erickson_eager),
     "oracle-scan": BenchPlan(
         1.0, (512, 1024, 2048, 4096, 8192), _bench_oracle_scan),
 }

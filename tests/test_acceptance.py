@@ -68,6 +68,8 @@ def test_criterion_2_trace_suites_exact():
     ("skyline3d", 0.5),
     ("halfspace-d2", 0.5),
     ("halfspace-d3", 2 / 3),
+    ("hyperclique-counting", 1.0),
+    ("erickson-eager", 2 / 3),
 ])
 def test_criterion_3_exponent_fit(structure, target):
     plan = BENCHES[structure]

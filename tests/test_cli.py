@@ -931,6 +931,17 @@ def test_bench_halfspace_visits_pinned(structure, rows):
     assert [r[:3] for r in rep.rows] == rows
 
 
+@pytest.mark.parametrize("structure,rows", [
+    ("hyperclique-counting", [(16, 60, 552), (32, 60, 1292), (64, 60, 2760),
+                              (128, 60, 6012)]),
+    ("erickson-eager", [(64, 60, 735), (512, 60, 2895), (4096, 60, 11535),
+                        (13824, 60, 25935)]),
+])
+def test_bench_oumvk_tensor_visits_pinned(structure, rows):
+    rep = run_bench(structure, [n for n, _, _ in rows], seed=0)
+    assert [r[:3] for r in rep.rows] == rows
+
+
 def test_bench_langerman_d2_visits_pinned(tmp_path):
     assert _bench_pinned_columns(tmp_path, "langerman-d2") == (
         "# bench structure=langerman-d2 seed=0 sizes=8,12,18,27,40,60",

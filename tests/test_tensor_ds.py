@@ -228,6 +228,37 @@ def test_langerman_update_validation():
         LangermanDS((4,), B=0)
 
 
+def test_langerman_debug_check_rejects_zero_counts():
+    # a block multiset is a plain dict: a residual whose last cell left
+    # must leave the dict, not stay behind with count 0
+    ds = LangermanDS((4, 4), B=2)
+    ds._debug_check()
+    ds._blk_of[5][1000] = 0
+    with pytest.raises(RuntimeError, match="no zero count"):
+        ds._debug_check()
+
+
+def _langerman_state(ds):
+    return (list(ds.T.data), list(ds.r.data), list(ds.grid),
+            {b: dict(blk) for b, blk in ds.blocks.items()}, ds.counter.count)
+
+
+def test_langerman_rejected_update_changes_nothing():
+    rng = random.Random(7)
+    t = Tensor((5, 4))
+    for x in t.indices():
+        t[x] = rng.randint(-2, 2)
+    ds = LangermanDS((5, 4), B=2, initial=t)
+    ds.update((2, 3), 1)
+    before = _langerman_state(ds)
+    for z, exc in [((1,), ValueError), ((1, 2, 3), ValueError),
+                   ((6, 1), IndexError), ((1, 0), IndexError),
+                   ((0, 5), IndexError)]:
+        with pytest.raises(exc):
+            ds.update(z, 2)
+        assert _langerman_state(ds) == before
+
+
 # ---------------- slab increments with max ----------------
 
 def erickson_pair(extents, seed):
@@ -313,6 +344,31 @@ def test_erickson_update_cost_split():
     assert lazy.counter.count == 1 + 64
 
 
+def test_erickson_eager_rejected_increment_changes_nothing():
+    t = Tensor((3, 2, 4))
+    for x in t.indices():
+        t[x] = sum(x)
+    eager = EricksonEager(t)
+    eager.increment(1, 2)
+    before = (list(eager.vals.data), eager._max, eager.counter.count)
+    for axis, index in [(3, 1), (-1, 1), (0, 0), (1, 3), (2, 5)]:
+        with pytest.raises(ValueError):
+            eager.increment(axis, index)
+        assert (list(eager.vals.data), eager._max,
+                eager.counter.count) == before
+
+
+def test_erickson_eager_debug_check_pins_running_max(monkeypatch):
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    t = Tensor((3, 3))
+    t[(1, 1)] = 9
+    eager = EricksonEager(t)
+    eager.increment(0, 2)
+    eager._max = 0                  # lost the max at (1, 1)
+    with pytest.raises(RuntimeError, match="running max"):
+        eager.increment(0, 3)
+
+
 # ---------------- hypergraph cliques ----------------
 
 def clique_oracle(vertices, edges, k, v):
@@ -357,14 +413,19 @@ def test_hyperclique_validation():
 
 
 @pytest.mark.parametrize("k,nv", [(2, 6), (3, 6)])
-def test_hyperclique_random_cross(k, nv):
+def test_hyperclique_random_cross(k, nv, monkeypatch):
+    # a counting flip charges one visit per vertex outside its edge and a
+    # query one; the debug check recounts every vertex's complete sets
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
     rng = random.Random(100 * k + nv)
     verts = list(range(1, nv + 1))
     lazy = HypercliqueLazy(verts, k)
     cnt = HypercliqueCounting(verts, k)
     edges = set()
     all_edges = [frozenset(c) for c in itertools.combinations(verts, k)]
+    hits = 0
     for _ in range(120):
+        before = cnt.counter.count
         if rng.random() < 0.6:
             e = rng.choice(all_edges)
             if e in edges:
@@ -375,11 +436,42 @@ def test_hyperclique_random_cross(k, nv):
                 lazy.insert(e)
                 cnt.insert(e)
                 edges.add(e)
+            assert cnt.counter.count - before == nv - k
         else:
             v = rng.choice(verts)
             want = clique_oracle(verts, edges, k, v)
+            hits += want
             assert lazy.query(v) == want
             assert cnt.query(v) == want
+            assert cnt.counter.count - before == 1
+    assert hits
+
+
+def test_hyperclique_debug_check_pins_counts():
+    hc = HypercliqueCounting([1, 2, 3, 4], 2)
+    for e in ({1, 2}, {2, 3}, {1, 3}, {3, 4}):
+        hc.insert(e)
+    hc._debug_check()
+    assert hc.cnt == {1: 1, 2: 1, 3: 1, 4: 0}
+    hc.cnt[4] += 1
+    with pytest.raises(RuntimeError, match="complete"):
+        hc._debug_check()
+
+
+def test_hyperclique_counting_rejected_op_changes_nothing():
+    hc = HypercliqueCounting(["a", "b", "c", "d"], 2)
+    for e in ({"a", "b"}, {"b", "c"}, {"a", "c"}):
+        hc.insert(e)
+    before = (set(hc.edges), dict(hc.cnt), hc.counter.count)
+    for op, edge in [(hc.insert, {"a", "b"}), (hc.delete, {"c", "d"}),
+                     (hc.insert, {"a", "z"}), (hc.delete, {"a", "z"}),
+                     (hc.insert, {"a"}), (hc.insert, {"a", "b", "c"})]:
+        with pytest.raises(ValueError):
+            op(edge)
+        assert (set(hc.edges), dict(hc.cnt), hc.counter.count) == before
+    with pytest.raises(ValueError):
+        hc.query("z")
+    assert (set(hc.edges), dict(hc.cnt), hc.counter.count) == before
 
 
 # ---------------- OuMv baseline and batched driver ----------------
