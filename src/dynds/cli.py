@@ -644,6 +644,31 @@ def _bench_sequence_mode(n: int, rng: random.Random, ctr: VisitCounter):
         yield
 
 
+def _bench_sequence_churn(n: int, rng: random.Random, ctr: VisitCounter):
+    # sequence-mode's labels under churn: each round deletes the value at a
+    # random position, inserts it again at another and asks four random
+    # ranges.  Labels keep their sizes, so all stay heavy, and every move
+    # leaves a dead entry in its label's tree, which the heavy scan
+    # subtracts by rank.  A tree rebuilds itself only after about its size
+    # plus 16 moves of its own label (PointMultiset), more than one plan
+    # makes at these sizes
+    m = max(2, round(n ** (2 / 3) / 3))
+    seq = SequenceAdapter.from_values([rng.randint(1, m) for _ in range(n)],
+                                      counter=ctr)
+    yield
+    for _ in range(200):
+        pos = rng.randint(1, n)
+        value = seq.values[pos - 1]
+        seq.delete(pos)
+        yield
+        seq.insert(rng.randint(1, n), value)
+        yield
+        for _ in range(4):
+            l = rng.randint(1, n)
+            seq.query(l, rng.randint(l, n))
+            yield
+
+
 def _bench_drm2(n: int, rng: random.Random, ctr: VisitCounter):
     # ~n^{4/5}/2 heavy labels (copies stacked per label so their trees stay
     # constant-size); the heavy scan dominates at the d=2 target exponent
@@ -782,6 +807,8 @@ def _bench_oracle_scan(n: int, rng: random.Random, ctr: VisitCounter):
 BENCHES: Dict[str, BenchPlan] = {
     "sequence-mode": BenchPlan(
         2 / 3, (243, 729, 2187, 6561, 19683), _bench_sequence_mode),
+    "sequence-mode-churn": BenchPlan(
+        2 / 3, (243, 729, 2187, 6561, 19683), _bench_sequence_churn),
     "range-mode-dyn-2d": BenchPlan(
         0.8, (243, 729, 2187, 6561, 19683), _bench_drm2),
     "langerman-d1": BenchPlan(

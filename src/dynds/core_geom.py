@@ -12,7 +12,7 @@ import os
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter, _count_elements
 from itertools import chain, compress, islice
-from operator import itemgetter, lt, ne
+from operator import itemgetter, lt, ne, not_
 from typing import Collection, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -546,8 +546,8 @@ class RangeTree:
     since inclusion-exclusion over prefixes would multiply their query
     cells.  Measured: the max tree of DynRangeModeDS, asked only orthants,
     falls from 231.2 to 24.8 visits per op on perfbench drm2-light-churn
-    (seed 1); `dynds crosscheck --seed 3` counts 757,718 visits, where
-    all-"both" trees count 1,134,486; and the skyline3d bench at n = 4096
+    (seed 1); `dynds crosscheck --seed 3` counts 662,142 visits, where
+    all-"both" trees count 923,633; and the skyline3d bench at n = 4096
     145,350, where it counted 546,619.
 
     The axes are laid out as `_Axis` describes.  The constructor builds
@@ -855,10 +855,10 @@ class RangeTree:
 
         Each axis's walk comes from its cache, keyed by the value range
         that `_value_range` bisects, or on a miss from `_walk`; the 1-dim
-        heavy scan `_best_count_1d` makes the same bisects and widening
-        without the cache.  The list returned may be a cached walk itself,
-        so `count`, `max_entry` and `is_empty` only read it: no caller may
-        mutate it."""
+        heavy scan `_best_count_1d` makes the same bisects, and the same
+        widening for a tree that it walks, without the cache.  The list
+        returned may be a cached walk itself, so `count`, `max_entry` and
+        `is_empty` only read it: no caller may mutate it."""
         if box.dim != self.dim:
             raise ValueError("box dimension mismatch")
         ids = None
@@ -943,9 +943,22 @@ class PointMultiset(RangeTree):
     one point (a color's) and 40 (skyline cores) of none.  One build over
     a point took 0.73x (1-D) and 0.95x (2-D) the time of an empty build
     and an add (medians of 21 runs of 2,000, 2-CPU x86-64 VM, Python
-    3.11).  Under DYNDS_DEBUG_ASSERT every build, add and remove checks
-    that n_live is the sum of occ, that at most 2 * n_live + 16 entries
-    are declared and that the active keys are the live copies'.
+    3.11).
+
+    A 1-D tree also keeps `_off`, the values of its inactive entries in
+    sorted order: `remove` insorts the value it deactivates, an `add` that
+    reuses a declared entry deletes its value, `remap` maps the list and
+    the self-rebuild empties it.  When each axis value holds exactly one
+    declared entry (len(axis.values) == len(tree): no copies of one point,
+    as in every SequenceAdapter tree), the active entries in a range are
+    the values in it less the `_off` values in it, four bisects with no
+    cell read, and `_best_count_1d` counts such a tree that way.  A tree of
+    dim >= 2 has `_off` None.
+
+    Under DYNDS_DEBUG_ASSERT every build, add and remove checks that n_live
+    is the sum of occ, that at most 2 * n_live + 16 entries are declared,
+    that the active keys are the live copies' and, in 1-D, that `_off` is
+    the sorted values of the inactive entries.
     """
 
     def __init__(self, dim: int, points: Iterable[tuple] = (),
@@ -962,6 +975,8 @@ class PointMultiset(RangeTree):
             copy = occ[p] = occ.get(p, 0) + 1
             keys[p, copy] = key
         self._active = [True] * n
+        # 1-D: the inactive entries' values, sorted (see the class doc)
+        self._off: Optional[list] = [] if dim == 1 else None
         self._place(range(n))
         if _DEBUG_ASSERT:
             self._debug_check()
@@ -974,6 +989,8 @@ class PointMultiset(RangeTree):
         if key is None:
             (key,) = self.extend([(p, 1)])
             self.keys[(p, copy)] = key
+        elif self._off is not None:
+            del self._off[bisect_left(self._off, p[0])]
         self.toggle(key, True)
         self.n_live += 1
         if _DEBUG_ASSERT:
@@ -985,6 +1002,8 @@ class PointMultiset(RangeTree):
         occ = self.occ
         copy = occ[p]
         self.toggle(self.keys[(p, copy)], False)
+        if self._off is not None:
+            insort(self._off, p[0])
         if copy == 1:
             del occ[p]
         else:
@@ -1008,6 +1027,10 @@ class PointMultiset(RangeTree):
                 for j in range(1, m + 1)}
         _invariant(live == set(compress(range(len(self)), self._active)),
                    "the active keys are the live copies' keys")
+        if self.dim == 1:
+            _invariant(self._off == sorted(compress(
+                self._cols[0], map(not_, self._active))),
+                "_off is the sorted values of the inactive entries")
 
     def remap(self, mappings: Sequence[dict]) -> None:
         """Order-preserving coordinate relabel, one mapping per axis, of the
@@ -1026,6 +1049,8 @@ class PointMultiset(RangeTree):
         new_of = dict(zip(points, moved)).__getitem__
         occ = self.occ
         self.occ = Counter(dict(zip(map(new_of, occ), occ.values())))
+        if self._off is not None:
+            self._off = list(map(mappings[0].__getitem__, self._off))
 
 
 def _best_count_1d(trees: dict, iv: Interval,
@@ -1034,18 +1059,37 @@ def _best_count_1d(trees: dict, iv: Interval,
     among the 1-dim count trees trees[label], ties to the smallest label;
     None when every count is 0.
 
-    One loop does what `tree.count(Box([iv]))` for every tree does, with no
-    walk cache: per tree the two bisects of `_value_range`, the widening of
-    `_leaf_range` and the bottom-up walk, with each cell read as the walk
-    finds it (a 1-dim tree's stride is 1, so a node id is its cell id).  So
-    it reads the same cells and makes the same visits, charged to counter
-    in one add; counter is the trees' own, where `count` would charge them.
-    The bisects are written inline: over 300 random ranges on the 243
-    trees of the perfbench seq-heavy-scan sequence (one process on a 2-CPU
-    x86-64 VM, Python 3.11), a `_value_range` call per tree made the loop
-    1.1x slower; with the bisects of all the trees run first through map,
-    in C, perfbench seq-heavy-scan query_p50_ms read 0.598 ms in median
-    over 8 runs, against 0.570 ms inline and 0.575 ms before the split.
+    One loop over the trees, with no call per tree and no walk cache.  Per
+    tree, the two bisects of `_value_range`, written inline, give the index
+    range [i, j) of the axis values in iv.  Then:
+    - a tree whose axis values each hold one declared entry (len(values)
+      == len(tree): no copies of one point, as in every SequenceAdapter
+      tree) is answered by rank.  j - i entries lie in iv, less the
+      inactive ones there, which two more bisects count in the tree's
+      sorted `_off` (see PointMultiset) when it is not empty.  No cell is
+      read;
+    - any other tree is walked as `count` walks it: the widening of
+      `_leaf_range` and the bottom-up walk, each cell read as the walk
+      finds it (a 1-dim tree's stride is 1, so a node id is its cell id).
+    The charge is one visit per heavy label examined, for a tree answered
+    by rank and for an empty range alike, and a walked tree's cells, as
+    its `count` charges them; all go to counter, the trees' own, in one
+    add.  At `dynds crosscheck --seed 3`, 27 of the 17,777 heavy-label
+    counts are of trees with a repeated value: 20 take the walk, and 7
+    have an empty range.
+
+    Measured on a 2-CPU x86-64 VM (Python 3.11) against the walk of every
+    tree.  perfbench seq-heavy-scan, 10 alternating pairs of runs:
+    query_p50_ms 0.609 -> 0.143 ms at seed 5 and 0.550 -> 0.140 ms at
+    seed 9, visits_per_op 443.0 -> 124.6 and 393.1 -> 115.2.  On a
+    sequence of that workload's shape (n = 19,683, 243 labels), 300
+    random range queries took 0.14 ms and 243 visits each, and after
+    4,000 moves (a delete at a random position, then an insert of its
+    value at another), which leave 3,999 dead values in the trees, 0.23
+    ms and 243 visits; the walk took 0.53 ms and 863 visits, then 0.65 ms
+    and 931 (medians of 6 alternating runs).  A "no inactive entry" test
+    in place of `_off` counts by rank only until a tree's first delete,
+    so under that churn it falls back to the walk.
     """
     lo, lo_closed, hi, hi_closed = iv.lo, iv.lo_closed, iv.hi, iv.hi_closed
     best = None
@@ -1062,22 +1106,39 @@ def _best_count_1d(trees: dict, iv: Interval,
             j = len(vals)
         else:
             j = bisect_right(vals, hi) if hi_closed else bisect_left(vals, hi)
-        if i >= j:
-            continue
-        l, r = _leaf_range(axis, i, j)
-        get = tree._count_cells.get
-        cnt = 0
-        while l < r:
-            if l & 1:
-                cnt += get(l, 0)
-                l += 1
-                visits += 1
-            if r & 1:
-                r -= 1
-                cnt += get(r, 0)
-                visits += 1
-            l >>= 1
-            r >>= 1
+        if i >= j or len(vals) == len(tree._values):
+            # an empty range, or one declared entry per value: j - i of
+            # them less the dead, by rank; one visit either way
+            visits += 1
+            cnt = j - i
+            off = tree._off
+            if off and cnt:
+                if lo is None:
+                    i = 0
+                else:
+                    i = (bisect_left(off, lo) if lo_closed
+                         else bisect_right(off, lo))
+                if hi is None:
+                    j = len(off)
+                else:
+                    j = (bisect_right(off, hi) if hi_closed
+                         else bisect_left(off, hi))
+                cnt -= j - i
+        else:
+            l, r = _leaf_range(axis, i, j)
+            get = tree._count_cells.get
+            cnt = 0
+            while l < r:
+                if l & 1:
+                    cnt += get(l, 0)
+                    l += 1
+                    visits += 1
+                if r & 1:
+                    r -= 1
+                    cnt += get(r, 0)
+                    visits += 1
+                l >>= 1
+                r >>= 1
         if cnt > best_cnt or (cnt and cnt == best_cnt and label < best):
             best, best_cnt = label, cnt
     counter.add(visits)

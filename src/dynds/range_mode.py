@@ -238,8 +238,10 @@ class DynRangeModeDS:
         core_geom._Axis) since it will grow, when the label is new; else
         over its light points, then pts, with room 1.  The room of that
         light-to-heavy build was chosen on the visits that `dynds
-        crosscheck --seed 3` counts: 757,718 with room 1 against 769,234
-        with room 2 (seed 0: 740,138 against 752,768).
+        crosscheck --seed 3` counted: 757,718 with room 1 against 769,234
+        with room 2 (seed 0: 740,138 against 752,768).  Since the d-mode
+        reductions fill the structure by bulk_insert, it is a wash:
+        662,142 against 662,117 (seed 0: 642,627 against 642,714).
         """
         total = self._total[label] = self._total[label] + len(pts)
         tree = self._label_trees.get(label)
@@ -392,16 +394,16 @@ class DynRangeModeDS:
 
         The heavy scan counts each heavy label in its tree.  With d = 1,
         which serves every SequenceAdapter query, it runs as one loop over
-        the heavy labels' trees (core_geom._best_count_1d): the same cells
-        and visits as a `count` per tree, without a call pair and a cell id
-        list per tree.  With d >= 2 it calls `count` per tree.  The choice
-        by d was measured on 300 random range queries over the perfbench
-        seq-heavy-scan sequence (n = 19,683, 243 heavy labels), in one
-        process on a 2-CPU x86-64 VM, 12 alternating rounds: in median the
-        1-dim loop took 0.68x the time of the per-tree calls, a d-generic
-        loop (cell ids over the first d - 1 axes, the last axis walked
-        inline) 0.79x, and one summing the last axis's cells through map
-        1.05x.
+        the heavy labels' trees (core_geom._best_count_1d).  A tree with
+        one declared entry per value, every tree of a SequenceAdapter, is
+        counted by rank: the entries in range less its dead values in
+        range, by bisects, for one visit.  A tree with copies of one point
+        is walked, for the cells and visits of its `count`, and an empty
+        range costs one visit.  On perfbench seq-heavy-scan (seed 5, 2-CPU
+        x86-64 VM, Python 3.11, medians of 10 alternating pairs) this took
+        query_p50_ms from 0.609 to 0.143 ms and visits_per_op from 443.0
+        to 124.6.  With d >= 2 the scan calls `count` per tree, which
+        charges an empty range nothing.
         """
         if box.dim != self.d:
             raise ValueError("query box dimension mismatch")

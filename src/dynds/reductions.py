@@ -1294,13 +1294,19 @@ def _points_cap(g: KPartiteGraph, d: int) -> int:
 _SEQ_SCAN_CALLS = {"fingerprint": lambda seq: tuple(seq.values)}
 
 
-def _filled(make, cap, calls):
-    """Target over a labelled-point structure `make(cap(g))`, filled at build."""
+def _insert_each(ds, points) -> None:
+    for coords, label in points:
+        ds.update(coords, label, True)
+
+
+def _filled(make, cap, calls, fill=_insert_each):
+    """Target over a labelled-point structure `make(cap(g))`, filled at
+    build by `fill(ds, points)`: one insert per point, or a batch insert
+    where the structure has one."""
     def target(g):
         def build(points):
             ds = make(cap(g))
-            for coords, label in points:
-                ds.update(coords, label, True)
+            fill(ds, points)
             return ds
         return Target(build, calls)
     return target
@@ -1321,7 +1327,8 @@ def _dmode(d: int) -> Dict[str, Callable]:
     cap = partial(_points_cap, d=d)
     return {"oracle": _filled(partial(PointScan, mode_oracle, d), cap,
                               {**_MODE_CALLS, **_SORTED_POINTS}),
-            "real": _filled(partial(DynRangeModeDS, d), cap, _MODE_CALLS)}
+            "real": _filled(partial(DynRangeModeDS, d), cap, _MODE_CALLS,
+                            DynRangeModeDS.bulk_insert)}
 
 
 _SKYLINE_CALLS = {"insert": "insert", "delete": lambda ds, p: ds.delete(),

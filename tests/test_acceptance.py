@@ -62,6 +62,7 @@ def test_criterion_2_trace_suites_exact():
 
 @pytest.mark.parametrize("structure,target", [
     ("sequence-mode", 2 / 3),
+    ("sequence-mode-churn", 2 / 3),
     ("range-mode-dyn-2d", 0.8),
     ("langerman-d1", 0.5),
     ("langerman-d2", 4 / 3),

@@ -1,11 +1,14 @@
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from operator import lt, ne
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1136,12 +1139,14 @@ def test_point_multiset_build_matches_adds(sides, room):
         ref._cells_of = [None] * n
         ref._count_cells = {}
         ref.occ, ref.n_live = Counter(), 0
+        if dim == 1:
+            ref._off = sorted(p[0] for p in points)
         visits = ref.counter.count
         for p in points:
             ref.add(p)
         assert built.counter.count == ref.counter.count - visits
-        assert (built.occ, built.keys, built.n_live) == (
-            ref.occ, ref.keys, ref.n_live)
+        assert (built.occ, built.keys, built.n_live, built._off) == (
+            ref.occ, ref.keys, ref.n_live, ref._off)
         assert placed_state(built) == placed_state(ref)
         for key in range(n):
             assert built._cells_of[key] == product_cells(built, key)
@@ -1169,10 +1174,36 @@ def test_point_multiset_debug_checks_raise(monkeypatch):
     pm.toggle(pm.keys[(2, 3), 1], False)
     with pytest.raises(RuntimeError, match="the active keys are the live"):
         pm.add((5, 5))
+    pm = PointMultiset(1, [(1,), (2,), (3,)])
+    pm.remove((2,))
+    pm._off.clear()     # a remove that dropped its insort
+    with pytest.raises(RuntimeError, match="_off is the sorted values of "
+                                           "the inactive entries"):
+        pm.add((5,))
     monkeypatch.setattr(RangeTree, "_cell_lists",
                         lambda self, keys: [[0] for _ in keys])
     with pytest.raises(RuntimeError, match="a placed key's cells are"):
         PointMultiset(1, [(1,), (2,), (3,)])
+
+
+def test_point_multiset_off_check_holds_under_optimize():
+    # a dead value missing from _off would count as live in the
+    # rank-answered heavy scan (_best_count_1d)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from dynds.core_geom import PointMultiset\n"
+            "pm = PointMultiset(1, [(1,), (2,), (3,)])\n"
+            "pm.remove((2,))\n"
+            "pm._off.clear()\n"
+            "try:\n"
+            "    pm.add((5,))\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src),
+                              "DYNDS_DEBUG_ASSERT": "1"})
+    assert out.stdout == ("invariant broken: _off is the sorted values of "
+                          "the inactive entries\n")
 
 
 def _random_box2(rng):

@@ -819,12 +819,20 @@ def _random_interval(rng, pool):
 
 
 def _check_heavy_scan(ds, iv):
-    """_best_count_1d answers iv as a count per tree does, charging the
-    same visits to the structure's counter; returns the answer."""
+    """_best_count_1d answers iv as a count per tree does.  It charges the
+    structure's counter one visit per heavy label whose range is empty or
+    whose tree holds one declared entry per value (answered by rank), and
+    the visits of that `count` for every other tree; returns the answer."""
     ctr = ds.counter
-    before = ctr.count
-    want = _heavy_scan_by_count(ds, Box([iv]))
-    want_visits = ctr.count - before
+    box = Box([iv])
+    want = _heavy_scan_by_count(ds, box)
+    want_visits = 0
+    for tree in ds._label_trees.values():
+        before = ctr.count
+        tree.count(box)
+        walk = ctr.count - before
+        by_rank = len(tree._axes[0].values) == len(tree)
+        want_visits += 1 if by_rank or not walk else walk
     before = ctr.count
     got = _best_count_1d(ds._label_trees, iv, ctr)
     assert (got, ctr.count - before) == (want, want_visits), iv
@@ -857,6 +865,13 @@ def test_heavy_scan_loop_matches_count_per_tree():
                 seen.add("tie")
             if got is None and ds.heavy:
                 seen.add("empty")
+        for t in ds._label_trees.values():
+            # a repeated value makes a tree walk; else its dead values are
+            # subtracted by rank
+            if len(t._axes[0].values) == len(t):
+                seen.add("ranked past dead" if t._off else "ranked")
+            else:
+                seen.add("walked")
 
     def update(p, insert):
         trees = ds._label_trees
@@ -897,7 +912,8 @@ def test_heavy_scan_loop_matches_count_per_tree():
     label = max(ds._label_trees, key=lambda lab: len(ds._label_trees[lab]))
     for p in [p for p in live if p[1] == label][2:]:
         update(p, False)
-    assert seen == {"doubled", "relabelled", "rebuilt", "tie", "empty"}
+    assert seen == {"doubled", "relabelled", "rebuilt", "tie", "empty",
+                    "ranked", "ranked past dead", "walked"}
 
 
 def test_heavy_scan_loop_after_key_respacing(monkeypatch):
@@ -923,6 +939,61 @@ def test_heavy_scan_loop_after_key_respacing(monkeypatch):
         r = rng.randint(l, len(seq))
         assert seq.query(l, r) == sequence_mode_oracle(seq.values, l, r)
     assert seq.rebuilds > 0 and seq._dead
+
+
+def test_heavy_scan_by_rank_after_churn(monkeypatch):
+    # 2,000 moves, each a delete at a random position and an insert of its
+    # value at another, leave dead entries in every label tree, and the
+    # trees rebuild themselves; every label stays heavy, and each query
+    # charges one visit per heavy label
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    rng = random.Random(2203)
+    n = 300
+    seq = SequenceAdapter.from_values([rng.randint(1, 6) for _ in range(n)],
+                                      n_cap=n)
+    ds = seq.ds
+    trees = ds._label_trees
+    reused = rebuilt = 0
+    for _ in range(2000):
+        pos = rng.randint(1, n)
+        value = seq.values[pos - 1]
+        size = len(trees[value])
+        seq.delete(pos)
+        rebuilt += len(trees[value]) < size
+        size = len(trees[value])
+        seq.insert(rng.randint(1, n), value)
+        # a new key equal to a dead one of its label reuses that entry
+        reused += len(trees[value]) == size
+        l = rng.randint(1, n)
+        r = rng.randint(l, n)
+        before = ds.counter.count
+        assert seq.query(l, r) == sequence_mode_oracle(seq.values, l, r)
+        assert ds.counter.count - before == len(ds.heavy) == 6
+    assert reused and rebuilt > 6 and all(t._off for t in trees.values())
+
+
+def test_heavy_scan_walks_trees_with_repeated_values():
+    # copies of one point share an axis value, so their label's tree is
+    # counted by its walk; the other trees are answered by rank
+    rng = random.Random(2204)
+    ds = DynRangeModeDS(1, 200, B_override=2)
+    live = []
+    seen = set()
+    for step in range(300):
+        if len(live) < 20 or rng.random() < 0.6:
+            p = ((rng.randint(1, 15),), rng.randint(1, 5))
+            ds.update(*p, True)
+            live.append(p)
+        else:
+            p = live.pop(rng.randrange(len(live)))
+            ds.update(*p, False)
+        for t in ds._label_trees.values():
+            seen.add(len(t._axes[0].values) == len(t))
+        lo = rng.randint(0, 16)
+        iv = Interval(lo, rng.randint(lo, 16))
+        _check_heavy_scan(ds, iv)
+        assert ds.query(Box([iv])) == mode_oracle(live, Box([iv]))
+    assert seen == {True, False}
 
 
 # ---------------- int keys against the Fraction-keyed reference ----------------
