@@ -385,6 +385,8 @@ def klee_union_volume(corners: Sequence[tuple], side) -> Fraction:
 
 _SENSES = {"lt": "lt", "<": "lt", "le": "le", "<=": "le",
            "gt": "gt", ">": "gt", "ge": "ge", ">=": "ge"}
+# offsets whose numerator and denominator are already in lowest terms
+_RATIONAL = (int, Fraction)
 # the test normal . p <sense> offset makes, per canonical sense
 _SENSE_OPS = {"lt": operator.lt, "le": operator.le,
               "gt": operator.gt, "ge": operator.ge}
@@ -433,12 +435,16 @@ def _halfspace_key(normal, offset, sense, dim: Optional[int]) -> tuple:
     if dim is not None and len(normal) != dim:
         raise ValueError(f"normal of length {len(normal)} for points of "
                          f"dimension {dim}")
-    off = Fraction(offset)
-    return (normal, off.numerator, off.denominator, s)
+    if type(offset) not in _RATIONAL:
+        offset = Fraction(offset)
+    return (normal, offset.numerator, offset.denominator, s)
 
 
 # Bucket size L of HalfspaceSystem's kd-tree (see its docstring).
 _LEAF = 8
+# The normal components whose products are exact: only a normal of these
+# keeps an update plan, since a float one may round unlike an equal int.
+_EXACT = {int, Fraction}
 
 
 class HalfspaceSystem:
@@ -463,6 +469,21 @@ class HalfspaceSystem:
     tests its own points with a column mask.  The minima are then
     recomputed bottom-up along the nodes the walk descended through.
 
+    The walk depends only on the halfspace's key and the fixed tree, so the
+    first update of a key records it as the key's plan in `_plans`: the
+    nodes wholly inside, each straddled bucket with the slots its mask hit,
+    the descended nodes, children first, and the walk's visits.  A later
+    update of that key, such as the delete of an inserted halfspace,
+    replays the plan: it applies the lazy adds and the slots' counts,
+    recomputes the minima of those buckets and then of the descended
+    nodes, and charges the recorded visits, exactly what the walk charged,
+    so the cost below holds for every update.  Only a normal of ints and
+    Fractions keeps a plan; a float one may round unlike an equal exact
+    one, so it is walked every time.  A plan holds at most one id per
+    visit it records, and the plans record at most 16 visits per point and
+    node, plus 16: a plan that would pass that clears them first.  Under
+    DYNDS_DEBUG_ASSERT every hit is compared with a fresh walk.
+
     Cost: one visit per node visited plus one per bucket point tested.  An
     axis-parallel hyperplane meets O(n^{1-1/d}) cells of a kd-tree (Lee &
     Wong, Acta Informatica 1977), so an axis-parallel update, the only kind
@@ -471,18 +492,22 @@ class HalfspaceSystem:
     grid, 1.6 on a 16^3 grid).  Other normals get the same exact answers
     and no sublinear guarantee.
 
-    An axis-parallel normal takes a fast path: one multiply and compare
-    per box end, against the column of its one nonzero component.
-    Measured on a 2-CPU x86-64 VM (Python 3.11), replaying the 1,271
-    nonempty `red_oumvk_halfspace` instances of crosscheck seeds 0-15
-    (n <= 127; best of 7, alternating), an op took 12.2 us against 13.9
-    us for the per-point scan this replaces, and 19.8 to 21.4 us with the
-    general bound alone.  On a 64 x 64 grid a slab update took 65 us
-    against 417 us.  L = 8 was chosen by measurement.  On the replay, L =
-    4, 8, 16 and 32 charged 1.45, 1.53, 1.68 and 1.96 million visits (the
-    scan 2.97 million) and took 1.04-1.07, 1, 0.89-0.90 and 0.87-0.89
-    times as long as L = 8: halving L saves 5% of the visits for 4-7%
-    more time, doubling it saves about 10% of the time for 10% more visits.
+    An axis-parallel normal takes a fast path: one multiply and compare per
+    box end, against the column of its one nonzero component.  Measured on
+    a 2-CPU x86-64 VM (Python 3.11), replaying the 1,271 nonempty
+    `red_oumvk_halfspace` instances of crosscheck seeds 0-15 (n <= 127;
+    best of 7, alternating), an op took 5.7 us against 10.0 us with every
+    update walked, at the same 1.53 million visits: an insert (42% replays)
+    7.5 against 9.9 us and a delete (all replays) 3.9 against 10.0 us, and
+    no instance cleared its plans.  With every update walked, the general
+    bound alone took 1.6 to 1.75 times as long as the fast path.  On a 64 x
+    64 grid a slab update took 65 us against 417 us for the per-point scan
+    that the kd-tree replaced.  L = 8 was chosen by measurement.  On the
+    replay, L = 4, 8, 16 and 32 charged 1.45, 1.53, 1.68 and 1.96 million
+    visits (the scan 2.97 million) and took 1.04-1.07, 1, 0.89-0.90 and
+    0.87-0.89 times as long as L = 8, with every update walked: halving L
+    saves 5% of the visits for 4-7% more time, doubling it saves about 10%
+    of the time for 10% more visits.
     """
 
     def __init__(self, points: Sequence[tuple],
@@ -533,12 +558,20 @@ class HalfspaceSystem:
         self._counts = [0] * len(pts)
         self._lazy = [0] * m
         self._mins = [0] * m
+        # update plans by halfspace key, and the visits that they record
+        self._plans: Dict[tuple, tuple] = {}
+        self._plan_visits = 0
+        self._plan_cap = 16 * (len(pts) + m) + 16
 
-    def _apply(self, key, delta: int) -> None:
+    def _walk(self, key) -> tuple:
+        """The update plan of halfspace key: the nodes wholly inside it,
+        each straddled bucket (v, first slot, last slot, the slots its
+        column mask hit), the nodes the walk descended through, children
+        before parents, and the walk's visits."""
         normal, num, den, sense = key
         test = _SENSE_OPS[sense]
         terms = [(i, a) for i, a in enumerate(normal) if a]
-        right, lazy, mins = self._right, self._lazy, self._mins
+        right, first, last = self._right, self._first, self._last
         lo, hi = self._lo, self._hi
         axial = len(terms) == 1
         if axial:
@@ -547,8 +580,8 @@ class HalfspaceSystem:
         else:
             pos = [a if a > 0 else 0 for a in normal]
             neg = [a if a < 0 else 0 for a in normal]
-        visits, descended = 0, []
-        stack = [0] if mins else []
+        visits, inside, buckets, descended = 0, [], [], []
+        stack = [0] if right else []
         while stack:
             v = stack.pop()
             visits += 1
@@ -561,8 +594,7 @@ class HalfspaceSystem:
                 high = test((sum(map(operator.mul, pos, hi[v]))
                              + sum(map(operator.mul, neg, lo[v]))) * den, num)
             if low and high:
-                lazy[v] += delta
-                mins[v] += delta
+                inside.append(v)
             elif low or high:
                 r = right[v]
                 if r >= 0:
@@ -570,18 +602,17 @@ class HalfspaceSystem:
                     stack.append(r)
                     stack.append(v + 1)
                 else:
-                    visits += self._scan(v, terms, test, num, den, delta)
-        for v in reversed(descended):
-            a, b = mins[v + 1], mins[right[v]]
-            mins[v] = lazy[v] + (a if a < b else b)
-        self.counter.add(visits)
-        if _debug_on():
-            self._debug_check()
+                    s, e = first[v], last[v]
+                    visits += e - s
+                    buckets.append((v, s, e,
+                                    self._hits(s, e, terms, test, num, den)))
+        descended.reverse()
+        return inside, buckets, descended, visits
 
-    def _scan(self, v: int, terms, test, num, den, delta: int) -> int:
-        """Test bucket v's points with a column mask over the normal's
-        nonzero `terms`, as the per-point scan did; returns how many."""
-        s, e = self._first[v], self._last[v]
+    def _hits(self, s: int, e: int, terms, test, num, den) -> List[int]:
+        """The slots [s, e) of a bucket whose points the halfspace holds,
+        by a column mask over the normal's nonzero `terms`, as the
+        per-point scan tested them."""
         dots = None
         for i, a in terms:
             col = self._cols[i][s:e]
@@ -589,11 +620,39 @@ class HalfspaceSystem:
             dots = term if dots is None else map(operator.add, dots, term)
         if den != 1:
             dots = map(operator.mul, dots, repeat(den))
-        counts = self._counts
-        for j in compress(range(s, e), map(test, dots, repeat(num))):
-            counts[j] += delta
-        self._mins[v] = self._lazy[v] + min(counts[s:e])
-        return e - s
+        return list(compress(range(s, e), map(test, dots, repeat(num))))
+
+    def _apply(self, key, delta: int) -> None:
+        plans = self._plans
+        exact = _EXACT.issuperset(map(type, key[0]))
+        plan = plans.get(key) if exact else None
+        if plan is None:
+            plan = self._walk(key)
+            if exact:
+                if self._plan_visits + plan[3] > self._plan_cap:
+                    plans.clear()
+                    self._plan_visits = 0
+                plans[key] = plan
+                self._plan_visits += plan[3]
+        elif _debug_on():
+            _invariant(plan == self._walk(key),
+                       "a cached update plan is its fresh walk")
+        inside, buckets, descended, visits = plan
+        lazy, mins, counts, right = (self._lazy, self._mins, self._counts,
+                                     self._right)
+        for v in inside:
+            lazy[v] += delta
+            mins[v] += delta
+        for v, s, e, slots in buckets:
+            for j in slots:
+                counts[j] += delta
+            mins[v] = lazy[v] + min(counts[s:e])
+        for v in descended:
+            a, b = mins[v + 1], mins[right[v]]
+            mins[v] = lazy[v] + (a if a < b else b)
+        self.counter.add(visits)
+        if _debug_on():
+            self._debug_check()
 
     def insert(self, normal, offset, sense) -> None:
         key = _halfspace_key(normal, offset, sense, self._dim)

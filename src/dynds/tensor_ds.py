@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core_geom import VisitCounter, _debug_on, _invariant
@@ -45,11 +46,13 @@ def _strides(extents) -> Tuple[int, ...]:
     return tuple(st)
 
 
-def _offsets(ranges) -> List[int]:
+def _offsets(ranges) -> Sequence[int]:
     """The flat offsets of a box, row-major: one per tuple of the product
-    of the per-axis ranges of offsets, each the sum of its tuple."""
-    offs = [0]
-    for r in ranges:
+    of the per-axis ranges of offsets, each the sum of its tuple.  One
+    axis is its own range, kept as it is, so a 1-dim box is not copied."""
+    it = iter(ranges)
+    offs = next(it)
+    for r in it:
         offs = [o + x for o in offs for x in r]
     return offs
 
@@ -129,13 +132,31 @@ class LangermanDS:
     cells are listed as disjoint slabs: a cell goes under the first axis on
     which it lags, so on the lagging axes before that one it lies past z's
     block.  The anchors and each slab are products of per-axis ranges of
-    flat offsets, each expanded once into a list by `_offsets`, and
-    `_blk_of[f]` is the residual multiset of the block holding flat cell f.
-    On a 2-CPU x86-64 VM (Python 3.11), random updates of
-    `LangermanDS((12, 12))` took 8.6 to 9.6 us each, and of
-    `LangermanDS((1024,))` 10 to 11 us, against 11.7 to 13.8 and 15.6 to
-    16.7 us with `Counter` multisets, anchors keyed by tuple t and a `sum`
-    over each cell's tuple of offsets, at the same visits.
+    flat offsets, each expanded once by `_offsets`, and `_blk_of[f]` is the
+    residual multiset of the block holding flat cell f.
+
+    These lists depend only on z and the fixed block layout, so the first
+    update at z stores them, with z's flat cell, as z's plan in `_plans`,
+    and every later update at z replays the plan: it adds delta to the
+    listed anchors and moves the listed residuals in place, and charges
+    exactly what the update that made the plan charged, so every visit
+    count is that of a fresh update.  Only an index that passed the check
+    of `Tensor` gets a plan, and a hit still refuses a coordinate that is
+    no int (1.0 equals 1 and hashes alike), as the flat list index of a
+    miss does.  The plans hold at most 4 ids per cell and grid anchor, plus
+    16: a plan that would pass that clears them first.  Under
+    DYNDS_DEBUG_ASSERT every hit is compared with a fresh plan.
+    `red_oumvk_langerman` updates at most 2dN + 1 distinct cells per
+    instance, and at `dynds crosscheck` seeds 0-15 no instance cleared its
+    plans.  On a 2-CPU x86-64 VM (Python 3.11; best of 7, alternating),
+    replaying the updates that crosscheck seed 1 makes on its
+    `red_oumvk_langerman` structures took 6.6 us per update for d = 2 and
+    2.6 us for d = 1, against 13.1 and 5.1 us with no plans, at the same
+    visits.  Random updates, whose cells' plans do not all fit, took 7.3 us
+    on `LangermanDS((12, 12))` and 7.8 us on `LangermanDS((1024,))` against
+    7.9 and 9.0 us.  Every cell once in random order, all misses, took 8.3
+    us on `LangermanDS((1024,))` and 19.8 us on `LangermanDS((40, 40))`
+    against 9.3 and 20.3 us: a 1-dim slab is its own range, not a list.
     """
 
     def __init__(self, extents: Sequence[int], B: Optional[int] = None,
@@ -177,37 +198,70 @@ class LangermanDS:
                 blk = self.blocks[b] = {}
             blk[res] = blk.get(res, 0) + 1
             self._blk_of.append(blk)
+        # update plans by index z, and the ids that they hold
+        self._plans: Dict[tuple, tuple] = {}
+        self._plan_ids = 0
+        self._plan_cap = 4 * (len(self.r.data) + len(self.grid)) + 16
 
     def _block(self, x) -> int:
         """The flat block of cell x."""
         return sum(xi // self.B * s for xi, s in zip(x, self._bstrides))
 
-    def update(self, z, delta: int) -> None:
-        z = tuple(z)
-        self.T.add(z, delta)          # validates the index
-        if delta == 0:
-            return
-        B, ext, grid = self.B, self.extents, self.grid
+    def _plan(self, z) -> tuple:
+        """The update plan of index z: its flat cell, the flat grid anchors
+        that dominate it, the flat offsets of the cells whose residual it
+        moves, one list per slab, and the number of those cells."""
+        f = self.T._flat(z)           # validates the index
+        B, ext = self.B, self.extents
         # grid anchors dominating z: per axis, the blocks t with t * B >= z
         anchors = _offsets(range(-(-zi // B) * s, (e // B) * s + 1, s)
                            for zi, e, s in zip(z, ext, self._bstrides))
-        self.counter.add(len(anchors))
-        for b in anchors:
-            grid[b] += delta
         # cells at or past z whose anchor lags behind z on some axis, as
         # disjoint slabs of flat offsets: the slab of axis a lags on a and
         # lies past z's block on the lagging axes before a
-        data, blk_of = self.r.data, self._blk_of
         slab = [range((zi - 1) * s, e * s, s)
                 for zi, e, s in zip(z, ext, self._strides)]
-        cells = 0
+        slabs, cells = [], 0
         for a, (zi, e, s) in enumerate(zip(z, ext, self._strides)):
             if zi % B == 0:
                 continue
             end = min(e, (zi // B + 1) * B - 1)
             slab[a] = range((zi - 1) * s, end * s, s)
             offs = _offsets(slab)
+            slabs.append(offs)
             cells += len(offs)
+            slab[a] = range(end * s, e * s, s)
+        return f, anchors, slabs, cells
+
+    def update(self, z, delta: int) -> None:
+        z = tuple(z)
+        plans = self._plans
+        plan = plans.get(z)
+        if plan is None:
+            plan = self._plan(z)
+            ids = len(plan[1]) + plan[3]
+            if self._plan_ids + ids > self._plan_cap:
+                plans.clear()
+                self._plan_ids = 0
+            plans[z] = plan
+            self._plan_ids += ids
+        else:
+            # z equals a validated index; refuse a coordinate that is no
+            # int (1.0 or Fraction(1)), as a miss does
+            list(map(operator.index, z))
+            if _debug_on():
+                _invariant(plan == self._plan(z),
+                           "a cached update plan is its fresh plan")
+        flat, anchors, slabs, cells = plan
+        self.T.data[flat] += delta
+        if delta == 0:
+            return
+        grid = self.grid
+        self.counter.add(len(anchors))
+        for b in anchors:
+            grid[b] += delta
+        data, blk_of = self.r.data, self._blk_of
+        for offs in slabs:
             for f in offs:
                 old = data[f]
                 new = data[f] = old + delta
@@ -218,7 +272,6 @@ class LangermanDS:
                 else:
                     blk[old] = k - 1
                 blk[new] = blk.get(new, 0) + 1
-            slab[a] = range(end * s, e * s, s)
         self.counter.add(cells)
         if _debug_on():
             self._debug_check()

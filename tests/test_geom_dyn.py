@@ -630,6 +630,114 @@ def test_halfspace_delete_absent():
         hs.delete((1, 0), 0, "lt")
 
 
+def test_halfspace_delete_absent_after_its_plan(debug_assert):
+    # the first update of a halfspace stores its plan; the plan does not
+    # make a delete of it legal once none is left
+    hs = HalfspaceSystem([(0, 0), (2, 1)])
+    for ds in (hs, HalfspaceScan([(0, 0), (2, 1)])):
+        for _ in range(2):
+            ds.insert((1, 0), 1, "lt")
+            ds.delete((1, 0), 1, "lt")
+            with pytest.raises(ValueError, match="delete of absent"):
+                ds.delete((1, 0), 1, "lt")
+        assert ds.min_count() == 0
+    assert list(hs._plans) == [((1, 0), 1, 1, "lt")]
+
+
+@pytest.mark.parametrize("offset", [
+    0, 7, -3, Fraction(3, 2), Fraction(-4, 6), Fraction(8, 4), True, 2.5,
+    "5/10", "3"])
+def test_halfspace_key_reads_int_and_fraction_offsets(offset):
+    # an int or Fraction offset is read as it is, any other through
+    # Fraction: the same key either way, numerator and denominator ints
+    key = _halfspace_key((1, 0), offset, "<", 2)
+    off = Fraction(offset)
+    assert key == ((1, 0), off.numerator, off.denominator, "lt")
+    assert type(key[1]) is int and type(key[2]) is int
+
+
+def test_halfspace_float_normals_keep_no_plan():
+    # 0.1 equals Fraction(0.1), but the walk's 3 * (0.1 * 10) rounds to 3
+    # while the exact product passes 3: a float normal may round unlike an
+    # equal exact one, so it is walked every time and never replays the
+    # exact normal's plan
+    pts = [(3,), (1,)]
+    exact = ((Fraction(0.1),), Fraction(3, 10), "le")
+    inexact = ((0.1,), Fraction(3, 10), "le")
+    alone = []
+    for h in (exact, inexact):
+        hs = HalfspaceSystem(pts)
+        hs.insert(*h)
+        alone.append(hs._depths())
+    assert alone == [[0, 1], [1, 1]]
+    hs = HalfspaceSystem(pts)
+    hs.insert(*exact)
+    hs.insert(*inexact)
+    assert hs._depths() == [1, 2] and len(hs._plans) == 1
+    hs.delete(*inexact)
+    assert hs._depths() == [0, 1]
+
+
+def test_halfspace_plans_charge_as_fresh_walks(debug_assert):
+    # more distinct halfspaces than the plans may hold, mixed with repeats
+    # of a few hot ones, axis-parallel and general: the plans clear at
+    # least once, record at most 16 visits per point and node plus 16 and
+    # hold no more ids than the visits they record, every answer is the
+    # scan oracle's, and every update charges what it charges on a
+    # structure whose plans are cleared before each update
+    rng = random.Random(4)
+    pts = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(60)]
+    hs, fresh, scan = (HalfspaceSystem(pts), HalfspaceSystem(pts),
+                       HalfspaceScan(pts))
+    cap = 16 * (len(pts) + len(hs._right)) + 16
+    assert tree_levels(hs) >= 3 and hs._plan_cap == cap
+
+    def draw():
+        normal = rng.choice([(1, 0), (0, 1), (0, -2),
+                             (rng.randint(-2, 2), rng.randint(-2, 2))])
+        return (normal, Fraction(rng.randint(-14, 14), 2),
+                rng.choice(_ALL_SENSES))
+
+    hot = [draw() for _ in range(3)]
+    live, clears, hits = [], 0, 0
+    for _ in range(400):
+        seen = hs._plan_visits
+        if live and rng.random() < 0.45:
+            trip = live.pop(rng.randrange(len(live)))
+            ops = [ds.delete for ds in (hs, fresh, scan)]
+        else:
+            trip = rng.choice(hot) if rng.random() < 0.3 else draw()
+            live.append(trip)
+            ops = [ds.insert for ds in (hs, fresh, scan)]
+        held = _halfspace_key(*trip, 2) in hs._plans
+        fresh._plans.clear()
+        fresh._plan_visits = 0
+        before = (hs.counter.count, fresh.counter.count)
+        for op in ops:
+            op(*trip)
+        assert (hs.counter.count - before[0]
+                == fresh.counter.count - before[1])
+        hits += held
+        clears += hs._plan_visits < seen
+        plans = hs._plans.values()
+        assert hs._plan_visits == sum(p[3] for p in plans) <= cap
+        assert sum(len(inside) + len(down)
+                   + sum(len(b[3]) + 1 for b in buckets)
+                   for inside, buckets, down, _ in plans) <= hs._plan_visits
+        assert hs.min_count() == scan.min_count()
+    assert clears and hits > 100
+
+
+def test_halfspace_debug_check_catches_a_stale_plan(debug_assert):
+    # a cached plan that lost one bucket slot is caught at its next hit
+    hs = HalfspaceSystem([(x,) for x in range(4 * _LEAF)])
+    hs.insert((1,), Fraction(5, 2), "le")
+    (_, buckets, _, _), = hs._plans.values()
+    buckets[0][3].pop()
+    with pytest.raises(RuntimeError, match="cached update plan"):
+        hs.delete((1,), Fraction(5, 2), "le")
+
+
 def test_halfspace_empty_points(debug_assert):
     # no points: a normal of any length is taken, the tree has no node, so
     # nothing is visited, and min_count has no answer

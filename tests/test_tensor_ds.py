@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from dynds.tensor_ds import (
     HypercliqueCounting,
     HypercliqueLazy,
     LangermanDS,
+    LangermanScan,
     Tensor,
     oumv_bruteforce,
 )
@@ -257,6 +259,81 @@ def test_langerman_rejected_update_changes_nothing():
         with pytest.raises(exc):
             ds.update(z, 2)
         assert _langerman_state(ds) == before
+
+
+def test_langerman_plan_hit_refuses_what_a_miss_refuses():
+    # plans are keyed by the index z, and (1.0, 2) equals (1, 2) and hashes
+    # alike; a float or Fraction coordinate is no list index, so the real
+    # structure refuses it before and after (1, 2) has a plan, as its scan
+    # oracle does.  A refused index, out of range or of the wrong arity,
+    # stores no plan.
+    refused = [((1.0, 2), TypeError), ((Fraction(1), 2), TypeError),
+               ((13, 2), IndexError), ((0, 2), IndexError),
+               ((1,), ValueError), ((1, 2, 3), ValueError)]
+    for cls in (LangermanDS, LangermanScan):
+        ds = cls((12, 12))
+        for _ in range(2):
+            for z, exc in refused:
+                with pytest.raises(exc):
+                    ds.update(z, 1)
+            ds.update((1, 2), 1)
+        assert ds.prefix((12, 12)) == 2
+        if cls is LangermanDS:
+            assert list(ds._plans) == [(1, 2)]
+
+
+def _plan_ids(ds):
+    """The ids that LangermanDS's plans hold: anchors plus cells."""
+    return sum(len(anchors) + cells
+               for _, anchors, _, cells in ds._plans.values())
+
+
+@pytest.mark.parametrize("extents,B", [((9, 7), 2), ((40,), None),
+                                       ((5, 4, 3), 2)])
+def test_langerman_plans_charge_as_fresh_updates(extents, B, monkeypatch):
+    # more distinct cells than the plans may hold, mixed with repeats of a
+    # few hot cells: the plans clear at least once and never hold more than
+    # 4 ids per cell and grid anchor plus 16, every answer is the scan
+    # oracle's, and every update charges what it charges on a structure
+    # whose plans are cleared before each update
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    rng = random.Random(f"plans/{extents}/{B}")
+    ds, fresh = LangermanDS(extents, B=B), LangermanDS(extents, B=B)
+    scan = LangermanScan(extents)
+    cap = 4 * (len(ds.r.data) + len(ds.grid)) + 16
+    assert ds._plan_cap == cap
+    cells = list(Tensor(extents).indices())
+    hot = rng.sample(cells, 3)
+    clears = hits = 0
+    for step in range(400):
+        z = rng.choice(hot if rng.random() < 0.4 else cells)
+        delta = rng.choice([-2, -1, 1, 2])
+        held, ids = z in ds._plans, ds._plan_ids
+        fresh._plans.clear()
+        fresh._plan_ids = 0
+        before = (ds.counter.count, fresh.counter.count)
+        for s in (ds, fresh, scan):
+            s.update(z, delta)
+        assert (ds.counter.count - before[0]
+                == fresh.counter.count - before[1])
+        hits += held
+        clears += ds._plan_ids < ids
+        assert ds._plan_ids == _plan_ids(ds) <= cap
+        if step % 10 == 0:
+            assert ds.exists_zero() == scan.exists_zero()
+            x = rng.choice(cells)
+            assert ds.prefix(x) == scan.prefix(x)
+    assert clears and hits > 100
+
+
+def test_langerman_debug_check_catches_a_stale_plan(monkeypatch):
+    # a cached plan that lost one cell is caught at its next hit
+    monkeypatch.setattr("dynds.core_geom._DEBUG_ASSERT", True)
+    ds = LangermanDS((6, 6), B=2)
+    ds.update((3, 3), 1)
+    ds._plans[3, 3][2][0].pop()
+    with pytest.raises(RuntimeError, match="cached update plan"):
+        ds.update((3, 3), 1)
 
 
 # ---------------- slab increments with max ----------------
